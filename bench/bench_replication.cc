@@ -22,6 +22,12 @@
 //     replication.lag_lsn gauges every few milliseconds. One replica
 //     only, so the process-global gauges are unambiguous.
 //
+//  4. closure ladder: closure1N from the root of a generated level-4
+//     database over primary + 1 replica, through a replicated client
+//     whose peers run each RemoteMode in turn — the `remote` latency
+//     ladder (README) for the replicated stack, as warm ms/node and
+//     round trips per closure.
+//
 // Flags:
 //   --nodes=N       uids preloaded for the read phase (default 1500)
 //   --readers=R     reader clients in phase 1 (default 4)
@@ -53,6 +59,8 @@
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/backends/replicated_store.h"
+#include "hypermodel/generator.h"
+#include "hypermodel/operations.h"
 #include "hypermodel/store.h"
 #include "replication/coordinator.h"
 #include "server/server.h"
@@ -234,12 +242,14 @@ std::unique_ptr<RemoteStore> DirectClient(uint16_t port) {
 }
 
 std::unique_ptr<ReplicatedStore> FleetClient(
-    const std::vector<uint16_t>& ports) {
+    const std::vector<uint16_t>& ports,
+    backends::RemoteMode mode = backends::RemoteMode::kPushdown) {
   backends::ReplicatedOptions options;
   for (uint16_t port : ports) {
     backends::RemoteOptions peer;
     peer.host = "127.0.0.1";
     peer.port = port;
+    peer.mode = mode;
     peer.max_retries = 1;
     options.peers.push_back(peer);
   }
@@ -428,6 +438,61 @@ LagRow MeasureLag(const Config& config, const std::string& root) {
   return row;
 }
 
+// --- phase 4: closure ladder -----------------------------------------
+
+struct LadderRow {
+  std::string mode;
+  uint64_t nodes = 0;  // per closure
+  double ms_per_node = 0;
+  double roundtrips = 0;  // per closure, both peers' clients together
+};
+
+std::vector<LadderRow> MeasureClosureLadder(const std::string& root) {
+  ReplNode primary = StartNode(root + "/ladder_primary", false, 0);
+  ReplNode replica = StartNode(root + "/ladder_replica", true, primary.port());
+  const std::vector<uint16_t> ports{primary.port(), replica.port()};
+  NodeRef start = kInvalidNode;
+  {
+    auto loader = FleetClient(ports);
+    GeneratorConfig config;
+    config.levels = 4;
+    config.generate_contents = false;
+    auto db = Generator(config).Build(loader.get(), nullptr);
+    CheckOk(db.status(), "ladder build");
+    start = db->root;
+  }
+  AwaitCatchUp(primary.port(), {replica.port()});
+
+  constexpr int kClosures = 20;
+  std::vector<LadderRow> rows;
+  for (backends::RemoteMode mode :
+       {backends::RemoteMode::kPerCall, backends::RemoteMode::kBatched,
+        backends::RemoteMode::kPushdown}) {
+    auto client = FleetClient(ports, mode);
+    auto* roundtrips = telemetry::Registry::Global().GetCounter(
+        "remote." + std::string(backends::RemoteModeName(mode)) +
+        ".roundtrips");
+    std::vector<NodeRef> out;
+    CheckOk(ops::Closure1N(client.get(), start, &out), "ladder warm-up");
+    const uint64_t before = roundtrips->value();
+    util::Timer wall;
+    for (int i = 0; i < kClosures; ++i) {
+      CheckOk(ops::Closure1N(client.get(), start, &out), "ladder closure");
+    }
+    const double wall_ms = wall.ElapsedMillis();
+    LadderRow row;
+    row.mode = std::string(backends::RemoteModeName(mode));
+    row.nodes = out.size();
+    row.ms_per_node = wall_ms / static_cast<double>(kClosures * out.size());
+    row.roundtrips = static_cast<double>(roundtrips->value() - before) /
+                     kClosures;
+    rows.push_back(row);
+  }
+  replica.Stop();
+  primary.Stop();
+  return rows;
+}
+
 // --- driver ----------------------------------------------------------
 
 int Main(int argc, char** argv) {
@@ -506,6 +571,9 @@ int Main(int argc, char** argv) {
   // Phase 3: steady-state lag under the write load.
   LagRow lag = MeasureLag(config, root);
 
+  // Phase 4: closures through the replicated client, per fetch mode.
+  std::vector<LadderRow> ladder = MeasureClosureLadder(root);
+
   std::printf("%-10s %8s %10s %12s %12s %14s\n", "config", "readers",
               "lookups", "wall-ms", "lookups/s", "replica-share");
   for (const ReadRow& row : read_rows) {
@@ -526,6 +594,12 @@ int Main(int argc, char** argv) {
               static_cast<long long>(lag.lag_bytes_max), lag.lag_bytes_mean,
               static_cast<long long>(lag.lag_lsn_max),
               static_cast<unsigned long long>(lag.txns_applied));
+  std::printf("\nclosure1N over primary + 1 replica (%llu nodes):\n",
+              static_cast<unsigned long long>(ladder.front().nodes));
+  for (const LadderRow& row : ladder) {
+    std::printf("  %-9s %.6f ms/node  %.1f round trips/closure\n",
+                row.mode.c_str(), row.ms_per_node, row.roundtrips);
+  }
 
   if (!config.json_path.empty()) {
     std::ofstream out(config.json_path);
@@ -553,7 +627,17 @@ int Main(int argc, char** argv) {
         << ", \"lag_bytes_max\": " << lag.lag_bytes_max
         << ", \"lag_bytes_mean\": " << std::setprecision(0)
         << lag.lag_bytes_mean << ", \"lag_lsn_max\": " << lag.lag_lsn_max
-        << ", \"txns_applied\": " << lag.txns_applied << "}\n}\n";
+        << ", \"txns_applied\": " << lag.txns_applied
+        << "},\n  \"closure_ladder\": [\n";
+    for (size_t i = 0; i < ladder.size(); ++i) {
+      const LadderRow& row = ladder[i];
+      out << "    {\"mode\": \"" << row.mode << "\", \"nodes\": " << row.nodes
+          << ", \"ms_per_node\": " << std::setprecision(6)
+          << row.ms_per_node << ", \"roundtrips\": " << std::setprecision(1)
+          << row.roundtrips << "}" << (i + 1 < ladder.size() ? "," : "")
+          << "\n";
+    }
+    out << "  ]\n}\n";
     std::printf("\n(JSON written to %s)\n", config.json_path.c_str());
   }
 

@@ -14,8 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/coding.h"
 #include "util/failpoint.h"
@@ -95,27 +93,6 @@ util::Status GetEdgeList(util::Decoder* decoder, std::vector<RefEdge>* out) {
     out->push_back(edge);
   }
   return util::Status::Ok();
-}
-
-/// Pre-order assembly over a fetched child map — the local half of the
-/// batched 1-N fallbacks. Iterative so a deep hierarchy cannot blow
-/// the stack; the reverse push makes the first child pop first,
-/// matching the recursive kernel's order exactly.
-void AssemblePreorder(
-    NodeRef start,
-    const std::unordered_map<NodeRef, std::vector<NodeRef>>& children,
-    std::vector<NodeRef>* out) {
-  std::vector<NodeRef> stack{start};
-  while (!stack.empty()) {
-    NodeRef node = stack.back();
-    stack.pop_back();
-    out->push_back(node);
-    auto it = children.find(node);
-    if (it == children.end()) continue;
-    for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-      stack.push_back(*rit);
-    }
-  }
 }
 
 }  // namespace
@@ -217,7 +194,7 @@ util::Status RemoteStore::Reconnect() {
   static telemetry::Counter* reconnects =
       telemetry::Registry::Global().GetCounter("remote.reconnects");
   reconnects->Add();
-  // Re-handshake: negotiates the version again and re-adopts the
+  // Re-handshake: checks the version again and re-adopts the
   // server's current reset epoch, so a reset that happened while we
   // were away surfaces as fresh state, not phantom Conflicts.
   return Hello();
@@ -436,33 +413,6 @@ telemetry::Counter* RemoteStore::RoundTrips() {
   return roundtrips_;
 }
 
-void RemoteStore::DegradeBatch() {
-  if (server_batch_) {
-    telemetry::Registry::Global()
-        .GetCounter("remote.degrade.batch")
-        ->Add();
-    server_batch_ = false;
-  }
-}
-
-void RemoteStore::DegradeMulti() {
-  if (server_multi_) {
-    telemetry::Registry::Global()
-        .GetCounter("remote.degrade.multi")
-        ->Add();
-    server_multi_ = false;
-  }
-}
-
-void RemoteStore::DegradePushdown() {
-  if (server_traversal_) {
-    telemetry::Registry::Global()
-        .GetCounter("remote.degrade.pushdown")
-        ->Add();
-    server_traversal_ = false;
-  }
-}
-
 util::Status RemoteStore::CallOnce(server::OpCode op,
                                    std::string_view body,
                                    std::string* result) {
@@ -511,15 +461,15 @@ util::Status RemoteStore::CallMany(
     if (payload.empty() ||
         !RetrySafeOp(static_cast<server::OpCode>(payload[0]))) {
       return util::Status::Unavailable(
-          PeerTag() + ": pipelined request failed in transit and "
+          PeerTag() + ": batched request failed in transit and "
           "contains ops that are not safe to re-send: " +
           status.message());
     }
   }
-  // Rerunning the whole pipeline is safe (all retry-safe) and simpler
+  // Rerunning the whole call is safe (all retry-safe) and simpler
   // than tracking which responses already arrived: CallManyOnce
   // restarts `out` from scratch.
-  return RetryTransport("pipelined request", std::move(status),
+  return RetryTransport("batched request", std::move(status),
                         [&] { return CallManyOnce(payloads, out); });
 }
 
@@ -534,58 +484,25 @@ util::Status RemoteStore::CallManyOnce(
     std::span<const std::string> chunk =
         payloads.subspan(begin, std::min(kMultiChunk,
                                          payloads.size() - begin));
-    if (UseBatchFrames() && chunk.size() > 1) {
-      std::string body;
-      util::PutVarint64(&body, chunk.size());
-      for (const std::string& payload : chunk) {
-        util::PutLengthPrefixed(&body, payload);
-      }
-      std::string result;
-      util::Status status = Call(server::OpCode::kBatch, body, &result);
-      if (status.code() == util::StatusCode::kNotSupported) {
-        // v1 server that slipped past the handshake guess; drop to
-        // pipelined singles for good.
-        DegradeBatch();
-      } else {
-        HM_RETURN_IF_ERROR(status);
-        std::vector<std::string_view> subs;
-        if (!server::DecodeBatch(result, &subs, chunk.size()) ||
-            subs.size() != chunk.size()) {
-          return util::Status::Corruption("remote: bad batch response");
-        }
-        for (std::string_view sub : subs) {
-          util::Status sub_status;
-          std::string_view sub_body;
-          if (!server::SplitResponse(sub, &sub_status, &sub_body)) {
-            return util::Status::Corruption("remote: bad batch response");
-          }
-          out->emplace_back(std::move(sub_status), std::string(sub_body));
-        }
-        continue;
-      }
-    }
-    // Pipelined: every frame in one send, then the responses drained
-    // in order (the server peels buffered frames before recv'ing).
-    // Latency-wise that is one round trip per chunk, same as a batch
-    // frame.
-    RoundTrips()->Add();
-    std::string wire;
+    std::string body;
+    util::PutVarint64(&body, chunk.size());
     for (const std::string& payload : chunk) {
-      server::AppendFrame(&wire, payload);
+      util::PutLengthPrefixed(&body, payload);
     }
-    if (fd_ < 0) {
-      return util::Status::IoError("remote: connection is closed");
+    std::string result;
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kBatch, body, &result));
+    std::vector<std::string_view> subs;
+    if (!server::DecodeBatch(result, &subs, chunk.size()) ||
+        subs.size() != chunk.size()) {
+      return util::Status::Corruption("remote: bad batch response");
     }
-    if (!server::WriteAll(fd_, wire)) {
-      ::close(fd_);
-      fd_ = -1;
-      return Errno("send");
-    }
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      util::Status op_status;
-      std::string result;
-      HM_RETURN_IF_ERROR(ReadResponse(&op_status, &result));
-      out->emplace_back(std::move(op_status), std::move(result));
+    for (std::string_view sub : subs) {
+      util::Status sub_status;
+      std::string_view sub_body;
+      if (!server::SplitResponse(sub, &sub_status, &sub_body)) {
+        return util::Status::Corruption("remote: bad batch response");
+      }
+      out->emplace_back(std::move(sub_status), std::string(sub_body));
     }
   }
   return util::Status::Ok();
@@ -598,27 +515,14 @@ util::Status RemoteStore::Hello() {
   HM_RETURN_IF_ERROR(Call(server::OpCode::kHello, hello_body, &result));
   util::Decoder decoder(result);
   std::string_view name;
-  if (result.empty()) {
+  if (!decoder.Skip(1) || !decoder.GetLengthPrefixed(&name)) {
     return util::Status::Corruption("remote: short Hello response");
   }
-  uint8_t version = static_cast<uint8_t>(result[0]);
-  decoder.Skip(1);
-  if (!decoder.GetLengthPrefixed(&name)) {
-    return util::Status::Corruption("remote: short Hello response");
-  }
-  if (version < server::kMinWireVersion || version > server::kWireVersion) {
-    return util::Status::InvalidArgument(
-        "remote: wire version mismatch (server negotiated " +
-        std::to_string(version) + ", client speaks " +
-        std::to_string(server::kMinWireVersion) + ".." +
-        std::to_string(server::kWireVersion) + ")");
-  }
-  negotiated_version_ = version;
-  if (negotiated_version_ < 2) {
-    // v1 server: no batch frames, no fused ops, no pushdown.
-    DegradeBatch();
-    DegradeMulti();
-    DegradePushdown();
+  const auto version = static_cast<uint8_t>(result[0]);
+  if (version != server::kWireVersion) {
+    return util::Status::VersionMismatch(
+        PeerTag() + ": server speaks wire v" + std::to_string(version) +
+        ", client speaks v" + std::to_string(server::kWireVersion));
   }
   server_backend_ = std::string(name);
   return util::Status::Ok();
@@ -629,8 +533,6 @@ util::Status RemoteStore::ResetServer() {
 }
 
 util::Status RemoteStore::Ping() {
-  // Like ServerStats: sent regardless of the negotiated version; a
-  // pre-v4 server answers NotSupported and the caller sees it as-is.
   return Call(server::OpCode::kPing, {}, nullptr);
 }
 
@@ -886,91 +788,6 @@ util::Result<uint64_t> RemoteStore::StorageBytes() {
   return bytes;
 }
 
-// --- Fused navigation -------------------------------------------------
-
-util::Status RemoteStore::RefListCallMany(
-    server::OpCode op, std::span<const NodeRef> nodes,
-    std::vector<std::vector<NodeRef>>* out) {
-  std::vector<std::string> payloads;
-  payloads.reserve(nodes.size());
-  for (NodeRef node : nodes) {
-    std::string payload;
-    payload.push_back(static_cast<char>(op));
-    PutNode(&payload, node);
-    payloads.push_back(std::move(payload));
-  }
-  std::vector<std::pair<util::Status, std::string>> results;
-  HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-  out->clear();
-  out->reserve(nodes.size());
-  for (auto& [status, body] : results) {
-    HM_RETURN_IF_ERROR(status);
-    util::Decoder decoder(body);
-    out->emplace_back();
-    HM_RETURN_IF_ERROR(GetRefList(&decoder, &out->back()));
-  }
-  return util::Status::Ok();
-}
-
-util::Status RemoteStore::EdgeListCallMany(
-    server::OpCode op, std::span<const NodeRef> nodes,
-    std::vector<std::vector<RefEdge>>* out) {
-  std::vector<std::string> payloads;
-  payloads.reserve(nodes.size());
-  for (NodeRef node : nodes) {
-    std::string payload;
-    payload.push_back(static_cast<char>(op));
-    PutNode(&payload, node);
-    payloads.push_back(std::move(payload));
-  }
-  std::vector<std::pair<util::Status, std::string>> results;
-  HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-  out->clear();
-  out->reserve(nodes.size());
-  for (auto& [status, body] : results) {
-    HM_RETURN_IF_ERROR(status);
-    util::Decoder decoder(body);
-    out->emplace_back();
-    HM_RETURN_IF_ERROR(GetEdgeList(&decoder, &out->back()));
-  }
-  return util::Status::Ok();
-}
-
-util::Status RemoteStore::PartsMulti(
-    std::span<const NodeRef> nodes, std::vector<std::vector<NodeRef>>* out) {
-  return RefListCallMany(server::OpCode::kParts, nodes, out);
-}
-
-util::Status RemoteStore::RefsToMulti(
-    std::span<const NodeRef> nodes, std::vector<std::vector<RefEdge>>* out) {
-  return EdgeListCallMany(server::OpCode::kRefsTo, nodes, out);
-}
-
-util::Status RemoteStore::SetAttrsMulti(std::span<const NodeRef> nodes,
-                                        Attr attr,
-                                        std::span<const int64_t> values) {
-  if (nodes.size() != values.size()) {
-    return util::Status::InvalidArgument(
-        "SetAttrsMulti: nodes/values size mismatch");
-  }
-  std::vector<std::string> payloads;
-  payloads.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    std::string payload;
-    payload.push_back(static_cast<char>(server::OpCode::kSetAttr));
-    PutNode(&payload, nodes[i]);
-    util::PutVarint64(&payload, static_cast<uint64_t>(attr));
-    util::PutVarSigned64(&payload, values[i]);
-    payloads.push_back(std::move(payload));
-  }
-  std::vector<std::pair<util::Status, std::string>> results;
-  HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-  for (auto& [status, body] : results) {
-    HM_RETURN_IF_ERROR(status);
-  }
-  return util::Status::Ok();
-}
-
 util::Status RemoteStore::ShardInfo(uint32_t* shard_id,
                                     uint32_t* shard_count) {
   std::string result;
@@ -1072,368 +889,135 @@ util::Status RemoteStore::ReplFence(uint64_t fencing_epoch,
   return util::Status::Ok();
 }
 
-util::Status RemoteStore::ChildrenMulti(
-    std::span<const NodeRef> nodes, std::vector<std::vector<NodeRef>>* out) {
-  out->clear();
-  if (nodes.empty()) return util::Status::Ok();
-  if (UseMultiOps()) {
-    out->reserve(nodes.size());
-    bool fused_ok = true;
-    for (size_t begin = 0; begin < nodes.size() && fused_ok;
-         begin += kMultiChunk) {
-      std::span<const NodeRef> chunk =
-          nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
-      std::string body;
-      util::PutVarint64(&body, chunk.size());
-      for (NodeRef node : chunk) PutNode(&body, node);
-      std::string result;
-      util::Status status =
-          Call(server::OpCode::kChildrenMulti, body, &result);
-      if (status.code() == util::StatusCode::kNotSupported) {
-        DegradeMulti();
-        fused_ok = false;
-        break;
-      }
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count) || count != chunk.size()) {
-        return util::Status::Corruption(
-            "remote: bad ChildrenMulti response");
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        out->emplace_back();
-        HM_RETURN_IF_ERROR(GetRefList(&decoder, &out->back()));
-      }
-    }
-    if (fused_ok) return util::Status::Ok();
-    out->clear();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    return RefListCallMany(server::OpCode::kChildren, nodes, out);
-  }
-  out->reserve(nodes.size());
+// --- FrontierFetch ----------------------------------------------------
+
+util::Status RemoteStore::CallPerNode(
+    server::OpCode op, std::span<const NodeRef> nodes,
+    const std::function<util::Status(util::Decoder*)>& decode) {
+  std::vector<std::string> payloads;
+  payloads.reserve(nodes.size());
   for (NodeRef node : nodes) {
-    out->emplace_back();
-    HM_RETURN_IF_ERROR(Children(node, &out->back()));
+    std::string payload(1, static_cast<char>(op));
+    PutNode(&payload, node);
+    payloads.push_back(std::move(payload));
+  }
+  std::vector<std::pair<util::Status, std::string>> results;
+  HM_RETURN_IF_ERROR(CallMany(payloads, &results));
+  for (auto& [status, body] : results) {
+    HM_RETURN_IF_ERROR(status);
+    util::Decoder decoder(body);
+    HM_RETURN_IF_ERROR(decode(&decoder));
   }
   return util::Status::Ok();
+}
+
+util::Status RemoteStore::CallFused(
+    server::OpCode op, std::string_view prefix,
+    std::span<const NodeRef> nodes,
+    const std::function<util::Status(util::Decoder*)>& decode) {
+  for (size_t begin = 0; begin < nodes.size(); begin += kMultiChunk) {
+    std::span<const NodeRef> chunk =
+        nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
+    std::string body(prefix);
+    util::PutVarint64(&body, chunk.size());
+    for (NodeRef node : chunk) PutNode(&body, node);
+    std::string result;
+    HM_RETURN_IF_ERROR(Call(op, body, &result));
+    util::Decoder decoder(result);
+    uint64_t count = 0;
+    if (!decoder.GetVarint64(&count) || count != chunk.size()) {
+      return util::Status::Corruption("remote: bad " +
+                                      std::string(server::OpCodeName(op)) +
+                                      " response");
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      HM_RETURN_IF_ERROR(decode(&decoder));
+    }
+  }
+  return util::Status::Ok();
+}
+
+util::Status RemoteStore::ChildrenMulti(std::span<const NodeRef> nodes,
+                                        RefLists* out) {
+  if (mode_ == RemoteMode::kPerCall) {
+    return StoreFetch(this).ChildrenMulti(nodes, out);
+  }
+  out->clear();
+  return CallFused(server::OpCode::kChildrenMulti, {}, nodes,
+                   [out](util::Decoder* decoder) {
+                     HM_RETURN_IF_ERROR(GetRefList(decoder, &out->items));
+                     out->Close();
+                     return util::Status::Ok();
+                   });
 }
 
 util::Status RemoteStore::GetAttrsMulti(std::span<const NodeRef> nodes,
                                         Attr attr,
                                         std::vector<int64_t>* values) {
-  values->clear();
-  if (nodes.empty()) return util::Status::Ok();
-  if (UseMultiOps()) {
-    values->reserve(nodes.size());
-    bool fused_ok = true;
-    for (size_t begin = 0; begin < nodes.size() && fused_ok;
-         begin += kMultiChunk) {
-      std::span<const NodeRef> chunk =
-          nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
-      std::string body;
-      util::PutVarint64(&body, static_cast<uint64_t>(attr));
-      util::PutVarint64(&body, chunk.size());
-      for (NodeRef node : chunk) PutNode(&body, node);
-      std::string result;
-      util::Status status =
-          Call(server::OpCode::kGetAttrsMulti, body, &result);
-      if (status.code() == util::StatusCode::kNotSupported) {
-        DegradeMulti();
-        fused_ok = false;
-        break;
-      }
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count) || count != chunk.size()) {
-        return util::Status::Corruption(
-            "remote: bad GetAttrsMulti response");
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        int64_t value = 0;
-        if (!decoder.GetVarSigned64(&value)) {
-          return util::Status::Corruption(
-              "remote: bad GetAttrsMulti response");
-        }
-        values->push_back(value);
-      }
-    }
-    if (fused_ok) return util::Status::Ok();
-    values->clear();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    std::vector<std::string> payloads;
-    payloads.reserve(nodes.size());
-    for (NodeRef node : nodes) {
-      std::string payload;
-      payload.push_back(static_cast<char>(server::OpCode::kGetAttr));
-      PutNode(&payload, node);
-      util::PutVarint64(&payload, static_cast<uint64_t>(attr));
-      payloads.push_back(std::move(payload));
-    }
-    std::vector<std::pair<util::Status, std::string>> results;
-    HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-    values->reserve(nodes.size());
-    for (auto& [status, body] : results) {
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(body);
-      int64_t value = 0;
-      if (!decoder.GetVarSigned64(&value)) {
-        return util::Status::Corruption("remote: short GetAttr response");
-      }
-      values->push_back(value);
-    }
-    return util::Status::Ok();
-  }
-  return traversal::BulkGetAttr(this, nodes, attr, values);
-}
-
-// --- TraversalCapable -------------------------------------------------
-//
-// Each kernel tries the pushdown opcode (one round-trip), degrades to
-// the batched level-synchronous walk (O(depth) round-trips), and
-// bottoms out at the generic per-call kernel. A NotSupported answer
-// permanently clears the capability so a v1 server pays the probe
-// exactly once.
-
-util::Status RemoteStore::BulkGetAttr(std::span<const NodeRef> nodes,
-                                      Attr attr,
-                                      std::vector<int64_t>* values) {
   if (mode_ == RemoteMode::kPerCall) {
-    return traversal::BulkGetAttr(this, nodes, attr, values);
+    return StoreFetch(this).GetAttrsMulti(nodes, attr, values);
   }
-  return GetAttrsMulti(nodes, attr, values);
+  values->clear();
+  values->reserve(nodes.size());
+  std::string prefix;
+  util::PutVarint64(&prefix, static_cast<uint64_t>(attr));
+  return CallFused(server::OpCode::kGetAttrsMulti, prefix, nodes,
+                   [values](util::Decoder* decoder) {
+                     int64_t value = 0;
+                     if (!decoder->GetVarSigned64(&value)) {
+                       return util::Status::Corruption(
+                           "remote: short get_attrs_multi response");
+                     }
+                     values->push_back(value);
+                     return util::Status::Ok();
+                   });
 }
 
-util::Status RemoteStore::TravClosure1N(NodeRef start,
-                                        std::vector<NodeRef>* out) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    std::string result;
-    util::Status status = Call(server::OpCode::kClosure1N, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) return BatchedClosure1N(start, out);
-  return traversal::Closure1N(this, start, out);
-}
-
-util::Result<int64_t> RemoteStore::TravClosure1NAttSum(NodeRef start,
-                                                       uint64_t* visited) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosure1NAttSum, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      int64_t sum = 0;
-      if (!decoder.GetVarint64(&count) || !decoder.GetVarSigned64(&sum)) {
-        return util::Status::Corruption(
-            "remote: short Closure1NAttSum response");
-      }
-      if (visited != nullptr) *visited = count;
-      return sum;
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    return BatchedClosure1NAttSum(start, visited);
-  }
-  return traversal::Closure1NAttSum(this, start, visited);
-}
-
-util::Result<uint64_t> RemoteStore::TravClosure1NAttSet(NodeRef start) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosure1NAttSet, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count)) {
-        return util::Status::Corruption(
-            "remote: short Closure1NAttSet response");
-      }
-      return count;
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) return BatchedClosure1NAttSet(start);
-  return traversal::Closure1NAttSet(this, start);
-}
-
-util::Status RemoteStore::TravClosure1NPred(NodeRef start, int64_t lo,
-                                            int64_t hi,
-                                            std::vector<NodeRef>* out) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    util::PutVarSigned64(&body, lo);
-    util::PutVarSigned64(&body, hi);
-    std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosure1NPred, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    return BatchedClosure1NPred(start, lo, hi, out);
-  }
-  return traversal::Closure1NPred(this, start, lo, hi, out);
-}
-
-util::Status RemoteStore::TravClosureMN(NodeRef start,
-                                        std::vector<NodeRef>* out) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    std::string result;
-    util::Status status = Call(server::OpCode::kClosureMN, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) return BatchedClosureMN(start, out);
-  return traversal::ClosureMN(this, start, out);
-}
-
-util::Status RemoteStore::TravClosureMNAtt(NodeRef start, int depth,
-                                           std::vector<NodeRef>* out) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    util::PutVarint64(&body, static_cast<uint64_t>(depth));
-    std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosureMNAtt, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    return BatchedClosureMNAtt(start, depth, out);
-  }
-  return traversal::ClosureMNAtt(this, start, depth, out);
-}
-
-util::Status RemoteStore::TravClosureMNAttLinkSum(
-    NodeRef start, int depth, std::vector<NodeDistance>* out) {
-  if (UsePushdown()) {
-    std::string body;
-    PutNode(&body, start);
-    util::PutVarint64(&body, static_cast<uint64_t>(depth));
-    std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosureMNAttLinkSum, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count)) {
-        return util::Status::Corruption(
-            "remote: short ClosureMNAttLinkSum response");
-      }
-      out->reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        NodeDistance d;
-        uint64_t node = 0;
-        if (!decoder.GetVarint64(&node) ||
-            !decoder.GetVarSigned64(&d.distance)) {
-          return util::Status::Corruption(
-              "remote: short ClosureMNAttLinkSum response");
-        }
-        d.node = node;
-        out->push_back(d);
-      }
-      return util::Status::Ok();
-    }
-    DegradePushdown();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    return BatchedClosureMNAttLinkSum(start, depth, out);
-  }
-  return traversal::ClosureMNAttLinkSum(this, start, depth, out);
-}
-
-// --- Batched (level-synchronous) fallbacks ---------------------------
-
-util::Status RemoteStore::BatchedClosure1N(NodeRef start,
-                                           std::vector<NodeRef>* out) {
-  // Level-order fetch of the whole subtree's child lists, then local
-  // pre-order assembly. The 1-N hierarchy is a tree, so every node is
-  // fetched exactly once — the same access set as the recursive
-  // kernel, in O(depth) round-trips.
-  std::unordered_map<NodeRef, std::vector<NodeRef>> children;
-  std::vector<NodeRef> frontier{start};
-  while (!frontier.empty()) {
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(ChildrenMulti(frontier, &lists));
-    std::vector<NodeRef> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      next.insert(next.end(), lists[i].begin(), lists[i].end());
-      children[frontier[i]] = std::move(lists[i]);
-    }
-    frontier = std::move(next);
+util::Status RemoteStore::PartsMulti(std::span<const NodeRef> nodes,
+                                     RefLists* out) {
+  if (mode_ == RemoteMode::kPerCall) {
+    return StoreFetch(this).PartsMulti(nodes, out);
   }
   out->clear();
-  AssemblePreorder(start, children, out);
-  return util::Status::Ok();
+  return CallPerNode(server::OpCode::kParts, nodes,
+                     [out](util::Decoder* decoder) {
+                       HM_RETURN_IF_ERROR(GetRefList(decoder, &out->items));
+                       out->Close();
+                       return util::Status::Ok();
+                     });
 }
 
-util::Result<int64_t> RemoteStore::BatchedClosure1NAttSum(
-    NodeRef start, uint64_t* visited) {
-  std::vector<NodeRef> nodes;
-  HM_RETURN_IF_ERROR(BatchedClosure1N(start, &nodes));
-  std::vector<int64_t> values;
-  HM_RETURN_IF_ERROR(GetAttrsMulti(nodes, Attr::kHundred, &values));
-  int64_t sum = 0;
-  for (int64_t value : values) sum += value;
-  if (visited != nullptr) *visited = nodes.size();
-  return sum;
+util::Status RemoteStore::RefsToMulti(std::span<const NodeRef> nodes,
+                                      EdgeLists* out) {
+  if (mode_ == RemoteMode::kPerCall) {
+    return StoreFetch(this).RefsToMulti(nodes, out);
+  }
+  out->clear();
+  return CallPerNode(server::OpCode::kRefsTo, nodes,
+                     [out](util::Decoder* decoder) {
+                       HM_RETURN_IF_ERROR(GetEdgeList(decoder, &out->items));
+                       out->Close();
+                       return util::Status::Ok();
+                     });
 }
 
-util::Result<uint64_t> RemoteStore::BatchedClosure1NAttSet(NodeRef start) {
-  std::vector<NodeRef> nodes;
-  HM_RETURN_IF_ERROR(BatchedClosure1N(start, &nodes));
-  std::vector<int64_t> values;
-  HM_RETURN_IF_ERROR(GetAttrsMulti(nodes, Attr::kHundred, &values));
+util::Status RemoteStore::SetAttrsMulti(std::span<const NodeRef> nodes,
+                                        Attr attr,
+                                        std::span<const int64_t> values) {
+  if (mode_ == RemoteMode::kPerCall) {
+    return StoreFetch(this).SetAttrsMulti(nodes, attr, values);
+  }
+  if (nodes.size() != values.size()) {
+    return util::Status::InvalidArgument(
+        "SetAttrsMulti: nodes/values size mismatch");
+  }
   std::vector<std::string> payloads;
   payloads.reserve(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    std::string payload;
-    payload.push_back(static_cast<char>(server::OpCode::kSetAttr));
+    std::string payload(1, static_cast<char>(server::OpCode::kSetAttr));
     PutNode(&payload, nodes[i]);
-    util::PutVarint64(&payload, static_cast<uint64_t>(Attr::kHundred));
-    util::PutVarSigned64(&payload, 99 - values[i]);
+    util::PutVarint64(&payload, static_cast<uint64_t>(attr));
+    util::PutVarSigned64(&payload, values[i]);
     payloads.push_back(std::move(payload));
   }
   std::vector<std::pair<util::Status, std::string>> results;
@@ -1441,141 +1025,132 @@ util::Result<uint64_t> RemoteStore::BatchedClosure1NAttSet(NodeRef start) {
   for (auto& [status, body] : results) {
     HM_RETURN_IF_ERROR(status);
   }
-  return nodes.size();
-}
-
-util::Status RemoteStore::BatchedClosure1NPred(NodeRef start, int64_t lo,
-                                               int64_t hi,
-                                               std::vector<NodeRef>* out) {
-  // Level-synchronous walk preserving the pruning contract: every
-  // frontier node's million is read, but children are only fetched
-  // for nodes that pass the predicate — an excluded node's subtree is
-  // never touched, exactly like the recursive kernel.
-  std::unordered_map<NodeRef, std::vector<NodeRef>> children;
-  std::unordered_set<NodeRef> included;
-  std::vector<NodeRef> frontier{start};
-  while (!frontier.empty()) {
-    std::vector<int64_t> millions;
-    HM_RETURN_IF_ERROR(GetAttrsMulti(frontier, Attr::kMillion, &millions));
-    std::vector<NodeRef> survivors;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      if (millions[i] >= lo && millions[i] <= hi) continue;
-      included.insert(frontier[i]);
-      survivors.push_back(frontier[i]);
-    }
-    if (survivors.empty()) break;
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(ChildrenMulti(survivors, &lists));
-    std::vector<NodeRef> next;
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      next.insert(next.end(), lists[i].begin(), lists[i].end());
-      children[survivors[i]] = std::move(lists[i]);
-    }
-    frontier = std::move(next);
-  }
-  out->clear();
-  if (!included.contains(start)) return util::Status::Ok();
-  std::vector<NodeRef> stack{start};
-  while (!stack.empty()) {
-    NodeRef node = stack.back();
-    stack.pop_back();
-    out->push_back(node);
-    auto it = children.find(node);
-    if (it == children.end()) continue;
-    for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-      if (included.contains(*rit)) stack.push_back(*rit);
-    }
-  }
   return util::Status::Ok();
 }
 
-util::Status RemoteStore::BatchedClosureMN(NodeRef start,
+// --- TraversalCapable -------------------------------------------------
+//
+// In pushdown mode each kernel is one opcode the server runs over its
+// backend; otherwise the client runs the same engine over this store's
+// own frontier fetches.
+
+util::Status RemoteStore::BulkGetAttr(std::span<const NodeRef> nodes,
+                                      Attr attr,
+                                      std::vector<int64_t>* values) {
+  return GetAttrsMulti(nodes, attr, values);
+}
+
+util::Status RemoteStore::TravClosure1N(NodeRef start,
+                                        std::vector<NodeRef>* out) {
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::Closure1N(this, start, out);
+  }
+  std::string body;
+  PutNode(&body, start);
+  out->clear();
+  return RefListCall(server::OpCode::kClosure1N, body, out);
+}
+
+util::Result<int64_t> RemoteStore::TravClosure1NAttSum(NodeRef start,
+                                                       uint64_t* visited) {
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::Closure1NAttSum(this, start, visited);
+  }
+  std::string body;
+  PutNode(&body, start);
+  std::string result;
+  HM_RETURN_IF_ERROR(Call(server::OpCode::kClosure1NAttSum, body, &result));
+  util::Decoder decoder(result);
+  uint64_t count = 0;
+  int64_t sum = 0;
+  if (!decoder.GetVarint64(&count) || !decoder.GetVarSigned64(&sum)) {
+    return util::Status::Corruption("remote: short Closure1NAttSum response");
+  }
+  if (visited != nullptr) *visited = count;
+  return sum;
+}
+
+util::Result<uint64_t> RemoteStore::TravClosure1NAttSet(NodeRef start) {
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::Closure1NAttSet(this, start);
+  }
+  std::string body;
+  PutNode(&body, start);
+  std::string result;
+  HM_RETURN_IF_ERROR(Call(server::OpCode::kClosure1NAttSet, body, &result));
+  util::Decoder decoder(result);
+  uint64_t count = 0;
+  if (!decoder.GetVarint64(&count)) {
+    return util::Status::Corruption("remote: short Closure1NAttSet response");
+  }
+  return count;
+}
+
+util::Status RemoteStore::TravClosure1NPred(NodeRef start, int64_t lo,
+                                            int64_t hi,
+                                            std::vector<NodeRef>* out) {
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::Closure1NPred(this, start, lo, hi, out);
+  }
+  std::string body;
+  PutNode(&body, start);
+  util::PutVarSigned64(&body, lo);
+  util::PutVarSigned64(&body, hi);
+  out->clear();
+  return RefListCall(server::OpCode::kClosure1NPred, body, out);
+}
+
+util::Status RemoteStore::TravClosureMN(NodeRef start,
+                                        std::vector<NodeRef>* out) {
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::ClosureMN(this, start, out);
+  }
+  std::string body;
+  PutNode(&body, start);
+  out->clear();
+  return RefListCall(server::OpCode::kClosureMN, body, out);
+}
+
+util::Status RemoteStore::TravClosureMNAtt(NodeRef start, int depth,
                                            std::vector<NodeRef>* out) {
-  // Fetch the parts lists of every reachable node level by level (each
-  // node's parts are read exactly once, like the DFS kernel), then
-  // replay the DFS locally over the map for identical ordering.
-  std::unordered_map<NodeRef, std::vector<NodeRef>> parts;
-  std::vector<NodeRef> frontier{start};
-  std::unordered_set<NodeRef> fetched{start};
-  while (!frontier.empty()) {
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(
-        RefListCallMany(server::OpCode::kParts, frontier, &lists));
-    std::vector<NodeRef> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      for (NodeRef part : lists[i]) {
-        if (fetched.insert(part).second) next.push_back(part);
-      }
-      parts[frontier[i]] = std::move(lists[i]);
-    }
-    frontier = std::move(next);
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::ClosureMNAtt(this, start, depth, out);
   }
+  std::string body;
+  PutNode(&body, start);
+  util::PutVarint64(&body, static_cast<uint64_t>(depth));
   out->clear();
-  std::unordered_set<NodeRef> visited;
-  std::vector<NodeRef> stack{start};
-  while (!stack.empty()) {
-    NodeRef node = stack.back();
-    stack.pop_back();
-    if (!visited.insert(node).second) continue;
-    out->push_back(node);
-    const std::vector<NodeRef>& node_parts = parts[node];
-    for (auto rit = node_parts.rbegin(); rit != node_parts.rend(); ++rit) {
-      if (!visited.contains(*rit)) stack.push_back(*rit);
-    }
-  }
-  return util::Status::Ok();
+  return RefListCall(server::OpCode::kClosureMNAtt, body, out);
 }
 
-util::Status RemoteStore::BatchedClosureMNAtt(NodeRef start, int depth,
-                                              std::vector<NodeRef>* out) {
-  // The generic kernel is already level-synchronous; this is the same
-  // walk with each level's RefsTo calls coalesced into one pipeline.
-  out->clear();
-  std::unordered_set<NodeRef> visited{start};
-  out->push_back(start);
-  std::vector<NodeRef> frontier{start};
-  for (int level = 0; level < depth && !frontier.empty(); ++level) {
-    std::vector<std::vector<RefEdge>> edge_lists;
-    HM_RETURN_IF_ERROR(
-        EdgeListCallMany(server::OpCode::kRefsTo, frontier, &edge_lists));
-    std::vector<NodeRef> next;
-    for (const std::vector<RefEdge>& edges : edge_lists) {
-      for (const RefEdge& edge : edges) {
-        if (visited.insert(edge.node).second) {
-          out->push_back(edge.node);
-          next.push_back(edge.node);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return util::Status::Ok();
-}
-
-util::Status RemoteStore::BatchedClosureMNAttLinkSum(
+util::Status RemoteStore::TravClosureMNAttLinkSum(
     NodeRef start, int depth, std::vector<NodeDistance>* out) {
+  if (mode_ != RemoteMode::kPushdown) {
+    return traversal::ClosureMNAttLinkSum(this, start, depth, out);
+  }
+  std::string body;
+  PutNode(&body, start);
+  util::PutVarint64(&body, static_cast<uint64_t>(depth));
+  std::string result;
+  HM_RETURN_IF_ERROR(
+      Call(server::OpCode::kClosureMNAttLinkSum, body, &result));
+  util::Decoder decoder(result);
+  uint64_t count = 0;
+  if (!decoder.GetVarint64(&count)) {
+    return util::Status::Corruption(
+        "remote: short ClosureMNAttLinkSum response");
+  }
   out->clear();
-  std::unordered_set<NodeRef> visited{start};
-  std::vector<NodeDistance> frontier{{start, 0}};
-  out->push_back({start, 0});
-  for (int level = 0; level < depth && !frontier.empty(); ++level) {
-    std::vector<NodeRef> frontier_nodes;
-    frontier_nodes.reserve(frontier.size());
-    for (const NodeDistance& f : frontier) frontier_nodes.push_back(f.node);
-    std::vector<std::vector<RefEdge>> edge_lists;
-    HM_RETURN_IF_ERROR(EdgeListCallMany(server::OpCode::kRefsTo,
-                                        frontier_nodes, &edge_lists));
-    std::vector<NodeDistance> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      for (const RefEdge& edge : edge_lists[i]) {
-        if (visited.insert(edge.node).second) {
-          int64_t distance = frontier[i].distance + edge.offset_to;
-          out->push_back({edge.node, distance});
-          next.push_back({edge.node, distance});
-        }
-      }
+  out->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    NodeDistance d;
+    uint64_t node = 0;
+    if (!decoder.GetVarint64(&node) || !decoder.GetVarSigned64(&d.distance)) {
+      return util::Status::Corruption(
+          "remote: short ClosureMNAttLinkSum response");
     }
-    frontier = std::move(next);
+    d.node = node;
+    out->push_back(d);
   }
   return util::Status::Ok();
 }

@@ -13,22 +13,24 @@
 #include "server/server.h"
 #include "server/wire.h"
 #include "telemetry/metrics.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace hm::backends {
 
-/// How aggressively the client uses the v2 wire features. Exists so
-/// the benchmarks can measure each rung of the latency ladder; normal
-/// callers keep the default.
+/// How the client fetches what a traversal needs. Exists so the
+/// benchmarks can measure each rung of the latency ladder; normal
+/// callers keep the default. Every mode runs the same closure engine
+/// and returns identical results.
 enum class RemoteMode {
-  /// One round-trip per HyperStore call (the v1 client behavior —
-  /// the benchmark baseline).
+  /// One round trip per HyperStore call, multi-node fetches included
+  /// (the benchmark baseline).
   kPerCall,
-  /// Batch frames, fused multi-ops and request pipelining, but every
-  /// traversal still runs client-side. Also the automatic fallback
-  /// against a v1 server (minus the v2-only opcodes).
+  /// Frontier fetches travel as fused ops or Batch frames (one round
+  /// trip per traversal level), but the closure engine runs
+  /// client-side.
   kBatched,
-  /// Everything above plus server-side traversal execution (default).
+  /// Whole closures run server-side in one round trip (default).
   kPushdown,
 };
 
@@ -78,24 +80,24 @@ util::Result<RemoteOptions> ParseRemoteAddr(const std::string& addr);
 /// exactly the point: it exposes the client/server object-transfer
 /// cost axis the in-process backends cannot measure.
 ///
-/// Against a v2 server the client amortizes round-trips three ways:
-/// fused navigation opcodes (ChildrenMulti/GetAttrsMulti), a generic
-/// Batch frame coalescing arbitrary read-only calls, and — as a
-/// TraversalCapable — pushing whole §6.6 closure kernels to the
-/// server. Against a v1 server (detected in the Hello handshake, or
-/// if an op answers NotSupported) it degrades rung by rung down to
-/// pipelined single requests and finally per-call navigation, so
-/// results are identical at every rung.
+/// The client amortizes round trips three ways: fused navigation
+/// opcodes (ChildrenMulti/GetAttrsMulti), a generic Batch frame
+/// coalescing arbitrary calls, and — as a TraversalCapable — pushing
+/// whole §6.6 closures to the server. RemoteMode picks the rung; every
+/// rung runs the one traversal engine, so results are identical.
 ///
 /// Like every HyperStore, a RemoteStore is single-threaded; run one
 /// client (connection) per benchmark thread. Transactions and caching
 /// are entirely server-side: Begin/Commit/CloseReopen are forwarded,
 /// so CloseReopen still makes the next access sequence cold — the
 /// chill just happens at the far end of the socket.
-class RemoteStore : public HyperStore, public TraversalCapable {
+class RemoteStore : public HyperStore,
+                    public TraversalCapable,
+                    public FrontierFetch {
  public:
-  /// Connects to a running server and performs the Hello handshake
-  /// (protocol-version negotiation).
+  /// Connects to a running server and performs the Hello handshake,
+  /// which fails with kVersionMismatch unless both ends speak
+  /// server::kWireVersion.
   static util::Result<std::unique_ptr<RemoteStore>> Connect(
       const RemoteOptions& options);
 
@@ -119,10 +121,6 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// ("mem", "oodb", ...).
   const std::string& server_backend() const { return server_backend_; }
 
-  /// Protocol version agreed in the Hello handshake
-  /// (min(client, server)).
-  uint8_t wire_version() const { return negotiated_version_; }
-
   RemoteMode mode() const { return mode_; }
 
   /// The in-process server when this store was created via Loopback()
@@ -138,15 +136,11 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// kConflict, never stale refs.
   util::Status ResetServer();
 
-  /// Liveness probe (wire opcode kPing, v4): one empty round trip
-  /// through the full frame/dispatch path without touching the data.
-  /// A pre-v4 server answers NotSupported, surfaced verbatim.
+  /// Liveness probe (wire opcode kPing): one empty round trip through
+  /// the full frame/dispatch path without touching the data.
   util::Status Ping();
 
-  /// Fetches the server's telemetry registry (wire opcode kStats, v3).
-  /// Surfaces the server's NotSupported verbatim when talking to a
-  /// pre-v3 server — callers treat that as "no stats", never an error
-  /// worth failing over.
+  /// Fetches the server's telemetry registry (wire opcode kStats).
   util::Status ServerStats(telemetry::Snapshot* out);
 
   util::Status Begin() override;
@@ -186,30 +180,24 @@ class RemoteStore : public HyperStore, public TraversalCapable {
 
   util::Result<uint64_t> StorageBytes() override;
 
-  // --- Fused navigation (one frame, many nodes) ----------------------
-  /// Children of every node in `nodes`, positionally. Uses the fused
-  /// v2 opcode, degrading to pipelined kChildren, then per-call.
+  // --- FrontierFetch -------------------------------------------------
+  // kPerCall loops single calls; the other modes send ChildrenMulti and
+  // GetAttrsMulti as fused opcodes and the rest as Batch frames, one
+  // round trip per kMultiChunk nodes. SetAttrsMulti is not retry-safe:
+  // a transport failure mid-frame surfaces kUnavailable without
+  // re-sending, so some writes may have landed.
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
-                             std::vector<std::vector<NodeRef>>* out);
-  /// One attribute over many nodes, positionally.
-  util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
-                             std::vector<int64_t>* values);
-  /// parts list of every node, positionally (pipelined kParts frames —
-  /// there is no fused parts opcode). The sharded client's distributed
-  /// M-N closure kernels fan out through this.
+                             RefLists* out) override;
   util::Status PartsMulti(std::span<const NodeRef> nodes,
-                          std::vector<std::vector<NodeRef>>* out);
-  /// refTo edge list of every node, positionally (pipelined kRefsTo).
+                          RefLists* out) override;
   util::Status RefsToMulti(std::span<const NodeRef> nodes,
-                           std::vector<std::vector<RefEdge>>* out);
-  /// One attribute written over many nodes (values positionally,
-  /// pipelined kSetAttr frames). Mutations are not retry-safe: a
-  /// transport failure mid-pipeline surfaces kUnavailable without
-  /// re-sending, so some writes may have landed.
+                           EdgeLists* out) override;
+  util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
-                             std::span<const int64_t> values);
+                             std::span<const int64_t> values) override;
 
-  // --- Replication (wire v6) -----------------------------------------
+  // --- Replication ----------------------------------------------------
   /// kReplSubscribe handshake result.
   struct ReplChain {
     uint64_t epoch = 0;       // primary's current epoch
@@ -249,10 +237,9 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// epoch now in force. Idempotent the same way.
   util::Status ReplFence(uint64_t fencing_epoch, uint64_t* epoch);
 
-  /// Fleet placement probe (wire opcode kShardInfo, v5): which shard
-  /// this server claims to be and how many the fleet has. A standalone
-  /// server answers (0, 1); a pre-v5 server answers NotSupported,
-  /// surfaced verbatim (the shard:// client rejects such a fleet).
+  /// Fleet placement probe (wire opcode kShardInfo): which shard this
+  /// server claims to be and how many the fleet has. A standalone
+  /// server answers (0, 1).
   util::Status ShardInfo(uint32_t* shard_id, uint32_t* shard_count);
 
   // --- TraversalCapable ----------------------------------------------
@@ -321,23 +308,31 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   util::Status CallOnce(server::OpCode op, std::string_view body,
                         std::string* result);
 
-  /// The request pipeline: executes every payload (opcode + body) in
-  /// order and returns each (status, body) pair positionally. Against
-  /// a v2 server the chunk travels as one kBatch frame; against a v1
-  /// server the frames are pipelined — written in one syscall, then
-  /// the responses drained in order. A transport failure reruns the
-  /// whole pipeline (when every payload is retry-safe) or surfaces
-  /// kUnavailable.
+  /// Executes every payload (opcode + body) in order and returns each
+  /// (status, body) pair positionally, as kBatch frames of at most
+  /// kMultiChunk entries — one round trip per frame. A transport
+  /// failure reruns the whole call (when every payload is retry-safe)
+  /// or surfaces kUnavailable.
   util::Status CallMany(std::span<const std::string> payloads,
                         std::vector<std::pair<util::Status, std::string>>* out);
   /// One attempt of CallMany, no recovery.
   util::Status CallManyOnce(
       std::span<const std::string> payloads,
       std::vector<std::pair<util::Status, std::string>>* out);
+  /// One `op` request per node (the ref is the whole body) through
+  /// CallMany; each response body is decoded by `decode`.
+  util::Status CallPerNode(
+      server::OpCode op, std::span<const NodeRef> nodes,
+      const std::function<util::Status(util::Decoder*)>& decode);
+  /// Runs a fused `op` (optional `prefix` + varint n + n refs -> varint
+  /// n + n entries) in kMultiChunk slices; `decode` reads one entry.
+  util::Status CallFused(
+      server::OpCode op, std::string_view prefix,
+      std::span<const NodeRef> nodes,
+      const std::function<util::Status(util::Decoder*)>& decode);
 
-  /// Handshake after connect: negotiates the wire version, learns the
-  /// server's backend tag, and downgrades v2 features when talking to
-  /// a v1 server.
+  /// Handshake after connect: checks that the server speaks exactly
+  /// server::kWireVersion and learns its backend tag.
   util::Status Hello();
 
   // Shared bodies for the method families that differ only in opcode.
@@ -347,51 +342,9 @@ class RemoteStore : public HyperStore, public TraversalCapable {
                             std::vector<RefEdge>* out);
   util::Result<std::string> StringCall(server::OpCode op, NodeRef node);
 
-  /// Pipelined single-node ref-list / edge-list fan-outs (the
-  /// CallMany-based fallback rung under the fused opcodes).
-  util::Status RefListCallMany(server::OpCode op,
-                               std::span<const NodeRef> nodes,
-                               std::vector<std::vector<NodeRef>>* out);
-  util::Status EdgeListCallMany(server::OpCode op,
-                                std::span<const NodeRef> nodes,
-                                std::vector<std::vector<RefEdge>>* out);
-
-  // Batched (client-side, level-synchronous) traversal fallbacks.
-  // Each produces byte-identical output to its hm::traversal kernel;
-  // they replace O(visited) round-trips with O(depth) when the server
-  // can't run the walk itself.
-  util::Status BatchedClosure1N(NodeRef start, std::vector<NodeRef>* out);
-  util::Result<int64_t> BatchedClosure1NAttSum(NodeRef start,
-                                               uint64_t* visited);
-  util::Result<uint64_t> BatchedClosure1NAttSet(NodeRef start);
-  util::Status BatchedClosure1NPred(NodeRef start, int64_t lo, int64_t hi,
-                                    std::vector<NodeRef>* out);
-  util::Status BatchedClosureMN(NodeRef start, std::vector<NodeRef>* out);
-  util::Status BatchedClosureMNAtt(NodeRef start, int depth,
-                                   std::vector<NodeRef>* out);
-  util::Status BatchedClosureMNAttLinkSum(NodeRef start, int depth,
-                                          std::vector<NodeDistance>* out);
-
   /// Lazily interned `remote.<mode>.roundtrips` counter (the mode is
   /// fixed before the first call, at Connect time).
   telemetry::Counter* RoundTrips();
-
-  // Capability step-downs. Each clears its flag and, on the actual
-  // transition (not on repeat NotSupported answers), bumps the
-  // matching `remote.degrade.*` counter.
-  void DegradeBatch();
-  void DegradeMulti();
-  void DegradePushdown();
-
-  bool UseBatchFrames() const {
-    return server_batch_ && mode_ != RemoteMode::kPerCall;
-  }
-  bool UseMultiOps() const {
-    return server_multi_ && mode_ != RemoteMode::kPerCall;
-  }
-  bool UsePushdown() const {
-    return server_traversal_ && mode_ == RemoteMode::kPushdown;
-  }
 
   // Declared before fd_ so the in-process server (loopback mode) is
   // destroyed after the client socket closes: members destruct in
@@ -410,12 +363,6 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   util::Rng backoff_rng_{0xFA117001};
   std::string server_backend_;
   RemoteMode mode_ = RemoteMode::kPushdown;
-  uint8_t negotiated_version_ = server::kWireVersion;
-  // Server capabilities; start optimistic, cleared by the handshake
-  // (v1 server) or a NotSupported answer (belt and braces).
-  bool server_batch_ = true;
-  bool server_multi_ = true;
-  bool server_traversal_ = true;
   telemetry::Counter* roundtrips_ = nullptr;
 };
 

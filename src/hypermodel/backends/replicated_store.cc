@@ -110,8 +110,8 @@ bool ReplicatedStore::ProbePeer(size_t i, RemoteStore::ReplPeer* out) {
       conns_[i].reset();
       replayed_[i] = 0;
     }
-    // A typed failure (e.g. NotSupported from a pre-v6 server) also
-    // disqualifies the peer as a routing target.
+    // A typed failure (e.g. NotSupported from a server with no
+    // replication role) also disqualifies the peer as a routing target.
     return false;
   }
   down_[i] = false;
@@ -526,6 +526,54 @@ util::Status ReplicatedStore::RefsFrom(NodeRef node,
 
 util::Result<uint64_t> ReplicatedStore::StorageBytes() {
   return ReadOp([&](RemoteStore& s) { return s.StorageBytes(); });
+}
+
+util::Status ReplicatedStore::BulkGetAttr(std::span<const NodeRef> nodes,
+                                          Attr attr,
+                                          std::vector<int64_t>* values) {
+  return ReadOp(
+      [&](RemoteStore& s) { return s.BulkGetAttr(nodes, attr, values); });
+}
+
+util::Status ReplicatedStore::TravClosure1N(NodeRef start,
+                                            std::vector<NodeRef>* out) {
+  return ReadOp([&](RemoteStore& s) { return s.TravClosure1N(start, out); });
+}
+
+util::Result<int64_t> ReplicatedStore::TravClosure1NAttSum(
+    NodeRef start, uint64_t* visited) {
+  return ReadOp(
+      [&](RemoteStore& s) { return s.TravClosure1NAttSum(start, visited); });
+}
+
+util::Result<uint64_t> ReplicatedStore::TravClosure1NAttSet(NodeRef start) {
+  return WriteOp(
+      [&](RemoteStore& s) { return s.TravClosure1NAttSet(start); });
+}
+
+util::Status ReplicatedStore::TravClosure1NPred(NodeRef start, int64_t lo,
+                                                int64_t hi,
+                                                std::vector<NodeRef>* out) {
+  return ReadOp(
+      [&](RemoteStore& s) { return s.TravClosure1NPred(start, lo, hi, out); });
+}
+
+util::Status ReplicatedStore::TravClosureMN(NodeRef start,
+                                            std::vector<NodeRef>* out) {
+  return ReadOp([&](RemoteStore& s) { return s.TravClosureMN(start, out); });
+}
+
+util::Status ReplicatedStore::TravClosureMNAtt(NodeRef start, int depth,
+                                               std::vector<NodeRef>* out) {
+  return ReadOp(
+      [&](RemoteStore& s) { return s.TravClosureMNAtt(start, depth, out); });
+}
+
+util::Status ReplicatedStore::TravClosureMNAttLinkSum(
+    NodeRef start, int depth, std::vector<NodeDistance>* out) {
+  return ReadOp([&](RemoteStore& s) {
+    return s.TravClosureMNAttLinkSum(start, depth, out);
+  });
 }
 
 }  // namespace hm::backends

@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/store.h"
+#include "hypermodel/traversal.h"
 #include "telemetry/metrics.h"
 #include "util/status.h"
 
@@ -55,7 +57,12 @@ util::Result<ReplicatedOptions> ParseReplicatedAddrs(const std::string& spec);
 /// and the *next* write lands on the new primary. A resurrected old
 /// primary is fenced on first contact (kReplFence), after which it
 /// answers kFencedOff.
-class ReplicatedStore : public HyperStore {
+///
+/// Closures route like any other call: the read-only kernels are one
+/// read on the chosen peer (pushed down, or the engine over that
+/// peer's fetches, per its RemoteMode) and the attribute-update kernel
+/// is one write on the primary.
+class ReplicatedStore : public HyperStore, public TraversalCapable {
  public:
   static util::Result<std::unique_ptr<ReplicatedStore>> Connect(
       const ReplicatedOptions& options);
@@ -109,6 +116,23 @@ class ReplicatedStore : public HyperStore {
   util::Status RefsFrom(NodeRef node, std::vector<RefEdge>* out) override;
 
   util::Result<uint64_t> StorageBytes() override;
+
+  // --- TraversalCapable ----------------------------------------------
+  util::Status BulkGetAttr(std::span<const NodeRef> nodes, Attr attr,
+                           std::vector<int64_t>* values) override;
+  util::Status TravClosure1N(NodeRef start,
+                             std::vector<NodeRef>* out) override;
+  util::Result<int64_t> TravClosure1NAttSum(NodeRef start,
+                                            uint64_t* visited) override;
+  util::Result<uint64_t> TravClosure1NAttSet(NodeRef start) override;
+  util::Status TravClosure1NPred(NodeRef start, int64_t lo, int64_t hi,
+                                 std::vector<NodeRef>* out) override;
+  util::Status TravClosureMN(NodeRef start,
+                             std::vector<NodeRef>* out) override;
+  util::Status TravClosureMNAtt(NodeRef start, int depth,
+                                std::vector<NodeRef>* out) override;
+  util::Status TravClosureMNAttLinkSum(NodeRef start, int depth,
+                                       std::vector<NodeDistance>* out) override;
 
  private:
   explicit ReplicatedStore(ReplicatedOptions options);

@@ -1,7 +1,6 @@
 #include "hypermodel/backends/sharded_store.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "cluster/shard_local_store.h"
@@ -12,6 +11,12 @@
 namespace hm::backends {
 
 namespace {
+
+const util::Status& StatusOf(const util::Status& status) { return status; }
+template <typename T>
+const util::Status& StatusOf(const util::Result<T>& result) {
+  return result.status();
+}
 
 /// Fresh shard-k-of-n backend for the loopback fleet (also its
 /// kReset rebuild path).
@@ -56,14 +61,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Connect(
                         RemoteStore::Connect(options));
     uint32_t id = 0;
     uint32_t count = 0;
-    util::Status status = client->ShardInfo(&id, &count);
-    if (status.code() == util::StatusCode::kNotSupported) {
-      return util::Status::InvalidArgument(
-          "shard " + std::to_string(k) + " at " + addrs[k] +
-          " speaks a pre-v5 protocol (no kShardInfo); not a cluster "
-          "member");
-    }
-    HM_RETURN_IF_ERROR(status);
+    HM_RETURN_IF_ERROR(client->ShardInfo(&id, &count));
     if (id != k || count != addrs.size()) {
       return util::Status::InvalidArgument(
           "mis-wired fleet: " + addrs[k] + " claims shard " +
@@ -386,396 +384,191 @@ util::Result<uint64_t> ShardedStore::StorageBytes() {
   return total;
 }
 
-// --- Fan-out primitives ----------------------------------------------
+// --- FrontierFetch ---------------------------------------------------
 
-util::Status ShardedStore::FanAttrs(std::span<const NodeRef> nodes,
-                                    Attr attr,
-                                    std::vector<int64_t>* values) {
+util::Status ShardedStore::Partition(
+    std::span<const NodeRef> nodes,
+    std::vector<std::vector<size_t>>* at) const {
+  at->assign(shards_.size(), {});
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    size_t k = 0;
+    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
+    (*at)[k].push_back(i);
+  }
+  return util::Status::Ok();
+}
+
+template <typename Fetch>
+util::Status ShardedStore::Scatter(std::span<const NodeRef> nodes,
+                                   Fetch fetch) {
+  std::vector<std::vector<size_t>> at;
+  HM_RETURN_IF_ERROR(Partition(nodes, &at));
+  size_t touched = 0;
+  std::vector<NodeRef> mine;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    if (at[k].empty()) continue;
+    ++touched;
+    mine.clear();
+    for (size_t i : at[k]) mine.push_back(nodes[i]);
+    HM_RETURN_IF_ERROR(fetch(k, std::span<const NodeRef>(mine),
+                             std::span<const size_t>(at[k])));
+  }
+  fanout_->Record(touched);
+  return util::Status::Ok();
+}
+
+template <typename T>
+util::Status ShardedStore::ScatterLists(
+    std::span<const NodeRef> nodes, FlatLists<T>* out,
+    util::Status (RemoteStore::*fetch)(std::span<const NodeRef>,
+                                       FlatLists<T>*)) {
+  std::vector<FlatLists<T>> per(shards_.size());
+  // where[i] = (shard, position in that shard's request) of input i.
+  std::vector<std::pair<size_t, size_t>> where(nodes.size());
+  HM_RETURN_IF_ERROR(Scatter(
+      nodes, [&](size_t k, std::span<const NodeRef> mine,
+                 std::span<const size_t> positions) {
+        for (size_t j = 0; j < positions.size(); ++j) {
+          where[positions[j]] = {k, j};
+        }
+        return (At(k)->*fetch)(mine, &per[k]);
+      }));
+  out->clear();
+  for (auto [k, j] : where) out->Append(per[k][j]);
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::ChildrenMulti(std::span<const NodeRef> nodes,
+                                         RefLists* out) {
+  return ScatterLists(nodes, out, &RemoteStore::ChildrenMulti);
+}
+
+util::Status ShardedStore::PartsMulti(std::span<const NodeRef> nodes,
+                                      RefLists* out) {
+  return ScatterLists(nodes, out, &RemoteStore::PartsMulti);
+}
+
+util::Status ShardedStore::RefsToMulti(std::span<const NodeRef> nodes,
+                                       EdgeLists* out) {
+  return ScatterLists(nodes, out, &RemoteStore::RefsToMulti);
+}
+
+util::Status ShardedStore::GetAttrsMulti(std::span<const NodeRef> nodes,
+                                         Attr attr,
+                                         std::vector<int64_t>* values) {
   values->assign(nodes.size(), 0);
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<int64_t> shard_values;
-    HM_RETURN_IF_ERROR(At(k)->GetAttrsMulti(per[k], attr, &shard_values));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*values)[at[k][j]] = shard_values[j];
+  std::vector<int64_t> got;
+  return Scatter(nodes, [&](size_t k, std::span<const NodeRef> mine,
+                            std::span<const size_t> positions) {
+    HM_RETURN_IF_ERROR(At(k)->GetAttrsMulti(mine, attr, &got));
+    for (size_t j = 0; j < positions.size(); ++j) {
+      (*values)[positions[j]] = got[j];
     }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
+    return util::Status::Ok();
+  });
 }
 
-util::Status ShardedStore::FanChildren(
-    std::span<const NodeRef> nodes,
-    std::vector<std::vector<NodeRef>>* out) {
-  out->assign(nodes.size(), {});
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
+util::Status ShardedStore::SetAttrsMulti(std::span<const NodeRef> nodes,
+                                         Attr attr,
+                                         std::span<const int64_t> values) {
+  if (nodes.size() != values.size()) {
+    return util::Status::InvalidArgument(
+        "SetAttrsMulti: nodes/values size mismatch");
   }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(At(k)->ChildrenMulti(per[k], &lists));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*out)[at[k][j]] = std::move(lists[j]);
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::FanParts(std::span<const NodeRef> nodes,
-                                    std::vector<std::vector<NodeRef>>* out) {
-  out->assign(nodes.size(), {});
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(At(k)->PartsMulti(per[k], &lists));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*out)[at[k][j]] = std::move(lists[j]);
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::FanRefsTo(
-    std::span<const NodeRef> nodes,
-    std::vector<std::vector<RefEdge>>* out) {
-  out->assign(nodes.size(), {});
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<std::vector<RefEdge>> lists;
-    HM_RETURN_IF_ERROR(At(k)->RefsToMulti(per[k], &lists));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*out)[at[k][j]] = std::move(lists[j]);
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::FanSetAttrs(std::span<const NodeRef> nodes,
-                                       Attr attr,
-                                       std::span<const int64_t> values) {
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<int64_t>> vals(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    vals[k].push_back(values[i]);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    HM_RETURN_IF_ERROR(At(k)->SetAttrsMulti(per[k], attr, vals[k]));
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
+  std::vector<int64_t> mine_values;
+  return Scatter(nodes, [&](size_t k, std::span<const NodeRef> mine,
+                            std::span<const size_t> positions) {
+    mine_values.clear();
+    for (size_t i : positions) mine_values.push_back(values[i]);
+    return At(k)->SetAttrsMulti(mine, attr, mine_values);
+  });
 }
 
 // --- TraversalCapable ------------------------------------------------
 //
-// Each read-only kernel first tries the start node's owner shard (one
-// pushdown round-trip — exact whenever the walk never leaves that
+// A read-only kernel first tries the start node's owner shard (one
+// pushdown round trip — exact whenever the walk never leaves that
 // shard, e.g. any traversal inside one top-level subtree). kOutOfRange
 // is ShardLocalStore's "the walk crossed a shard boundary" answer and
-// demotes that call — and only that call — to the distributed kernel;
-// any other status is the real answer or a real error.
+// sends that call — and only that call — through the engine over the
+// partitioned fetches; any other status is the real answer or a real
+// error.
+
+template <typename Pushed, typename Engine>
+auto ShardedStore::Closure(NodeRef start, Pushed pushed, Engine engine)
+    -> decltype(engine()) {
+  size_t k = 0;
+  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
+  if (shards_[k]->mode() == RemoteMode::kPushdown) {
+    auto result = pushed(At(k));
+    if (StatusOf(result).code() != util::StatusCode::kOutOfRange) {
+      return result;
+    }
+  }
+  return engine();
+}
 
 util::Status ShardedStore::BulkGetAttr(std::span<const NodeRef> nodes,
                                        Attr attr,
                                        std::vector<int64_t>* values) {
-  if (Single()) return At(0)->BulkGetAttr(nodes, attr, values);
-  return FanAttrs(nodes, attr, values);
+  return GetAttrsMulti(nodes, attr, values);
 }
 
 util::Status ShardedStore::TravClosure1N(NodeRef start,
                                          std::vector<NodeRef>* out) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosure1N(start, out);
-  util::Status status = At(k)->TravClosure1N(start, out);
-  if (status.code() != util::StatusCode::kOutOfRange) return status;
-  return DistClosure1N(start, out);
+  return Closure(
+      start, [&](RemoteStore* s) { return s->TravClosure1N(start, out); },
+      [&] { return traversal::Closure1N(this, start, out); });
 }
 
 util::Result<int64_t> ShardedStore::TravClosure1NAttSum(NodeRef start,
                                                         uint64_t* visited) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosure1NAttSum(start, visited);
-  util::Result<int64_t> sum = At(k)->TravClosure1NAttSum(start, visited);
-  if (sum.ok() || sum.status().code() != util::StatusCode::kOutOfRange) {
-    return sum;
-  }
-  std::vector<NodeRef> nodes;
-  HM_RETURN_IF_ERROR(DistClosure1N(start, &nodes));
-  std::vector<int64_t> values;
-  HM_RETURN_IF_ERROR(FanAttrs(nodes, Attr::kHundred, &values));
-  int64_t total = 0;
-  for (int64_t value : values) total += value;
-  if (visited != nullptr) *visited = nodes.size();
-  return total;
+  return Closure(
+      start,
+      [&](RemoteStore* s) { return s->TravClosure1NAttSum(start, visited); },
+      [&] { return traversal::Closure1NAttSum(this, start, visited); });
 }
 
 util::Result<uint64_t> ShardedStore::TravClosure1NAttSet(NodeRef start) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosure1NAttSet(start);
   // Never pushed down on a fleet: the server-side kernel writes as it
   // walks, so a shard crossing would abort after mutating a prefix of
-  // the subtree. Enumerate read-only first, then write per shard.
-  std::vector<NodeRef> nodes;
-  HM_RETURN_IF_ERROR(DistClosure1N(start, &nodes));
-  std::vector<int64_t> values;
-  HM_RETURN_IF_ERROR(FanAttrs(nodes, Attr::kHundred, &values));
-  for (int64_t& value : values) value = 99 - value;
-  HM_RETURN_IF_ERROR(FanSetAttrs(nodes, Attr::kHundred, values));
-  return nodes.size();
+  // the subtree. The engine enumerates first, then writes per shard.
+  if (Single()) return At(0)->TravClosure1NAttSet(start);
+  return traversal::Closure1NAttSet(this, start);
 }
 
 util::Status ShardedStore::TravClosure1NPred(NodeRef start, int64_t lo,
                                              int64_t hi,
                                              std::vector<NodeRef>* out) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosure1NPred(start, lo, hi, out);
-  util::Status status = At(k)->TravClosure1NPred(start, lo, hi, out);
-  if (status.code() != util::StatusCode::kOutOfRange) return status;
-  return DistClosure1NPred(start, lo, hi, out);
+  return Closure(
+      start,
+      [&](RemoteStore* s) { return s->TravClosure1NPred(start, lo, hi, out); },
+      [&] { return traversal::Closure1NPred(this, start, lo, hi, out); });
 }
 
 util::Status ShardedStore::TravClosureMN(NodeRef start,
                                          std::vector<NodeRef>* out) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosureMN(start, out);
-  util::Status status = At(k)->TravClosureMN(start, out);
-  if (status.code() != util::StatusCode::kOutOfRange) return status;
-  return DistClosureMN(start, out);
+  return Closure(
+      start, [&](RemoteStore* s) { return s->TravClosureMN(start, out); },
+      [&] { return traversal::ClosureMN(this, start, out); });
 }
 
 util::Status ShardedStore::TravClosureMNAtt(NodeRef start, int depth,
                                             std::vector<NodeRef>* out) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosureMNAtt(start, depth, out);
-  util::Status status = At(k)->TravClosureMNAtt(start, depth, out);
-  if (status.code() != util::StatusCode::kOutOfRange) return status;
-  return DistClosureMNAtt(start, depth, out);
+  return Closure(
+      start,
+      [&](RemoteStore* s) { return s->TravClosureMNAtt(start, depth, out); },
+      [&] { return traversal::ClosureMNAtt(this, start, depth, out); });
 }
 
 util::Status ShardedStore::TravClosureMNAttLinkSum(
     NodeRef start, int depth, std::vector<NodeDistance>* out) {
-  size_t k = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosureMNAttLinkSum(start, depth, out);
-  util::Status status = At(k)->TravClosureMNAttLinkSum(start, depth, out);
-  if (status.code() != util::StatusCode::kOutOfRange) return status;
-  return DistClosureMNAttLinkSum(start, depth, out);
-}
-
-// --- Distributed scatter-gather kernels ------------------------------
-//
-// Same shape as RemoteStore's Batched* fallbacks: fetch each frontier
-// level's lists (here partitioned by owner shard per hop), then replay
-// the exact single-store traversal order locally over the fetched
-// maps. The access set is identical to the in-process kernels — each
-// node's list is fetched exactly once — so the outputs are too.
-
-util::Status ShardedStore::DistClosure1N(NodeRef start,
-                                         std::vector<NodeRef>* out) {
-  std::unordered_map<NodeRef, std::vector<NodeRef>> children;
-  std::vector<NodeRef> frontier{start};
-  while (!frontier.empty()) {
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(FanChildren(frontier, &lists));
-    std::vector<NodeRef> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      next.insert(next.end(), lists[i].begin(), lists[i].end());
-      children[frontier[i]] = std::move(lists[i]);
-    }
-    frontier = std::move(next);
-  }
-  out->clear();
-  std::vector<NodeRef> stack{start};
-  while (!stack.empty()) {
-    NodeRef node = stack.back();
-    stack.pop_back();
-    out->push_back(node);
-    auto it = children.find(node);
-    if (it == children.end()) continue;
-    for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-      stack.push_back(*rit);
-    }
-  }
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::DistClosure1NPred(NodeRef start, int64_t lo,
-                                             int64_t hi,
-                                             std::vector<NodeRef>* out) {
-  // Pruning contract preserved across shards: every frontier node's
-  // million is read, children are fetched only for survivors, so an
-  // excluded node's subtree is never touched on any shard.
-  std::unordered_map<NodeRef, std::vector<NodeRef>> children;
-  std::unordered_set<NodeRef> included;
-  std::vector<NodeRef> frontier{start};
-  while (!frontier.empty()) {
-    std::vector<int64_t> millions;
-    HM_RETURN_IF_ERROR(FanAttrs(frontier, Attr::kMillion, &millions));
-    std::vector<NodeRef> survivors;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      if (millions[i] >= lo && millions[i] <= hi) continue;
-      included.insert(frontier[i]);
-      survivors.push_back(frontier[i]);
-    }
-    if (survivors.empty()) break;
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(FanChildren(survivors, &lists));
-    std::vector<NodeRef> next;
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      next.insert(next.end(), lists[i].begin(), lists[i].end());
-      children[survivors[i]] = std::move(lists[i]);
-    }
-    frontier = std::move(next);
-  }
-  out->clear();
-  if (!included.contains(start)) return util::Status::Ok();
-  std::vector<NodeRef> stack{start};
-  while (!stack.empty()) {
-    NodeRef node = stack.back();
-    stack.pop_back();
-    out->push_back(node);
-    auto it = children.find(node);
-    if (it == children.end()) continue;
-    for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-      if (included.contains(*rit)) stack.push_back(*rit);
-    }
-  }
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::DistClosureMN(NodeRef start,
-                                         std::vector<NodeRef>* out) {
-  std::unordered_map<NodeRef, std::vector<NodeRef>> parts;
-  std::vector<NodeRef> frontier{start};
-  std::unordered_set<NodeRef> fetched{start};
-  while (!frontier.empty()) {
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(FanParts(frontier, &lists));
-    std::vector<NodeRef> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      for (NodeRef part : lists[i]) {
-        if (fetched.insert(part).second) next.push_back(part);
-      }
-      parts[frontier[i]] = std::move(lists[i]);
-    }
-    frontier = std::move(next);
-  }
-  out->clear();
-  std::unordered_set<NodeRef> visited;
-  std::vector<NodeRef> stack{start};
-  while (!stack.empty()) {
-    NodeRef node = stack.back();
-    stack.pop_back();
-    if (!visited.insert(node).second) continue;
-    out->push_back(node);
-    const std::vector<NodeRef>& node_parts = parts[node];
-    for (auto rit = node_parts.rbegin(); rit != node_parts.rend(); ++rit) {
-      if (!visited.contains(*rit)) stack.push_back(*rit);
-    }
-  }
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::DistClosureMNAtt(NodeRef start, int depth,
-                                            std::vector<NodeRef>* out) {
-  out->clear();
-  std::unordered_set<NodeRef> visited{start};
-  out->push_back(start);
-  std::vector<NodeRef> frontier{start};
-  for (int level = 0; level < depth && !frontier.empty(); ++level) {
-    std::vector<std::vector<RefEdge>> edge_lists;
-    HM_RETURN_IF_ERROR(FanRefsTo(frontier, &edge_lists));
-    std::vector<NodeRef> next;
-    for (const std::vector<RefEdge>& edges : edge_lists) {
-      for (const RefEdge& edge : edges) {
-        if (visited.insert(edge.node).second) {
-          out->push_back(edge.node);
-          next.push_back(edge.node);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::DistClosureMNAttLinkSum(
-    NodeRef start, int depth, std::vector<NodeDistance>* out) {
-  out->clear();
-  std::unordered_set<NodeRef> visited{start};
-  std::vector<NodeDistance> frontier{{start, 0}};
-  out->push_back({start, 0});
-  for (int level = 0; level < depth && !frontier.empty(); ++level) {
-    std::vector<NodeRef> frontier_nodes;
-    frontier_nodes.reserve(frontier.size());
-    for (const NodeDistance& f : frontier) frontier_nodes.push_back(f.node);
-    std::vector<std::vector<RefEdge>> edge_lists;
-    HM_RETURN_IF_ERROR(FanRefsTo(frontier_nodes, &edge_lists));
-    std::vector<NodeDistance> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      for (const RefEdge& edge : edge_lists[i]) {
-        if (visited.insert(edge.node).second) {
-          int64_t distance = frontier[i].distance + edge.offset_to;
-          out->push_back({edge.node, distance});
-          next.push_back({edge.node, distance});
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return util::Status::Ok();
+  return Closure(
+      start,
+      [&](RemoteStore* s) {
+        return s->TravClosureMNAttLinkSum(start, depth, out);
+      },
+      [&] { return traversal::ClosureMNAttLinkSum(this, start, depth, out); });
 }
 
 }  // namespace hm::backends

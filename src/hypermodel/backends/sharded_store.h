@@ -4,7 +4,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hypermodel/backends/remote_store.h"
@@ -31,28 +30,31 @@ namespace hm::backends {
 ///
 /// Reads route by the ref's shard byte. Index scans fan out to every
 /// shard and merge client-side in canonical (value, uniqueId) order.
-/// §6.6 closures first try single-shard pushdown on the start node's
-/// owner — if the walk stays on one shard it is exactly the remote
-/// fast path — and fall back to the distributed level-synchronous
-/// kernel when the server answers kOutOfRange (the typed "walk left
-/// my shard" signal from ShardLocalStore), scattering each frontier
-/// hop by owner and replaying locally for kernel-identical order.
-/// The attribute-update closure is the exception: it is never pushed
-/// down on a fleet, because the server would mutate attributes up to
-/// the first shard crossing before erroring.
+/// As a FrontierFetch the client partitions each frontier by owner and
+/// sends one fused request per touched shard. §6.6 closures first try
+/// single-shard pushdown on the start node's owner — if the walk stays
+/// on one shard it is exactly the remote fast path — and otherwise run
+/// the traversal engine over those partitioned fetches: on kOutOfRange
+/// (ShardLocalStore's typed "walk left my shard" answer), or always
+/// when the shard clients are not in pushdown mode. The
+/// attribute-update closure is never pushed down on a fleet, because
+/// the server would mutate attributes up to the first shard crossing
+/// before erroring.
 ///
 /// Telemetry: `cluster.shard<k>.rpcs` (logical calls routed to shard
 /// k), `cluster.fanout` (shards touched per fan-out operation) and
 /// `cluster.cross_shard_edges`.
 ///
 /// Like every HyperStore, a ShardedStore is single-threaded.
-class ShardedStore : public HyperStore, public TraversalCapable {
+class ShardedStore : public HyperStore,
+                     public TraversalCapable,
+                     public FrontierFetch {
  public:
   /// Connects to a running fleet. `addr_list` is the comma-separated
   /// address list, with or without the shard:// prefix. Each server's
-  /// kShardInfo must answer exactly (its index, fleet size) — a pre-v5
-  /// server or a mis-wired fleet is rejected here, not discovered as
-  /// silent misrouting later. `base_options` supplies everything but
+  /// kShardInfo must answer exactly (its index, fleet size) — a
+  /// mis-wired fleet is rejected here, not discovered as silent
+  /// misrouting later. `base_options` supplies everything but
   /// host/port (mode, deadline, retry budget) to every shard client.
   static util::Result<std::unique_ptr<ShardedStore>> Connect(
       const std::string& addr_list, RemoteOptions base_options = {});
@@ -116,6 +118,18 @@ class ShardedStore : public HyperStore, public TraversalCapable {
 
   util::Result<uint64_t> StorageBytes() override;
 
+  // --- FrontierFetch -------------------------------------------------
+  util::Status ChildrenMulti(std::span<const NodeRef> nodes,
+                             RefLists* out) override;
+  util::Status PartsMulti(std::span<const NodeRef> nodes,
+                          RefLists* out) override;
+  util::Status RefsToMulti(std::span<const NodeRef> nodes,
+                           EdgeLists* out) override;
+  util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::vector<int64_t>* values) override;
+  util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::span<const int64_t> values) override;
+
   // --- TraversalCapable ----------------------------------------------
   util::Status BulkGetAttr(std::span<const NodeRef> nodes, Attr attr,
                            std::vector<int64_t>* values) override;
@@ -142,36 +156,32 @@ class ShardedStore : public HyperStore, public TraversalCapable {
   /// Validates the ref's shard byte against the fleet size.
   util::Status OwnerOf(NodeRef node, size_t* shard) const;
 
-  // Fan-out primitives: partition `nodes` by owner, issue one fused
-  // call per touched shard, scatter the answers back positionally.
-  // Each records the number of shards touched in `cluster.fanout`.
-  util::Status FanAttrs(std::span<const NodeRef> nodes, Attr attr,
-                        std::vector<int64_t>* values);
-  util::Status FanChildren(std::span<const NodeRef> nodes,
-                           std::vector<std::vector<NodeRef>>* out);
-  util::Status FanParts(std::span<const NodeRef> nodes,
-                        std::vector<std::vector<NodeRef>>* out);
-  util::Status FanRefsTo(std::span<const NodeRef> nodes,
-                         std::vector<std::vector<RefEdge>>* out);
-  util::Status FanSetAttrs(std::span<const NodeRef> nodes, Attr attr,
-                           std::span<const int64_t> values);
+  /// Splits `nodes` by owner: (*at)[k] lists the positions of shard
+  /// k's nodes, in input order.
+  util::Status Partition(std::span<const NodeRef> nodes,
+                         std::vector<std::vector<size_t>>* at) const;
+  /// The fan-out behind every FrontierFetch method: calls
+  /// fetch(k, shard_nodes, positions) once per touched shard k, where
+  /// positions[j] is the input index of shard_nodes[j]. Records the
+  /// shards touched in `cluster.fanout`.
+  template <typename Fetch>
+  util::Status Scatter(std::span<const NodeRef> nodes, Fetch fetch);
+  /// Scatter for the list fetches, merging the per-shard lists back
+  /// into input order.
+  template <typename T>
+  util::Status ScatterLists(
+      std::span<const NodeRef> nodes, FlatLists<T>* out,
+      util::Status (RemoteStore::*fetch)(std::span<const NodeRef>,
+                                         FlatLists<T>*));
   /// One shard-merged index scan (shared by RangeHundred/Million).
   util::Status FanRange(bool hundred, int64_t lo, int64_t hi,
                         std::vector<NodeRef>* out);
-
-  // Distributed scatter-gather closure kernels (the >1-shard fallback
-  // when pushdown reports kOutOfRange). Level-synchronous: each hop
-  // fetches the frontier's lists via the Fan* primitives, then the
-  // exact traversal order is replayed locally — the same access set
-  // and output as the single-store kernels in hypermodel/traversal.h.
-  util::Status DistClosure1N(NodeRef start, std::vector<NodeRef>* out);
-  util::Status DistClosure1NPred(NodeRef start, int64_t lo, int64_t hi,
-                                 std::vector<NodeRef>* out);
-  util::Status DistClosureMN(NodeRef start, std::vector<NodeRef>* out);
-  util::Status DistClosureMNAtt(NodeRef start, int depth,
-                                std::vector<NodeRef>* out);
-  util::Status DistClosureMNAttLinkSum(NodeRef start, int depth,
-                                       std::vector<NodeDistance>* out);
+  /// Runs a read-only closure: pushed down to the start node's owner
+  /// when the shard clients push down, else (or when the walk leaves
+  /// that shard) through the engine over this client's fetches.
+  template <typename Pushed, typename Engine>
+  auto Closure(NodeRef start, Pushed pushed, Engine engine)
+      -> decltype(engine());
 
   std::vector<std::unique_ptr<RemoteStore>> shards_;
   /// First node ever created through this client — the §5 root, whose

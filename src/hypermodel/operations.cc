@@ -8,8 +8,9 @@ namespace hm::ops {
 namespace {
 
 /// Stores may opt into whole-traversal execution (the `remote` backend
-/// runs the walk server-side); everything else takes the generic
-/// navigation-call-at-a-time kernels in hm::traversal.
+/// runs the walk server-side); everything else runs the traversal
+/// engine in-process, fetching each frontier with one navigation call
+/// per node.
 TraversalCapable* AsTraversal(HyperStore* store) {
   return dynamic_cast<TraversalCapable*>(store);
 }
@@ -85,8 +86,8 @@ util::Result<uint64_t> SeqScan(HyperStore* store,
   if (TraversalCapable* trav = AsTraversal(store)) {
     HM_RETURN_IF_ERROR(trav->BulkGetAttr(nodes, Attr::kTen, &values));
   } else {
-    HM_RETURN_IF_ERROR(traversal::BulkGetAttr(store, nodes, Attr::kTen,
-                                              &values));
+    HM_RETURN_IF_ERROR(
+        StoreFetch(store).GetAttrsMulti(nodes, Attr::kTen, &values));
   }
   volatile int64_t sink = 0;
   for (int64_t ten : values) sink = ten;
@@ -99,7 +100,8 @@ util::Status Closure1N(HyperStore* store, NodeRef start,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1N(start, out);
   }
-  return traversal::Closure1N(store, start, out);
+  StoreFetch fetch(store);
+  return traversal::Closure1N(&fetch, start, out);
 }
 
 util::Status ClosureMN(HyperStore* store, NodeRef start,
@@ -107,7 +109,8 @@ util::Status ClosureMN(HyperStore* store, NodeRef start,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosureMN(start, out);
   }
-  return traversal::ClosureMN(store, start, out);
+  StoreFetch fetch(store);
+  return traversal::ClosureMN(&fetch, start, out);
 }
 
 util::Status ClosureMNAtt(HyperStore* store, NodeRef start, int depth,
@@ -115,7 +118,8 @@ util::Status ClosureMNAtt(HyperStore* store, NodeRef start, int depth,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosureMNAtt(start, depth, out);
   }
-  return traversal::ClosureMNAtt(store, start, depth, out);
+  StoreFetch fetch(store);
+  return traversal::ClosureMNAtt(&fetch, start, depth, out);
 }
 
 util::Result<int64_t> Closure1NAttSum(HyperStore* store, NodeRef start,
@@ -123,14 +127,16 @@ util::Result<int64_t> Closure1NAttSum(HyperStore* store, NodeRef start,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1NAttSum(start, visited);
   }
-  return traversal::Closure1NAttSum(store, start, visited);
+  StoreFetch fetch(store);
+  return traversal::Closure1NAttSum(&fetch, start, visited);
 }
 
 util::Result<uint64_t> Closure1NAttSet(HyperStore* store, NodeRef start) {
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1NAttSet(start);
   }
-  return traversal::Closure1NAttSet(store, start);
+  StoreFetch fetch(store);
+  return traversal::Closure1NAttSet(&fetch, start);
 }
 
 util::Status Closure1NPred(HyperStore* store, NodeRef start, int64_t x,
@@ -138,7 +144,8 @@ util::Status Closure1NPred(HyperStore* store, NodeRef start, int64_t x,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1NPred(start, x, x + 9999, out);
   }
-  return traversal::Closure1NPred(store, start, x, x + 9999, out);
+  StoreFetch fetch(store);
+  return traversal::Closure1NPred(&fetch, start, x, x + 9999, out);
 }
 
 util::Status ClosureMNAttLinkSum(HyperStore* store, NodeRef start, int depth,
@@ -146,7 +153,8 @@ util::Status ClosureMNAttLinkSum(HyperStore* store, NodeRef start, int depth,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosureMNAttLinkSum(start, depth, out);
   }
-  return traversal::ClosureMNAttLinkSum(store, start, depth, out);
+  StoreFetch fetch(store);
+  return traversal::ClosureMNAttLinkSum(&fetch, start, depth, out);
 }
 
 util::Result<uint64_t> TextNodeEdit(HyperStore* store, NodeRef text_node,

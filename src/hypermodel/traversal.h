@@ -13,11 +13,11 @@ namespace hm {
 
 /// Optional HyperStore capability: whole-traversal execution. A store
 /// that implements this (the `remote` backend pushes the walk to the
-/// server; a future cached backend could prefetch) is discovered by
-/// `ops::` via dynamic_cast and receives the §6.6 closure kernels as
-/// single calls instead of O(visited-nodes) navigation calls. Every
-/// method must produce byte-identical results to the generic kernels
-/// in `traversal::` below — `store_contract_test` enforces this.
+/// server; the `shard://` and replicated clients route it) is
+/// discovered by `ops::` via dynamic_cast and receives the §6.6
+/// closure kernels as single calls. Every method must produce
+/// byte-identical results to the kernels in `traversal::` below —
+/// `store_contract_test` enforces this.
 class TraversalCapable {
  public:
   virtual ~TraversalCapable() = default;
@@ -44,49 +44,129 @@ class TraversalCapable {
       NodeRef start, int depth, std::vector<NodeDistance>* out) = 0;
 };
 
-/// The generic (navigation-call-at-a-time) §6.6 kernels, shared by
-/// three callers: `ops::` uses them as the fallback for stores without
-/// TraversalCapable, the server executes them against its local
-/// backend for the pushdown opcodes, and the contract tests pit them
-/// against capability implementations. They depend only on the
-/// abstract HyperStore navigation API.
+/// One list per frontier node, stored flat: list i is
+/// items[Begin(i), ends[i]). Fetches close one list per input node, in
+/// input order, so a whole level costs two allocations, not one per
+/// node.
+template <typename T>
+struct FlatLists {
+  std::vector<T> items;
+  std::vector<size_t> ends;
+
+  size_t size() const { return ends.size(); }
+  size_t Begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  std::span<const T> operator[](size_t i) const {
+    return std::span<const T>(items).subspan(Begin(i), ends[i] - Begin(i));
+  }
+  void clear() {
+    items.clear();
+    ends.clear();
+  }
+  /// Ends the current list: the items appended since the previous
+  /// Close() form it.
+  void Close() { ends.push_back(items.size()); }
+  void Append(std::span<const T> list) {
+    items.insert(items.end(), list.begin(), list.end());
+    Close();
+  }
+
+  bool operator==(const FlatLists&) const = default;
+};
+
+using RefLists = FlatLists<NodeRef>;
+using EdgeLists = FlatLists<RefEdge>;
+
+/// The set-at-a-time reads the closure engine is written against: each
+/// frontier step is one fetch, i.e. a join of the frontier with one
+/// edge relation (children, parts, refTo) or attribute column. Every
+/// method is positional — output i belongs to input node i — and
+/// replaces its output. An in-process store fetches with a loop
+/// (StoreFetch), the `remote` client with one fused request, the
+/// `shard://` client with one fused request per owning shard.
+class FrontierFetch {
+ public:
+  virtual ~FrontierFetch() = default;
+
+  virtual util::Status ChildrenMulti(std::span<const NodeRef> nodes,
+                                     RefLists* out) = 0;
+  virtual util::Status PartsMulti(std::span<const NodeRef> nodes,
+                                  RefLists* out) = 0;
+  virtual util::Status RefsToMulti(std::span<const NodeRef> nodes,
+                                   EdgeLists* out) = 0;
+  virtual util::Status GetAttrsMulti(std::span<const NodeRef> nodes,
+                                     Attr attr,
+                                     std::vector<int64_t>* values) = 0;
+  /// Writes values[i] to node i. Not atomic: a failure part-way leaves
+  /// a prefix written, like the equivalent SetAttr loop.
+  virtual util::Status SetAttrsMulti(std::span<const NodeRef> nodes,
+                                     Attr attr,
+                                     std::span<const int64_t> values) = 0;
+};
+
+/// FrontierFetch over any HyperStore: one navigation call per node.
+/// The fetch of every in-process backend, of the server's pushdown
+/// opcodes, and of the `percall` remote mode.
+class StoreFetch final : public FrontierFetch {
+ public:
+  explicit StoreFetch(HyperStore* store) : store_(store) {}
+
+  util::Status ChildrenMulti(std::span<const NodeRef> nodes,
+                             RefLists* out) override;
+  util::Status PartsMulti(std::span<const NodeRef> nodes,
+                          RefLists* out) override;
+  util::Status RefsToMulti(std::span<const NodeRef> nodes,
+                           EdgeLists* out) override;
+  util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::vector<int64_t>* values) override;
+  util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::span<const int64_t> values) override;
+
+ private:
+  HyperStore* store_;
+};
+
+/// The §6.6 closure kernels, written once as level-synchronous walks
+/// over a FrontierFetch: each level of the walk is one fetch, and the
+/// result order is rebuilt locally from the fetched lists. Every
+/// caller — `ops::` for in-process stores, the server for the pushdown
+/// opcodes, the remote, sharded and replicated clients — runs these,
+/// so results are identical across stacks by construction. The access
+/// set matches a navigation-at-a-time walk: each visited node's list
+/// is fetched exactly once.
 namespace traversal {
 
 /// Pre-order walk of the 1-N hierarchy, children order preserved.
-util::Status Closure1N(HyperStore* store, NodeRef start,
+util::Status Closure1N(FrontierFetch* fetch, NodeRef start,
                        std::vector<NodeRef>* out);
 
 /// Sums Attr::kHundred over the pre-order closure; `visited` (may be
 /// null) receives the node count.
-util::Result<int64_t> Closure1NAttSum(HyperStore* store, NodeRef start,
+util::Result<int64_t> Closure1NAttSum(FrontierFetch* fetch, NodeRef start,
                                       uint64_t* visited);
 
 /// Rewrites hundred := 99 - hundred over the pre-order closure;
-/// returns the update count. The only mutating kernel.
-util::Result<uint64_t> Closure1NAttSet(HyperStore* store, NodeRef start);
+/// returns the update count. The only mutating kernel: it enumerates
+/// the closure first, then writes.
+util::Result<uint64_t> Closure1NAttSet(FrontierFetch* fetch, NodeRef start);
 
 /// Pre-order closure pruned at nodes with million in [lo, hi]: an
 /// excluded node is skipped AND its subtree is never visited (§6.6
 /// op /*13*/ semantics — recursion terminates at the predicate).
-util::Status Closure1NPred(HyperStore* store, NodeRef start, int64_t lo,
+util::Status Closure1NPred(FrontierFetch* fetch, NodeRef start, int64_t lo,
                            int64_t hi, std::vector<NodeRef>* out);
 
 /// DFS over the M-N parts DAG, first-encounter order, shared
 /// sub-parts listed once.
-util::Status ClosureMN(HyperStore* store, NodeRef start,
+util::Status ClosureMN(FrontierFetch* fetch, NodeRef start,
                        std::vector<NodeRef>* out);
 
 /// BFS over refTo edges to `depth` levels, first-encounter order.
-util::Status ClosureMNAtt(HyperStore* store, NodeRef start, int depth,
+util::Status ClosureMNAtt(FrontierFetch* fetch, NodeRef start, int depth,
                           std::vector<NodeRef>* out);
 
 /// BFS over refTo edges accumulating offset_to distances (op /*18*/).
-util::Status ClosureMNAttLinkSum(HyperStore* store, NodeRef start, int depth,
-                                 std::vector<NodeDistance>* out);
-
-/// Per-node GetAttr loop — the generic BulkGetAttr.
-util::Status BulkGetAttr(HyperStore* store, std::span<const NodeRef> nodes,
-                         Attr attr, std::vector<int64_t>* values);
+util::Status ClosureMNAttLinkSum(FrontierFetch* fetch, NodeRef start,
+                                 int depth, std::vector<NodeDistance>* out);
 
 }  // namespace traversal
 }  // namespace hm

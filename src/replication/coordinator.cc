@@ -206,18 +206,18 @@ util::Status Coordinator::HandleSubscribe(std::string_view body,
         std::string(RoleName(role())) + ")");
   }
   util::Decoder decoder(body);
-  uint64_t max_version = 0;
+  uint64_t wire_version = 0;
   uint64_t follower_id = 0;
   uint64_t resume_seq = 0;
-  if (!decoder.GetVarint64(&max_version) ||
+  if (!decoder.GetVarint64(&wire_version) ||
       !decoder.GetVarint64(&follower_id) ||
       !decoder.GetVarint64(&resume_seq) || decoder.Remaining() != 0) {
     return MalformedBody("repl_subscribe");
   }
-  if (max_version < 6) {
-    return util::Status::InvalidArgument(
-        "replication requires wire v6; follower speaks v" +
-        std::to_string(max_version));
+  if (wire_version != server::kWireVersion) {
+    return util::Status::VersionMismatch(
+        "replication: follower speaks wire v" + std::to_string(wire_version) +
+        ", primary speaks v" + std::to_string(server::kWireVersion));
   }
   uint64_t next_lsn = 0;
   uint64_t oldest_seq = 0;

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <thread>
 
 #include "hypermodel/traversal.h"
@@ -56,8 +57,8 @@ const OpMetrics& MetricsFor(uint8_t op) {
 /// malformed (or hostile) count, not a legitimate traversal bound.
 constexpr uint64_t kMaxTraversalDepth = 1u << 20;
 
-/// Appends an OK header plus a varint-encoded node list.
-void PutRefList(std::string* dst, const std::vector<NodeRef>& refs) {
+/// Appends a varint-counted node list.
+void PutRefList(std::string* dst, std::span<const NodeRef> refs) {
   util::PutVarint64(dst, refs.size());
   for (NodeRef ref : refs) util::PutVarint64(dst, ref);
 }
@@ -413,6 +414,9 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
   auto reply_status = [&](const util::Status& status) {
     PutStatus(response, status);
   };
+  // The multi-node reads and the pushdown closures run the traversal
+  // engine against the local backend, one navigation call per node.
+  StoreFetch fetch(backend_.get());
 
   // Replication gate: with a role installed, every mutating opcode is
   // refused with a typed error before it can touch the backend — a
@@ -430,25 +434,24 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
 
   switch (op) {
     case OpCode::kHello: {
-      uint64_t client_version = 1;  // v1 clients send an empty Hello body
-      if (!body.Empty()) {
-        if (!body.GetVarint64(&client_version) || client_version == 0) {
-          bad_request();
-          return;
-        }
-      }
-      if (client_version < kMinWireVersion) {
-        reply_status(util::Status::InvalidArgument(
-            "client wire version " + std::to_string(client_version) +
-            " is below the minimum " + std::to_string(kMinWireVersion)));
+      // One wire version: both ends are built from the same tree, so
+      // anything but an exact match is a deployment error, answered
+      // with a typed refusal. The oldest clients sent an empty body.
+      uint64_t client_version = 0;
+      if (!body.Empty() && !body.GetVarint64(&client_version)) {
+        bad_request();
         return;
       }
-      const auto negotiated = static_cast<uint8_t>(std::min<uint64_t>(
-          {client_version, kWireVersion, options_.max_wire_version}));
+      if (client_version != kWireVersion) {
+        reply_status(util::Status::VersionMismatch(
+            "client speaks wire v" + std::to_string(client_version) +
+            ", server speaks v" + std::to_string(kWireVersion)));
+        return;
+      }
       session->epoch = reset_epoch_;  // re-handshake adopts the current DB
       std::string name = backend_->name();
       reply(util::Status::Ok(), [&] {
-        response->push_back(static_cast<char>(negotiated));
+        response->push_back(static_cast<char>(kWireVersion));
         util::PutLengthPrefixed(response, name);
       });
       return;
@@ -728,37 +731,12 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       // Unpacked by Dispatch(); reaching here means nesting.
       reply_status(util::Status::InvalidArgument("nested batch"));
       return;
-    case OpCode::kChildrenMulti: {
-      uint64_t count = 0;
-      if (!body.GetVarint64(&count) || count > kMaxBatchEntries) {
-        bad_request();
-        return;
-      }
-      std::vector<NodeRef> nodes(count);
-      for (NodeRef& node : nodes) {
-        if (!body.GetVarint64(&node)) {
-          bad_request();
-          return;
-        }
-      }
-      std::string lists;
-      util::Status status = util::Status::Ok();
-      for (NodeRef node : nodes) {
-        std::vector<NodeRef> refs;
-        status = backend_->Children(node, &refs);
-        if (!status.ok()) break;
-        PutRefList(&lists, refs);
-      }
-      reply(status, [&] {
-        util::PutVarint64(response, count);
-        response->append(lists);
-      });
-      return;
-    }
+    case OpCode::kChildrenMulti:
     case OpCode::kGetAttrsMulti: {
       uint64_t attr = 0;
       uint64_t count = 0;
-      if (!body.GetVarint64(&attr) || attr > 4 ||
+      if ((op == OpCode::kGetAttrsMulti &&
+           (!body.GetVarint64(&attr) || attr > 4)) ||
           !body.GetVarint64(&count) || count > kMaxBatchEntries) {
         bad_request();
         return;
@@ -770,18 +748,24 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
           return;
         }
       }
-      std::string values;
-      util::Status status = util::Status::Ok();
-      for (NodeRef node : nodes) {
-        auto value = backend_->GetAttr(node, static_cast<Attr>(attr));
-        status = value.status();
-        if (!status.ok()) break;
-        util::PutVarSigned64(&values, *value);
+      if (op == OpCode::kChildrenMulti) {
+        RefLists lists;
+        util::Status status = fetch.ChildrenMulti(nodes, &lists);
+        reply(status, [&] {
+          util::PutVarint64(response, count);
+          for (size_t i = 0; i < lists.size(); ++i) {
+            PutRefList(response, lists[i]);
+          }
+        });
+      } else {
+        std::vector<int64_t> values;
+        util::Status status =
+            fetch.GetAttrsMulti(nodes, static_cast<Attr>(attr), &values);
+        reply(status, [&] {
+          util::PutVarint64(response, count);
+          for (int64_t value : values) util::PutVarSigned64(response, value);
+        });
       }
-      reply(status, [&] {
-        util::PutVarint64(response, count);
-        response->append(values);
-      });
       return;
     }
     case OpCode::kClosure1N:
@@ -794,8 +778,8 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       std::vector<NodeRef> refs;
       util::Status status =
           op == OpCode::kClosure1N
-              ? traversal::Closure1N(backend_.get(), start, &refs)
-              : traversal::ClosureMN(backend_.get(), start, &refs);
+              ? traversal::Closure1N(&fetch, start, &refs)
+              : traversal::ClosureMN(&fetch, start, &refs);
       reply(status, [&] { PutRefList(response, refs); });
       return;
     }
@@ -809,7 +793,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       }
       std::vector<NodeRef> refs;
       util::Status status = traversal::ClosureMNAtt(
-          backend_.get(), start, static_cast<int>(depth), &refs);
+          &fetch, start, static_cast<int>(depth), &refs);
       reply(status, [&] { PutRefList(response, refs); });
       return;
     }
@@ -820,7 +804,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
         return;
       }
       uint64_t visited = 0;
-      auto sum = traversal::Closure1NAttSum(backend_.get(), start, &visited);
+      auto sum = traversal::Closure1NAttSum(&fetch, start, &visited);
       reply(sum.status(), [&] {
         util::PutVarint64(response, visited);
         util::PutVarSigned64(response, *sum);
@@ -834,7 +818,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
         return;
       }
       MarkDirty();
-      auto count = traversal::Closure1NAttSet(backend_.get(), start);
+      auto count = traversal::Closure1NAttSet(&fetch, start);
       reply(count.status(),
             [&] { util::PutVarint64(response, *count); });
       return;
@@ -849,7 +833,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       }
       std::vector<NodeRef> refs;
       util::Status status =
-          traversal::Closure1NPred(backend_.get(), start, lo, hi, &refs);
+          traversal::Closure1NPred(&fetch, start, lo, hi, &refs);
       reply(status, [&] { PutRefList(response, refs); });
       return;
     }
@@ -863,7 +847,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       }
       std::vector<NodeDistance> dists;
       util::Status status = traversal::ClosureMNAttLinkSum(
-          backend_.get(), start, static_cast<int>(depth), &dists);
+          &fetch, start, static_cast<int>(depth), &dists);
       reply(status, [&] {
         util::PutVarint64(response, dists.size());
         for (const NodeDistance& d : dists) {
@@ -874,13 +858,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       return;
     }
     case OpCode::kStats: {
-      if (options_.max_wire_version < 3) {
-        // A capped "v2" server behaves exactly like a build that
-        // predates the opcode.
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       if (!body.Empty()) {
         bad_request();
         return;
@@ -892,11 +869,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
     }
 
     case OpCode::kPing: {
-      if (options_.max_wire_version < 4) {
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       if (!body.Empty()) {
         bad_request();
         return;
@@ -908,11 +880,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
     }
 
     case OpCode::kShardInfo: {
-      if (options_.max_wire_version < 5) {
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       if (!body.Empty()) {
         bad_request();
         return;
@@ -929,11 +896,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
     case OpCode::kReplStatus:
     case OpCode::kReplPromote:
     case OpCode::kReplFence: {
-      if (options_.max_wire_version < 6) {
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       ReplicationHandler* repl = options_.replication;
       if (repl == nullptr) {
         reply_status(util::Status::NotSupported(

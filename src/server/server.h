@@ -45,11 +45,6 @@ struct ServerOptions {
   /// long-lived server start from an empty store). Unset => kReset is
   /// answered with NotSupported.
   std::function<util::Result<std::unique_ptr<HyperStore>>()> reset_factory;
-  /// Highest wire version this server will negotiate; a cap below a
-  /// feature's version makes its opcodes answer NotSupported. Tests
-  /// cap it to impersonate older servers (e.g. a v2 server that has
-  /// never heard of kStats) against current clients.
-  uint8_t max_wire_version = kWireVersion;
   /// Ceiling on requests executing (or waiting on backend_mu_)
   /// concurrently; beyond it Dispatch sheds the request with a typed
   /// kOverloaded response instead of queueing it behind the lock.

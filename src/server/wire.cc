@@ -188,6 +188,8 @@ util::Status StatusFromCode(util::StatusCode code, std::string msg) {
       return util::Status::ReadOnly(std::move(msg));
     case util::StatusCode::kFencedOff:
       return util::Status::FencedOff(std::move(msg));
+    case util::StatusCode::kVersionMismatch:
+      return util::Status::VersionMismatch(std::move(msg));
   }
   return util::Status::Internal("unknown wire status code: " +
                                 std::move(msg));

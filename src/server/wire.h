@@ -33,45 +33,23 @@ namespace hm::server {
 /// (util/coding): NodeRefs travel as varint64, attribute values as
 /// zig-zag varints, strings and serialized bitmaps length-prefixed.
 
-/// Bumped whenever the frame or body encodings change incompatibly or
-/// new opcodes are added. Negotiated in kHello: the client sends its
-/// version as the (optional) request body, the server replies with
-/// min(client, server). v1 clients send an empty Hello body and v1
-/// servers ignore the body entirely, so both directions interoperate.
+/// The one protocol version this build speaks. Clients and servers
+/// always ship together from this tree and nothing persisted speaks
+/// the wire, so there is no negotiation: the client sends this value
+/// as the kHello body, and a server built at any other version answers
+/// kVersionMismatch (a client that hears any other version back fails
+/// the same way). Bump it whenever the frame, an opcode body or the
+/// status-code set changes.
 ///
-/// v2 adds the Batch frame, fused navigation ops and the server-side
-/// traversal (closure pushdown) opcodes.
-///
-/// v3 adds kStats (telemetry snapshot). Append-only as always: a v2
-/// server answers the unknown opcode with NotSupported, which v3
-/// clients treat as "no stats", so the handshake never has to fail.
-///
-/// v4 adds kPing (the fault-tolerant client's liveness/reconnect
-/// probe) and carries the new kUnavailable / kDeadlineExceeded /
-/// kOverloaded status codes; older peers that cannot name those codes
-/// fold them into kInternal, degrading safely.
-///
-/// v5 adds kShardInfo for the cluster subsystem: a server started as
-/// shard k of N reports its placement so a `shard://` client can
-/// verify it dialed the fleet it thinks it dialed. NodeRefs stay
-/// varint64 but are now *shard-qualified* end to end: the high byte
-/// carries the owning shard id ((shard << 56) | local_ref, see
-/// cluster/shard_map.h), so cross-shard `parts`/`refTo` edges travel
-/// as (shard, uid)-qualified refs inside the existing encodings. A
-/// single-node server is shard 0 of 1, where the qualified and plain
-/// encodings coincide — which is why v4 frames stay byte-identical.
-///
-/// v6 adds the replication opcodes: kReplSubscribe / kReplSegment /
-/// kReplStatus let a follower pull WAL segments from its primary over
-/// the ordinary request/response frames, and kReplPromote / kReplFence
-/// carry the epoch-fenced failover protocol (DESIGN.md §16). v6 also
-/// carries the new kReadOnly / kFencedOff status codes; older peers
-/// fold them into kInternal, degrading safely.
-inline constexpr uint8_t kWireVersion = 6;
-
-/// Oldest peer version this build still speaks. A negotiated version
-/// below this fails the handshake.
-inline constexpr uint8_t kMinWireVersion = 1;
+/// The `---- vN:` markers in OpCode record which revision added each
+/// opcode: v2 the Batch frame, fused navigation and closure pushdown;
+/// v3 kStats; v4 kPing and the kUnavailable / kDeadlineExceeded /
+/// kOverloaded codes; v5 kShardInfo and shard-qualified NodeRefs
+/// ((shard << 56) | local_ref, see cluster/shard_map.h — a single-node
+/// server is shard 0 of 1, where both encodings coincide); v6 the
+/// replication opcodes and the kReadOnly / kFencedOff codes
+/// (DESIGN.md §16); v7 the exact-version Hello and kVersionMismatch.
+inline constexpr uint8_t kWireVersion = 7;
 
 /// Bytes before the payload: fixed32 length + fixed32 masked CRC.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -84,7 +62,7 @@ inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
 /// One opcode per HyperStore method, plus session management. Values
 /// are part of the wire format — append only, never renumber.
 enum class OpCode : uint8_t {
-  kHello = 1,        // -> version byte + backend name
+  kHello = 1,        // varint version -> version byte + backend name
   kReset = 2,        // recreate the served database (benchmark setup)
   kBegin = 3,
   kCommit = 4,
@@ -143,8 +121,8 @@ enum class OpCode : uint8_t {
 
   // ---- v5: cluster ----
   // Empty body -> varint shard id + varint shard count. A server that
-  // is not part of a fleet answers (0, 1); a pre-v5 server answers
-  // NotSupported, which the sharded client rejects at connect time.
+  // is not part of a fleet answers (0, 1), which the sharded client
+  // rejects at connect time as a mis-wired fleet.
   kShardInfo = 42,
 
   // ---- v6: replication ----
@@ -152,7 +130,7 @@ enum class OpCode : uint8_t {
   // answers — so replication rides the existing one-request-one-
   // response framing with no new stream machinery. A server with no
   // replication role configured answers all five with NotSupported.
-  kReplSubscribe = 43,  // varint max_version + varint follower id +
+  kReplSubscribe = 43,  // varint wire version + varint follower id +
                         // varint resume seq (0 = fresh) -> varint epoch
                         // + varint next LSN + varint oldest segment seq
   kReplSegment = 44,    // varint seq + varint offset + varint max_bytes
@@ -165,6 +143,9 @@ enum class OpCode : uint8_t {
                         // follower replays its backlog and takes writes
   kReplFence = 47,      // varint fencing epoch -> varint epoch; an old
                         // primary demotes itself and persists the fence
+
+  // ---- v7: no new opcodes. kHello requires an exact version match and
+  // answers kVersionMismatch otherwise (see kWireVersion).
 };
 
 /// Stable lower-snake-case opcode name ("get_attr", "closure_1n");

@@ -36,6 +36,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "ReadOnly";
     case StatusCode::kFencedOff:
       return "FencedOff";
+    case StatusCode::kVersionMismatch:
+      return "VersionMismatch";
   }
   return "Unknown";
 }

@@ -27,6 +27,7 @@ enum class StatusCode : uint8_t {
   kOverloaded = 13,        // server shed the request under load
   kReadOnly = 14,          // replica refused a mutation; write to the primary
   kFencedOff = 15,         // a newer epoch fenced this primary; do not retry
+  kVersionMismatch = 16,   // peers speak different wire versions
 };
 
 /// Human-readable name for a status code ("NotFound", ...).
@@ -91,6 +92,9 @@ class [[nodiscard]] Status {
   static Status FencedOff(std::string msg) {
     return Status(StatusCode::kFencedOff, std::move(msg));
   }
+  static Status VersionMismatch(std::string msg) {
+    return Status(StatusCode::kVersionMismatch, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
@@ -106,6 +110,9 @@ class [[nodiscard]] Status {
   }
   bool IsReadOnly() const { return code_ == StatusCode::kReadOnly; }
   bool IsFencedOff() const { return code_ == StatusCode::kFencedOff; }
+  bool IsVersionMismatch() const {
+    return code_ == StatusCode::kVersionMismatch;
+  }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }

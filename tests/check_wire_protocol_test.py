@@ -25,7 +25,6 @@ GOOD_WIRE_H = """\
 #include <cstdint>
 
 inline constexpr uint8_t kWireVersion = 2;
-inline constexpr uint8_t kMinWireVersion = 1;
 
 enum class OpCode : uint8_t {
   kPing = 1,
@@ -68,7 +67,6 @@ V6_WIRE_H = """\
 #include <cstdint>
 
 inline constexpr uint8_t kWireVersion = 6;
-inline constexpr uint8_t kMinWireVersion = 1;
 
 enum class OpCode : uint8_t {
   kPing = 1,
@@ -206,28 +204,42 @@ class CheckWireProtocolTest(unittest.TestCase):
         result = run_checker(wire_h, wire_cc)
         self.assert_rejects(result, "out of order")
 
-    # ---- rule 2b: negotiation window ----
+    # ---- rule 2b: one wire version ----
 
-    def test_missing_min_wire_version_rejected(self):
+    def test_negotiation_floor_rejected(self):
         wire_h = GOOD_WIRE_H.replace(
-            "inline constexpr uint8_t kMinWireVersion = 1;\n", ""
+            "inline constexpr uint8_t kWireVersion = 2;\n",
+            "inline constexpr uint8_t kWireVersion = 2;\n"
+            "inline constexpr uint8_t kMinWireVersion = 1;\n",
         )
         result = run_checker(wire_h, GOOD_WIRE_CC)
-        self.assert_rejects(result, "kMinWireVersion")
+        self.assert_rejects(result, "single-version rule")
 
-    def test_min_wire_version_of_zero_rejected(self):
-        wire_h = GOOD_WIRE_H.replace(
-            "kMinWireVersion = 1", "kMinWireVersion = 0"
+    def test_v7_requires_version_mismatch_status(self):
+        wire_h = V6_WIRE_H.replace(
+            "kWireVersion = 6", "kWireVersion = 7"
+        ).replace(
+            "kReplFence = 10,",
+            "kReplFence = 10,\n  // ---- v7: exact-version Hello",
         )
-        result = run_checker(wire_h, GOOD_WIRE_CC)
-        self.assert_rejects(result, "outside")
+        status_from_code = GOOD_WIRE_CC[GOOD_WIRE_CC.index("util::Status"):]
+        wire_cc = V6_WIRE_CC + "\n" + status_from_code
+        result = run_checker(wire_h, wire_cc, GOOD_STATUS_H)
+        self.assert_rejects(result, "no kVersionMismatch")
 
-    def test_min_wire_version_above_wire_version_rejected(self):
-        wire_h = GOOD_WIRE_H.replace(
-            "kMinWireVersion = 1", "kMinWireVersion = 3"
+        status_h = GOOD_STATUS_H.replace(
+            "kIoError = 1,", "kIoError = 1,\n  kVersionMismatch = 2,"
         )
-        result = run_checker(wire_h, GOOD_WIRE_CC)
-        self.assert_rejects(result, "outside")
+        wire_cc = wire_cc.replace(
+            "    case util::StatusCode::kIoError: "
+            "return util::Status::IoError(msg);\n",
+            "    case util::StatusCode::kIoError: "
+            "return util::Status::IoError(msg);\n"
+            "    case util::StatusCode::kVersionMismatch: "
+            "return util::Status::VersionMismatch(msg);\n",
+        )
+        result = run_checker(wire_h, wire_cc, status_h)
+        self.assertEqual(result.returncode, 0, result.stderr)
 
     # ---- rule 3: OpCodeName coverage ----
 

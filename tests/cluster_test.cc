@@ -319,21 +319,6 @@ TEST(ShardedStoreTest, ConnectRejectsMiswiredFleet) {
   s1->Stop();
 }
 
-TEST(ShardedStoreTest, ConnectRejectsPreV5Server) {
-  server::ServerOptions options;
-  options.host = "127.0.0.1";
-  options.port = 0;
-  options.max_wire_version = 4;  // pre-cluster protocol
-  auto srv =
-      server::Server::Start(options, std::make_unique<backends::MemStore>());
-  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
-  std::string addr =
-      (*srv)->host() + ":" + std::to_string((*srv)->port());
-  auto store = backends::ShardedStore::Connect(addr);
-  EXPECT_FALSE(store.ok());
-  (*srv)->Stop();
-}
-
 TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
   // The §5.2 database at level 3, built identically (same Generator
   // seed) on a single-node remote server and a 4-shard fleet: the
@@ -397,6 +382,91 @@ TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
     std::sort(ua.begin(), ua.end());
     std::sort(ub.begin(), ub.end());
     EXPECT_EQ(ua, ub);
+  }
+}
+
+TEST(ShardedStoreTest, EveryModeMatchesInProcessClosures) {
+  // One engine for every client: a 2-shard fleet in each RemoteMode
+  // (per-call fetches, fused fetches, pushdown with scatter-gather
+  // fallback) must reproduce the in-process closures node for node,
+  // uid-translated, including the pruning and mutating kernels.
+  GeneratorConfig config;
+  config.levels = 3;
+  config.generate_contents = false;
+  backends::MemStore local;
+  auto db_local = Generator(config).Build(&local, nullptr);
+  ASSERT_TRUE(db_local.ok()) << db_local.status().ToString();
+
+  // Prune at the root's first child: its million starts the band.
+  std::vector<NodeRef> top;
+  ASSERT_TRUE(local.Children(db_local->root, &top).ok());
+  ASSERT_FALSE(top.empty());
+  const int64_t band = *local.GetAttr(top[0], Attr::kMillion);
+
+  auto uids = [](HyperStore* store, const std::vector<NodeRef>& refs) {
+    std::vector<int64_t> out;
+    for (NodeRef ref : refs) {
+      out.push_back(*store->GetAttr(ref, Attr::kUniqueId));
+    }
+    return out;
+  };
+  struct Closures {
+    std::vector<int64_t> c1n, pred, mn, mnatt, link_uids;
+    std::vector<int64_t> link_dist;
+    int64_t sum = 0;
+    uint64_t visited = 0;
+    uint64_t flipped = 0;
+    int64_t sum_after_flip = 0;
+  };
+  auto run = [&](HyperStore* store, NodeRef root) {
+    Closures c;
+    std::vector<NodeRef> refs;
+    EXPECT_TRUE(ops::Closure1N(store, root, &refs).ok());
+    c.c1n = uids(store, refs);
+    EXPECT_TRUE(ops::Closure1NPred(store, root, band, &refs).ok());
+    c.pred = uids(store, refs);
+    EXPECT_TRUE(ops::ClosureMN(store, root, &refs).ok());
+    c.mn = uids(store, refs);
+    EXPECT_TRUE(ops::ClosureMNAtt(store, root, 25, &refs).ok());
+    c.mnatt = uids(store, refs);
+    std::vector<NodeDistance> dists;
+    EXPECT_TRUE(ops::ClosureMNAttLinkSum(store, root, 25, &dists).ok());
+    for (const NodeDistance& d : dists) {
+      c.link_uids.push_back(*store->GetAttr(d.node, Attr::kUniqueId));
+      c.link_dist.push_back(d.distance);
+    }
+    c.sum = *ops::Closure1NAttSum(store, root, &c.visited);
+    EXPECT_TRUE(store->Begin().ok());
+    c.flipped = *ops::Closure1NAttSet(store, root);
+    EXPECT_TRUE(store->Commit().ok());
+    c.sum_after_flip = *ops::Closure1NAttSum(store, root, nullptr);
+    return c;
+  };
+  Closures expected = run(&local, db_local->root);
+  ASSERT_EQ(expected.c1n.size(), db_local->node_count());
+  ASSERT_LT(expected.pred.size(), expected.c1n.size());
+  ASSERT_EQ(expected.sum_after_flip,
+            99 * static_cast<int64_t>(expected.visited) - expected.sum);
+
+  for (backends::RemoteMode mode :
+       {backends::RemoteMode::kPerCall, backends::RemoteMode::kBatched,
+        backends::RemoteMode::kPushdown}) {
+    SCOPED_TRACE(std::string(backends::RemoteModeName(mode)));
+    auto fleet = backends::ShardedStore::Loopback(2, mode);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    auto db = Generator(config).Build(fleet->get(), nullptr);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Closures got = run(fleet->get(), db->root);
+    EXPECT_EQ(got.c1n, expected.c1n);
+    EXPECT_EQ(got.pred, expected.pred);
+    EXPECT_EQ(got.mn, expected.mn);
+    EXPECT_EQ(got.mnatt, expected.mnatt);
+    EXPECT_EQ(got.link_uids, expected.link_uids);
+    EXPECT_EQ(got.link_dist, expected.link_dist);
+    EXPECT_EQ(got.sum, expected.sum);
+    EXPECT_EQ(got.visited, expected.visited);
+    EXPECT_EQ(got.flipped, expected.flipped);
+    EXPECT_EQ(got.sum_after_flip, expected.sum_after_flip);
   }
 }
 

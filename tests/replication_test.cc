@@ -20,6 +20,8 @@
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/backends/replicated_store.h"
+#include "hypermodel/generator.h"
+#include "hypermodel/operations.h"
 #include "hypermodel/types.h"
 #include "replication/coordinator.h"
 #include "replication/replicator.h"
@@ -661,6 +663,59 @@ TEST_F(ReplicationE2eTest, ReplicatedStoreRoutesCleanReadsToReplicas) {
   // least some rounds land there once it passes the write watermark.
   EXPECT_GT(replica_reads->value(), replica_reads_before)
       << "no read was ever served by the replica";
+}
+
+TEST_F(ReplicationE2eTest, ReplicatedStoreRunsClosuresAsOneCall) {
+  // The replicated client routes each §6.6 closure as one call: a
+  // read-only kernel is pushed down to the peer that serves the read,
+  // never walked with one kChildren round trip per node, and the
+  // update kernel lands on the primary.
+  auto& primary = StartNode("primary", false, 0);
+  auto& r1 = StartNode("r1", true, primary.port());
+
+  backends::ReplicatedOptions options;
+  for (uint16_t port : {primary.port(), r1.port()}) {
+    backends::RemoteOptions peer;
+    peer.host = "127.0.0.1";
+    peer.port = port;
+    peer.max_retries = 1;
+    options.peers.push_back(peer);
+  }
+  auto client = ReplicatedStore::Connect(options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_NE(dynamic_cast<TraversalCapable*>(client->get()), nullptr);
+
+  GeneratorConfig config;
+  config.levels = 3;
+  config.generate_contents = false;
+  auto db = Generator(config).Build(client->get(), nullptr);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto direct = Client(primary.port());
+  ASSERT_NE(direct, nullptr);
+
+  auto& registry = telemetry::Registry::Global();
+  telemetry::Snapshot before = registry.TakeSnapshot();
+  std::vector<NodeRef> routed;
+  ASSERT_TRUE((*client)->Begin().ok());
+  ASSERT_TRUE(ops::Closure1N(client->get(), db->root, &routed).ok());
+  ASSERT_TRUE((*client)->Commit().ok());
+  telemetry::Snapshot diff = registry.TakeSnapshot().DiffSince(before);
+  EXPECT_EQ(routed.size(), db->node_count());
+  EXPECT_EQ(diff.counter("server.op.closure_1n.count"), 1u);
+  EXPECT_EQ(diff.counter("server.op.children.count"), 0u);
+
+  std::vector<NodeRef> expected;
+  ASSERT_TRUE(ops::Closure1N(direct.get(), db->root, &expected).ok());
+  EXPECT_EQ(routed, expected);
+  ASSERT_TRUE(ops::ClosureMN(client->get(), db->root, &routed).ok());
+  ASSERT_TRUE(ops::ClosureMN(direct.get(), db->root, &expected).ok());
+  EXPECT_EQ(routed, expected);
+
+  ASSERT_TRUE((*client)->Begin().ok());
+  auto flipped = ops::Closure1NAttSet(client->get(), db->root);
+  ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
+  ASSERT_TRUE((*client)->Commit().ok());
+  EXPECT_EQ(*flipped, db->node_count());
 }
 
 }  // namespace

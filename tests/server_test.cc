@@ -21,6 +21,7 @@
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "telemetry/metrics.h"
+#include "util/coding.h"
 #include "util/failpoint.h"
 
 namespace hm {
@@ -241,52 +242,124 @@ TEST(ServerTest, ResetByAnotherSessionYieldsCleanConflict) {
   EXPECT_TRUE(late->LookupUnique(1).status().IsNotFound());
 }
 
-TEST(ServerTest, OldClientHelloInteroperates) {
-  // A v1 client sends Hello with an empty body; the v2 server must
-  // negotiate down to version 1 and keep serving v1 opcodes.
-  auto srv = StartMemServer();
-  ASSERT_NE(srv, nullptr);
+/// Reads one frame from `fd` into `*payload`, buffering in `*rx`.
+bool ReadFrame(int fd, std::string* rx, std::string* payload) {
+  char buf[4096];
+  for (;;) {
+    std::string_view view;
+    size_t frame_len = 0;
+    server::FrameResult decoded = server::DecodeFrame(*rx, &view, &frame_len);
+    if (decoded == server::FrameResult::kOk) {
+      payload->assign(view);
+      rx->erase(0, frame_len);
+      return true;
+    }
+    if (decoded != server::FrameResult::kIncomplete) return false;
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    rx->append(buf, static_cast<size_t>(n));
+  }
+}
 
+int DialLoopback(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(srv->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
+TEST(ServerTest, HelloRequiresExactWireVersion) {
+  // One wire version: a Hello naming any other version — including
+  // the empty body of the oldest clients — is refused with a typed
+  // kVersionMismatch, and the connection keeps serving.
+  auto srv = StartMemServer();
+  ASSERT_NE(srv, nullptr);
+  int fd = DialLoopback(srv->port());
+  ASSERT_GE(fd, 0);
+  std::string rx;
   auto roundtrip = [&](std::string_view payload) {
     std::string frame;
     server::AppendFrame(&frame, payload);
     EXPECT_TRUE(server::WriteAll(fd, frame));
-    std::string rx;
-    char buf[4096];
-    for (;;) {
-      std::string_view response;
-      size_t frame_len = 0;
-      server::FrameResult decoded =
-          server::DecodeFrame(rx, &response, &frame_len);
-      if (decoded == server::FrameResult::kOk) return std::string(response);
-      EXPECT_EQ(decoded, server::FrameResult::kIncomplete);
-      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      EXPECT_GT(n, 0);
-      if (n <= 0) return std::string();
-      rx.append(buf, static_cast<size_t>(n));
-    }
+    std::string response;
+    EXPECT_TRUE(ReadFrame(fd, &rx, &response));
+    return response;
+  };
+  auto hello = [&](const std::string& body) {
+    return roundtrip(
+        std::string(1, static_cast<char>(server::OpCode::kHello)) + body);
   };
 
-  std::string hello = roundtrip(std::string(1, '\x01'));  // kHello, no body
-  ASSERT_GE(hello.size(), 2u);
-  EXPECT_EQ(hello[0], 0);  // StatusCode::kOk
-  EXPECT_EQ(hello[1], 1);  // negotiated down to wire version 1
-  // v1 opcodes still work on the same connection.
-  std::string storage =
-      roundtrip(std::string(1, static_cast<char>(29)));  // kStorageBytes
-  ASSERT_GE(storage.size(), 1u);
-  EXPECT_EQ(storage[0], 0);
+  const auto mismatch = static_cast<char>(util::StatusCode::kVersionMismatch);
+  for (uint64_t version :
+       {uint64_t{1}, uint64_t{server::kWireVersion - 1},
+        uint64_t{server::kWireVersion + 1}}) {
+    std::string body;
+    util::PutVarint64(&body, version);
+    std::string response = hello(body);
+    ASSERT_FALSE(response.empty());
+    EXPECT_EQ(response[0], mismatch) << "version " << version;
+  }
+  std::string empty = hello("");
+  ASSERT_FALSE(empty.empty());
+  EXPECT_EQ(empty[0], mismatch);
+
+  std::string body;
+  util::PutVarint64(&body, server::kWireVersion);
+  std::string ok = hello(body);
+  ASSERT_GE(ok.size(), 2u);
+  EXPECT_EQ(ok[0], static_cast<char>(util::StatusCode::kOk));
+  EXPECT_EQ(static_cast<uint8_t>(ok[1]), server::kWireVersion);
   ::close(fd);
+}
+
+TEST(ServerTest, ClientRefusesServerOfAnotherWireVersion) {
+  // A fake server that answers Hello with a different version: the
+  // client fails the handshake with kVersionMismatch instead of
+  // talking past it.
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread fake([listener] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string rx, request;
+    if (ReadFrame(fd, &rx, &request)) {
+      std::string response;
+      server::PutStatus(&response, util::Status::Ok());
+      response.push_back(static_cast<char>(server::kWireVersion + 1));
+      util::PutLengthPrefixed(&response, "mem");
+      std::string frame;
+      server::AppendFrame(&frame, response);
+      (void)server::WriteAll(fd, frame);
+    }
+    ::close(fd);
+  });
+
+  backends::RemoteOptions options;
+  options.port = ntohs(addr.sin_port);
+  options.max_retries = 0;
+  auto store = RemoteStore::Connect(options);
+  fake.join();
+  ::close(listener);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsVersionMismatch()) << store.status().ToString();
 }
 
 TEST(ServerTest, ConcurrentReadersRunUnderSharedLock) {
@@ -327,7 +400,7 @@ TEST(ServerTest, ConcurrentReadersRunUnderSharedLock) {
   std::vector<std::thread> threads;
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
-      // Alternate modes so pushdown, fused and pipelined reads all
+      // Alternate modes so pushdown, fused and batched reads all
       // travel the shared-lock path.
       auto reader = ConnectTo(*srv, r % 2 == 0
                                         ? backends::RemoteMode::kPushdown
@@ -429,16 +502,29 @@ TEST(ServerTest, AllRemoteModesAgreeOnTraversals) {
     EXPECT_EQ(*second, expected_1n.size());
   }
 
-  // Fused navigation agrees with per-call too.
-  std::vector<std::vector<NodeRef>> expected_children;
+  // Every frontier fetch agrees with per-call too.
+  RefLists expected_children, expected_parts;
   ASSERT_TRUE(percall->ChildrenMulti(nodes, &expected_children).ok());
+  ASSERT_TRUE(percall->PartsMulti(nodes, &expected_parts).ok());
+  ASSERT_EQ(expected_children.size(), nodes.size());
+  EdgeLists expected_refs;
+  ASSERT_TRUE(percall->RefsToMulti(nodes, &expected_refs).ok());
   std::vector<int64_t> expected_values;
   ASSERT_TRUE(
       percall->GetAttrsMulti(nodes, Attr::kHundred, &expected_values).ok());
   for (RemoteStore* client : clients) {
-    std::vector<std::vector<NodeRef>> children;
-    ASSERT_TRUE(client->ChildrenMulti(nodes, &children).ok());
-    EXPECT_EQ(children, expected_children) << RemoteModeName(client->mode());
+    RefLists lists;
+    ASSERT_TRUE(client->ChildrenMulti(nodes, &lists).ok());
+    EXPECT_EQ(lists, expected_children) << RemoteModeName(client->mode());
+    ASSERT_TRUE(client->PartsMulti(nodes, &lists).ok());
+    EXPECT_EQ(lists, expected_parts) << RemoteModeName(client->mode());
+    EdgeLists refs;
+    ASSERT_TRUE(client->RefsToMulti(nodes, &refs).ok());
+    EXPECT_EQ(refs.ends, expected_refs.ends);
+    for (size_t i = 0; i < refs.items.size(); ++i) {
+      EXPECT_EQ(refs.items[i].node, expected_refs.items[i].node);
+      EXPECT_EQ(refs.items[i].offset_to, expected_refs.items[i].offset_to);
+    }
     std::vector<int64_t> values;
     ASSERT_TRUE(
         client->GetAttrsMulti(nodes, Attr::kHundred, &values).ok());
@@ -511,7 +597,6 @@ TEST(ServerTest, StatsOpcodeCountsScriptedSequence) {
   ASSERT_NE(srv, nullptr);
   auto client = ConnectTo(*srv);
   ASSERT_NE(client, nullptr);
-  EXPECT_EQ(client->wire_version(), server::kWireVersion);
 
   // The registry is process-global and other tests in this binary have
   // already bumped it, so every assertion is over a snapshot *diff*
@@ -554,30 +639,6 @@ TEST(ServerTest, StatsOpcodeCountsScriptedSequence) {
   EXPECT_EQ(diff.histograms.at("server.op.get_attr.latency_us").count, 6u);
   EXPECT_GT(diff.counter("server.net.bytes_in"), 0u);
   EXPECT_GT(diff.counter("server.net.bytes_out"), 0u);
-}
-
-TEST(ServerTest, StatsFallsBackPolitelyOnV2Server) {
-  // Cap the server at wire v2: it predates kStats and answers the
-  // unknown opcode with NotSupported, exactly like a real old binary.
-  server::ServerOptions options;
-  options.max_wire_version = 2;
-  auto srv = StartMemServer(options);
-  ASSERT_NE(srv, nullptr);
-  auto client = ConnectTo(*srv);
-  ASSERT_NE(client, nullptr);
-  EXPECT_EQ(client->wire_version(), 2);
-
-  telemetry::Snapshot snap;
-  util::Status status = client->ServerStats(&snap);
-  EXPECT_EQ(status.code(), util::StatusCode::kNotSupported)
-      << status.ToString();
-
-  // The rest of the protocol is unaffected by the failed probe.
-  ASSERT_TRUE(client->Begin().ok());
-  auto node = client->CreateNode(MakeAttrs(7), kInvalidNode);
-  ASSERT_TRUE(node.ok()) << node.status().ToString();
-  ASSERT_TRUE(client->Commit().ok());
-  EXPECT_EQ(*client->LookupUnique(7), *node);
 }
 
 // ---- Fault tolerance: deadlines, retries, shedding, draining ---------
@@ -730,23 +791,12 @@ TEST_F(FaultToleranceTest, WriteOpSurfacesUnavailableThenReconnects) {
   EXPECT_TRUE(client->Commit().ok());
 }
 
-TEST_F(FaultToleranceTest, PingRoundTripsAndOldServerDeclines) {
+TEST_F(FaultToleranceTest, PingRoundTrips) {
   auto srv = StartMemServer();
   ASSERT_NE(srv, nullptr);
   auto client = ConnectTo(*srv);
   ASSERT_NE(client, nullptr);
   EXPECT_TRUE(client->Ping().ok());
-
-  server::ServerOptions capped;
-  capped.max_wire_version = 3;
-  auto old_srv = StartMemServer(capped);
-  ASSERT_NE(old_srv, nullptr);
-  auto old_client = ConnectTo(*old_srv);
-  ASSERT_NE(old_client, nullptr);
-  EXPECT_EQ(old_client->wire_version(), 3);
-  util::Status status = old_client->Ping();
-  EXPECT_EQ(status.code(), util::StatusCode::kNotSupported)
-      << status.ToString();
 }
 
 TEST_F(FaultToleranceTest, InflightCeilingShedsExcessRequests) {

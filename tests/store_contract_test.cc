@@ -15,6 +15,7 @@
 #include <memory>
 #include <random>
 #include <thread>
+#include <unordered_set>
 
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/net_store.h"
@@ -80,6 +81,63 @@ std::vector<BackendFactory> Factories() {
        }},
   };
 }
+
+/// Navigation-at-a-time reference walks, written straight from the §6.6
+/// definitions and independent of the level-synchronous engine: the
+/// differential oracle every routed closure must match.
+namespace reference {
+
+void Preorder(HyperStore* store, NodeRef node, const int64_t* band,
+              std::vector<NodeRef>* out) {
+  if (band != nullptr) {
+    auto million = store->GetAttr(node, Attr::kMillion);
+    ASSERT_TRUE(million.ok());
+    if (*million >= band[0] && *million <= band[1]) return;  // pruned
+  }
+  out->push_back(node);
+  std::vector<NodeRef> children;
+  ASSERT_TRUE(store->Children(node, &children).ok());
+  for (NodeRef child : children) Preorder(store, child, band, out);
+}
+
+std::vector<NodeRef> PartsDfs(HyperStore* store, NodeRef start) {
+  std::vector<NodeRef> out;
+  std::unordered_set<NodeRef> visited;
+  std::vector<NodeRef> stack{start};
+  while (!stack.empty()) {
+    NodeRef node = stack.back();
+    stack.pop_back();
+    if (!visited.insert(node).second) continue;
+    out.push_back(node);
+    std::vector<NodeRef> parts;
+    EXPECT_TRUE(store->Parts(node, &parts).ok());
+    stack.insert(stack.end(), parts.rbegin(), parts.rend());
+  }
+  return out;
+}
+
+std::vector<NodeDistance> RefsBfs(HyperStore* store, NodeRef start,
+                                  int depth) {
+  std::vector<NodeDistance> out{{start, 0}};
+  std::unordered_set<NodeRef> visited{start};
+  size_t begin = 0;
+  for (int level = 0; level < depth; ++level) {
+    const size_t end = out.size();
+    for (size_t i = begin; i < end; ++i) {
+      std::vector<RefEdge> edges;
+      EXPECT_TRUE(store->RefsTo(out[i].node, &edges).ok());
+      for (const RefEdge& edge : edges) {
+        if (visited.insert(edge.node).second) {
+          out.push_back({edge.node, out[i].distance + edge.offset_to});
+        }
+      }
+    }
+    begin = end;
+  }
+  return out;
+}
+
+}  // namespace reference
 
 class StoreContractTest : public ::testing::TestWithParam<size_t> {
  protected:
@@ -362,10 +420,10 @@ TEST_P(StoreContractTest, StorageBytesGrowsWithData) {
 
 TEST_P(StoreContractTest, CapabilityTraversalsMatchGenericKernels) {
   // ops:: routes through TraversalCapable when the backend offers it
-  // (remote pushes the walk across the wire) and falls back to the
-  // generic kernels otherwise. Whichever path a backend takes, the
-  // results must be byte-identical to running the generic kernels
-  // directly against the same store.
+  // (remote pushes the walk across the wire, shard scatters it) and
+  // runs the traversal engine in-process otherwise. Whichever path a
+  // backend takes, the results must be byte-identical to the
+  // navigation-at-a-time reference walks against the same store.
   ASSERT_TRUE(store_->Begin().ok());
   NodeRef root = Create(1);
   std::vector<NodeRef> nodes{root};
@@ -385,75 +443,74 @@ TEST_P(StoreContractTest, CapabilityTraversalsMatchGenericKernels) {
   ASSERT_TRUE(store_->Commit().ok());
 
   HyperStore* store = store_.get();
+  std::vector<NodeRef> closure;
+  reference::Preorder(store, root, nullptr, &closure);
+  ASSERT_EQ(closure.size(), nodes.size());
   {
-    std::vector<NodeRef> routed, generic;
+    std::vector<NodeRef> routed;
     ASSERT_TRUE(ops::Closure1N(store, root, &routed).ok());
-    ASSERT_TRUE(traversal::Closure1N(store, root, &generic).ok());
-    EXPECT_EQ(routed, generic);
-    ASSERT_FALSE(generic.empty());
+    EXPECT_EQ(routed, closure);
   }
   {
-    uint64_t visited_r = 0, visited_g = 0;
-    auto routed = ops::Closure1NAttSum(store, root, &visited_r);
-    auto generic = traversal::Closure1NAttSum(store, root, &visited_g);
+    uint64_t visited = 0;
+    auto routed = ops::Closure1NAttSum(store, root, &visited);
     ASSERT_TRUE(routed.ok());
-    ASSERT_TRUE(generic.ok());
-    EXPECT_EQ(*routed, *generic);
-    EXPECT_EQ(visited_r, visited_g);
+    int64_t sum = 0;
+    for (NodeRef node : closure) sum += *store->GetAttr(node, Attr::kHundred);
+    EXPECT_EQ(*routed, sum);
+    EXPECT_EQ(visited, closure.size());
   }
   {
     // The predicate walk prunes whole subtrees; both paths must prune
     // identically. million = uid * 37 % 1e6 + 1 scatters values, so
     // pick a band that excludes some of the 40 nodes but not all.
-    std::vector<NodeRef> routed, generic;
+    std::vector<NodeRef> routed, expected;
     ASSERT_TRUE(ops::Closure1NPred(store, root, 300, &routed).ok());
-    ASSERT_TRUE(
-        traversal::Closure1NPred(store, root, 300, 300 + 9999, &generic)
-            .ok());
-    EXPECT_EQ(routed, generic);
+    const int64_t band[2] = {300, 300 + 9999};
+    reference::Preorder(store, root, band, &expected);
+    EXPECT_EQ(routed, expected);
+    EXPECT_LT(routed.size(), closure.size());
+    EXPECT_FALSE(routed.empty());
   }
   {
-    std::vector<NodeRef> routed, generic;
+    std::vector<NodeRef> routed;
     ASSERT_TRUE(ops::ClosureMN(store, root, &routed).ok());
-    ASSERT_TRUE(traversal::ClosureMN(store, root, &generic).ok());
-    EXPECT_EQ(routed, generic);
+    EXPECT_EQ(routed, reference::PartsDfs(store, root));
   }
   for (int depth : {0, 2, 50}) {
-    std::vector<NodeRef> routed, generic;
+    std::vector<NodeDistance> expected =
+        reference::RefsBfs(store, root, depth);
+    std::vector<NodeRef> routed;
     ASSERT_TRUE(ops::ClosureMNAtt(store, root, depth, &routed).ok());
-    ASSERT_TRUE(traversal::ClosureMNAtt(store, root, depth, &generic).ok());
-    EXPECT_EQ(routed, generic) << "depth " << depth;
+    ASSERT_EQ(routed.size(), expected.size()) << "depth " << depth;
+    for (size_t i = 0; i < routed.size(); ++i) {
+      EXPECT_EQ(routed[i], expected[i].node);
+    }
 
-    std::vector<NodeDistance> routed_d, generic_d;
+    std::vector<NodeDistance> routed_d;
     ASSERT_TRUE(
         ops::ClosureMNAttLinkSum(store, root, depth, &routed_d).ok());
-    ASSERT_TRUE(
-        traversal::ClosureMNAttLinkSum(store, root, depth, &generic_d).ok());
-    ASSERT_EQ(routed_d.size(), generic_d.size()) << "depth " << depth;
+    ASSERT_EQ(routed_d.size(), expected.size()) << "depth " << depth;
     for (size_t i = 0; i < routed_d.size(); ++i) {
-      EXPECT_EQ(routed_d[i].node, generic_d[i].node);
-      EXPECT_EQ(routed_d[i].distance, generic_d[i].distance);
+      EXPECT_EQ(routed_d[i].node, expected[i].node);
+      EXPECT_EQ(routed_d[i].distance, expected[i].distance);
     }
   }
   {
-    // The mutating kernel: the routed pass flips hundred := 99 -
-    // hundred; the generic pass flips it back. Equal counts plus a
-    // restored attribute prove both touched exactly the same nodes.
-    auto before = store->GetAttr(root, Attr::kHundred);
-    ASSERT_TRUE(before.ok());
+    // The mutating kernel: hundred := 99 - hundred over exactly the
+    // 1-N closure, on every node of it.
+    std::vector<int64_t> before;
+    for (NodeRef node : closure) {
+      before.push_back(*store->GetAttr(node, Attr::kHundred));
+    }
     ASSERT_TRUE(store_->Begin().ok());
     auto routed = ops::Closure1NAttSet(store, root);
     ASSERT_TRUE(routed.ok());
-    auto mid = store->GetAttr(root, Attr::kHundred);
-    ASSERT_TRUE(mid.ok());
-    EXPECT_EQ(*mid, 99 - *before);
-    auto generic = traversal::Closure1NAttSet(store, root);
-    ASSERT_TRUE(generic.ok());
     ASSERT_TRUE(store_->Commit().ok());
-    EXPECT_EQ(*routed, *generic);
-    auto after = store->GetAttr(root, Attr::kHundred);
-    ASSERT_TRUE(after.ok());
-    EXPECT_EQ(*after, *before);
+    EXPECT_EQ(*routed, closure.size());
+    for (size_t i = 0; i < closure.size(); ++i) {
+      EXPECT_EQ(*store->GetAttr(closure[i], Attr::kHundred), 99 - before[i]);
+    }
   }
   {
     // BulkGetAttr (the SeqScan capability) positionally matches
@@ -463,7 +520,7 @@ TEST_P(StoreContractTest, CapabilityTraversalsMatchGenericKernels) {
       ASSERT_TRUE(trav->BulkGetAttr(nodes, Attr::kMillion, &bulk).ok());
     } else {
       ASSERT_TRUE(
-          traversal::BulkGetAttr(store, nodes, Attr::kMillion, &bulk).ok());
+          StoreFetch(store).GetAttrsMulti(nodes, Attr::kMillion, &bulk).ok());
     }
     ASSERT_EQ(bulk.size(), nodes.size());
     for (size_t i = 0; i < nodes.size(); ++i) {

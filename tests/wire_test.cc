@@ -146,9 +146,12 @@ TEST(WireStatusTest, ErrorStatusRoundTripsCodeAndMessage) {
 }
 
 TEST(WireStatusTest, AllCodesSurviveTheWire) {
-  for (uint8_t code = 1; code <= 10; ++code) {
+  constexpr auto kLast =
+      static_cast<uint8_t>(util::StatusCode::kVersionMismatch);
+  for (uint8_t code = 1; code <= kLast; ++code) {
     util::Status original =
         StatusFromCode(static_cast<util::StatusCode>(code), "msg");
+    EXPECT_EQ(original.code(), static_cast<util::StatusCode>(code));
     std::string payload;
     PutStatus(&payload, original);
     util::Status decoded;

@@ -14,9 +14,10 @@ evolves under three rules this check enforces mechanically:
      without documenting what changed) both fail. (v5 is the cluster
      revision: kShardInfo lives under the `---- v5:` gate, and the
      shard:// client refuses fleets whose servers predate it.)
-  2b. Compatibility floor: kMinWireVersion exists and satisfies
-     1 <= kMinWireVersion <= kWireVersion — a protocol bump must not
-     silently strand the handshake's negotiation window.
+  2b. One wire version: peers speak exactly kWireVersion, so wire.h
+     must not declare a negotiation floor (kMinWireVersion). From v7
+     on, with status.h given, StatusCode must carry kVersionMismatch,
+     the handshake's typed refusal.
   3. Telemetry surface: every opcode has a `case OpCode::kFoo: return
      "snake_name";` entry in OpCodeName() with a unique
      lower_snake_case name — these spell the per-opcode metric names,
@@ -92,14 +93,8 @@ def parse_wire_version(header_text):
     return int(match.group(1))
 
 
-def parse_min_wire_version(header_text):
-    match = re.search(
-        r"inline\s+constexpr\s+uint8_t\s+kMinWireVersion\s*=\s*(\d+)\s*;",
-        header_text,
-    )
-    if not match:
-        fail(["wire.h: cannot find kMinWireVersion"])
-    return int(match.group(1))
+def declares_min_wire_version(header_text):
+    return re.search(r"\bkMinWireVersion\b", header_text) is not None
 
 
 def parse_opcode_names(source_text):
@@ -183,10 +178,19 @@ def parse_status_enum(status_text):
     return codes
 
 
-def check_status_codes(status_text, source_text, errors):
+def check_status_codes(status_text, source_text, wire_version, errors):
     codes = parse_status_enum(status_text)
     if not codes:
         fail(["status.h: StatusCode enum has no entries"])
+
+    # Rule 2b, status half: the exact-version handshake needs its code.
+    if wire_version >= 7 and "kVersionMismatch" not in {
+        name for name, _, _ in codes
+    }:
+        errors.append(
+            f"status.h: kWireVersion is {wire_version} but StatusCode has "
+            f"no kVersionMismatch for the exact-version handshake"
+        )
 
     # Rule 4: unique, ascending, contiguous from 0.
     if codes[0][1] != 0:
@@ -243,16 +247,15 @@ def main():
 
     opcodes, markers = parse_enum(header_text)
     wire_version = parse_wire_version(header_text)
-    min_wire_version = parse_min_wire_version(header_text)
     names = parse_opcode_names(source_text)
     errors = []
 
-    # Rule 2b: the negotiation window [kMinWireVersion, kWireVersion]
-    # must be well-formed.
-    if not 1 <= min_wire_version <= wire_version:
+    # Rule 2b: one wire version, no negotiation window.
+    if declares_min_wire_version(header_text):
         errors.append(
-            f"wire.h: kMinWireVersion = {min_wire_version} outside "
-            f"[1, kWireVersion = {wire_version}]"
+            "wire.h: declares kMinWireVersion; peers speak exactly "
+            "kWireVersion (single-version rule), so there is no "
+            "negotiation floor"
         )
 
     if not opcodes:
@@ -339,7 +342,9 @@ def main():
     if status_path is not None:
         with open(status_path, encoding="utf-8") as f:
             status_text = f.read()
-        status_count = check_status_codes(status_text, source_text, errors)
+        status_count = check_status_codes(
+            status_text, source_text, wire_version, errors
+        )
 
     if errors:
         fail(errors)

@@ -946,20 +946,10 @@ int StatsMain(int argc, char** argv) {
   auto store = hm::backends::RemoteStore::Connect(*options);
   CheckOk(store.status());
   hm::telemetry::Snapshot snapshot;
-  hm::util::Status status = (*store)->ServerStats(&snapshot);
-  if (status.code() == hm::util::StatusCode::kNotSupported) {
-    // A pre-v3 server answers the unknown opcode with NotSupported;
-    // say so instead of printing a scary error.
-    std::cerr << "hmbench stats: server at " << remote
-              << " speaks wire v"
-              << static_cast<int>((*store)->wire_version())
-              << " and has no stats opcode (needs v3)\n";
-    return 1;
-  }
-  CheckOk(status);
+  CheckOk((*store)->ServerStats(&snapshot));
   std::cout << "server " << remote << " — backend "
             << (*store)->server_backend() << ", wire v"
-            << static_cast<int>((*store)->wire_version()) << "\n";
+            << static_cast<int>(hm::server::kWireVersion) << "\n";
   snapshot.PrintTo(std::cout);
   return 0;
 }
