@@ -48,7 +48,7 @@ void RunPolicy(const hm::bench::BenchEnv& env,
                hm::objstore::PlacementPolicy policy, int level,
                std::vector<Row>* rows) {
   hm::backends::OodbOptions options;
-  options.cache_pages = env.cache_pages;
+  options.cache_pages = env.backend.cache_pages;
   options.placement = policy;
   std::string dir = env.workdir + "/oodb_" + PolicyName(policy) + "_l" +
                     std::to_string(level);
@@ -122,7 +122,17 @@ void RunPolicy(const hm::bench::BenchEnv& env,
 }  // namespace
 
 int main(int argc, char** argv) {
-  hm::bench::BenchEnv env = hm::bench::ParseEnv(argc, argv, {4, 5});
+  hm::bench::BenchEnv env;
+  env.levels = {4, 5};
+  hm::bench::Flags flags("bench_clustering");
+  flags.Add("levels", &env.levels)
+      .Add("iters", &env.iterations)
+      .Add("cache-pages", &env.backend.cache_pages)
+      .Parse(argc, argv);
+  if (env.levels.empty() || env.iterations <= 0) {
+    flags.Fail("needs levels and iters > 0");
+  }
+  env.workdir = hm::bench::ScratchDir();
   std::cout << "### E10: Clustering ablation (§5.2) — oodb backend\n\n";
 
   std::vector<Row> rows;

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -36,8 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "hypermodel/backends/oodb_store.h"
-#include "hypermodel/backends/rel_store.h"
+#include "bench/bench_common.h"
 #include "hypermodel/store.h"
 #include "telemetry/metrics.h"
 #include "util/timer.h"
@@ -67,18 +65,6 @@ struct RunResult {
   double syncs_per_commit = 0;
 };
 
-std::vector<std::string> Split(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 void Die(const std::string& message) {
   std::fprintf(stderr, "bench_commit: %s\n", message.c_str());
   std::exit(1);
@@ -86,36 +72,16 @@ void Die(const std::string& message) {
 
 Config ParseFlags(int argc, char** argv) {
   Config config;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--backend=")) {
-      config.backend = v;
-    } else if (const char* v = value("--clients=")) {
-      config.clients.clear();
-      for (const std::string& item : Split(v)) {
-        config.clients.push_back(std::atoi(item.c_str()));
-      }
-    } else if (const char* v = value("--commits=")) {
-      config.commits = std::atoi(v);
-    } else if (const char* v = value("--group-commit-us=")) {
-      config.windows_us.clear();
-      for (const std::string& item : Split(v)) {
-        config.windows_us.push_back(std::strtoull(item.c_str(), nullptr, 10));
-      }
-    } else if (const char* v = value("--dir=")) {
-      config.dir = v;
-    } else if (const char* v = value("--json=")) {
-      config.json_path = v;
-    } else {
-      Die("unknown flag " + arg);
-    }
-  }
+  Flags flags("bench_commit");
+  flags.Add("backend", &config.backend)
+      .Add("clients", &config.clients)
+      .Add("commits", &config.commits)
+      .Add("group-commit-us", &config.windows_us)
+      .Add("dir", &config.dir)
+      .Add("json", &config.json_path)
+      .Parse(argc, argv);
   if (config.backend != "oodb" && config.backend != "rel") {
-    Die("--backend must be oodb or rel");
+    flags.Fail("--backend must be oodb or rel");
   }
   if (config.dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");
@@ -126,17 +92,10 @@ Config ParseFlags(int argc, char** argv) {
 
 std::unique_ptr<HyperStore> OpenStore(const Config& config, uint64_t window_us,
                                       const std::string& dir) {
-  if (config.backend == "oodb") {
-    backends::OodbOptions options;
-    options.group_commit_us = window_us;
-    auto store = backends::OodbStore::Open(options, dir);
-    if (!store.ok()) Die("oodb open: " + store.status().ToString());
-    return std::move(*store);
-  }
-  backends::RelOptions options;
-  options.group_commit_us = window_us;
-  auto store = backends::RelStore::Open(options, dir);
-  if (!store.ok()) Die("rel open: " + store.status().ToString());
+  BackendConfig backend;
+  backend.group_commit_us = window_us;
+  auto store = OpenBackend(backend, config.backend, dir);
+  if (!store.ok()) Die(config.backend + " open: " + store.status().ToString());
   return std::move(*store);
 }
 
@@ -260,7 +219,7 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& rows) {
 
 int Main(int argc, char** argv) {
   Config config = ParseFlags(argc, argv);
-  std::filesystem::create_directories(config.dir);
+  ScratchDir(config.dir);
 
   std::printf("group-commit pipeline: %s backend, %d commits/editor\n",
               config.backend.c_str(), config.commits);
@@ -280,7 +239,6 @@ int Main(int argc, char** argv) {
     }
   }
   if (!config.json_path.empty()) WriteJson(config.json_path, rows);
-  std::filesystem::remove_all(config.dir);
   return 0;
 }
 

@@ -2,37 +2,21 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/net_store.h"
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/rel_store.h"
 #include "hypermodel/backends/remote_store.h"
+#include "hypermodel/backends/replicated_store.h"
+#include "hypermodel/backends/sharded_store.h"
 #include "server/server.h"
-#include "telemetry/metrics.h"
-#include "util/check.h"
 
 namespace hm::bench {
-
-namespace {
-
-std::vector<std::string> SplitCsv(const std::string& value) {
-  std::vector<std::string> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-}  // namespace
 
 void CheckOk(const util::Status& status) {
   if (!status.ok()) {
@@ -41,247 +25,245 @@ void CheckOk(const util::Status& status) {
   }
 }
 
-BenchEnv ParseEnv(std::vector<int> default_levels) {
-  BenchEnv env;
-  env.levels = std::move(default_levels);
-  if (const char* levels = std::getenv("HM_LEVELS")) {
-    env.levels.clear();
-    for (const std::string& level : SplitCsv(levels)) {
-      env.levels.push_back(std::atoi(level.c_str()));
-    }
-  }
-  if (const char* backends = std::getenv("HM_BACKENDS")) {
-    env.backends = SplitCsv(backends);
-  }
-  if (const char* iters = std::getenv("HM_ITERS")) {
-    env.iterations = std::atoi(iters);
-  }
-  if (const char* cache = std::getenv("HM_CACHE_PAGES")) {
-    env.cache_pages = static_cast<size_t>(std::atoll(cache));
-  }
-  if (const char* remote = std::getenv("HM_REMOTE_ADDR")) {
-    env.remote_addr = remote;
-  }
-  if (const char* mode = std::getenv("HM_REMOTE_MODE")) {
-    auto parsed = backends::ParseRemoteMode(mode);
-    CheckOk(parsed.status());
-    env.remote_mode = *parsed;
-  }
-  if (const char* json = std::getenv("HM_JSON")) {
-    env.json_path = json;
-  }
-  if (const char* stats = std::getenv("HM_STATS")) {
-    env.stats = std::string(stats) != "0";
-  }
-  env.workdir =
-      "/tmp/hm_bench_" + std::to_string(static_cast<long>(::getpid()));
-  std::filesystem::remove_all(env.workdir);
-  std::filesystem::create_directories(env.workdir);
-  return env;
+// --- Flags -----------------------------------------------------------
+
+bool ParseFlagValue(const std::string& text, std::string* out) {
+  *out = text;
+  return true;
 }
 
-BenchEnv ParseEnv(int argc, char** argv, std::vector<int> default_levels) {
-  BenchEnv env = ParseEnv(std::move(default_levels));
-  for (int i = 1; i < argc; ++i) {
+bool ParseFlagValue(const std::string& text, backends::RemoteMode* out) {
+  auto mode = backends::ParseRemoteMode(text);
+  if (mode.ok()) *out = *mode;
+  return mode.ok();
+}
+
+bool ParseFlagValue(const std::string& text, OpId* out) {
+  std::string number = text;
+  for (char& c : number) c = static_cast<char>(std::toupper(c));
+  for (OpId op : AllOps()) {
+    std::string_view name = OpName(op);  // "05A groupLookup1N"
+    if (name.substr(0, name.find(' ')) == number) {
+      *out = op;
+      return true;
+    }
+  }
+  return false;
+}
+
+void Flags::Parse(int argc, char** argv, int first) const {
+  for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.starts_with("--levels=")) {
-      env.levels.clear();
-      for (const std::string& level : SplitCsv(value("--levels="))) {
-        env.levels.push_back(std::atoi(level.c_str()));
+    if (arg == "--help" || arg == "-h") {
+      if (help_.empty()) {
+        std::cout << "usage: " << program_;
+        for (const Flag& flag : flags_) {
+          std::cout << " [--" << flag.name << (flag.is_switch ? "]" : "=]");
+        }
+        std::cout << "\n";
+      } else {
+        std::cout << help_;
       }
-    } else if (arg.starts_with("--backends=")) {
-      env.backends = SplitCsv(value("--backends="));
-    } else if (arg.starts_with("--backend=")) {
-      env.backends = SplitCsv(value("--backend="));
-    } else if (arg.starts_with("--iters=")) {
-      env.iterations = std::atoi(value("--iters=").c_str());
-    } else if (arg.starts_with("--cache-pages=")) {
-      env.cache_pages =
-          static_cast<size_t>(std::atoll(value("--cache-pages=").c_str()));
-    } else if (arg.starts_with("--remote=")) {
-      env.remote_addr = value("--remote=");
-    } else if (arg.starts_with("--remote-mode=")) {
-      auto parsed = backends::ParseRemoteMode(value("--remote-mode="));
-      CheckOk(parsed.status());
-      env.remote_mode = *parsed;
-    } else if (arg.starts_with("--json=")) {
-      env.json_path = value("--json=");
-    } else if (arg == "--stats") {
-      env.stats = true;
-    } else {
-      std::cerr << "unknown argument '" << arg
-                << "' (supported: --levels= --backend(s)= --iters= "
-                   "--cache-pages= --remote= --remote-mode= --json= "
-                   "--stats)\n";
-      std::exit(1);
+      std::exit(0);
+    }
+    size_t eq = arg.find('=');
+    std::string name = arg.substr(0, eq);
+    auto flag = std::find_if(flags_.begin(), flags_.end(), [&](const Flag& f) {
+      return "--" + f.name == name;
+    });
+    if (flag == flags_.end() || flag->is_switch != (eq == std::string::npos)) {
+      Fail("unknown argument '" + arg + "'");
+    }
+    if (!flag->set(flag->is_switch ? "" : arg.substr(eq + 1))) {
+      Fail("bad value in '" + arg + "'");
     }
   }
-  if (env.levels.empty() || env.backends.empty() || env.iterations <= 0) {
-    std::cerr << "bad benchmark configuration\n";
-    std::exit(1);
-  }
-  return env;
 }
 
-std::unique_ptr<HyperStore> OpenBackend(const BenchEnv& env,
-                                        const std::string& name,
-                                        const std::string& dir) {
-  if (name == "mem") {
-    return std::make_unique<backends::MemStore>();
+void Flags::Fail(const std::string& message) const {
+  std::cerr << program_ << ": " << message << " (flags:";
+  for (const Flag& flag : flags_) {
+    std::cerr << " --" << flag.name << (flag.is_switch ? "" : "=");
   }
+  std::cerr << ")\n";
+  std::exit(1);
+}
+
+// --- Backends --------------------------------------------------------
+
+util::Result<backends::RemoteMode> RemoteModeOf(
+    const std::string& name, backends::RemoteMode fallback) {
+  if (name == "remote") return fallback;
+  if (!name.starts_with("remote[") || !name.ends_with("]")) {
+    return util::Status::InvalidArgument(
+        "bad backend spelling '" + name +
+        "' (want remote[percall|batched|pushdown])");
+  }
+  return backends::ParseRemoteMode(name.substr(7, name.size() - 8));
+}
+
+util::Result<std::unique_ptr<HyperStore>> OpenBackend(
+    const BackendConfig& config, const std::string& name,
+    const std::string& dir) {
+  using Store = std::unique_ptr<HyperStore>;
+  if (name == "mem") return Store(std::make_unique<backends::MemStore>());
   if (name == "oodb") {
     backends::OodbOptions options;
-    options.cache_pages = env.cache_pages;
-    options.placement = env.placement;
+    options.cache_pages = config.cache_pages;
+    options.group_commit_us = config.group_commit_us;
+    options.checkpoint_interval_ms = config.checkpoint_ms;
     auto store = backends::OodbStore::Open(options, dir);
-    CheckOk(store.status());
-    return std::move(*store);
-  }
-  if (name == "net") {
-    backends::NetOptions options;
-    options.cache_pages = env.cache_pages;
-    auto store = backends::NetStore::Open(options, dir);
-    CheckOk(store.status());
-    return std::move(*store);
+    HM_RETURN_IF_ERROR(store.status());
+    return Store(std::move(*store));
   }
   if (name == "rel") {
     backends::RelOptions options;
-    options.cache_pages = env.cache_pages;
+    options.cache_pages = config.cache_pages;
+    options.group_commit_us = config.group_commit_us;
     auto store = backends::RelStore::Open(options, dir);
-    CheckOk(store.status());
-    return std::move(*store);
+    HM_RETURN_IF_ERROR(store.status());
+    return Store(std::move(*store));
   }
-  if (name == "remote" || name.starts_with("remote[")) {
-    backends::RemoteMode mode = env.remote_mode;
-    if (name.starts_with("remote[")) {
-      if (!name.ends_with("]")) {
-        std::cerr << "bad backend spelling '" << name
-                  << "' (want remote[percall|batched|pushdown])\n";
-        std::exit(1);
-      }
-      auto parsed = backends::ParseRemoteMode(
-          name.substr(7, name.size() - 8));
-      CheckOk(parsed.status());
-      mode = *parsed;
-    }
-    util::Result<std::unique_ptr<backends::RemoteStore>> store = [&]() {
-      if (env.remote_addr.empty()) {
+  if (name == "net") {
+    backends::NetOptions options;
+    options.cache_pages = config.cache_pages;
+    auto store = backends::NetStore::Open(options, dir);
+    HM_RETURN_IF_ERROR(store.status());
+    return Store(std::move(*store));
+  }
+  const bool remote = name == "remote" || name.starts_with("remote[");
+  if (name.starts_with("remote://") ||
+      (remote && config.remote.find(';') != std::string::npos)) {
+    // Semicolon-separated peers select the replica-aware client:
+    // remote://primary;replica1;replica2 (commas belong to shard://).
+    auto options = backends::ParseReplicatedAddrs(
+        name.starts_with("remote://") ? name.substr(9) : config.remote);
+    HM_RETURN_IF_ERROR(options.status());
+    auto store = backends::ReplicatedStore::Connect(*options);
+    HM_RETURN_IF_ERROR(store.status());
+    HM_RETURN_IF_ERROR((*store)->ResetServer());
+    return Store(std::move(*store));
+  }
+  if (remote) {
+    auto mode = RemoteModeOf(name, config.remote_mode);
+    HM_RETURN_IF_ERROR(mode.status());
+    auto store = [&]() -> util::Result<std::unique_ptr<backends::RemoteStore>> {
+      if (config.remote.empty()) {
         // Self-hosted loopback: the hop is still real TCP, just
         // against a server thread in this process.
         server::ServerOptions options;
-        options.reset_factory =
-            []() -> util::Result<std::unique_ptr<HyperStore>> {
-          return std::unique_ptr<HyperStore>(
-              std::make_unique<backends::MemStore>());
+        options.reset_factory = []() -> util::Result<Store> {
+          return Store(std::make_unique<backends::MemStore>());
         };
         return backends::RemoteStore::Loopback(
-            std::make_unique<backends::MemStore>(), options, mode);
+            std::make_unique<backends::MemStore>(), options, *mode);
       }
-      auto remote_options = backends::ParseRemoteAddr(env.remote_addr);
-      CheckOk(remote_options.status());
-      remote_options->mode = mode;
-      return backends::RemoteStore::Connect(*remote_options);
+      auto options = backends::ParseRemoteAddr(config.remote);
+      HM_RETURN_IF_ERROR(options.status());
+      options->mode = *mode;
+      return backends::RemoteStore::Connect(*options);
     }();
-    CheckOk(store.status());
-    // The §5.2 generator numbers nodes from uid 1; a long-lived server
-    // must be emptied or the next run's creates collide.
-    CheckOk((*store)->ResetServer());
-    return std::move(*store);
+    HM_RETURN_IF_ERROR(store.status());
+    HM_RETURN_IF_ERROR((*store)->ResetServer());
+    return Store(std::move(*store));
   }
-  std::cerr << "unknown backend '" << name << "'\n";
-  std::exit(1);
+  if (name == "shard" || name.starts_with("shard://")) {
+    // Fleet address: an explicit shard://... name wins, then a fleet
+    // list in `remote` (so `--backends=shard --remote=shard://...`
+    // keeps commas out of the backend list), else a self-hosted
+    // loopback fleet of `shards` servers.
+    std::string addrs = name.starts_with("shard://") ? name : "";
+    if (addrs.empty() && (config.remote.starts_with("shard://") ||
+                          config.remote.find(',') != std::string::npos)) {
+      addrs = config.remote;
+    }
+    backends::RemoteOptions client_options;
+    client_options.mode = config.remote_mode;
+    auto store = addrs.empty() ? backends::ShardedStore::Loopback(
+                                     config.shards, config.remote_mode)
+                               : backends::ShardedStore::Connect(
+                                     addrs, client_options);
+    HM_RETURN_IF_ERROR(store.status());
+    HM_RETURN_IF_ERROR((*store)->ResetServer());
+    return Store(std::move(*store));
+  }
+  return util::Status::InvalidArgument("unknown backend '" + name + "'");
 }
+
+namespace {
+
+/// Removes every ScratchDir when static objects are destroyed, which
+/// happens on main's return and on std::exit alike.
+struct ScratchDirs {
+  std::vector<std::string> paths;
+  ~ScratchDirs() {
+    std::error_code ec;
+    for (const std::string& path : paths) {
+      std::filesystem::remove_all(path, ec);
+    }
+  }
+};
+
+}  // namespace
+
+std::string ScratchDir(const std::string& path) {
+  static ScratchDirs dirs;
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directories(path);
+  dirs.paths.push_back(path);
+  return path;
+}
+
+std::string ScratchDir() {
+  return ScratchDir("/tmp/hm_bench_" +
+                    std::to_string(static_cast<long>(::getpid())));
+}
+
+// --- The §6 protocol -------------------------------------------------
 
 TestDatabase BuildDatabase(HyperStore* store, int level,
                            CreationTiming* timing) {
   GeneratorConfig config;
   config.levels = level;
   Generator generator(config);
-  auto db = generator.Build(store, timing);
-  CheckOk(db.status());
-  return *db;
+  return Must(generator.Build(store, timing));
 }
 
-void RunOpsBench(const BenchEnv& env, const std::vector<OpId>& ops,
-                 const std::string& title, bool include_creation) {
-  std::cout << "### " << title << "\n";
-  std::cout << "(protocol: " << env.iterations
-            << " runs cold + commit + " << env.iterations
-            << " runs warm, per §6; cache " << env.cache_pages
-            << " pages)\n\n";
-
-  telemetry::Snapshot stats_before;
-  if (env.stats) {
-    stats_before = telemetry::Registry::Global().TakeSnapshot();
-  }
-
+Report RunProtocol(const ProtocolConfig& run, const BackendConfig& backend) {
   Report report;
-  for (int level : env.levels) {
-    for (const std::string& backend : env.backends) {
-      std::string dir = env.workdir + "/" + backend + "_l" +
-                        std::to_string(level);
-      std::unique_ptr<HyperStore> store = OpenBackend(env, backend, dir);
+  for (int level : run.levels) {
+    for (const std::string& name : run.backends) {
+      std::unique_ptr<HyperStore> store = Must(OpenBackend(
+          backend, name, run.dir + "/" + name + "_l" + std::to_string(level)));
 
-      // Report the spelling that actually ran: a bare "remote" is
-      // resolved to its pinned rung (remote[pushdown] etc.) so runs at
-      // different rungs stay distinct rows in one JSON/CSV file.
-      std::string label = backend;
-      if (backend == "remote") {
-        if (auto* remote =
-                dynamic_cast<backends::RemoteStore*>(store.get())) {
-          label = "remote[" +
-                  std::string(backends::RemoteModeName(remote->mode())) +
-                  "]";
-        }
+      // Report the spelling that actually ran: a bare "remote" resolves
+      // to its rung, so runs at different rungs stay distinct rows.
+      std::string label = name;
+      if (auto* remote = dynamic_cast<backends::RemoteStore*>(store.get());
+          remote != nullptr && name == "remote") {
+        label = "remote[" +
+                std::string(backends::RemoteModeName(remote->mode())) + "]";
       }
 
       CreationTiming timing;
       TestDatabase db = BuildDatabase(store.get(), level, &timing);
-      if (include_creation) {
-        CreationRow row;
-        row.backend = label;
-        row.level = level;
-        row.nodes = db.node_count();
-        row.timing = timing;
-        report.AddCreation(row);
+      if (run.creation) {
+        report.AddCreation({label, level, db.node_count(), timing});
       }
 
       DriverConfig config;
-      config.iterations = env.iterations;
+      config.iterations = run.iterations;
+      config.seed = run.seed;
       Driver driver(store.get(), &db, config);
-      for (OpId op : ops) {
-        auto result = driver.Run(op);
-        CheckOk(result.status());
-        // The driver reports the store's name ("remote"); keep the
-        // requested spelling (resolved to the effective rung above).
-        result->backend = label;
-        report.AddOpResult(*result);
+      for (OpId op : run.ops) {
+        OpResult result = Must(driver.Run(op));
+        // The driver reports the store's own name ("remote").
+        result.backend = label;
+        report.AddOpResult(result);
       }
     }
   }
-  if (include_creation) {
-    report.PrintCreationTable(std::cout);
-  }
-  report.PrintOpTable(std::cout);
-  if (!env.json_path.empty()) {
-    std::ofstream json(env.json_path);
-    if (!json) {
-      std::cerr << "cannot write JSON to '" << env.json_path << "'\n";
-      std::exit(1);
-    }
-    report.PrintJson(json);
-    std::cout << "JSON written to " << env.json_path << "\n";
-  }
-  if (env.stats) {
-    std::cout << "\n=== Telemetry (registry diff over this run) ===\n";
-    telemetry::Registry::Global()
-        .TakeSnapshot()
-        .DiffSince(stats_before)
-        .PrintTo(std::cout);
-  }
+  return report;
 }
 
 }  // namespace hm::bench

@@ -38,7 +38,20 @@ void Print(const std::vector<Row>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hm::bench::BenchEnv env = hm::bench::ParseEnv(argc, argv, {4});
+  hm::bench::BenchEnv env;
+  env.levels = {4};
+  hm::bench::Flags flags("bench_extensions");
+  flags.Add("levels", &env.levels)
+      .Add("backends", &env.backends)
+      .Add("iters", &env.iterations)
+      .Add("cache-pages", &env.backend.cache_pages)
+      .Add("remote", &env.backend.remote)
+      .Add("remote-mode", &env.backend.remote_mode)
+      .Parse(argc, argv);
+  if (env.levels.size() != 1 || env.backends.empty() || env.iterations <= 0) {
+    flags.Fail("needs one level, backends and iters > 0");
+  }
+  env.workdir = hm::bench::ScratchDir();
   std::cout << "### E12: Extension operations (§6.8 — R4 schema "
                "modification, R5 versions, R11 access control)\n\n";
 
@@ -46,7 +59,7 @@ int main(int argc, char** argv) {
   for (const std::string& backend : env.backends) {
     std::string dir = env.workdir + "/" + backend + "_ext";
     std::unique_ptr<hm::HyperStore> store =
-        hm::bench::OpenBackend(env, backend, dir);
+        hm::bench::Must(hm::bench::OpenBackend(env.backend, backend, dir));
     hm::TestDatabase db =
         hm::bench::BuildDatabase(store.get(), env.levels[0], nullptr);
     hm::util::Rng rng(11);

@@ -29,17 +29,27 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hm::bench::BenchEnv env = hm::bench::ParseEnv(argc, argv, {4});
+  hm::bench::BenchEnv env;
+  env.levels = {4};
+  std::string backend = "mem";
+  hm::bench::Flags flags("bench_multiuser");
+  flags.Add("levels", &env.levels)
+      .Add("backend", &backend)
+      .Add("cache-pages", &env.backend.cache_pages)
+      .Add("remote", &env.backend.remote)
+      .Add("remote-mode", &env.backend.remote_mode)
+      .Parse(argc, argv);
+  if (env.levels.size() != 1) flags.Fail("needs one level");
+  env.workdir = hm::bench::ScratchDir();
   std::cout << "### E13: Multi-user editing under optimistic concurrency "
                "control (R8/R9, §7)\n\n";
 
   // One shared store (default: in-memory, the image model); OCC is the
   // layer under test and backend-independent, so --backend=remote runs
   // the same workload with every workspace round-tripping the wire.
-  const std::string& backend = env.backends[0];
   std::cout << "(backend: " << backend << ")\n\n";
-  std::unique_ptr<hm::HyperStore> store =
-      hm::bench::OpenBackend(env, backend, env.workdir + "/occ");
+  std::unique_ptr<hm::HyperStore> store = hm::bench::Must(
+      hm::bench::OpenBackend(env.backend, backend, env.workdir + "/occ"));
   hm::TestDatabase db =
       hm::bench::BuildDatabase(store.get(), env.levels[0], nullptr);
 

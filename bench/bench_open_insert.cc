@@ -30,7 +30,18 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hm::bench::BenchEnv env = hm::bench::ParseEnv(argc, argv, {4, 5});
+  hm::bench::BenchEnv env;
+  env.levels = {4, 5};
+  hm::bench::Flags flags("bench_open_insert");
+  flags.Add("levels", &env.levels)
+      .Add("backends", &env.backends)
+      .Add("iters", &env.iterations)
+      .Add("cache-pages", &env.backend.cache_pages)
+      .Parse(argc, argv);
+  if (env.levels.empty() || env.backends.empty() || env.iterations <= 0) {
+    flags.Fail("needs levels, backends and iters > 0");
+  }
+  env.workdir = hm::bench::ScratchDir();
   std::cout << "### E14: /RUBE87/ simple operations — databaseOpen and "
                "recordInsert\n\n";
 
@@ -49,14 +60,14 @@ int main(int argc, char** argv) {
       hm::TestDatabase db;
       {
         std::unique_ptr<hm::HyperStore> store =
-            hm::bench::OpenBackend(env, backend, dir);
+            hm::bench::Must(hm::bench::OpenBackend(env.backend, backend, dir));
         db = hm::bench::BuildDatabase(store.get(), level, nullptr);
       }
 
       // --- databaseOpen ---------------------------------------------
       hm::util::Timer timer;
       std::unique_ptr<hm::HyperStore> store =
-          hm::bench::OpenBackend(env, backend, dir);
+          hm::bench::Must(hm::bench::OpenBackend(env.backend, backend, dir));
       row.open_ms = timer.ElapsedMillis();
 
       // --- recordInsert: one node + parent link + commit per op ------

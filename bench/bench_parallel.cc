@@ -8,26 +8,24 @@
 // workstation caches over one shared server store) and run closure
 // traversals in parallel. Reports aggregate throughput scaling.
 //
-// Extra flags on top of the common bench set:
+// Flags:
+//   --backend=oodb             oodb (default) or remote[MODE]
 //   --server-backend=mem,oodb  backend(s) of the self-hosted server in
 //                              --backend=remote mode; each entry gets
 //                              its own server + sweep (default mem)
 //   --readers=1,2,4,8          client counts to sweep (default that)
-// With --json=PATH the sweep is also written as JSON (BENCH_parallel).
+//   --levels=4 --cache-pages=N --remote=HOST:PORT --remote-mode=MODE
+//   --json=PATH                also write the sweep (BENCH_parallel)
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "hypermodel/backends/mem_store.h"
-#include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/operations.h"
 #include "server/server.h"
@@ -47,57 +45,43 @@ struct SweepRow {
   double speedup = 0;
 };
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the flags only this binary knows before the common parser
-  // (which rejects unknown arguments) sees them.
+  hm::bench::BenchEnv env;
+  env.levels = {4};
+  std::string backend = "oodb";
   std::vector<std::string> server_backends{"mem"};
   std::vector<int> reader_counts{1, 2, 4, 8};
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.starts_with("--server-backend=")) {
-      server_backends = SplitCsv(arg.substr(std::strlen("--server-backend=")));
-    } else if (arg.starts_with("--readers=")) {
-      reader_counts.clear();
-      for (const std::string& n : SplitCsv(arg.substr(std::strlen("--readers=")))) {
-        reader_counts.push_back(std::atoi(n.c_str()));
-      }
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+  std::string json_path;
+  hm::bench::Flags flags("bench_parallel");
+  flags.Add("levels", &env.levels)
+      .Add("backend", &backend)
+      .Add("server-backend", &server_backends)
+      .Add("readers", &reader_counts)
+      .Add("cache-pages", &env.backend.cache_pages)
+      .Add("remote", &env.backend.remote)
+      .Add("remote-mode", &env.backend.remote_mode)
+      .Add("json", &json_path)
+      .Parse(argc, argv);
+  // Two deployment shapes share the measurement loop below:
+  //  - oodb (default): K store handles with private page caches over
+  //    one on-disk database — the paper's workstation architecture;
+  //  - remote or remote[MODE]: K wire-protocol clients against one
+  //    server, exercising the shared side of the server's backend lock
+  //    (read-only dispatches run concurrently when the backend allows).
+  const bool remote = backend != "oodb";
+  auto remote_mode =
+      remote ? hm::bench::RemoteModeOf(backend, env.backend.remote_mode)
+             : env.backend.remote_mode;
+  if (!remote_mode.ok()) flags.Fail("--backend must be oodb or remote[MODE]");
+  if (env.levels.size() != 1 || reader_counts.empty() ||
+      server_backends.empty()) {
+    flags.Fail("needs one level, readers and server backends");
   }
-  hm::bench::BenchEnv env = hm::bench::ParseEnv(
-      static_cast<int>(passthrough.size()), passthrough.data(), {4});
+  env.workdir = hm::bench::ScratchDir();
   std::cout << "### E15: Parallel HyperModel applications (§7) — K readers, "
                "one shared database, private caches\n\n";
-
-  // Two deployment shapes share the measurement loop below:
-  //  - default (oodb): K store handles with private page caches over
-  //    one on-disk database — the paper's workstation architecture;
-  //  - --backend=remote: K wire-protocol clients against one server,
-  //    exercising the shared-side of the server's backend lock (read-
-  //    only dispatches run concurrently when the backend allows it).
-  const bool remote = env.backends[0].starts_with("remote");
-  hm::backends::RemoteMode remote_mode = env.remote_mode;
-  if (env.backends[0].starts_with("remote[") &&
-      env.backends[0].ends_with("]")) {
-    auto parsed = hm::backends::ParseRemoteMode(
-        env.backends[0].substr(7, env.backends[0].size() - 8));
-    CheckOk(parsed.status());
-    remote_mode = *parsed;
-  }
 
   int max_readers = 1;
   for (int k : reader_counts) max_readers = std::max(max_readers, k);
@@ -112,41 +96,40 @@ int main(int argc, char** argv) {
     std::string dir = env.workdir + "/shared_" + server_backend;
     std::unique_ptr<hm::server::Server> own_server;
     hm::backends::RemoteOptions remote_options;
-    remote_options.mode = remote_mode;
+    remote_options.mode = *remote_mode;
+    // Each "application" opens its own store handle: its own buffer
+    // pool over the shared directory, or its own connection.
+    auto open_app = [&]() -> std::unique_ptr<hm::HyperStore> {
+      if (remote) {
+        return hm::bench::Must(
+            hm::backends::RemoteStore::Connect(remote_options));
+      }
+      return hm::bench::Must(hm::bench::OpenBackend(env.backend, "oodb", dir));
+    };
     hm::TestDatabase db;
     if (remote) {
-      if (env.remote_addr.empty()) {
+      if (env.backend.remote.empty()) {
         // Self-host one server; enough workers that every reader below
         // gets a concurrent session.
         hm::server::ServerOptions options;
         options.host = "127.0.0.1";
         options.port = 0;
         options.workers = max_readers + 1;
-        std::unique_ptr<hm::HyperStore> backend;
-        if (server_backend == "oodb") {
-          hm::backends::OodbOptions oodb_options;
-          oodb_options.cache_pages = env.cache_pages;
-          auto store = hm::backends::OodbStore::Open(oodb_options, dir);
-          CheckOk(store.status());
-          backend = std::move(*store);
-        } else {
-          backend = std::make_unique<hm::backends::MemStore>();
-        }
-        auto srv = hm::server::Server::Start(options, std::move(backend));
-        CheckOk(srv.status());
-        own_server = std::move(*srv);
+        own_server = hm::bench::Must(hm::server::Server::Start(
+            options, hm::bench::Must(hm::bench::OpenBackend(
+                         env.backend, server_backend, dir))));
         remote_options.host = own_server->host();
         remote_options.port = own_server->port();
-        std::cout << "(backend: " << env.backends[0] << ", server backend: "
+        std::cout << "(backend: " << backend << ", server backend: "
                   << server_backend << ", read-parallel dispatch "
                   << (own_server->read_parallel() ? "on" : "off") << ")\n\n";
       } else {
-        auto parsed = hm::backends::ParseRemoteAddr(env.remote_addr);
-        CheckOk(parsed.status());
-        remote_options.host = parsed->host;
-        remote_options.port = parsed->port;
-        std::cout << "(backend: " << env.backends[0]
-                  << ", external server at " << env.remote_addr << ")\n\n";
+        auto parsed = hm::bench::Must(
+            hm::backends::ParseRemoteAddr(env.backend.remote));
+        remote_options.host = parsed.host;
+        remote_options.port = parsed.port;
+        std::cout << "(backend: " << backend << ", external server at "
+                  << env.backend.remote << ")\n\n";
       }
       auto builder = hm::backends::RemoteStore::Connect(remote_options);
       CheckOk(builder.status());
@@ -156,9 +139,7 @@ int main(int argc, char** argv) {
       db = hm::bench::BuildDatabase(builder->get(), env.levels[0], nullptr);
     } else {
       std::cout << "(backend: oodb)\n\n";
-      std::unique_ptr<hm::HyperStore> store =
-          hm::bench::OpenBackend(env, "oodb", dir);
-      db = hm::bench::BuildDatabase(store.get(), env.levels[0], nullptr);
+      db = hm::bench::BuildDatabase(open_app().get(), env.levels[0], nullptr);
     }
 
     size_t closure_level = std::min<size_t>(3, db.nodes_by_level.size() - 2);
@@ -166,18 +147,7 @@ int main(int argc, char** argv) {
     {
       // Untimed warmup so the first timed row isn't charged for the
       // server's cold page cache (the builder handle is still open).
-      std::unique_ptr<hm::HyperStore> warm;
-      if (remote) {
-        auto store = hm::backends::RemoteStore::Connect(remote_options);
-        CheckOk(store.status());
-        warm = std::move(*store);
-      } else {
-        hm::backends::OodbOptions options;
-        options.cache_pages = env.cache_pages;
-        auto store = hm::backends::OodbStore::Open(options, dir);
-        CheckOk(store.status());
-        warm = std::move(*store);
-      }
+      std::unique_ptr<hm::HyperStore> warm = open_app();
       for (hm::NodeRef start : db.level(closure_level)) {
         std::vector<hm::NodeRef> out;
         CheckOk(hm::ops::Closure1N(warm.get(), start, &out));
@@ -190,22 +160,9 @@ int main(int argc, char** argv) {
               << "\n";
     double baseline_ops_per_sec = 0;
     for (int readers : reader_counts) {
-      // Each "application" opens its own store handle (own buffer pool,
-      // or own connection) — sequentially, before the threads start.
+      // The applications open sequentially, before the threads start.
       std::vector<std::unique_ptr<hm::HyperStore>> apps;
-      for (int r = 0; r < readers; ++r) {
-        if (remote) {
-          auto store = hm::backends::RemoteStore::Connect(remote_options);
-          CheckOk(store.status());
-          apps.push_back(std::move(*store));
-        } else {
-          hm::backends::OodbOptions options;
-          options.cache_pages = env.cache_pages;
-          auto store = hm::backends::OodbStore::Open(options, dir);
-          CheckOk(store.status());
-          apps.push_back(std::move(*store));
-        }
-      }
+      for (int r = 0; r < readers; ++r) apps.push_back(open_app());
 
       std::atomic<uint64_t> nodes_visited{0};
       hm::util::Timer timer;
@@ -249,7 +206,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   };
 
-  if (remote && env.remote_addr.empty()) {
+  if (remote && env.backend.remote.empty()) {
     for (const std::string& server_backend : server_backends) {
       run_sweep(server_backend);
     }
@@ -257,10 +214,10 @@ int main(int argc, char** argv) {
     run_sweep(remote ? "external" : "in-process");
   }
 
-  if (!env.json_path.empty()) {
-    std::ofstream out(env.json_path);
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
     out << "{\n  \"bench\": \"parallel\",\n  \"level\": " << env.levels[0]
-        << ",\n  \"backend\": \"" << env.backends[0]
+        << ",\n  \"backend\": \"" << backend
         << "\",\n  \"ops_per_reader\": " << ops_per_reader
         << ",\n  \"host_cores\": " << std::thread::hardware_concurrency()
         << ",\n  \"results\": [\n";
@@ -275,7 +232,7 @@ int main(int argc, char** argv) {
           << row.speedup << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    std::cout << "(JSON written to " << env.json_path << ")\n";
+    std::cout << "(JSON written to " << json_path << ")\n";
   }
 
   unsigned cores = std::thread::hardware_concurrency();

@@ -46,7 +46,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -56,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/backends/replicated_store.h"
@@ -94,28 +94,14 @@ void Die(const std::string& message) {
 
 Config ParseFlags(int argc, char** argv) {
   Config config;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--nodes=")) {
-      config.nodes = std::atoll(v);
-    } else if (const char* v = value("--readers=")) {
-      config.readers = std::atoi(v);
-    } else if (const char* v = value("--read-ms=")) {
-      config.read_ms = std::atoi(v);
-    } else if (const char* v = value("--write-ms=")) {
-      config.write_ms = std::atoi(v);
-    } else if (const char* v = value("--dir=")) {
-      config.dir = v;
-    } else if (const char* v = value("--json=")) {
-      config.json_path = v;
-    } else {
-      Die("unknown flag " + arg);
-    }
-  }
+  Flags("bench_replication")
+      .Add("nodes", &config.nodes)
+      .Add("readers", &config.readers)
+      .Add("read-ms", &config.read_ms)
+      .Add("write-ms", &config.write_ms)
+      .Add("dir", &config.dir)
+      .Add("json", &config.json_path)
+      .Parse(argc, argv);
   if (config.dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");
     config.dir =
@@ -497,8 +483,7 @@ std::vector<LadderRow> MeasureClosureLadder(const std::string& root) {
 
 int Main(int argc, char** argv) {
   Config config = ParseFlags(argc, argv);
-  std::filesystem::create_directories(config.dir);
-  const std::string root = config.dir;
+  const std::string root = ScratchDir(config.dir);
 
   std::printf("### Replication bench (DESIGN.md §16): %lld uids, "
               "%d readers, %d ms read window\n\n",
@@ -641,7 +626,6 @@ int Main(int argc, char** argv) {
     std::printf("\n(JSON written to %s)\n", config.json_path.c_str());
   }
 
-  std::filesystem::remove_all(root);
   return 0;
 }
 

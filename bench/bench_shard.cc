@@ -21,7 +21,6 @@
 // match, which is what the comparison is phrased in.
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -50,16 +49,6 @@ struct SweepRow {
   double per_sec = 0;
   double speedup = 0;  // vs the shards=1 row of the same op
 };
-
-std::vector<int> SplitCsvInts(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(std::atoi(item.c_str()));
-  }
-  return out;
-}
 
 int64_t Uid(hm::HyperStore* store, hm::NodeRef ref) {
   auto uid = store->GetAttr(ref, hm::Attr::kUniqueId);
@@ -369,27 +358,23 @@ int RunVerify(VerifyState* state, int probes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the flags only this binary knows before the common parser
-  // (which rejects unknown arguments) sees them.
   std::vector<int> shard_counts{1, 2, 4};
   int verify_level = 0;
   int verify_probes = 3;
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.starts_with("--shards=")) {
-      shard_counts = SplitCsvInts(arg.substr(std::strlen("--shards=")));
-    } else if (arg.starts_with("--verify-level=")) {
-      verify_level = std::atoi(arg.c_str() + std::strlen("--verify-level="));
-    } else if (arg.starts_with("--verify-probes=")) {
-      verify_probes =
-          std::atoi(arg.c_str() + std::strlen("--verify-probes="));
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+  std::vector<int> levels{5};
+  hm::backends::RemoteMode remote_mode = hm::backends::RemoteMode::kPushdown;
+  std::string json_path;
+  hm::bench::Flags flags("bench_shard");
+  flags.Add("shards", &shard_counts)
+      .Add("verify-level", &verify_level)
+      .Add("verify-probes", &verify_probes)
+      .Add("levels", &levels)
+      .Add("remote-mode", &remote_mode)
+      .Add("json", &json_path)
+      .Parse(argc, argv);
+  if (levels.size() != 1 || shard_counts.empty()) {
+    flags.Fail("needs one level and shard counts");
   }
-  hm::bench::BenchEnv env = hm::bench::ParseEnv(
-      static_cast<int>(passthrough.size()), passthrough.data(), {5});
 
   if (verify_level > 0) {
     int fleet_size = 1;
@@ -399,10 +384,10 @@ int main(int argc, char** argv) {
               << "-shard fleet, all twenty operations\n\n";
 
     auto single = hm::backends::RemoteStore::Loopback(
-        std::make_unique<hm::backends::MemStore>(), {}, env.remote_mode);
+        std::make_unique<hm::backends::MemStore>(), {}, remote_mode);
     CheckOk(single.status());
     auto fleet = hm::backends::ShardedStore::Loopback(
-        static_cast<uint32_t>(fleet_size), env.remote_mode);
+        static_cast<uint32_t>(fleet_size), remote_mode);
     CheckOk(fleet.status());
 
     hm::TestDatabase db_single =
@@ -424,7 +409,7 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
 
-  const int level = env.levels[0];
+  const int level = levels[0];
   std::cout << "### Cluster sweep (DESIGN.md §14): shard:// client over "
                "K-shard loopback fleets, level "
             << level << "\n\n";
@@ -440,7 +425,7 @@ int main(int argc, char** argv) {
   double scan_baseline = 0, closure_baseline = 0;
   for (int shards : shard_counts) {
     auto fleet = hm::backends::ShardedStore::Loopback(
-        static_cast<uint32_t>(shards), env.remote_mode);
+        static_cast<uint32_t>(shards), remote_mode);
     CheckOk(fleet.status());
     hm::HyperStore* store = fleet->get();
     hm::TestDatabase db = hm::bench::BuildDatabase(store, level, nullptr);
@@ -497,8 +482,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!env.json_path.empty()) {
-    std::ofstream out(env.json_path);
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
     out << "{\n  \"bench\": \"shard\",\n  \"level\": " << level
         << ",\n  \"host_cores\": " << std::thread::hardware_concurrency()
         << ",\n  \"results\": [\n";
@@ -512,7 +497,7 @@ int main(int argc, char** argv) {
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    std::cout << "\n(JSON written to " << env.json_path << ")\n";
+    std::cout << "\n(JSON written to " << json_path << ")\n";
   }
 
   unsigned cores = std::thread::hardware_concurrency();

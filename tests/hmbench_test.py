@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""End-to-end test of hmbench, the one entry point of the §6 paper tables.
+
+    python3 tests/hmbench_test.py path/to/hmbench
+
+Runs every op on every backend kind at a small level and checks the
+JSON report has exactly one row per (op, backend); runs the E1
+creation-only spelling; checks flags a subcommand does not honour are
+refused; and checks the scratch directory is gone after each run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+BACKENDS = ["mem", "oodb", "rel", "net", "remote[percall]", "shard"]
+OPS = 20
+
+
+def run(argv):
+    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+
+def check(condition, message, result=None):
+    if not condition:
+        if result is not None:
+            sys.stderr.write(result.stdout + result.stderr)
+        sys.exit("FAIL: " + message)
+
+
+def main():
+    hmbench = sys.argv[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = os.path.join(tmp, "scratch")
+        report = os.path.join(tmp, "report.json")
+
+        # Level 3 is the smallest database with a form node (op 17).
+        result = run([hmbench, "--levels=3", "--iters=1",
+                      "--backends=" + ",".join(BACKENDS),
+                      "--dir=" + scratch, "--json=" + report])
+        check(result.returncode == 0, "full run exited nonzero", result)
+        with open(report) as f:
+            rows = json.load(f)["results"]
+        keys = {(row["op"], row["backend"]) for row in rows}
+        check(len(rows) == OPS * len(BACKENDS) and len(keys) == len(rows),
+              "want one row per (op, backend), got %d rows, %d distinct"
+              % (len(rows), len(keys)))
+        check({row["backend"] for row in rows} == set(BACKENDS),
+              "backend labels differ from the requested spellings")
+        check(not os.path.exists(scratch), "scratch directory left behind")
+
+        # E1: the creation table alone.
+        result = run([hmbench, "--creation", "--ops=", "--levels=2",
+                      "--dir=" + scratch])
+        check(result.returncode == 0, "creation-only run failed", result)
+        check("Database creation" in result.stdout and
+              "HyperModel operations" not in result.stdout,
+              "creation-only run must print only the creation table", result)
+        check(not os.path.exists(scratch), "scratch directory left behind")
+
+    # A flag the subcommand would ignore is refused, not dropped.
+    for argv in ([hmbench, "--stats"], [hmbench, "--ops="],
+                 [hmbench, "serve", "--levels=4"],
+                 [hmbench, "fsck", "--backends=mem"]):
+        result = run(argv)
+        check(result.returncode == 1, "accepted %s" % " ".join(argv[1:]),
+              result)
+    print("hmbench_test: OK")
+
+
+if __name__ == "__main__":
+    main()

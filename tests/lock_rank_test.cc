@@ -2,7 +2,8 @@
 // build must allow every descending acquisition chain and abort — with
 // the diagnostic naming the ranks — on the first ascending or
 // same-rank one. In Release (no HM_LOCK_RANK_CHECKS) the wrappers are
-// plain std mutexes and only the passthrough test below compiles in.
+// forwarding shells over the std mutexes and only the passthrough
+// checks below compile in.
 
 #include "util/lock_rank.h"
 
@@ -118,12 +119,11 @@ TEST(LockRankDeathTest, UnlockWithoutLockAborts) {
 
 #else  // !HM_LOCK_RANK_CHECKS
 
-// Release passthrough: the wrapper must literally be the std type.
+// Release passthrough: the forwarding shells add no state and no
+// vtable on top of the std mutex they wrap.
+static_assert(!std::is_polymorphic_v<RankedMutex<LockRank::kWal>>);
 static_assert(
-    std::is_base_of_v<std::mutex, RankedMutex<LockRank::kWal>>);
-static_assert(std::is_base_of_v<
-              std::shared_mutex,
-              RankedSharedMutex<LockRank::kServerDispatch>>);
+    !std::is_polymorphic_v<RankedSharedMutex<LockRank::kServerDispatch>>);
 static_assert(sizeof(RankedMutex<LockRank::kWal>) == sizeof(std::mutex));
 static_assert(sizeof(RankedSharedMutex<LockRank::kServerDispatch>) ==
               sizeof(std::shared_mutex));

@@ -1,99 +1,12 @@
 // hmbench — command-line driver for the HyperModel benchmark.
 //
 // Runs the full §6 protocol (or a chosen subset) against any of the
-// backends and prints the paper-style tables, optionally CSV. Can also
-// run as a server (`hmbench serve`) exposing one backend over the
-// binary wire protocol for `--backends=remote` clients.
-//
-// Usage:
-//   hmbench [options]
-//     --levels=4,5,6        leaf levels of the 1-N hierarchy (default 4)
-//     --backends=mem,oodb,rel  backends to run (default all in-process)
-//     --ops=01,03,10        operation numbers to run (default: all 20;
-//                           accepts 01,02,03,04,05A,05B,06,07A,07B,
-//                           08..18)
-//     --iters=50            protocol iterations per run (default 50)
-//     --cache-pages=2048    workstation cache size in 8 KiB pages
-//     --seed=7              input-selection seed
-//     --dir=PATH            working directory (default /tmp/hmbench)
-//     --remote=HOST:PORT    server for the `remote` backend; without
-//                           it, `remote` spawns an in-process loopback
-//                           server over a mem backend. For the `shard`
-//                           backend, pass the fleet address list
-//                           (shard://host:port,host:port,...) here
-//     --shards=N            fleet size for a self-hosted `shard`
-//                           backend (in-process loopback fleet)
-//     --remote-mode=MODE    percall | batched | pushdown (default) —
-//                           or pin per run via remote[MODE] backends
-//     --json=PATH           also write the report as JSON
-//     --csv                 machine-readable CSV instead of tables
-//     --creation            include the §5.3 creation table
-//     --help
-//
-//   hmbench stats [options]
-//     --remote=HOST:PORT    server to query (default 127.0.0.1:7433);
-//                           fetches the server's telemetry registry
-//                           (wire opcode kStats) and pretty-prints it
-//
-//   hmbench fsck [options]
-//     --backend=mem         backend to verify (mem,oodb,rel,net,remote,
-//                           shard, or shard://host:port,... to verify
-//                           a running fleet end to end)
-//     --level=4             leaf level of the generated database
-//     --cache-pages=2048    backend cache size
-//     --dir=PATH            scratch directory (default /tmp/hmfsck)
-//     --remote=HOST:PORT    server for the remote backend
-//     --shards=N            fleet size for a self-hosted shard backend
-//     Generates a fresh §5.2 database into the backend, then walks it
-//     through the public store API checking every schema invariant
-//     (src/analysis/fsck.h). Exits 0 on a clean report, 2 on
-//     violations.
-//
-//   hmbench serve [options]
-//     --backend=mem         backend to serve (mem,oodb,rel,net)
-//     --host=127.0.0.1      bind address
-//     --port=7433           TCP port (0 = ephemeral). The resolved
-//                           host:port is printed, alone and flushed,
-//                           as the first stdout line before serving —
-//                           launchers read it to learn an ephemeral
-//                           port
-//     --shard=K/N           serve as shard K of an N-shard fleet:
-//                           wraps the backend in the cluster ref
-//                           translation layer and reports (K, N) via
-//                           the kShardInfo handshake
-//     --workers=4           worker-pool size
-//     --queue=64            pending-connection queue bound
-//     --max-inflight=0      in-flight request ceiling; beyond it the
-//                           server sheds with kOverloaded (0 = off)
-//     --drain-ms=2000       Stop() grace for in-flight requests
-//     --cache-pages=2048    backend cache size
-//     --dir=PATH            backend directory (default /tmp/hmserve)
-//     --group-commit-us=0   group-commit window for oodb/rel commits
-//                           (0 = fsync per commit)
-//     --checkpoint-ms=0     oodb background fuzzy-checkpoint interval
-//                           (0 = checkpoint only at shutdown)
-//     On SIGINT/SIGTERM the server stops accepting, drains in-flight
-//     work (group-commit batches included), checkpoints persistent
-//     state, prints its telemetry, and exits 0.
-//
-//   hmbench cluster [options]
-//     --shards=4            fleet size
-//     --backend=mem         backend each shard serves
-//     --dir=PATH            root directory (shard k uses PATH/shardK)
-//     --cache-pages=2048    per-shard backend cache size
-//     --workers=4           per-shard worker-pool size
-//     Launches N `hmbench serve --port=0 --shard=k/N` child processes,
-//     reads each one's announced address, prints the fleet's
-//     `shard://host:port,...` spelling (alone, flushed) on stdout, and
-//     supervises until SIGINT/SIGTERM, which it forwards to the fleet.
-//
-// Examples:
-//   hmbench --levels=4 --ops=10,14,15          # closure traversals
-//   hmbench --levels=4,5,6 --creation          # the full paper matrix
-//   hmbench --backends=oodb --csv > oodb.csv
-//   hmbench serve --backend=mem &              # then, in another shell:
-//   hmbench --backends=remote --remote=127.0.0.1:7433
-//   hmbench stats --remote=127.0.0.1:7433      # live server telemetry
+// backends and prints the paper-style tables, optionally CSV; it is
+// the one entry point of the paper tables (EXPERIMENTS.md lists one line
+// per table). Subcommands serve a backend over the wire protocol,
+// launch a sharded fleet, print a live server's telemetry, and fsck a
+// generated database. `hmbench --help` prints kUsage below, the
+// reference for every flag.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -104,342 +17,140 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <thread>
 
 #include "analysis/fsck.h"
+#include "bench/bench_common.h"
 #include "cluster/shard_local_store.h"
 #include "cluster/shard_map.h"
-#include "hypermodel/backends/mem_store.h"
-#include "hypermodel/backends/net_store.h"
 #include "hypermodel/backends/oodb_store.h"
-#include "hypermodel/backends/rel_store.h"
 #include "hypermodel/backends/remote_store.h"
-#include "hypermodel/backends/replicated_store.h"
-#include "hypermodel/backends/sharded_store.h"
-#include "hypermodel/driver.h"
-#include "hypermodel/generator.h"
-#include "hypermodel/report.h"
 #include "replication/coordinator.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
 
 namespace {
 
-struct Args {
-  std::vector<int> levels{4};
-  std::vector<std::string> backends{"mem", "oodb", "rel", "net"};
-  std::vector<hm::OpId> ops = hm::AllOps();
-  int iters = 50;
-  size_t cache_pages = 2048;
-  uint64_t seed = 7;
-  std::string dir = "/tmp/hmbench";
-  std::string remote;  // host:port of an external server, or empty
-  uint32_t shards = 4;  // fleet size for a self-hosted shard backend
-  hm::backends::RemoteMode remote_mode =
-      hm::backends::RemoteMode::kPushdown;
-  std::string json;  // path for JSON output, or empty
-  bool csv = false;
-  bool creation = false;
-};
+using hm::bench::CheckOk;
+using hm::bench::Flags;
+using hm::bench::Must;
 
-[[noreturn]] void Usage(int code) {
-  std::cout <<
-      "hmbench — the HyperModel benchmark (Berre/Anderson/Mallison, "
-      "TR CS/E-88-031)\n\n"
-      "usage: hmbench [options]           run the benchmark\n"
-      "       hmbench serve [options]     expose a backend over TCP\n"
-      "       hmbench cluster [options]   launch an N-shard serve fleet\n"
-      "       hmbench stats [options]     print a live server's telemetry\n"
-      "       hmbench fsck [options]      verify a generated database\n"
-      "\n"
-      "  --levels=4,5,6      leaf levels to run (paper sizes: 4, 5, 6)\n"
-      "  --backends=...      subset of mem,oodb,rel,net,remote,shard\n"
-      "  --ops=01,05A,10     operation numbers (default: all 20)\n"
-      "  --iters=N           runs per cold/warm phase (default 50)\n"
-      "  --cache-pages=N     workstation cache size in 8 KiB pages\n"
-      "  --seed=N            input-selection seed\n"
-      "  --dir=PATH          scratch directory\n"
-      "  --remote=HOST:PORT  server address for the remote backend\n"
-      "                      (default: spawn an in-process loopback\n"
-      "                      server over a mem backend); the shard\n"
-      "                      backend takes its fleet address list\n"
-      "                      (shard://host:port,host:port,...) here;\n"
-      "                      a semicolon list (primary;replica;...)\n"
-      "                      selects the replica-aware client, which\n"
-      "                      fans reads over the replicas and fails\n"
-      "                      over when the primary dies\n"
-      "  --shards=N          fleet size when the shard backend\n"
-      "                      self-hosts an in-process loopback fleet\n"
-      "                      (default 4)\n"
-      "  --remote-mode=MODE  wire-latency rung for the remote backend:\n"
-      "                      percall, batched or pushdown (default);\n"
-      "                      or spell a backend remote[MODE] to pin one\n"
-      "                      run, e.g. --backends=remote[percall],\n"
-      "                      remote[pushdown]\n"
-      "  --json=PATH         also write the report as JSON\n"
-      "  --csv               CSV output\n"
-      "  --creation          include the database-creation table (§5.3)\n"
-      "\n"
-      "hmbench stats — fetch and print a live server's telemetry\n\n"
-      "  --remote=HOST:PORT  server to query (default 127.0.0.1:7433)\n"
-      "\n"
-      "hmbench serve — expose one backend over the wire protocol\n"
-      "(announces its resolved host:port as the first stdout line)\n\n"
-      "  --backend=NAME      backend to serve: mem,oodb,rel,net\n"
-      "  --host=ADDR         bind address (default 127.0.0.1)\n"
-      "  --port=N            TCP port (default 7433; 0 = ephemeral)\n"
-      "  --shard=K/N         serve as shard K of an N-shard fleet\n"
-      "  --workers=N         worker-pool size (default 4)\n"
-      "  --queue=N           pending-connection bound (default 64)\n"
-      "  --cache-pages=N     backend cache size\n"
-      "  --dir=PATH          backend directory (default /tmp/hmserve)\n"
-      "  --group-commit-us=N group-commit window for oodb/rel commits\n"
-      "                      (default 0 = fsync per commit)\n"
-      "  --checkpoint-ms=N   oodb background fuzzy-checkpoint interval\n"
-      "                      (default 0 = checkpoint only at shutdown;\n"
-      "                      forced to 0 on replicas — see DESIGN.md §16)\n"
-      "  --replicate         serve as a replication primary: ship the\n"
-      "                      WAL to subscribing replicas (oodb only)\n"
-      "  --replica-of=H:P    serve as a read-only replica of the\n"
-      "                      primary at H:P (oodb only); writes answer\n"
-      "                      kReadOnly, reads serve the replayed state\n"
-      "  --semisync-ms=N     how long a primary commit waits for a\n"
-      "                      replica ack before degrading to async\n"
-      "                      (default 5000)\n"
-      "\n"
-      "hmbench cluster — launch and supervise an N-shard serve fleet\n"
-      "(a crashed shard is restarted in its slot on the same port)\n\n"
-      "  --shards=N          fleet size (default 4)\n"
-      "  --backend=NAME      backend each shard serves (default mem)\n"
-      "  --dir=PATH          root directory (shard k uses PATH/shardK)\n"
-      "  --cache-pages=N     per-shard backend cache size\n"
-      "  --workers=N         per-shard worker-pool size\n"
-      "\n"
-      "hmbench fsck — generate a database, verify every §5.2 invariant\n\n"
-      "  --backend=NAME      backend to verify: mem,oodb,rel,net,remote,\n"
-      "                      shard, or shard://host:port,... to verify\n"
-      "                      a running fleet end to end\n"
-      "  --level=N           leaf level of the generated tree (default 4)\n"
-      "  --cache-pages=N     backend cache size\n"
-      "  --dir=PATH          scratch directory (default /tmp/hmfsck)\n"
-      "  --remote=HOST:PORT  server for the remote backend (default:\n"
-      "                      in-process loopback over a mem backend)\n"
-      "  --shards=N          fleet size for a self-hosted shard backend\n";
-  std::exit(code);
-}
+constexpr char kUsage[] = R"(hmbench — the HyperModel benchmark
+(Berre/Anderson/Mallison, TR CS/E-88-031)
 
-std::vector<std::string> SplitCsv(const std::string& value) {
-  std::vector<std::string> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+usage: hmbench [options]           run the benchmark
+       hmbench serve [options]     expose a backend over TCP
+       hmbench cluster [options]   launch an N-shard serve fleet
+       hmbench stats [options]     print a live server's telemetry
+       hmbench fsck [options]      verify a generated database
 
-const std::map<std::string, hm::OpId>& OpTable() {
-  static const std::map<std::string, hm::OpId> table = {
-      {"01", hm::OpId::kNameLookup},
-      {"02", hm::OpId::kNameOidLookup},
-      {"03", hm::OpId::kRangeLookupHundred},
-      {"04", hm::OpId::kRangeLookupMillion},
-      {"05A", hm::OpId::kGroupLookup1N},
-      {"05B", hm::OpId::kGroupLookupMN},
-      {"06", hm::OpId::kGroupLookupMNAtt},
-      {"07A", hm::OpId::kRefLookup1N},
-      {"07B", hm::OpId::kRefLookupMN},
-      {"08", hm::OpId::kRefLookupMNAtt},
-      {"09", hm::OpId::kSeqScan},
-      {"10", hm::OpId::kClosure1N},
-      {"11", hm::OpId::kClosure1NAttSum},
-      {"12", hm::OpId::kClosure1NAttSet},
-      {"13", hm::OpId::kClosure1NPred},
-      {"14", hm::OpId::kClosureMN},
-      {"15", hm::OpId::kClosureMNAtt},
-      {"16", hm::OpId::kTextNodeEdit},
-      {"17", hm::OpId::kFormNodeEdit},
-      {"18", hm::OpId::kClosureMNAttLinkSum},
-  };
-  return table;
-}
+  --levels=4,5,6      leaf levels to run (default 4; paper sizes 4, 5, 6)
+  --backends=...      subset of mem,oodb,rel,net,remote,shard (default the
+                      four in-process ones); also remote[MODE],
+                      remote://primary;replica;... and shard://host:port,...
+  --ops=01,05A,10     operation numbers (default: all 20; empty
+                      with --creation: the creation table alone)
+  --iters=N           runs per cold/warm phase (default 50)
+  --cache-pages=N     workstation cache size in 8 KiB pages (default 2048)
+  --seed=N            input-selection seed (default 7)
+  --dir=PATH          scratch directory, removed on exit (default
+                      /tmp/hmbench)
+  --remote=HOST:PORT  server address for the remote backend
+                      (default: spawn an in-process loopback
+                      server over a mem backend); the shard
+                      backend takes its fleet address list
+                      (shard://host:port,host:port,...) here;
+                      a semicolon list (primary;replica;...)
+                      selects the replica-aware client, which
+                      fans reads over the replicas and fails
+                      over when the primary dies
+  --shards=N          fleet size when the shard backend
+                      self-hosts an in-process loopback fleet
+                      (default 4)
+  --remote-mode=MODE  wire-latency rung for the remote backend:
+                      percall, batched or pushdown (default);
+                      or spell a backend remote[MODE] to pin one
+                      run, e.g. --backends=remote[percall],
+                      remote[pushdown]
+  --json=PATH         also write the report as JSON
+  --csv               CSV output
+  --creation          include the database-creation table (§5.3)
 
-void CheckOk(const hm::util::Status& status) {
-  if (!status.ok()) {
-    std::cerr << "hmbench: " << status.ToString() << "\n";
-    std::exit(1);
-  }
-}
+hmbench stats — fetch and print a live server's telemetry (wire
+opcode kStats)
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg == "--help" || arg == "-h") {
-      Usage(0);
-    } else if (arg.starts_with("--levels=")) {
-      args.levels.clear();
-      for (const std::string& level : SplitCsv(value("--levels="))) {
-        args.levels.push_back(std::atoi(level.c_str()));
-      }
-    } else if (arg.starts_with("--backends=")) {
-      args.backends = SplitCsv(value("--backends="));
-    } else if (arg.starts_with("--ops=")) {
-      args.ops.clear();
-      for (std::string op : SplitCsv(value("--ops="))) {
-        for (char& c : op) c = static_cast<char>(std::toupper(c));
-        auto it = OpTable().find(op);
-        if (it == OpTable().end()) {
-          std::cerr << "unknown operation '" << op << "'\n";
-          Usage(1);
-        }
-        args.ops.push_back(it->second);
-      }
-    } else if (arg.starts_with("--iters=")) {
-      args.iters = std::atoi(value("--iters=").c_str());
-    } else if (arg.starts_with("--cache-pages=")) {
-      args.cache_pages =
-          static_cast<size_t>(std::atoll(value("--cache-pages=").c_str()));
-    } else if (arg.starts_with("--seed=")) {
-      args.seed = static_cast<uint64_t>(std::atoll(value("--seed=").c_str()));
-    } else if (arg.starts_with("--dir=")) {
-      args.dir = value("--dir=");
-    } else if (arg.starts_with("--remote=")) {
-      args.remote = value("--remote=");
-    } else if (arg.starts_with("--shards=")) {
-      args.shards =
-          static_cast<uint32_t>(std::atoi(value("--shards=").c_str()));
-    } else if (arg.starts_with("--remote-mode=")) {
-      auto parsed = hm::backends::ParseRemoteMode(value("--remote-mode="));
-      CheckOk(parsed.status());
-      args.remote_mode = *parsed;
-    } else if (arg.starts_with("--json=")) {
-      args.json = value("--json=");
-    } else if (arg == "--csv") {
-      args.csv = true;
-    } else if (arg == "--creation") {
-      args.creation = true;
-    } else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      Usage(1);
-    }
-  }
-  if (args.levels.empty() || args.backends.empty() || args.ops.empty() ||
-      args.iters <= 0) {
-    Usage(1);
-  }
-  return args;
-}
+  --remote=HOST:PORT  server to query (default 127.0.0.1:7433)
 
-std::unique_ptr<hm::HyperStore> OpenBackend(const Args& args,
-                                            const std::string& name,
-                                            const std::string& dir) {
-  if (name == "mem") return std::make_unique<hm::backends::MemStore>();
-  if (name == "oodb") {
-    hm::backends::OodbOptions options;
-    options.cache_pages = args.cache_pages;
-    auto store = hm::backends::OodbStore::Open(options, dir);
-    CheckOk(store.status());
-    return std::move(*store);
-  }
-  if (name == "net") {
-    hm::backends::NetOptions options;
-    options.cache_pages = args.cache_pages;
-    auto store = hm::backends::NetStore::Open(options, dir);
-    CheckOk(store.status());
-    return std::move(*store);
-  }
-  if (name == "rel") {
-    hm::backends::RelOptions options;
-    options.cache_pages = args.cache_pages;
-    auto store = hm::backends::RelStore::Open(options, dir);
-    CheckOk(store.status());
-    return std::move(*store);
-  }
-  if (name.starts_with("remote://") ||
-      ((name == "remote" || name.starts_with("remote[")) &&
-       args.remote.find(';') != std::string::npos)) {
-    // Semicolon-separated peers select the replica-aware client:
-    // remote://primary;replica1;replica2 (commas belong to shard://).
-    std::string spec = name.starts_with("remote://")
-                           ? name.substr(std::strlen("remote://"))
-                           : args.remote;
-    auto options = hm::backends::ParseReplicatedAddrs(spec);
-    CheckOk(options.status());
-    auto store = hm::backends::ReplicatedStore::Connect(*options);
-    CheckOk(store.status());
-    CheckOk((*store)->ResetServer());
-    return std::move(*store);
-  }
-  if (name == "remote" || name.starts_with("remote[")) {
-    hm::backends::RemoteMode mode = args.remote_mode;
-    if (name.starts_with("remote[")) {
-      if (!name.ends_with("]")) {
-        std::cerr << "bad backend spelling '" << name
-                  << "' (want remote[percall|batched|pushdown])\n";
-        std::exit(1);
-      }
-      auto parsed =
-          hm::backends::ParseRemoteMode(name.substr(7, name.size() - 8));
-      CheckOk(parsed.status());
-      mode = *parsed;
-    }
-    hm::util::Result<std::unique_ptr<hm::backends::RemoteStore>> store =
-        [&]() {
-          if (args.remote.empty()) {
-            // No server given: self-host over loopback so the remote
-            // backend is runnable out of the box.
-            hm::server::ServerOptions options;
-            options.reset_factory =
-                []() -> hm::util::Result<std::unique_ptr<hm::HyperStore>> {
-              return std::unique_ptr<hm::HyperStore>(
-                  std::make_unique<hm::backends::MemStore>());
-            };
-            return hm::backends::RemoteStore::Loopback(
-                std::make_unique<hm::backends::MemStore>(), options, mode);
-          }
-          auto remote_options = hm::backends::ParseRemoteAddr(args.remote);
-          CheckOk(remote_options.status());
-          remote_options->mode = mode;
-          return hm::backends::RemoteStore::Connect(*remote_options);
-        }();
-    CheckOk(store.status());
-    // Each (backend, level) run rebuilds the database from uid 1, so a
-    // long-lived server must start empty every time.
-    CheckOk((*store)->ResetServer());
-    return std::move(*store);
-  }
-  if (name == "shard" || name.starts_with("shard://")) {
-    // Fleet address: an explicit shard://... spelling wins, then
-    // --remote (so `--backends=shard --remote=shard://...` works
-    // without commas breaking the --backends CSV), else a self-hosted
-    // in-process loopback fleet of --shards servers.
-    std::string addrs;
-    if (name.starts_with("shard://")) {
-      addrs = name;
-    } else if (args.remote.starts_with("shard://") ||
-               args.remote.find(',') != std::string::npos) {
-      addrs = args.remote;
-    }
-    hm::backends::RemoteOptions client_options;
-    client_options.mode = args.remote_mode;
-    auto store = addrs.empty()
-                     ? hm::backends::ShardedStore::Loopback(
-                           args.shards, args.remote_mode)
-                     : hm::backends::ShardedStore::Connect(addrs,
-                                                           client_options);
-    CheckOk(store.status());
-    CheckOk((*store)->ResetServer());
-    return std::move(*store);
-  }
-  std::cerr << "unknown backend '" << name << "'\n";
-  Usage(1);
-}
+hmbench serve — expose one backend over the wire protocol. The
+resolved host:port is printed, alone and flushed, as the first stdout
+line, so a launcher learns an ephemeral port. On SIGINT/SIGTERM the
+server stops accepting, drains in-flight work (group-commit batches
+included), checkpoints persistent state, prints its telemetry, and
+exits 0.
+
+  --backend=NAME      backend to serve: mem,oodb,rel,net
+  --host=ADDR         bind address (default 127.0.0.1)
+  --port=N            TCP port (default 7433; 0 = ephemeral)
+  --shard=K/N         serve as shard K of an N-shard fleet: wraps the
+                      backend in the cluster ref translation layer and
+                      reports (K, N) via the kShardInfo handshake
+  --workers=N         worker-pool size (default 4)
+  --queue=N           pending-connection bound (default 64)
+  --max-inflight=N    in-flight request ceiling; beyond it the server
+                      sheds with kOverloaded (default 0 = off)
+  --drain-ms=N        Stop() grace for in-flight requests (default 2000)
+  --cache-pages=N     backend cache size
+  --dir=PATH          backend directory (default /tmp/hmserve)
+  --group-commit-us=N group-commit window for oodb/rel commits
+                      (default 0 = fsync per commit)
+  --checkpoint-ms=N   oodb background fuzzy-checkpoint interval
+                      (default 0 = checkpoint only at shutdown;
+                      forced to 0 on replicas — see DESIGN.md §16)
+  --replicate         serve as a replication primary: ship the
+                      WAL to subscribing replicas (oodb only)
+  --replica-of=H:P    serve as a read-only replica of the
+                      primary at H:P (oodb only); writes answer
+                      kReadOnly, reads serve the replayed state
+  --semisync-ms=N     how long a primary commit waits for a
+                      replica ack before degrading to async
+                      (default 5000)
+
+hmbench cluster — launch N `hmbench serve --port=0 --shard=k/N`
+children, print the fleet's shard://host:port,... spelling (alone,
+flushed) on stdout, and supervise until SIGINT/SIGTERM, which is
+forwarded to the fleet. A crashed shard is restarted in its slot on
+the same port.
+
+  --shards=N          fleet size (default 4)
+  --backend=NAME      backend each shard serves (default mem)
+  --dir=PATH          root directory (shard k uses PATH/shardK)
+  --cache-pages=N     per-shard backend cache size
+  --workers=N         per-shard worker-pool size
+
+hmbench fsck — generate a database, then walk it through the public
+store API checking every §5.2 invariant (src/analysis/fsck.h). Exits 0
+on a clean report, 2 on violations.
+
+  --backend=NAME      backend to verify: mem,oodb,rel,net,remote,
+                      shard, or shard://host:port,... to verify
+                      a running fleet end to end
+  --level=N           leaf level of the generated tree (default 4)
+  --cache-pages=N     backend cache size
+  --dir=PATH          scratch directory, removed on exit
+                      (default /tmp/hmfsck)
+  --remote=HOST:PORT  server for the remote backend (default:
+                      in-process loopback over a mem backend)
+  --shards=N          fleet size for a self-hosted shard backend
+
+examples:
+  hmbench --levels=4 --ops=10,14,15          # closure traversals
+  hmbench --creation --ops= --levels=4,5     # creation table alone
+  hmbench --levels=4,5,6 --creation          # the full paper matrix
+  hmbench --backends=oodb --csv > oodb.csv
+  hmbench serve --backend=mem &              # then, in another shell:
+  hmbench --backends=remote --remote=127.0.0.1:7433
+  hmbench stats --remote=127.0.0.1:7433      # live server telemetry
+)";
 
 // --- `hmbench serve`: the server side of the remote backend ----------
 
@@ -453,12 +164,11 @@ struct ServeArgs {
   uint16_t port = 7433;
   int workers = 4;
   size_t queue = 64;
-  size_t cache_pages = 2048;
   std::string dir = "/tmp/hmserve";
   int max_inflight = 0;
   int drain_ms = 2000;
-  uint64_t group_commit_us = 0;
-  uint64_t checkpoint_ms = 0;
+  /// Cache, group-commit window and checkpoint interval of the store.
+  hm::bench::BackendConfig store;
   /// Fleet placement from --shard=K/N; (0, 1) = standalone.
   hm::cluster::ShardSpec shard;
   /// Replication role (DESIGN.md §16): --replicate ships this node's
@@ -468,55 +178,22 @@ struct ServeArgs {
   uint64_t semisync_ms = 5000;
 };
 
-/// (Re)creates the served backend. Persistent backends start from an
-/// empty directory — the server owns its database the way a DBMS owns
-/// its volume; clients rebuild through the protocol.
+/// (Re)creates the served backend, wrapped in the cluster translation
+/// layer when this server is one shard of a fleet (--shard=K/N).
+/// Persistent backends start from an empty directory — the server owns
+/// its database the way a DBMS owns its volume; clients rebuild through
+/// the protocol.
 hm::util::Result<std::unique_ptr<hm::HyperStore>> MakeServeBackend(
     const ServeArgs& args) {
-  if (args.backend == "mem") {
-    return std::unique_ptr<hm::HyperStore>(
-        std::make_unique<hm::backends::MemStore>());
-  }
   std::string dir = args.dir + "/" + args.backend;
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  std::filesystem::create_directories(dir, ec);
-  if (args.backend == "oodb") {
-    hm::backends::OodbOptions options;
-    options.cache_pages = args.cache_pages;
-    options.group_commit_us = args.group_commit_us;
-    options.checkpoint_interval_ms = args.checkpoint_ms;
-    auto store = hm::backends::OodbStore::Open(options, dir);
-    HM_RETURN_IF_ERROR(store.status());
-    return std::unique_ptr<hm::HyperStore>(std::move(*store));
+  if (args.backend != "mem") {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    std::filesystem::create_directories(dir, ec);
   }
-  if (args.backend == "net") {
-    hm::backends::NetOptions options;
-    options.cache_pages = args.cache_pages;
-    auto store = hm::backends::NetStore::Open(options, dir);
-    HM_RETURN_IF_ERROR(store.status());
-    return std::unique_ptr<hm::HyperStore>(std::move(*store));
-  }
-  if (args.backend == "rel") {
-    hm::backends::RelOptions options;
-    options.cache_pages = args.cache_pages;
-    options.group_commit_us = args.group_commit_us;
-    auto store = hm::backends::RelStore::Open(options, dir);
-    HM_RETURN_IF_ERROR(store.status());
-    return std::unique_ptr<hm::HyperStore>(std::move(*store));
-  }
-  return hm::util::Status::InvalidArgument(
-      "unknown backend '" + args.backend +
-      "' (serve supports mem,oodb,rel,net)");
-}
-
-/// MakeServeBackend plus the cluster translation wrapper when this
-/// server is one shard of a fleet (--shard=K/N).
-hm::util::Result<std::unique_ptr<hm::HyperStore>> MakeShardBackend(
-    const ServeArgs& args) {
-  auto backend = MakeServeBackend(args);
+  auto backend = hm::bench::OpenBackend(args.store, args.backend, dir);
   HM_RETURN_IF_ERROR(backend.status());
-  if (args.shard.count <= 1) return std::move(*backend);
+  if (args.shard.count <= 1) return backend;
   auto wrapped =
       hm::cluster::ShardLocalStore::Wrap(args.shard, std::move(*backend));
   HM_RETURN_IF_ERROR(wrapped.status());
@@ -525,55 +202,29 @@ hm::util::Result<std::unique_ptr<hm::HyperStore>> MakeShardBackend(
 
 int ServeMain(int argc, char** argv) {
   ServeArgs args;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg == "--help" || arg == "-h") {
-      Usage(0);
-    } else if (arg.starts_with("--backend=")) {
-      args.backend = value("--backend=");
-    } else if (arg.starts_with("--host=")) {
-      args.host = value("--host=");
-    } else if (arg.starts_with("--port=")) {
-      args.port = static_cast<uint16_t>(std::atoi(value("--port=").c_str()));
-    } else if (arg.starts_with("--workers=")) {
-      args.workers = std::atoi(value("--workers=").c_str());
-    } else if (arg.starts_with("--queue=")) {
-      args.queue =
-          static_cast<size_t>(std::atoll(value("--queue=").c_str()));
-    } else if (arg.starts_with("--max-inflight=")) {
-      args.max_inflight = std::atoi(value("--max-inflight=").c_str());
-    } else if (arg.starts_with("--drain-ms=")) {
-      args.drain_ms = std::atoi(value("--drain-ms=").c_str());
-    } else if (arg.starts_with("--cache-pages=")) {
-      args.cache_pages =
-          static_cast<size_t>(std::atoll(value("--cache-pages=").c_str()));
-    } else if (arg.starts_with("--dir=")) {
-      args.dir = value("--dir=");
-    } else if (arg.starts_with("--group-commit-us=")) {
-      args.group_commit_us =
-          std::strtoull(value("--group-commit-us=").c_str(), nullptr, 10);
-    } else if (arg.starts_with("--checkpoint-ms=")) {
-      args.checkpoint_ms =
-          std::strtoull(value("--checkpoint-ms=").c_str(), nullptr, 10);
-    } else if (arg.starts_with("--shard=")) {
-      auto spec = hm::cluster::ParseShardSpec(value("--shard="));
-      CheckOk(spec.status());
-      args.shard = *spec;
-    } else if (arg == "--replicate") {
-      args.replicate = true;
-    } else if (arg.starts_with("--replica-of=")) {
-      args.replica_of = value("--replica-of=");
-    } else if (arg.starts_with("--semisync-ms=")) {
-      args.semisync_ms =
-          std::strtoull(value("--semisync-ms=").c_str(), nullptr, 10);
-    } else {
-      std::cerr << "unknown serve argument '" << arg << "'\n";
-      Usage(1);
-    }
+  std::string shard;
+  Flags flags("hmbench serve", kUsage);
+  flags.Add("backend", &args.backend)
+      .Add("host", &args.host)
+      .Add("port", &args.port)
+      .Add("workers", &args.workers)
+      .Add("queue", &args.queue)
+      .Add("max-inflight", &args.max_inflight)
+      .Add("drain-ms", &args.drain_ms)
+      .Add("cache-pages", &args.store.cache_pages)
+      .Add("dir", &args.dir)
+      .Add("group-commit-us", &args.store.group_commit_us)
+      .Add("checkpoint-ms", &args.store.checkpoint_ms)
+      .Add("shard", &shard)
+      .Add("replicate", &args.replicate)
+      .Add("replica-of", &args.replica_of)
+      .Add("semisync-ms", &args.semisync_ms)
+      .Parse(argc, argv, 2);
+  if (args.backend != "mem" && args.backend != "oodb" &&
+      args.backend != "rel" && args.backend != "net") {
+    flags.Fail("serve supports mem,oodb,rel,net, not '" + args.backend + "'");
   }
+  if (!shard.empty()) args.shard = Must(hm::cluster::ParseShardSpec(shard));
 
   const bool is_replica = !args.replica_of.empty();
   const bool replicated = args.replicate || is_replica;
@@ -592,14 +243,14 @@ int ServeMain(int argc, char** argv) {
                  "combined yet\n";
     return 1;
   }
-  if (is_replica && args.checkpoint_ms != 0) {
+  if (is_replica && args.store.checkpoint_ms != 0) {
     // A fuzzy checkpoint would advance recovery past replicated applies
     // that exist in no local WAL (DESIGN.md §16) — never on a replica.
     std::cerr << "hmbench serve: ignoring --checkpoint-ms on a replica\n";
-    args.checkpoint_ms = 0;
+    args.store.checkpoint_ms = 0;
   }
 
-  auto backend = MakeShardBackend(args);
+  auto backend = MakeServeBackend(args);
   CheckOk(backend.status());
   // Replication needs the concrete store under the HyperStore surface:
   // the shipper reads its WAL, the replicator applies into it. Safe:
@@ -631,7 +282,7 @@ int ServeMain(int argc, char** argv) {
     // No reset_factory: a reset would fork the shipped WAL chain under
     // the followers. Reset stays an idempotent no-op while untouched.
   } else {
-    options.reset_factory = [args] { return MakeShardBackend(args); };
+    options.reset_factory = [args] { return MakeServeBackend(args); };
   }
   if (coordinator != nullptr && !is_replica) {
     // Fresh data directory (wiped above), so the WAL chain is
@@ -729,9 +380,9 @@ bool ReadLine(int fd, std::string* line) {
 /// exactly, modulo the pinned port).
 struct ClusterSpawnConfig {
   uint32_t shards = 4;
-  std::string backend;
-  std::string dir;
-  std::string cache_pages;
+  std::string backend = "mem";
+  std::string dir = "/tmp/hmcluster";
+  std::string cache_pages;  // passed through to each child when set
   std::string workers;
 };
 
@@ -794,40 +445,21 @@ bool SpawnShard(const ClusterSpawnConfig& config, uint32_t k,
 }
 
 int ClusterMain(int argc, char** argv) {
-  uint32_t shards = 4;
-  std::string backend = "mem";
-  std::string dir = "/tmp/hmcluster";
-  std::string cache_pages;
-  std::string workers;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg == "--help" || arg == "-h") {
-      Usage(0);
-    } else if (arg.starts_with("--shards=")) {
-      shards = static_cast<uint32_t>(std::atoi(value("--shards=").c_str()));
-    } else if (arg.starts_with("--backend=")) {
-      backend = value("--backend=");
-    } else if (arg.starts_with("--dir=")) {
-      dir = value("--dir=");
-    } else if (arg.starts_with("--cache-pages=")) {
-      cache_pages = value("--cache-pages=");
-    } else if (arg.starts_with("--workers=")) {
-      workers = value("--workers=");
-    } else {
-      std::cerr << "unknown cluster argument '" << arg << "'\n";
-      Usage(1);
-    }
-  }
+  ClusterSpawnConfig config;
+  Flags("hmbench cluster", kUsage)
+      .Add("shards", &config.shards)
+      .Add("backend", &config.backend)
+      .Add("dir", &config.dir)
+      .Add("cache-pages", &config.cache_pages)
+      .Add("workers", &config.workers)
+      .Parse(argc, argv, 2);
+  const uint32_t shards = config.shards;
   if (shards < 1 || shards > hm::cluster::kMaxShards) {
     std::cerr << "hmbench cluster: --shards must be in [1, "
               << hm::cluster::kMaxShards << "]\n";
     return 1;
   }
 
-  ClusterSpawnConfig config{shards, backend, dir, cache_pages, workers};
   std::vector<ShardProc> fleet(shards);
   std::vector<std::string> addrs(shards);
   for (uint32_t k = 0; k < shards; ++k) {
@@ -847,7 +479,7 @@ int ClusterMain(int argc, char** argv) {
     spec += addrs[k];
   }
   std::cout << spec << "\n" << std::flush;
-  std::cout << "hmbench cluster: " << shards << "-shard " << backend
+  std::cout << "hmbench cluster: " << shards << "-shard " << config.backend
             << " fleet up; Ctrl-C to stop\n"
             << std::flush;
 
@@ -930,17 +562,7 @@ int ClusterMain(int argc, char** argv) {
 
 int StatsMain(int argc, char** argv) {
   std::string remote = "127.0.0.1:7433";
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      Usage(0);
-    } else if (arg.starts_with("--remote=")) {
-      remote = arg.substr(std::strlen("--remote="));
-    } else {
-      std::cerr << "unknown stats argument '" << arg << "'\n";
-      Usage(1);
-    }
-  }
+  Flags("hmbench stats", kUsage).Add("remote", &remote).Parse(argc, argv, 2);
   auto options = hm::backends::ParseRemoteAddr(remote);
   CheckOk(options.status());
   auto store = hm::backends::RemoteStore::Connect(*options);
@@ -959,58 +581,29 @@ int StatsMain(int argc, char** argv) {
 int FsckMain(int argc, char** argv) {
   std::string backend = "mem";
   int level = 4;
-  Args shim;  // carries cache/remote settings into OpenBackend
-  shim.dir = "/tmp/hmfsck";
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg == "--help" || arg == "-h") {
-      Usage(0);
-    } else if (arg.starts_with("--backend=")) {
-      backend = value("--backend=");
-    } else if (arg.starts_with("--level=")) {
-      level = std::atoi(value("--level=").c_str());
-    } else if (arg.starts_with("--cache-pages=")) {
-      shim.cache_pages =
-          static_cast<size_t>(std::atoll(value("--cache-pages=").c_str()));
-    } else if (arg.starts_with("--dir=")) {
-      shim.dir = value("--dir=");
-    } else if (arg.starts_with("--remote=")) {
-      shim.remote = value("--remote=");
-    } else if (arg.starts_with("--shards=")) {
-      shim.shards =
-          static_cast<uint32_t>(std::atoi(value("--shards=").c_str()));
-    } else {
-      std::cerr << "unknown fsck argument '" << arg << "'\n";
-      Usage(1);
-    }
-  }
-  if (level < 1) {
-    std::cerr << "hmbench fsck: --level must be >= 1\n";
-    Usage(1);
-  }
+  std::string dir = "/tmp/hmfsck";
+  hm::bench::BackendConfig config;
+  Flags flags("hmbench fsck", kUsage);
+  flags.Add("backend", &backend)
+      .Add("level", &level)
+      .Add("cache-pages", &config.cache_pages)
+      .Add("dir", &dir)
+      .Add("remote", &config.remote)
+      .Add("shards", &config.shards)
+      .Parse(argc, argv, 2);
+  if (level < 1) flags.Fail("--level must be >= 1");
 
-  std::filesystem::remove_all(shim.dir);
-  std::filesystem::create_directories(shim.dir);
-  std::unique_ptr<hm::HyperStore> store =
-      OpenBackend(shim, backend, shim.dir + "/" + backend);
-
-  hm::GeneratorConfig config;
-  config.levels = level;
-  hm::Generator generator(config);
-  auto db = generator.Build(store.get(), nullptr);
-  CheckOk(db.status());
+  std::unique_ptr<hm::HyperStore> store = Must(hm::bench::OpenBackend(
+      config, backend, hm::bench::ScratchDir(dir) + "/" + backend));
+  hm::TestDatabase db = hm::bench::BuildDatabase(store.get(), level, nullptr);
 
   hm::analysis::FsckOptions options;
-  options.config = config;
-  auto report = hm::analysis::RunFsck(store.get(), options);
-  CheckOk(report.status());
+  options.config.levels = level;
+  auto report = Must(hm::analysis::RunFsck(store.get(), options));
   std::cout << "hmbench fsck: backend " << backend << ", level " << level
-            << " (" << db->node_count() << " nodes)\n";
-  report->PrintTo(std::cout);
-  return report->ok() ? 0 : 2;
+            << " (" << db.node_count() << " nodes)\n";
+  report.PrintTo(std::cout);
+  return report.ok() ? 0 : 2;
 }
 
 }  // namespace
@@ -1031,80 +624,51 @@ int main(int argc, char** argv) {
   if (argc > 1 && argv[1][0] != '-') {
     // A bare word that is not a known subcommand is a typo'd
     // subcommand, not a benchmark flag.
-    std::cerr << "unknown subcommand '" << argv[1] << "'\n";
-    Usage(1);
+    std::cerr << "hmbench: unknown subcommand '" << argv[1] << "'\n"
+              << kUsage;
+    return 1;
   }
-  Args args = Parse(argc, argv);
-  std::filesystem::remove_all(args.dir);
-  std::filesystem::create_directories(args.dir);
-
-  hm::Report report;
-  for (int level : args.levels) {
-    for (const std::string& backend : args.backends) {
-      std::string dir =
-          args.dir + "/" + backend + "_l" + std::to_string(level);
-      std::unique_ptr<hm::HyperStore> store =
-          OpenBackend(args, backend, dir);
-
-      // Report the spelling that actually ran: a bare "remote"
-      // resolves to its effective rung so pinned and default modes
-      // stay distinct rows in one report.
-      std::string label = backend;
-      if (backend == "remote") {
-        if (auto* remote =
-                dynamic_cast<hm::backends::RemoteStore*>(store.get())) {
-          label = "remote[" +
-                  std::string(
-                      hm::backends::RemoteModeName(remote->mode())) +
-                  "]";
-        }
-      }
-
-      hm::GeneratorConfig gen_config;
-      gen_config.levels = level;
-      hm::Generator generator(gen_config);
-      hm::CreationTiming timing;
-      auto db = generator.Build(store.get(), &timing);
-      CheckOk(db.status());
-      if (args.creation) {
-        hm::CreationRow row;
-        row.backend = label;
-        row.level = level;
-        row.nodes = db->node_count();
-        row.timing = timing;
-        report.AddCreation(row);
-      }
-
-      hm::DriverConfig config;
-      config.iterations = args.iters;
-      config.seed = args.seed;
-      hm::Driver driver(store.get(), &*db, config);
-      for (hm::OpId op : args.ops) {
-        auto result = driver.Run(op);
-        CheckOk(result.status());
-        // Keep the requested spelling ("remote[percall]") so pinned
-        // remote modes stay distinct columns in the report (a bare
-        // "remote" was resolved to its rung above).
-        result->backend = label;
-        report.AddOpResult(*result);
-      }
-    }
+  hm::bench::ProtocolConfig run;
+  run.dir = "/tmp/hmbench";
+  hm::bench::BackendConfig backend;
+  std::string json;
+  bool csv = false;
+  Flags flags("hmbench", kUsage);
+  flags.Add("levels", &run.levels)
+      .Add("backends", &run.backends)
+      .Add("ops", &run.ops)
+      .Add("iters", &run.iterations)
+      .Add("cache-pages", &backend.cache_pages)
+      .Add("seed", &run.seed)
+      .Add("dir", &run.dir)
+      .Add("remote", &backend.remote)
+      .Add("shards", &backend.shards)
+      .Add("remote-mode", &backend.remote_mode)
+      .Add("json", &json)
+      .Add("csv", &csv)
+      .Add("creation", &run.creation)
+      .Parse(argc, argv);
+  if (run.levels.empty() || run.backends.empty() || run.iterations <= 0 ||
+      (run.ops.empty() && !run.creation)) {
+    flags.Fail("needs levels, backends, iters > 0, and ops or --creation");
   }
+  run.dir = hm::bench::ScratchDir(run.dir);
 
-  if (args.csv) {
+  hm::Report report = hm::bench::RunProtocol(run, backend);
+  if (csv) {
     report.PrintCsv(std::cout);
   } else {
-    if (args.creation) report.PrintCreationTable(std::cout);
-    report.PrintOpTable(std::cout);
+    if (run.creation) report.PrintCreationTable(std::cout);
+    if (!run.ops.empty()) report.PrintOpTable(std::cout);
   }
-  if (!args.json.empty()) {
-    std::ofstream json(args.json);
-    if (!json) {
-      std::cerr << "hmbench: cannot write JSON to '" << args.json << "'\n";
+  if (!json.empty()) {
+    std::ofstream out(json);
+    if (!out) {
+      std::cerr << "hmbench: cannot write JSON to '" << json << "'\n";
       return 1;
     }
-    report.PrintJson(json);
-    std::cerr << "JSON written to " << args.json << "\n";
+    report.PrintJson(out);
+    std::cerr << "JSON written to " << json << "\n";
   }
   return 0;
 }
