@@ -80,7 +80,7 @@ NodeRef Pick(util::Rng* rng, const std::vector<NodeRef>& pool) {
 
 }  // namespace
 
-std::vector<uint64_t> Driver::SelectInputs(OpId op) const {
+util::Result<std::vector<uint64_t>> Driver::SelectInputs(OpId op) const {
   // Seed depends on the operation so different operations draw
   // different inputs, but every backend draws the same ones.
   util::Rng rng(config_.seed * 1000003 + static_cast<uint64_t>(op));
@@ -93,6 +93,21 @@ std::vector<uint64_t> Driver::SelectInputs(OpId op) const {
       std::min<size_t>(3, db_->nodes_by_level.size() >= 2
                               ? db_->nodes_by_level.size() - 2
                               : 0);
+
+  // Every generated tree has a root, an internal level and leaves, so
+  // only the leaf-kind pools can be empty: a level-2 tree has 25
+  // leaves and no form node (one per `leaves_per_form` leaves).
+  std::string_view missing;
+  if (op == OpId::kTextNodeEdit && db_->text_nodes.empty()) {
+    missing = "text node";
+  } else if (op == OpId::kFormNodeEdit && db_->form_nodes.empty()) {
+    missing = "form node";
+  }
+  if (!missing.empty()) {
+    return util::Status::FailedPrecondition(
+        std::string(OpName(op)) + " needs a " + std::string(missing) +
+        " and this database has none");
+  }
 
   for (int i = 0; i < config_.iterations; ++i) {
     switch (op) {
@@ -163,7 +178,7 @@ std::vector<uint64_t> Driver::SelectInputs(OpId op) const {
 }
 
 util::Status Driver::TimedRun(OpId op, bool warm, RunTotals* totals) {
-  std::vector<uint64_t> inputs = SelectInputs(op);
+  HM_ASSIGN_OR_RETURN(std::vector<uint64_t> inputs, SelectInputs(op));
   const int n = config_.iterations;
   // Deterministic per-run randomness for formNodeEdit rectangles; the
   // warm run replays the same rectangles, restoring the bitmap (an

@@ -109,8 +109,10 @@ class Driver {
   /// the edit direction for textNodeEdit.
   util::Status TimedRun(OpId op, bool warm, RunTotals* totals);
 
-  /// Deterministic input refs for the operation (step a).
-  std::vector<uint64_t> SelectInputs(OpId op) const;
+  /// Deterministic input refs for the operation (step a), or
+  /// FailedPrecondition when the database has no node the op can
+  /// start from.
+  util::Result<std::vector<uint64_t>> SelectInputs(OpId op) const;
 
   HyperStore* store_;
   const TestDatabase* db_;

@@ -190,6 +190,8 @@ util::Status StatusFromCode(util::StatusCode code, std::string msg) {
       return util::Status::FencedOff(std::move(msg));
     case util::StatusCode::kVersionMismatch:
       return util::Status::VersionMismatch(std::move(msg));
+    case util::StatusCode::kFailedPrecondition:
+      return util::Status::FailedPrecondition(std::move(msg));
   }
   return util::Status::Internal("unknown wire status code: " +
                                 std::move(msg));

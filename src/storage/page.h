@@ -83,10 +83,12 @@ class Page {
   }
 
   /// Verifies the stored checksum. A page of all zeroes (never
-  /// written) also verifies, so freshly allocated pages pass.
+  /// written) also verifies, so freshly allocated pages pass. A zero
+  /// checksum word over any other bytes must match like any other, so
+  /// a torn or stray write that zeroed only the header is caught.
   bool ChecksumOk() const {
     uint32_t stored = util::DecodeFixed32(data_);
-    if (stored == 0) return true;  // never checksummed
+    if (stored == 0 && IsAllZero()) return true;  // never checksummed
     uint32_t crc = util::Crc32(std::string_view(data_ + 4, kPageSize - 4));
     return util::UnmaskCrc(stored) == crc;
   }
@@ -94,6 +96,10 @@ class Page {
   void Zero() { std::memset(data_, 0, kPageSize); }
 
  private:
+  bool IsAllZero() const {
+    return data_[0] == 0 && std::memcmp(data_, data_ + 1, kPageSize - 1) == 0;
+  }
+
   alignas(8) char data_[kPageSize];
 };
 

@@ -38,6 +38,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "FencedOff";
     case StatusCode::kVersionMismatch:
       return "VersionMismatch";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -28,6 +28,7 @@ enum class StatusCode : uint8_t {
   kReadOnly = 14,          // replica refused a mutation; write to the primary
   kFencedOff = 15,         // a newer epoch fenced this primary; do not retry
   kVersionMismatch = 16,   // peers speak different wire versions
+  kFailedPrecondition = 17,  // the data cannot serve this request
 };
 
 /// Human-readable name for a status code ("NotFound", ...).
@@ -94,6 +95,9 @@ class [[nodiscard]] Status {
   }
   static Status VersionMismatch(std::string msg) {
     return Status(StatusCode::kVersionMismatch, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

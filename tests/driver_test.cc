@@ -52,6 +52,22 @@ TEST_F(DriverTest, RunProducesPlausibleResult) {
   EXPECT_GT(result->cold_ms_per_node(), 0.0);
 }
 
+TEST(DriverSmallDatabaseTest, OpWithoutInputNodesFailsWithStatus) {
+  // A level-2 database has 25 leaves and no form node (one per 125
+  // text nodes): op 17 must refuse, not abort.
+  backends::MemStore store;
+  GeneratorConfig config;
+  config.levels = 2;
+  auto db = Generator(config).Build(&store, nullptr);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(db->form_nodes.empty());
+  Driver driver(&store, &*db, DriverConfig{});
+  auto result = driver.Run(OpId::kFormNodeEdit);
+  EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition)
+      << result.status().ToString();
+  EXPECT_TRUE(driver.Run(OpId::kTextNodeEdit).ok());
+}
+
 TEST_F(DriverTest, GroupLookupReturnsFanoutNodes) {
   Driver driver(&store_, &db_, config_);
   auto result = driver.Run(OpId::kGroupLookup1N);

@@ -5,8 +5,10 @@
 
 Runs every op on every backend kind at a small level and checks the
 JSON report has exactly one row per (op, backend); runs the E1
-creation-only spelling; checks flags a subcommand does not honour are
-refused; and checks the scratch directory is gone after each run.
+creation-only spelling; checks that op 17 on a level-2 database, which
+has no form node, fails with a Status instead of aborting; checks flags
+a subcommand does not honour are refused; and checks the scratch
+directory is gone after each run.
 """
 
 import json
@@ -58,6 +60,17 @@ def main():
         check("Database creation" in result.stdout and
               "HyperModel operations" not in result.stdout,
               "creation-only run must print only the creation table", result)
+        check(not os.path.exists(scratch), "scratch directory left behind")
+
+        # Op 17 on a level-2 database (no form node) is refused with a
+        # Status: exit 1 and a message, not an abort.
+        result = run([hmbench, "--levels=2", "--iters=1", "--ops=17",
+                      "--backends=mem", "--dir=" + scratch])
+        check(result.returncode == 1 and
+              "FailedPrecondition" in result.stderr and
+              "form node" in result.stderr,
+              "level-2 op 17 must fail with FailedPrecondition, exit %d"
+              % result.returncode, result)
         check(not os.path.exists(scratch), "scratch directory left behind")
 
     # A flag the subcommand would ignore is refused, not dropped.

@@ -117,6 +117,30 @@ TEST_F(FileManagerTest, ReadPastEndFails) {
   EXPECT_EQ(fm.ReadPage(5, &page).code(), util::StatusCode::kOutOfRange);
 }
 
+TEST_F(FileManagerTest, DetectsZeroedChecksumWord) {
+  {
+    FileManager fm;
+    ASSERT_TRUE(fm.Open(Path("z.db")).ok());
+    ASSERT_TRUE(fm.AllocatePage().ok());
+    Page page;
+    page.set_page_id(0);
+    page.payload()[10] = 'A';
+    ASSERT_TRUE(fm.WritePage(0, &page).ok());
+    ASSERT_TRUE(fm.Close().ok());
+  }
+  // A torn or stray write zeroes the checksum word, bytes [0,4).
+  {
+    std::fstream f(Path("z.db"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(0);
+    f.write("\0\0\0\0", 4);
+  }
+  FileManager fm;
+  ASSERT_TRUE(fm.Open(Path("z.db")).ok());
+  Page page;
+  EXPECT_EQ(fm.ReadPage(0, &page).code(), util::StatusCode::kCorruption);
+}
+
 TEST_F(FileManagerTest, DetectsOnDiskCorruption) {
   {
     FileManager fm;
