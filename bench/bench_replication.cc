@@ -261,13 +261,13 @@ void Preload(HyperStore* client, int64_t nodes) {
 void AwaitCatchUp(uint16_t primary_port,
                   const std::vector<uint16_t>& follower_ports) {
   auto primary = DirectClient(primary_port);
-  RemoteStore::ReplPeer head;
+  server::ReplPeer head;
   CheckOk(primary->ReplReport(0, 0, &head), "primary status");
   for (uint16_t port : follower_ports) {
     auto follower = DirectClient(port);
     if (!WaitFor(
             [&] {
-              RemoteStore::ReplPeer peer;
+              server::ReplPeer peer;
               return follower->ReplReport(0, 0, &peer).ok() &&
                      peer.durable_lsn >= head.durable_lsn;
             },

@@ -1,6 +1,5 @@
 #include "hypermodel/backends/rel_store.h"
 
-#include <cstdlib>
 #include <filesystem>
 
 #include "storage/slotted_page.h"
@@ -66,18 +65,11 @@ util::Result<std::unique_ptr<RelStore>> RelStore::Open(
     return util::Status::IoError("create_directories '" + dir +
                                  "': " + ec.message());
   }
-  uint64_t group_commit_us = options.group_commit_us;
-  if (const char* env = std::getenv("HM_GROUP_COMMIT_US")) {
-    char* end = nullptr;
-    uint64_t v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') group_commit_us = v;
-  }
-
   std::unique_ptr<RelStore> rel(new RelStore());
   HM_RETURN_IF_ERROR(rel->file_.Open(dir + "/relational.db"));
-  if (group_commit_us > 0) {
+  if (options.group_commit_us > 0) {
     storage::GroupCommitCoordinator::Options gc;
-    gc.window_us = static_cast<uint32_t>(group_commit_us);
+    gc.window_us = static_cast<uint32_t>(options.group_commit_us);
     storage::FileManager* file = &rel->file_;
     rel->group_commit_ = std::make_unique<storage::GroupCommitCoordinator>(
         [file] { return file->Sync(); }, gc);

@@ -21,7 +21,6 @@ struct RelOptions {
   size_t cache_pages = 2048;
   /// Group-commit window in microseconds (0 = fsync per commit). The
   /// FORCE flush still happens per commit; only the fsync is batched.
-  /// Overridable via HM_GROUP_COMMIT_US.
   uint64_t group_commit_us = 0;
 };
 

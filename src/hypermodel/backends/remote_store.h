@@ -13,7 +13,6 @@
 #include "server/server.h"
 #include "server/wire.h"
 #include "telemetry/metrics.h"
-#include "util/coding.h"
 #include "util/random.h"
 
 namespace hm::backends {
@@ -198,17 +197,11 @@ class RemoteStore : public HyperStore,
                              std::span<const int64_t> values) override;
 
   // --- Replication ----------------------------------------------------
-  /// kReplSubscribe handshake result.
-  struct ReplChain {
-    uint64_t epoch = 0;       // primary's current epoch
-    uint64_t next_lsn = 0;    // primary's next WAL LSN
-    uint64_t oldest_seq = 0;  // oldest retained segment
-  };
   /// Opens (or resumes, when `resume_seq` > 0) a WAL subscription as
   /// follower `follower_id` (nonzero, stable across reconnects — it
   /// keys the primary's retention floor).
   util::Status ReplSubscribe(uint64_t follower_id, uint64_t resume_seq,
-                             ReplChain* out);
+                             server::ReplChain* out);
   /// Fetches up to `max_bytes` of segment `seq` starting at `offset`.
   /// `*sealed` reports whether the segment is closed; `*flushed_size`
   /// its currently durable size. An empty chunk at the flushed size
@@ -216,18 +209,11 @@ class RemoteStore : public HyperStore,
   util::Status ReplFetch(uint64_t seq, uint64_t offset, uint64_t max_bytes,
                          std::string* chunk, bool* sealed,
                          uint64_t* flushed_size);
-  /// One peer's replication standing, per kReplStatus.
-  struct ReplPeer {
-    uint8_t role = 0;          // replication::Role byte
-    uint64_t epoch = 0;
-    uint64_t durable_lsn = 0;  // primary: next WAL LSN; replica:
-                               // replayed LSN
-  };
   /// Reports this follower's replay progress (and id) to a primary —
   /// or, with both zero, just queries the peer's role/epoch/LSN (the
   /// failover client's probe).
   util::Status ReplReport(uint64_t follower_id, uint64_t replayed_lsn,
-                          ReplPeer* out);
+                          server::ReplPeer* out);
   /// Asks a replica to promote itself under `proposed_epoch`;
   /// `*epoch` receives the epoch now in force. Idempotent: a repeat
   /// with the epoch already in force succeeds.
@@ -297,16 +283,14 @@ class RemoteStore : public HyperStore,
   /// returns kDeadlineExceeded. `*op_status` receives the server's
   /// status, `*result` (may be null) the response body.
   util::Status ReadResponse(util::Status* op_status, std::string* result);
-  /// Sends one request (opcode + body) and blocks for its response.
-  /// Returns the server's status for the op; on OK, `*result` receives
-  /// the response body. Transport failures of retry-safe opcodes are
-  /// retried via RetryTransport; a mutation of unknown fate surfaces
-  /// kUnavailable without ever being re-sent.
-  util::Status Call(server::OpCode op, std::string_view body,
-                    std::string* result);
+  /// Sends one request payload (opcode byte + body) and blocks for its
+  /// response. Returns the server's status for the op; on OK, `*result`
+  /// receives the response body. Transport failures of retry-safe
+  /// opcodes are retried via RetryTransport; a mutation of unknown fate
+  /// surfaces kUnavailable without ever being re-sent.
+  util::Status Call(std::string_view payload, std::string* result);
   /// One attempt of Call, no recovery.
-  util::Status CallOnce(server::OpCode op, std::string_view body,
-                        std::string* result);
+  util::Status CallOnce(std::string_view payload, std::string* result);
 
   /// Executes every payload (opcode + body) in order and returns each
   /// (status, body) pair positionally, as kBatch frames of at most
@@ -319,28 +303,32 @@ class RemoteStore : public HyperStore,
   util::Status CallManyOnce(
       std::span<const std::string> payloads,
       std::vector<std::pair<util::Status, std::string>>* out);
-  /// One `op` request per node (the ref is the whole body) through
-  /// CallMany; each response body is decoded by `decode`.
-  util::Status CallPerNode(
-      server::OpCode op, std::span<const NodeRef> nodes,
-      const std::function<util::Status(util::Decoder*)>& decode);
-  /// Runs a fused `op` (optional `prefix` + varint n + n refs -> varint
-  /// n + n entries) in kMultiChunk slices; `decode` reads one entry.
-  util::Status CallFused(
-      server::OpCode op, std::string_view prefix,
-      std::span<const NodeRef> nodes,
-      const std::function<util::Status(util::Decoder*)>& decode);
+
+  // Call-table requests (server/wire_calls.h). `C` is a declaration
+  // from server::calls; a reply that does not decode is Corruption.
+
+  /// Round-trips `C(args...)` and decodes the reply into `*reply`
+  /// (list replies append).
+  template <typename C, typename... A>
+  util::Status InvokeInto(typename C::Reply* reply, const A&... args);
+  /// InvokeInto returning the reply: a Status for an empty reply, else
+  /// a Result.
+  template <typename C, typename... A>
+  auto Invoke(const A&... args);
+  /// One `C` request per node (the ref is the whole body) through
+  /// CallMany; reply i becomes list i of `*out`.
+  template <typename C, typename T>
+  util::Status InvokePerNode(std::span<const NodeRef> nodes,
+                             FlatLists<T>* out);
+  /// A fused multi-node `C` (`lead` arguments, then the nodes) in
+  /// kMultiChunk slices; each reply must append one entry per node.
+  template <typename C, typename Out, typename... Lead>
+  util::Status InvokeFused(Out* out, std::span<const NodeRef> nodes,
+                           const Lead&... lead);
 
   /// Handshake after connect: checks that the server speaks exactly
   /// server::kWireVersion and learns its backend tag.
   util::Status Hello();
-
-  // Shared bodies for the method families that differ only in opcode.
-  util::Status RefListCall(server::OpCode op, std::string_view body,
-                           std::vector<NodeRef>* out);
-  util::Status EdgeListCall(server::OpCode op, NodeRef node,
-                            std::vector<RefEdge>* out);
-  util::Result<std::string> StringCall(server::OpCode op, NodeRef node);
 
   /// Lazily interned `remote.<mode>.roundtrips` counter (the mode is
   /// fixed before the first call, at Connect time).

@@ -80,7 +80,7 @@ util::Result<std::unique_ptr<ReplicatedStore>> ReplicatedStore::Connect(
   // The configured primary may already be dead or demoted (a client
   // can start after a failover): run the sweep up front so the first
   // write does not trip over kReadOnly or a dead socket.
-  RemoteStore::ReplPeer peer;
+  server::ReplPeer peer;
   if (!store->ProbePeer(0, &peer) || peer.role != kRolePrimary) {
     util::Status fo = store->Failover();
     if (!fo.ok()) return fo;
@@ -100,7 +100,7 @@ RemoteStore* ReplicatedStore::Peer(size_t i) {
   return conns_[i].get();
 }
 
-bool ReplicatedStore::ProbePeer(size_t i, RemoteStore::ReplPeer* out) {
+bool ReplicatedStore::ProbePeer(size_t i, server::ReplPeer* out) {
   RemoteStore* conn = Peer(i);
   if (conn == nullptr) return false;
   util::Status status = conn->ReplReport(0, 0, out);
@@ -127,7 +127,7 @@ bool ReplicatedStore::ProbePeer(size_t i, RemoteStore::ReplPeer* out) {
 }
 
 void ReplicatedStore::RefreshWatermark() {
-  RemoteStore::ReplPeer peer;
+  server::ReplPeer peer;
   if (!ProbePeer(primary_, &peer)) return;  // stays stale
   if (peer.role != kRolePrimary) return;    // demoted under us
   watermark_ = peer.durable_lsn;
@@ -142,7 +142,7 @@ util::Status ReplicatedStore::Failover() {
   uint64_t best_lsn = 0;
   uint64_t max_epoch = epoch_;
   for (size_t i = 0; i < n; ++i) {
-    RemoteStore::ReplPeer peer;
+    server::ReplPeer peer;
     if (!ProbePeer(i, &peer)) continue;
     max_epoch = std::max(max_epoch, peer.epoch);
     if (peer.role == kRolePrimary && peer.epoch >= epoch_ &&
@@ -211,7 +211,7 @@ RemoteStore* ReplicatedStore::PickReadPeer(size_t* index_out) {
       // read against a dead host would stall the read path.
       if (down_[i] && reads_ % 32 != 0) continue;
       if (replayed_[i] + options_.staleness_bytes < watermark_) {
-        RemoteStore::ReplPeer peer;
+        server::ReplPeer peer;
         if (!ProbePeer(i, &peer)) continue;
         if (replayed_[i] + options_.staleness_bytes < watermark_) continue;
       }

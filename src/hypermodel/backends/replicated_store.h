@@ -145,7 +145,7 @@ class ReplicatedStore : public HyperStore, public TraversalCapable {
   /// Probes peer `i` (kReplStatus query form), updating its cached
   /// replayed LSN, the known epoch, and fencing stale primaries on
   /// contact. Returns false when unreachable.
-  bool ProbePeer(size_t i, RemoteStore::ReplPeer* out);
+  bool ProbePeer(size_t i, server::ReplPeer* out);
 
   /// Re-reads the primary's durable LSN into watermark_ (called after
   /// a write made it stale). Failure leaves the watermark stale — the

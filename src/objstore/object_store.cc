@@ -87,13 +87,7 @@ bool EnvU64(const char* name, uint64_t* out) {
 
 void ApplyEnvOverrides(ObjectStoreOptions* options) {
   uint64_t v = 0;
-  if (EnvU64("HM_GROUP_COMMIT_US", &v)) {
-    options->group_commit_us = static_cast<uint32_t>(v);
-  }
   if (EnvU64("HM_WAL_SEGMENT_BYTES", &v)) options->wal_segment_bytes = v;
-  if (EnvU64("HM_CHECKPOINT_MS", &v)) {
-    options->checkpoint_interval_ms = static_cast<uint32_t>(v);
-  }
 }
 
 ObjectStore::ObjectStore(const ObjectStoreOptions& options)

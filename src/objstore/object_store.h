@@ -55,23 +55,21 @@ struct ObjectStoreOptions {
   /// Group-commit window in microseconds: concurrent committers share
   /// one WAL fsync, with a leader lingering up to this long for
   /// stragglers. 0 = classic private fsync per commit (the coordinator
-  /// is bypassed entirely). Overridden by $HM_GROUP_COMMIT_US.
+  /// is bypassed entirely).
   uint32_t group_commit_us = 0;
   /// WAL segment rollover threshold. Overridden by
   /// $HM_WAL_SEGMENT_BYTES.
   uint64_t wal_segment_bytes = 16ull << 20;
   /// Background fuzzy-checkpointer period in milliseconds; 0 disables
   /// the thread (checkpoints still happen at open, close and backup).
-  /// Overridden by $HM_CHECKPOINT_MS.
   uint32_t checkpoint_interval_ms = 0;
   /// Nudge the checkpointer early once the WAL exceeds this many
   /// bytes; 0 derives 4 * wal_segment_bytes.
   uint64_t checkpoint_wal_bytes = 0;
 };
 
-/// Applies the HM_GROUP_COMMIT_US / HM_WAL_SEGMENT_BYTES /
-/// HM_CHECKPOINT_MS environment overrides (used by the CI matrix to
-/// re-run the whole suite under different pipeline geometry).
+/// Applies the HM_WAL_SEGMENT_BYTES environment override (used by the
+/// CI torture job to re-run the whole suite with tiny WAL segments).
 void ApplyEnvOverrides(ObjectStoreOptions* options);
 
 class ObjectStore;

@@ -10,7 +10,6 @@
 
 #include "server/wire.h"
 #include "storage/commit_pipeline/segmented_wal.h"
-#include "util/coding.h"
 
 namespace hm::replication {
 
@@ -18,11 +17,6 @@ namespace {
 
 std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
-}
-
-util::Status MalformedBody(const char* op) {
-  return util::Status::InvalidArgument(std::string("malformed ") + op +
-                                       " body");
 }
 
 }  // namespace
@@ -196,8 +190,8 @@ util::Status Coordinator::WaitCommitReplicated() {
   return util::Status::Ok();
 }
 
-util::Status Coordinator::HandleSubscribe(std::string_view body,
-                                          std::string* result) {
+util::Result<server::ReplChain> Coordinator::HandleSubscribe(
+    uint64_t wire_version, uint64_t follower_id, uint64_t resume_seq) {
   WalShipper* shipper = this->shipper();
   if (role_.load(std::memory_order_acquire) != Role::kPrimary ||
       shipper == nullptr) {
@@ -205,94 +199,55 @@ util::Status Coordinator::HandleSubscribe(std::string_view body,
         "replication: not a shipping primary (role " +
         std::string(RoleName(role())) + ")");
   }
-  util::Decoder decoder(body);
-  uint64_t wire_version = 0;
-  uint64_t follower_id = 0;
-  uint64_t resume_seq = 0;
-  if (!decoder.GetVarint64(&wire_version) ||
-      !decoder.GetVarint64(&follower_id) ||
-      !decoder.GetVarint64(&resume_seq) || decoder.Remaining() != 0) {
-    return MalformedBody("repl_subscribe");
-  }
   if (wire_version != server::kWireVersion) {
     return util::Status::VersionMismatch(
         "replication: follower speaks wire v" + std::to_string(wire_version) +
         ", primary speaks v" + std::to_string(server::kWireVersion));
   }
-  uint64_t next_lsn = 0;
-  uint64_t oldest_seq = 0;
-  HM_RETURN_IF_ERROR(
-      shipper->Subscribe(follower_id, resume_seq, &next_lsn, &oldest_seq));
-  util::PutVarint64(result, epoch_.load(std::memory_order_acquire));
-  util::PutVarint64(result, next_lsn);
-  util::PutVarint64(result, oldest_seq);
-  return util::Status::Ok();
+  server::ReplChain chain;
+  HM_RETURN_IF_ERROR(shipper->Subscribe(follower_id, resume_seq,
+                                        &chain.next_lsn, &chain.oldest_seq));
+  chain.epoch = epoch_.load(std::memory_order_acquire);
+  return chain;
 }
 
-util::Status Coordinator::HandleSegment(std::string_view body,
-                                        std::string* result) {
+util::Result<server::ReplChunk> Coordinator::HandleSegment(
+    uint64_t seq, uint64_t offset, uint64_t max_bytes) {
   WalShipper* shipper = this->shipper();
   if (shipper == nullptr) {
     return util::Status::Unavailable(
         "replication: not a shipping primary (role " +
         std::string(RoleName(role())) + ")");
   }
-  util::Decoder decoder(body);
-  uint64_t seq = 0;
-  uint64_t offset = 0;
-  uint64_t max_bytes = 0;
-  if (!decoder.GetVarint64(&seq) || !decoder.GetVarint64(&offset) ||
-      !decoder.GetVarint64(&max_bytes) || decoder.Remaining() != 0) {
-    return MalformedBody("repl_segment");
-  }
-  std::string chunk;
-  bool sealed = false;
-  uint64_t flushed_size = 0;
-  HM_RETURN_IF_ERROR(
-      shipper->Serve(seq, offset, max_bytes, &chunk, &sealed, &flushed_size));
-  result->push_back(sealed ? '\x01' : '\x00');
-  util::PutVarint64(result, flushed_size);
-  util::PutLengthPrefixed(result, chunk);
-  return util::Status::Ok();
+  server::ReplChunk chunk;
+  HM_RETURN_IF_ERROR(shipper->Serve(seq, offset, max_bytes, &chunk.bytes,
+                                    &chunk.sealed, &chunk.flushed_size));
+  return chunk;
 }
 
-util::Status Coordinator::HandleStatus(std::string_view body,
-                                       std::string* result) {
-  util::Decoder decoder(body);
-  uint64_t follower_id = 0;
-  uint64_t replayed_lsn = 0;
-  if (!decoder.GetVarint64(&follower_id) ||
-      !decoder.GetVarint64(&replayed_lsn) || decoder.Remaining() != 0) {
-    return MalformedBody("repl_status");
-  }
+util::Result<server::ReplPeer> Coordinator::HandleStatus(
+    uint64_t follower_id, uint64_t replayed_lsn) {
   WalShipper* shipper = this->shipper();
   if (follower_id != 0 && shipper != nullptr) {
     shipper->Ack(follower_id, replayed_lsn);
   }
-  result->push_back(
-      static_cast<char>(role_.load(std::memory_order_acquire)));
-  util::PutVarint64(result, epoch_.load(std::memory_order_acquire));
-  util::PutVarint64(result, DurableLsn());
-  return util::Status::Ok();
+  server::ReplPeer peer;
+  peer.role = static_cast<uint8_t>(role_.load(std::memory_order_acquire));
+  peer.epoch = epoch_.load(std::memory_order_acquire);
+  peer.durable_lsn = DurableLsn();
+  return peer;
 }
 
-util::Status Coordinator::HandlePromote(std::string_view body,
-                                        std::string* result) {
+util::Result<uint64_t> Coordinator::HandlePromote(uint64_t proposed) {
   // Runs under the server's exclusive dispatch lock (kReplPromote is
   // not a read-only opcode), so no request is in flight and the
   // replicator's apply hook cannot be mid-apply.
-  util::Decoder decoder(body);
-  uint64_t proposed = 0;
-  if (!decoder.GetVarint64(&proposed) || decoder.Remaining() != 0) {
-    return MalformedBody("repl_promote");
-  }
   const uint64_t current = epoch_.load(std::memory_order_acquire);
   const Role current_role = role_.load(std::memory_order_acquire);
   if (proposed == current && current_role == Role::kPrimary) {
     // Idempotent retry: the promotion already happened (possibly on a
     // previous connection that died after persisting).
-    util::PutVarint64(result, current);
-    return util::Status::Ok();
+    return current;
   }
   if (proposed <= current) {
     return util::Status::InvalidArgument(
@@ -335,17 +290,10 @@ util::Status Coordinator::HandlePromote(std::string_view body,
         store_->object_store()->wal(), /*chain_complete=*/false);
     shipper_.store(shipper_owner_.get(), std::memory_order_release);
   }
-  util::PutVarint64(result, proposed);
-  return util::Status::Ok();
+  return proposed;
 }
 
-util::Status Coordinator::HandleFence(std::string_view body,
-                                      std::string* result) {
-  util::Decoder decoder(body);
-  uint64_t fencing = 0;
-  if (!decoder.GetVarint64(&fencing) || decoder.Remaining() != 0) {
-    return MalformedBody("repl_fence");
-  }
+util::Result<uint64_t> Coordinator::HandleFence(uint64_t fencing) {
   const uint64_t current = epoch_.load(std::memory_order_acquire);
   if (fencing > current) {
     const Role current_role = role_.load(std::memory_order_acquire);
@@ -367,8 +315,7 @@ util::Status Coordinator::HandleFence(std::string_view body,
     epoch_gauge_->Set(static_cast<int64_t>(fencing));
     fences_->Add(1);
   }
-  util::PutVarint64(result, epoch_.load(std::memory_order_acquire));
-  return util::Status::Ok();
+  return epoch_.load(std::memory_order_acquire);
 }
 
 }  // namespace hm::replication

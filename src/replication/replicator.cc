@@ -441,7 +441,7 @@ util::Status Replicator::PullFromPrimary() {
   std::unique_ptr<backends::RemoteStore> primary =
       std::move(connected).value();
 
-  backends::RemoteStore::ReplChain chain;
+  server::ReplChain chain;
   HM_RETURN_IF_ERROR(
       primary->ReplSubscribe(options_.follower_id, cursor_seq_, &chain));
 
@@ -521,7 +521,7 @@ util::Status Replicator::PullFromPrimary() {
       SleepUnless(options_.poll_ms, stop_, promoted_);
     }
 
-    backends::RemoteStore::ReplPeer peer;
+    server::ReplPeer peer;
     HM_RETURN_IF_ERROR(primary->ReplReport(
         options_.follower_id, replayed_lsn_.load(std::memory_order_relaxed),
         &peer));

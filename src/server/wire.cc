@@ -131,7 +131,7 @@ std::string_view OpCodeName(OpCode op) {
   return "unknown";
 }
 
-void EncodeBatch(const std::vector<std::string>& entries, std::string* dst) {
+void EncodeBatch(std::span<const std::string> entries, std::string* dst) {
   util::PutVarint64(dst, entries.size());
   for (const std::string& entry : entries) {
     util::PutLengthPrefixed(dst, entry);

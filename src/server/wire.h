@@ -2,6 +2,7 @@
 #define HM_SERVER_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,8 @@ namespace hm::server {
 /// Integers use the same fixed/varint encodings as the storage layer
 /// (util/coding): NodeRefs travel as varint64, attribute values as
 /// zig-zag varints, strings and serialized bitmaps length-prefixed.
+/// server/wire_calls.h holds the codec for every value type and the
+/// body layout of every opcode.
 
 /// The one protocol version this build speaks. Clients and servers
 /// always ship together from this tree and nothing persisted speaks
@@ -60,10 +63,12 @@ inline constexpr size_t kFrameHeaderBytes = 8;
 inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
 
 /// One opcode per HyperStore method, plus session management. Values
-/// are part of the wire format — append only, never renumber.
+/// are part of the wire format — append only, never renumber. Each
+/// opcode's body layout is declared once, in the call table
+/// (server/wire_calls.h).
 enum class OpCode : uint8_t {
-  kHello = 1,        // varint version -> version byte + backend name
-  kReset = 2,        // recreate the served database (benchmark setup)
+  kHello = 1,
+  kReset = 2,  // recreate the served database (benchmark setup)
   kBegin = 3,
   kCommit = 4,
   kAbort = 5,
@@ -99,30 +104,29 @@ enum class OpCode : uint8_t {
   // sub-response is a regular response payload (status + body). The
   // same shape encodes both directions; nesting is rejected.
   kBatch = 30,
-  kChildrenMulti = 31,   // varint n + n refs -> n length-counted ref lists
-  kGetAttrsMulti = 32,   // attr + varint n + n refs -> n zig-zag values
+  kChildrenMulti = 31,
+  kGetAttrsMulti = 32,
 
   // ---- v2: server-side traversal (closure pushdown, §6.6) ----
   // The server walks the backend locally and ships only the result,
   // turning O(visited-nodes) round-trips into one.
-  kClosure1N = 33,           // start -> pre-order ref list
-  kClosureMN = 34,           // start -> DFS first-encounter ref list
-  kClosureMNAtt = 35,        // start + varint depth -> BFS ref list
-  kClosure1NAttSum = 36,     // start -> varint visited + zig-zag sum
-  kClosure1NAttSet = 37,     // start -> varint updated count (MUTATES)
-  kClosure1NPred = 38,       // start + zig-zag lo,hi -> ref list
-  kClosureMNAttLinkSum = 39, // start + varint depth -> (ref, zig-zag dist) list
+  kClosure1N = 33,
+  kClosureMN = 34,
+  kClosureMNAtt = 35,
+  kClosure1NAttSum = 36,
+  kClosure1NAttSet = 37,  // the one mutating kernel
+  kClosure1NPred = 38,
+  kClosureMNAttLinkSum = 39,
 
   // ---- v3: introspection ----
-  kStats = 40,  // empty body -> serialized telemetry::Snapshot
+  kStats = 40,  // the server's telemetry registry
 
   // ---- v4: fault tolerance ----
-  kPing = 41,  // empty body -> empty OK (liveness / reconnect probe)
+  kPing = 41,  // liveness / reconnect probe
 
   // ---- v5: cluster ----
-  // Empty body -> varint shard id + varint shard count. A server that
-  // is not part of a fleet answers (0, 1), which the sharded client
-  // rejects at connect time as a mis-wired fleet.
+  // A server that is not part of a fleet answers (0, 1), which the
+  // sharded client rejects at connect time as a mis-wired fleet.
   kShardInfo = 42,
 
   // ---- v6: replication ----
@@ -130,19 +134,11 @@ enum class OpCode : uint8_t {
   // answers — so replication rides the existing one-request-one-
   // response framing with no new stream machinery. A server with no
   // replication role configured answers all five with NotSupported.
-  kReplSubscribe = 43,  // varint wire version + varint follower id +
-                        // varint resume seq (0 = fresh) -> varint epoch
-                        // + varint next LSN + varint oldest segment seq
-  kReplSegment = 44,    // varint seq + varint offset + varint max_bytes
-                        // -> flags byte (bit0 sealed) + varint flushed
-                        // segment size + length-prefixed chunk
-  kReplStatus = 45,     // varint follower id + varint replayed LSN
-                        // (both 0 = pure query) -> role byte +
-                        // varint epoch + varint durable LSN
-  kReplPromote = 46,    // varint proposed epoch -> varint epoch; the
-                        // follower replays its backlog and takes writes
-  kReplFence = 47,      // varint fencing epoch -> varint epoch; an old
-                        // primary demotes itself and persists the fence
+  kReplSubscribe = 43,
+  kReplSegment = 44,
+  kReplStatus = 45,
+  kReplPromote = 46,  // the follower replays its backlog, takes writes
+  kReplFence = 47,    // an old primary demotes itself, persists the fence
 
   // ---- v7: no new opcodes. kHello requires an exact version match and
   // answers kVersionMismatch otherwise (see kWireVersion).
@@ -168,7 +164,7 @@ inline constexpr uint64_t kMaxBatchEntries = 65536;
 /// Appends the Batch body encoding of `entries` to `dst`: varint count
 /// followed by each entry length-prefixed. Used for both the request
 /// (sub-requests) and the response (sub-responses) directions.
-void EncodeBatch(const std::vector<std::string>& entries, std::string* dst);
+void EncodeBatch(std::span<const std::string> entries, std::string* dst);
 
 /// Decodes a Batch body into entry views into `body`. Strict: fails on
 /// a count above `max_entries`, a truncated entry, or trailing bytes.

@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
@@ -13,19 +12,12 @@ namespace hm::storage {
 
 namespace {
 
-/// Shard-count policy: HM_POOL_SHARDS wins, then the explicit option,
-/// then auto-sizing (one shard per 64 frames, capped at 16). The
-/// result is floored to a power of two (for mask-based selection) and
-/// never exceeds the capacity, so every shard owns at least one frame.
+/// Shard-count policy: the explicit option, else auto-sizing (one
+/// shard per 64 frames, capped at 16). The result is floored to a power
+/// of two (for mask-based selection) and never exceeds the capacity, so
+/// every shard owns at least one frame.
 size_t ResolveShardCount(size_t capacity, size_t requested) {
   size_t shards = requested;
-  if (const char* env = std::getenv("HM_POOL_SHARDS")) {
-    char* end = nullptr;
-    unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      shards = static_cast<size_t>(parsed);
-    }
-  }
   if (shards == 0) shards = std::min<size_t>(16, capacity / 64);
   if (shards == 0) shards = 1;
   shards = std::min(shards, capacity);

@@ -140,8 +140,7 @@ struct BufferPoolOptions {
   /// Number of hash partitions; rounded down to a power of two and
   /// capped at `capacity`. 0 means auto: min(16, capacity / 64), at
   /// least 1 — small pools (unit tests) collapse to a single shard
-  /// and keep exact legacy CLOCK semantics. The HM_POOL_SHARDS
-  /// environment variable overrides either setting.
+  /// and keep exact legacy CLOCK semantics.
   size_t shards = 0;
 };
 

@@ -162,6 +162,20 @@ class Decoder {
     return true;
   }
 
+  bool GetByte(uint8_t* value) {
+    if (data_.empty()) return false;
+    *value = static_cast<uint8_t>(data_.front());
+    data_.remove_prefix(1);
+    return true;
+  }
+
+  /// Consumes and returns every byte left.
+  std::string_view TakeRest() {
+    std::string_view rest = data_;
+    data_ = std::string_view();
+    return rest;
+  }
+
   bool Skip(size_t n) {
     if (data_.size() < n) return false;
     data_.remove_prefix(n);

@@ -84,15 +84,6 @@ TEST_F(BufferPoolTest, ExplicitShardCountIsFlooredToPowerOfTwo) {
   EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{4, 64}).shard_count(), 4u);
 }
 
-TEST_F(BufferPoolTest, EnvVariableOverridesShardCount) {
-  ::setenv("HM_POOL_SHARDS", "8", 1);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{256, 2}).shard_count(), 8u);
-  ::setenv("HM_POOL_SHARDS", "not-a-number", 1);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{256, 2}).shard_count(), 2u);
-  ::unsetenv("HM_POOL_SHARDS");
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{256, 2}).shard_count(), 2u);
-}
-
 // ---------- Read pins ----------
 
 TEST_F(BufferPoolTest, ReadGuardSeesDataAndCountsHit) {

@@ -213,9 +213,7 @@ class CommitPipelineStoreTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
-    unsetenv("HM_GROUP_COMMIT_US");
     unsetenv("HM_WAL_SEGMENT_BYTES");
-    unsetenv("HM_CHECKPOINT_MS");
     std::filesystem::remove_all(dir_);
   }
 

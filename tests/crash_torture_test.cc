@@ -46,11 +46,9 @@ class CrashTortureTest : public ::testing::Test {
       GTEST_SKIP() << "failpoints compiled out of this build";
     }
     // These scenarios pin exact pipeline geometry (tiny segments so a
-    // countdown failpoint lands mid-rollover); the CI env matrix must
-    // not override it. The forked child inherits the cleaned env.
+    // countdown failpoint lands mid-rollover); the CI torture job's
+    // HM_WAL_SEGMENT_BYTES must not override it. The forked child inherits the cleaned env.
     ::unsetenv("HM_WAL_SEGMENT_BYTES");
-    ::unsetenv("HM_GROUP_COMMIT_US");
-    ::unsetenv("HM_CHECKPOINT_MS");
     dir_ = ::testing::TempDir() + "/hm_crash_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);

@@ -414,10 +414,10 @@ class ReplicationE2eTest : public ::testing::Test {
   /// Waits until `port`'s replica has replayed through the primary's
   /// current durable LSN.
   static void AwaitCatchUp(RemoteStore* primary, RemoteStore* replica) {
-    RemoteStore::ReplPeer head;
+    server::ReplPeer head;
     ASSERT_TRUE(primary->ReplReport(0, 0, &head).ok());
     ASSERT_TRUE(WaitFor([&] {
-      RemoteStore::ReplPeer peer;
+      server::ReplPeer peer;
       return replica->ReplReport(0, 0, &peer).ok() &&
              peer.durable_lsn >= head.durable_lsn;
     })) << "replica never caught up to primary LSN "
@@ -462,7 +462,7 @@ TEST_F(ReplicationE2eTest, ReplicaReplaysAndRejectsWrites) {
   EXPECT_TRUE(denied.status().IsReadOnly()) << denied.status().ToString();
 
   // Roles and epoch as advertised over kReplStatus.
-  RemoteStore::ReplPeer peer;
+  server::ReplPeer peer;
   ASSERT_TRUE(pc->ReplReport(0, 0, &peer).ok());
   EXPECT_EQ(peer.role, static_cast<uint8_t>(Role::kPrimary));
   EXPECT_EQ(peer.epoch, 1u);
@@ -492,7 +492,7 @@ TEST_F(ReplicationE2eTest, PromotionServesEveryAckedWriteAndFencesOldPrimary) {
   // the next epoch.
   auto c1 = Client(r1.port());
   auto c2 = Client(r2.port());
-  RemoteStore::ReplPeer p1, p2;
+  server::ReplPeer p1, p2;
   ASSERT_TRUE(c1->ReplReport(0, 0, &p1).ok());
   ASSERT_TRUE(c2->ReplReport(0, 0, &p2).ok());
   RemoteStore* winner = p1.durable_lsn >= p2.durable_lsn ? c1.get() : c2.get();
@@ -524,7 +524,7 @@ TEST_F(ReplicationE2eTest, PromotionServesEveryAckedWriteAndFencesOldPrimary) {
   ASSERT_TRUE(winner->Commit().ok());
   WriteNodes(winner, 1000, 5);
 
-  RemoteStore::ReplPeer promoted;
+  server::ReplPeer promoted;
   ASSERT_TRUE(winner->ReplReport(0, 0, &promoted).ok());
   EXPECT_EQ(promoted.role, static_cast<uint8_t>(Role::kPrimary));
   EXPECT_EQ(promoted.epoch, 2u);

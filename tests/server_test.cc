@@ -20,6 +20,7 @@
 
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/remote_store.h"
+#include "server/wire_calls.h"
 #include "telemetry/metrics.h"
 #include "util/coding.h"
 #include "util/failpoint.h"
@@ -360,6 +361,156 @@ TEST(ServerTest, ClientRefusesServerOfAnotherWireVersion) {
   ::close(listener);
   ASSERT_FALSE(store.ok());
   EXPECT_TRUE(store.status().IsVersionMismatch()) << store.status().ToString();
+}
+
+/// A replication role that accepts everything, so the kRepl* opcodes
+/// reach their decoders instead of answering NotSupported.
+class AcceptingRole : public server::ReplicationHandler {
+ public:
+  util::Status CheckMutation() override { return util::Status::Ok(); }
+  util::Status WaitCommitReplicated() override { return util::Status::Ok(); }
+  util::Result<server::ReplChain> HandleSubscribe(uint64_t, uint64_t,
+                                                  uint64_t) override {
+    return server::ReplChain{};
+  }
+  util::Result<server::ReplChunk> HandleSegment(uint64_t, uint64_t,
+                                                uint64_t) override {
+    return server::ReplChunk{};
+  }
+  util::Result<server::ReplPeer> HandleStatus(uint64_t, uint64_t) override {
+    return server::ReplPeer{};
+  }
+  util::Result<uint64_t> HandlePromote(uint64_t epoch) override {
+    return epoch;
+  }
+  util::Result<uint64_t> HandleFence(uint64_t epoch) override {
+    return epoch;
+  }
+};
+
+TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
+  // Every strict prefix of a valid body, every out-of-range value and
+  // every valid body plus a trailing byte is answered InvalidArgument,
+  // and the connection keeps serving: a Ping right after succeeds.
+  namespace calls = server::calls;
+  AcceptingRole role;
+  server::ServerOptions options = WithMemResetFactory();
+  options.replication = &role;
+  auto srv = StartMemServer(options);
+  ASSERT_NE(srv, nullptr);
+  int fd = DialLoopback(srv->port());
+  ASSERT_GE(fd, 0);
+  std::string rx;
+  auto roundtrip = [&](std::string_view payload) {
+    std::string frame;
+    server::AppendFrame(&frame, payload);
+    EXPECT_TRUE(server::WriteAll(fd, frame));
+    std::string response;
+    EXPECT_TRUE(ReadFrame(fd, &rx, &response));
+    return response;
+  };
+  const std::string ok(1, static_cast<char>(util::StatusCode::kOk));
+  const auto invalid = static_cast<char>(util::StatusCode::kInvalidArgument);
+  auto expect_invalid = [&](const std::string& payload,
+                            const std::string& what) {
+    std::string response = roundtrip(payload);
+    ASSERT_FALSE(response.empty()) << what;
+    EXPECT_EQ(response[0], invalid)
+        << what << ": " << server::OpCodeName(
+                               static_cast<server::OpCode>(payload[0]));
+    EXPECT_EQ(roundtrip(calls::Ping::Request()), ok) << "after " << what;
+  };
+
+  util::Bitmap form(8, 8);
+  const std::vector<NodeRef> nodes{1, 2, 3};
+  const std::vector<std::string> valid = {
+      calls::Hello::Request(uint64_t{server::kWireVersion}),
+      calls::Reset::Request(),
+      calls::Begin::Request(),
+      calls::Commit::Request(),
+      calls::Abort::Request(),
+      calls::CloseReopen::Request(),
+      calls::CreateNode::Request(MakeAttrs(300), NodeRef{1}),
+      calls::SetText::Request(NodeRef{1}, std::string_view("text")),
+      calls::SetForm::Request(NodeRef{1}, form),
+      calls::AddChild::Request(NodeRef{1}, NodeRef{2}),
+      calls::AddPart::Request(NodeRef{1}, NodeRef{2}),
+      calls::AddRef::Request(NodeRef{1}, NodeRef{2}, int64_t{3}, int64_t{-4}),
+      calls::GetAttr::Request(NodeRef{1}, Attr::kMillion),
+      calls::SetAttr::Request(NodeRef{1}, Attr::kTen, int64_t{300}),
+      calls::GetKind::Request(NodeRef{1}),
+      calls::GetText::Request(NodeRef{1}),
+      calls::GetForm::Request(NodeRef{1}),
+      calls::SetContents::Request(NodeRef{1}, std::string_view("data")),
+      calls::GetContents::Request(NodeRef{1}),
+      calls::LookupUnique::Request(int64_t{300}),
+      calls::RangeHundred::Request(int64_t{1}, int64_t{200}),
+      calls::RangeMillion::Request(int64_t{1}, int64_t{20000}),
+      calls::Children::Request(NodeRef{1}),
+      calls::Parent::Request(NodeRef{1}),
+      calls::Parts::Request(NodeRef{1}),
+      calls::PartOf::Request(NodeRef{1}),
+      calls::RefsTo::Request(NodeRef{1}),
+      calls::RefsFrom::Request(NodeRef{1}),
+      calls::StorageBytes::Request(),
+      calls::ChildrenMulti::Request(std::span<const NodeRef>(nodes)),
+      calls::GetAttrsMulti::Request(Attr::kTen,
+                                    std::span<const NodeRef>(nodes)),
+      calls::Closure1N::Request(NodeRef{1}),
+      calls::ClosureMN::Request(NodeRef{1}),
+      calls::ClosureMNAtt::Request(NodeRef{1}, 4),
+      calls::Closure1NAttSum::Request(NodeRef{1}),
+      calls::Closure1NAttSet::Request(NodeRef{1}),
+      calls::Closure1NPred::Request(NodeRef{1}, int64_t{1000},
+                                    int64_t{300000}),
+      calls::ClosureMNAttLinkSum::Request(NodeRef{1}, 4),
+      calls::Stats::Request(),
+      calls::Ping::Request(),
+      calls::ShardInfo::Request(),
+      calls::ReplSubscribe::Request(uint64_t{server::kWireVersion},
+                                    uint64_t{9}, uint64_t{300}),
+      calls::ReplSegment::Request(uint64_t{300}, uint64_t{300},
+                                  uint64_t{300}),
+      calls::ReplStatus::Request(uint64_t{9}, uint64_t{300}),
+      calls::ReplPromote::Request(uint64_t{300}),
+      calls::ReplFence::Request(uint64_t{300}),
+  };
+  for (const std::string& payload : valid) {
+    const std::string name(
+        server::OpCodeName(static_cast<server::OpCode>(payload[0])));
+    // Strict prefixes. Hello's empty body is the oldest clients' Hello,
+    // refused as a version mismatch (HelloRequiresExactWireVersion).
+    const size_t shortest =
+        payload[0] == static_cast<char>(server::OpCode::kHello) ? 2 : 1;
+    for (size_t len = shortest; len < payload.size(); ++len) {
+      expect_invalid(payload.substr(0, len),
+                     name + " prefix of " + std::to_string(len - 1));
+    }
+    expect_invalid(payload + '\x00', name + " plus a trailing byte");
+  }
+
+  // Out-of-range values: an attribute above kMillion, a kind above
+  // kDraw, a depth above kMaxTraversalDepth, a multi-node count above
+  // kMaxBatchEntries.
+  auto with_op = [](server::OpCode op,
+                    std::initializer_list<uint64_t> varints) {
+    std::string payload(1, static_cast<char>(op));
+    for (uint64_t v : varints) util::PutVarint64(&payload, v);
+    return payload;
+  };
+  using server::OpCode;
+  const uint64_t deep = server::kMaxTraversalDepth + 1;
+  const uint64_t many = server::kMaxBatchEntries + 1;
+  expect_invalid(with_op(OpCode::kGetAttr, {1, 5}), "attr 5");
+  expect_invalid(with_op(OpCode::kSetAttr, {1, 5, 0}), "attr 5");
+  expect_invalid(with_op(OpCode::kGetAttrsMulti, {5, 1, 1}), "attr 5");
+  expect_invalid(with_op(OpCode::kCreateNode, {0, 0, 0, 0, 0, 4, 0}),
+                 "kind 4");
+  expect_invalid(with_op(OpCode::kClosureMNAtt, {1, deep}), "deep");
+  expect_invalid(with_op(OpCode::kClosureMNAttLinkSum, {1, deep}), "deep");
+  expect_invalid(with_op(OpCode::kChildrenMulti, {many}), "many nodes");
+  expect_invalid(with_op(OpCode::kGetAttrsMulti, {1, many}), "many nodes");
+  ::close(fd);
 }
 
 TEST(ServerTest, ConcurrentReadersRunUnderSharedLock) {
