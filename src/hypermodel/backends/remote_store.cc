@@ -16,7 +16,7 @@
 #include <thread>
 #include <type_traits>
 
-#include "server/wire_calls.h"
+#include "util/check.h"
 #include "util/failpoint.h"
 
 namespace hm::backends {
@@ -57,13 +57,28 @@ bool RetrySafeOp(server::OpCode op) {
   }
 }
 
+/// A request is retry-safe when its opcode is; a kBatch frame when
+/// every entry in it is.
+bool RetrySafe(std::string_view payload) {
+  const auto op = static_cast<server::OpCode>(payload[0]);
+  if (op != server::OpCode::kBatch) return RetrySafeOp(op);
+  std::vector<std::string_view> entries;
+  if (!server::DecodeBatch(payload.substr(1), &entries)) return false;
+  return std::all_of(entries.begin(), entries.end(),
+                     [](std::string_view entry) {
+                       return !entry.empty() &&
+                              RetrySafeOp(
+                                  static_cast<server::OpCode>(entry[0]));
+                     });
+}
+
+}  // namespace
+
 util::Status MalformedReply(server::OpCode op) {
   return util::Status::Corruption("remote: malformed " +
                                   std::string(server::OpCodeName(op)) +
                                   " response");
 }
-
-}  // namespace
 
 util::Result<RemoteMode> ParseRemoteMode(const std::string& name) {
   if (name == "percall") return RemoteMode::kPerCall;
@@ -211,9 +226,8 @@ void RemoteStore::Backoff(int attempt) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-util::Status RemoteStore::RetryTransport(
-    const char* what, util::Status first,
-    const std::function<util::Status()>& once) {
+util::Status RemoteStore::Resend(std::string_view payload,
+                                std::string* result, util::Status first) {
   static telemetry::Counter* retries =
       telemetry::Registry::Global().GetCounter("remote.retries");
   in_recovery_ = true;
@@ -230,7 +244,7 @@ util::Status RemoteStore::RetryTransport(
       continue;
     }
     retries->Add();
-    last = once();
+    last = CallOnce(payload, result);
     if (last.ok() || fd_ >= 0) {
       // The server answered — success or a genuine op-level error;
       // either way recovery is over.
@@ -240,9 +254,11 @@ util::Status RemoteStore::RetryTransport(
   }
   in_recovery_ = false;
   return util::Status::Unavailable(
-      PeerTag() + ": " + std::string(what) + " still failing after " +
-      std::to_string(options_.max_retries) + " reconnect attempts: " +
-      last.message());
+      PeerTag() + ": " +
+      std::string(server::OpCodeName(
+          static_cast<server::OpCode>(payload[0]))) +
+      " still failing after " + std::to_string(options_.max_retries) +
+      " reconnect attempts: " + last.message());
 }
 
 util::Result<std::unique_ptr<RemoteStore>> RemoteStore::Loopback(
@@ -381,91 +397,85 @@ telemetry::Counter* RemoteStore::RoundTrips() {
   return roundtrips_;
 }
 
-util::Status RemoteStore::CallOnce(std::string_view payload,
-                                   std::string* result) {
-  RoundTrips()->Add();
-  HM_RETURN_IF_ERROR(SendPayload(payload));
+util::Status RemoteStore::Receive(std::string* result) {
   util::Status op_status;
   HM_RETURN_IF_ERROR(ReadResponse(&op_status, result));
   return op_status;
 }
 
-util::Status RemoteStore::Call(std::string_view payload, std::string* result) {
+util::Status RemoteStore::CallOnce(std::string_view payload,
+                                   std::string* result) {
+  RoundTrips()->Add();
+  HM_RETURN_IF_ERROR(SendPayload(payload));
+  return Receive(result);
+}
+
+util::Status RemoteStore::Post(std::string payload) {
+  HM_CHECK(!posted_);  // one outstanding request per connection
+  // A reconnect runs Hello through Call, which posts a request of its
+  // own: connect before recording this one.
   HM_RETURN_IF_ERROR(EnsureConnected());
-  util::Status status = CallOnce(payload, result);
+  pending_ = std::move(payload);
+  posted_ = true;
+  RoundTrips()->Add();
+  sent_ = SendPayload(pending_);
+  return util::Status::Ok();
+}
+
+util::Status RemoteStore::Await(std::string* result) {
+  HM_CHECK(posted_);
+  posted_ = false;
+  util::Status status = sent_.ok() ? Receive(result) : std::move(sent_);
   // fd_ still open means the server answered (an op-level error is the
   // caller's business, not a transport fault); fd_ poisoned means the
-  // call's fate is unknown and recovery policy kicks in.
+  // request's fate is unknown and recovery policy kicks in.
   if (status.ok() || fd_ >= 0 || in_recovery_ ||
       options_.max_retries <= 0) {
     return status;
   }
-  const auto op = static_cast<server::OpCode>(payload[0]);
-  if (!RetrySafeOp(op)) {
+  // Taken out before Resend reconnects: its Hello posts a request.
+  const std::string payload = std::move(pending_);
+  if (!RetrySafe(payload)) {
     return util::Status::Unavailable(
-        PeerTag() + ": " + std::string(server::OpCodeName(op)) +
+        PeerTag() + ": " +
+        std::string(server::OpCodeName(
+            static_cast<server::OpCode>(payload[0]))) +
         " failed in transit and is not safe to re-send: " +
         status.message());
   }
-  return RetryTransport(server::OpCodeName(op).data(), std::move(status),
-                        [&] { return CallOnce(payload, result); });
+  return Resend(payload, result, std::move(status));
 }
 
-util::Status RemoteStore::CallMany(
-    std::span<const std::string> payloads,
-    std::vector<std::pair<util::Status, std::string>>* out) {
-  HM_RETURN_IF_ERROR(EnsureConnected());
-  util::Status status = CallManyOnce(payloads, out);
-  if (status.ok() || fd_ >= 0 || in_recovery_ ||
-      options_.max_retries <= 0) {
-    return status;
-  }
-  for (const std::string& payload : payloads) {
-    if (payload.empty() ||
-        !RetrySafeOp(static_cast<server::OpCode>(payload[0]))) {
-      return util::Status::Unavailable(
-          PeerTag() + ": batched request failed in transit and "
-          "contains ops that are not safe to re-send: " +
-          status.message());
-    }
-  }
-  // Rerunning the whole call is safe (all retry-safe) and simpler
-  // than tracking which responses already arrived: CallManyOnce
-  // restarts `out` from scratch.
-  return RetryTransport("batched request", std::move(status),
-                        [&] { return CallManyOnce(payloads, out); });
+util::Status RemoteStore::Call(std::string payload, std::string* result) {
+  HM_RETURN_IF_ERROR(Post(std::move(payload)));
+  return Await(result);
 }
 
-util::Status RemoteStore::CallManyOnce(
-    std::span<const std::string> payloads,
-    std::vector<std::pair<util::Status, std::string>>* out) {
-  out->clear();
-  out->reserve(payloads.size());
-  // Chunked so one kBatch frame never brushes the entry or frame-size
-  // ceilings regardless of how large a fan-out the caller hands us.
-  for (size_t begin = 0; begin < payloads.size(); begin += kMultiChunk) {
-    std::span<const std::string> chunk =
-        payloads.subspan(begin, std::min(kMultiChunk,
-                                         payloads.size() - begin));
-    std::string batch(1, static_cast<char>(server::OpCode::kBatch));
-    server::EncodeBatch(chunk, &batch);
-    std::string result;
-    HM_RETURN_IF_ERROR(Call(batch, &result));
-    std::vector<std::string_view> subs;
-    if (!server::DecodeBatch(result, &subs, chunk.size()) ||
-        subs.size() != chunk.size()) {
-      return util::Status::Corruption("remote: bad batch response");
-    }
-    for (std::string_view sub : subs) {
-      util::Status sub_status;
-      std::string_view sub_body;
-      if (!server::SplitResponse(sub, &sub_status, &sub_body)) {
-        return util::Status::Corruption("remote: bad batch response");
-      }
-      out->emplace_back(std::move(sub_status), std::string(sub_body));
-    }
+util::Status RemoteStore::RunFrames(Frames frames) {
+  std::string body;
+  for (Frame& frame : frames) {
+    HM_RETURN_IF_ERROR(Call(std::move(frame.request), &body));
+    HM_RETURN_IF_ERROR(frame.decode(body));
   }
   return util::Status::Ok();
+}
+
+void FanOut(std::span<const std::unique_ptr<RemoteStore>> clients,
+            std::span<Frame* const> frames,
+            std::vector<util::Status>* statuses) {
+  statuses->assign(clients.size(), util::Status::Ok());
+  std::vector<bool> posted(clients.size(), false);
+  for (size_t i = 0; i < clients.size(); ++i) {
+    if (clients[i] == nullptr || frames[i] == nullptr) continue;
+    (*statuses)[i] = clients[i]->Post(std::move(frames[i]->request));
+    posted[i] = (*statuses)[i].ok();
+  }
+  std::string body;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    if (!posted[i]) continue;
+    util::Status status = clients[i]->Await(&body);
+    (*statuses)[i] = status.ok() ? frames[i]->decode(body) : std::move(status);
+  }
 }
 
 template <typename C, typename... A>
@@ -490,37 +500,75 @@ auto RemoteStore::Invoke(const A&... args) {
   }
 }
 
-template <typename C, typename T>
-util::Status RemoteStore::InvokePerNode(std::span<const NodeRef> nodes,
-                                        FlatLists<T>* out) {
-  out->clear();
-  std::vector<std::string> payloads;
-  payloads.reserve(nodes.size());
-  for (NodeRef node : nodes) payloads.push_back(C::Request(node));
-  std::vector<std::pair<util::Status, std::string>> results;
-  HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-  for (auto& [status, body] : results) {
-    HM_RETURN_IF_ERROR(status);
-    if (!C::DecodeReply(body, &out->items)) return MalformedReply(C::kOpCode);
-    out->Close();
-  }
-  return util::Status::Ok();
-}
-
 template <typename C, typename Out, typename... Lead>
-util::Status RemoteStore::InvokeFused(Out* out,
-                                      std::span<const NodeRef> nodes,
-                                      const Lead&... lead) {
+Frames RemoteStore::FusedFrames(Out* out, std::span<const NodeRef> nodes,
+                                const Lead&... lead) {
+  Frames frames;
   for (size_t begin = 0; begin < nodes.size(); begin += kMultiChunk) {
     std::span<const NodeRef> chunk =
         nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
-    const size_t before = out->size();
-    HM_RETURN_IF_ERROR(InvokeInto<C>(out, lead..., chunk));
-    if (out->size() - before != chunk.size()) {
-      return MalformedReply(C::kOpCode);
-    }
+    frames.push_back(
+        {C::Request(lead..., chunk),
+         [out, n = chunk.size()](std::string_view body) {
+           const size_t before = out->size();
+           if (!C::DecodeReply(body, out) || out->size() - before != n) {
+             return MalformedReply(C::kOpCode);
+           }
+           return util::Status::Ok();
+         }});
   }
-  return util::Status::Ok();
+  return frames;
+}
+
+template <typename Request, typename Fold>
+Frames RemoteStore::PerNodeFrames(size_t count, Request request, Fold fold) {
+  Frames frames;
+  if (mode_ == RemoteMode::kPerCall) {
+    for (size_t i = 0; i < count; ++i) frames.push_back({request(i), fold});
+    return frames;
+  }
+  // Chunked so one kBatch frame never brushes the entry or frame-size
+  // ceilings regardless of how large a fan-out the caller hands us.
+  std::vector<std::string> payloads;
+  for (size_t begin = 0; begin < count; begin += kMultiChunk) {
+    const size_t n = std::min(kMultiChunk, count - begin);
+    payloads.clear();
+    for (size_t i = begin; i < begin + n; ++i) payloads.push_back(request(i));
+    std::string batch(1, static_cast<char>(server::OpCode::kBatch));
+    server::EncodeBatch(payloads, &batch);
+    frames.push_back(
+        {std::move(batch), [fold, n](std::string_view body) {
+           std::vector<std::string_view> subs;
+           if (!server::DecodeBatch(body, &subs, n) || subs.size() != n) {
+             return util::Status::Corruption("remote: bad batch response");
+           }
+           for (std::string_view sub : subs) {
+             util::Status sub_status;
+             std::string_view sub_body;
+             if (!server::SplitResponse(sub, &sub_status, &sub_body)) {
+               return util::Status::Corruption("remote: bad batch response");
+             }
+             HM_RETURN_IF_ERROR(sub_status);
+             HM_RETURN_IF_ERROR(fold(sub_body));
+           }
+           return util::Status::Ok();
+         }});
+  }
+  return frames;
+}
+
+template <typename C, typename T>
+Frames RemoteStore::ListFrames(std::span<const NodeRef> nodes,
+                               FlatLists<T>* out) {
+  return PerNodeFrames(
+      nodes.size(), [nodes](size_t i) { return C::Request(nodes[i]); },
+      [out](std::string_view body) {
+        if (!C::DecodeReply(body, &out->items)) {
+          return MalformedReply(C::kOpCode);
+        }
+        out->Close();
+        return util::Status::Ok();
+      });
 }
 
 util::Status RemoteStore::Hello() {
@@ -699,67 +747,93 @@ util::Status RemoteStore::ReplFence(uint64_t fencing_epoch,
 
 // --- FrontierFetch ----------------------------------------------------
 
+Frames RemoteStore::ChildrenFrames(std::span<const NodeRef> nodes,
+                                   RefLists* out) {
+  if (mode_ == RemoteMode::kPerCall) {
+    return ListFrames<calls::Children>(nodes, out);
+  }
+  return FusedFrames<calls::ChildrenMulti>(out, nodes);
+}
+
+Frames RemoteStore::PartsFrames(std::span<const NodeRef> nodes,
+                                RefLists* out) {
+  return ListFrames<calls::Parts>(nodes, out);
+}
+
+Frames RemoteStore::RefsToFrames(std::span<const NodeRef> nodes,
+                                 EdgeLists* out) {
+  return ListFrames<calls::RefsTo>(nodes, out);
+}
+
+Frames RemoteStore::GetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
+                                   std::vector<int64_t>* values) {
+  if (mode_ != RemoteMode::kPerCall) {
+    return FusedFrames<calls::GetAttrsMulti>(values, nodes, attr);
+  }
+  return PerNodeFrames(
+      nodes.size(),
+      [nodes, attr](size_t i) {
+        return calls::GetAttr::Request(nodes[i], attr);
+      },
+      [values](std::string_view body) {
+        int64_t value = 0;
+        if (!calls::GetAttr::DecodeReply(body, &value)) {
+          return MalformedReply(server::OpCode::kGetAttr);
+        }
+        values->push_back(value);
+        return util::Status::Ok();
+      });
+}
+
+Frames RemoteStore::SetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
+                                   std::span<const int64_t> values) {
+  return PerNodeFrames(
+      nodes.size(),
+      [nodes, attr, values](size_t i) {
+        return calls::SetAttr::Request(nodes[i], attr, values[i]);
+      },
+      [](std::string_view body) {
+        server::Empty none;
+        return calls::SetAttr::DecodeReply(body, &none)
+                   ? util::Status::Ok()
+                   : MalformedReply(server::OpCode::kSetAttr);
+      });
+}
+
 util::Status RemoteStore::ChildrenMulti(std::span<const NodeRef> nodes,
                                         RefLists* out) {
-  if (mode_ == RemoteMode::kPerCall) {
-    return StoreFetch(this).ChildrenMulti(nodes, out);
-  }
   out->clear();
-  return InvokeFused<calls::ChildrenMulti>(out, nodes);
+  return RunFrames(ChildrenFrames(nodes, out));
+}
+
+util::Status RemoteStore::PartsMulti(std::span<const NodeRef> nodes,
+                                     RefLists* out) {
+  out->clear();
+  return RunFrames(PartsFrames(nodes, out));
+}
+
+util::Status RemoteStore::RefsToMulti(std::span<const NodeRef> nodes,
+                                      EdgeLists* out) {
+  out->clear();
+  return RunFrames(RefsToFrames(nodes, out));
 }
 
 util::Status RemoteStore::GetAttrsMulti(std::span<const NodeRef> nodes,
                                         Attr attr,
                                         std::vector<int64_t>* values) {
-  if (mode_ == RemoteMode::kPerCall) {
-    return StoreFetch(this).GetAttrsMulti(nodes, attr, values);
-  }
   values->clear();
   values->reserve(nodes.size());
-  return InvokeFused<calls::GetAttrsMulti>(values, nodes, attr);
-}
-
-util::Status RemoteStore::PartsMulti(std::span<const NodeRef> nodes,
-                                     RefLists* out) {
-  if (mode_ == RemoteMode::kPerCall) {
-    return StoreFetch(this).PartsMulti(nodes, out);
-  }
-  return InvokePerNode<calls::Parts>(nodes, out);
-}
-
-util::Status RemoteStore::RefsToMulti(std::span<const NodeRef> nodes,
-                                      EdgeLists* out) {
-  if (mode_ == RemoteMode::kPerCall) {
-    return StoreFetch(this).RefsToMulti(nodes, out);
-  }
-  return InvokePerNode<calls::RefsTo>(nodes, out);
+  return RunFrames(GetAttrsFrames(nodes, attr, values));
 }
 
 util::Status RemoteStore::SetAttrsMulti(std::span<const NodeRef> nodes,
                                         Attr attr,
                                         std::span<const int64_t> values) {
-  if (mode_ == RemoteMode::kPerCall) {
-    return StoreFetch(this).SetAttrsMulti(nodes, attr, values);
-  }
   if (nodes.size() != values.size()) {
     return util::Status::InvalidArgument(
         "SetAttrsMulti: nodes/values size mismatch");
   }
-  std::vector<std::string> payloads;
-  payloads.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    payloads.push_back(calls::SetAttr::Request(nodes[i], attr, values[i]));
-  }
-  std::vector<std::pair<util::Status, std::string>> results;
-  HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-  for (auto& [status, body] : results) {
-    HM_RETURN_IF_ERROR(status);
-    server::Empty none;
-    if (!calls::SetAttr::DecodeReply(body, &none)) {
-      return MalformedReply(server::OpCode::kSetAttr);
-    }
-  }
-  return util::Status::Ok();
+  return RunFrames(SetAttrsFrames(nodes, attr, values));
 }
 
 // --- TraversalCapable -------------------------------------------------

@@ -12,6 +12,7 @@
 #include "hypermodel/traversal.h"
 #include "server/server.h"
 #include "server/wire.h"
+#include "server/wire_calls.h"
 #include "telemetry/metrics.h"
 #include "util/random.h"
 
@@ -71,6 +72,30 @@ struct RemoteOptions {
 /// Parses "host:port" (or just "port") into RemoteOptions.
 util::Result<RemoteOptions> ParseRemoteAddr(const std::string& addr);
 
+/// One request and the decoder of its reply. A fetch is a sequence of
+/// frames: `RemoteStore` runs them one after another, `ShardedStore`
+/// sends frame r of every shard in one round (DESIGN.md §14).
+struct Frame {
+  std::string request;  // opcode byte + body
+  /// Folds an OK reply body into the fetch's output.
+  std::function<util::Status(std::string_view body)> decode;
+};
+using Frames = std::vector<Frame>;
+
+/// The Corruption a reply that does not decode as `op`'s answers.
+util::Status MalformedReply(server::OpCode op);
+
+/// A frame for the call-table call `C(args...)` (server/wire_calls.h)
+/// whose reply decodes into `*reply` (list replies append).
+template <typename C, typename... A>
+Frame CallFrame(typename C::Reply* reply, const A&... args) {
+  return {C::Request(args...), [reply](std::string_view body) {
+            return C::DecodeReply(body, reply)
+                       ? util::Status::Ok()
+                       : MalformedReply(C::kOpCode);
+          }};
+}
+
 /// `HyperStore` implemented as a wire-protocol client: every call is
 /// encoded into one request frame, sent to an `hm_serve` server (see
 /// server/server.h), and the response frame decoded back into the
@@ -84,6 +109,8 @@ util::Result<RemoteOptions> ParseRemoteAddr(const std::string& addr);
 /// coalescing arbitrary calls, and — as a TraversalCapable — pushing
 /// whole §6.6 closures to the server. RemoteMode picks the rung; every
 /// rung runs the one traversal engine, so results are identical.
+/// Every call is a Post (send) and an Await (receive), so a fleet
+/// client can send to all its servers before it reads any reply.
 ///
 /// Like every HyperStore, a RemoteStore is single-threaded; run one
 /// client (connection) per benchmark thread. Transactions and caching
@@ -179,11 +206,26 @@ class RemoteStore : public HyperStore,
 
   util::Result<uint64_t> StorageBytes() override;
 
+  // --- Send and receive halves ----------------------------------------
+  /// Sends one request payload (opcode byte + body) without waiting for
+  /// its reply. At most one request is outstanding per connection, so
+  /// every Post is followed by its Await before the next Post. A failed
+  /// (re)connect is returned here; a failed send surfaces from Await.
+  util::Status Post(std::string payload);
+  /// Reads the reply to the posted request: the server's status for
+  /// the op and, on OK, the body in `*result`. A transport failure of a
+  /// retry-safe request reconnects and re-sends it within the retry
+  /// budget; a request of unknown fate that is not retry-safe surfaces
+  /// kUnavailable and is never re-sent. A kBatch frame is retry-safe
+  /// when every entry in it is.
+  util::Status Await(std::string* result);
+
   // --- FrontierFetch -------------------------------------------------
-  // kPerCall loops single calls; the other modes send ChildrenMulti and
-  // GetAttrsMulti as fused opcodes and the rest as Batch frames, one
-  // round trip per kMultiChunk nodes. SetAttrsMulti is not retry-safe:
-  // a transport failure mid-frame surfaces kUnavailable without
+  // Each fetch is a sequence of frames, run one after another. kPerCall
+  // sends one node per frame; the other modes send ChildrenMulti and
+  // GetAttrsMulti as fused opcodes and the rest as kBatch frames, one
+  // frame per kMultiChunk nodes. SetAttrsMulti is not retry-safe: a
+  // transport failure mid-frame surfaces kUnavailable without
   // re-sending, so some writes may have landed.
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
                              RefLists* out) override;
@@ -195,6 +237,18 @@ class RemoteStore : public HyperStore,
                              std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::span<const int64_t> values) override;
+
+  /// The frames of the fetches above. Each frame's decoder appends to
+  /// the output, so running them in order yields the fetch's
+  /// positional result. SetAttrsFrames requires nodes.size() ==
+  /// values.size().
+  Frames ChildrenFrames(std::span<const NodeRef> nodes, RefLists* out);
+  Frames PartsFrames(std::span<const NodeRef> nodes, RefLists* out);
+  Frames RefsToFrames(std::span<const NodeRef> nodes, EdgeLists* out);
+  Frames GetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
+                        std::vector<int64_t>* values);
+  Frames SetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
+                        std::span<const int64_t> values);
 
   // --- Replication ----------------------------------------------------
   /// Opens (or resumes, when `resume_seq` > 0) a WAL subscription as
@@ -268,11 +322,11 @@ class RemoteStore : public HyperStore,
   util::Status EnsureConnected();
   /// Capped-exponential-backoff sleep with full jitter, attempt >= 1.
   void Backoff(int attempt);
-  /// Shared reconnect-and-rerun loop behind Call/CallMany: `once`
-  /// re-executes the (retry-safe) operation against a fresh
-  /// connection. Exhausting the budget surfaces kUnavailable.
-  util::Status RetryTransport(const char* what, util::Status first,
-                              const std::function<util::Status()>& once);
+  /// The reconnect-and-resend loop behind Await: re-sends the
+  /// (retry-safe) `payload` on a fresh connection until the server
+  /// answers. Exhausting the budget surfaces kUnavailable.
+  util::Status Resend(std::string_view payload, std::string* result,
+                      util::Status first);
 
   /// Frames `payload` and sends it. Any transport failure poisons the
   /// connection: the socket is closed, making the failure recoverable
@@ -283,26 +337,13 @@ class RemoteStore : public HyperStore,
   /// returns kDeadlineExceeded. `*op_status` receives the server's
   /// status, `*result` (may be null) the response body.
   util::Status ReadResponse(util::Status* op_status, std::string* result);
-  /// Sends one request payload (opcode byte + body) and blocks for its
-  /// response. Returns the server's status for the op; on OK, `*result`
-  /// receives the response body. Transport failures of retry-safe
-  /// opcodes are retried via RetryTransport; a mutation of unknown fate
-  /// surfaces kUnavailable without ever being re-sent.
-  util::Status Call(std::string_view payload, std::string* result);
-  /// One attempt of Call, no recovery.
+  /// ReadResponse folded into one status: the transport failure, else
+  /// the server's status for the op.
+  util::Status Receive(std::string* result);
+  /// Post then Await: one round trip under the recovery policy.
+  util::Status Call(std::string payload, std::string* result);
+  /// One send and receive, no recovery (the retry loop's attempt).
   util::Status CallOnce(std::string_view payload, std::string* result);
-
-  /// Executes every payload (opcode + body) in order and returns each
-  /// (status, body) pair positionally, as kBatch frames of at most
-  /// kMultiChunk entries — one round trip per frame. A transport
-  /// failure reruns the whole call (when every payload is retry-safe)
-  /// or surfaces kUnavailable.
-  util::Status CallMany(std::span<const std::string> payloads,
-                        std::vector<std::pair<util::Status, std::string>>* out);
-  /// One attempt of CallMany, no recovery.
-  util::Status CallManyOnce(
-      std::span<const std::string> payloads,
-      std::vector<std::pair<util::Status, std::string>>* out);
 
   // Call-table requests (server/wire_calls.h). `C` is a declaration
   // from server::calls; a reply that does not decode is Corruption.
@@ -315,16 +356,23 @@ class RemoteStore : public HyperStore,
   /// a Result.
   template <typename C, typename... A>
   auto Invoke(const A&... args);
-  /// One `C` request per node (the ref is the whole body) through
-  /// CallMany; reply i becomes list i of `*out`.
-  template <typename C, typename T>
-  util::Status InvokePerNode(std::span<const NodeRef> nodes,
-                             FlatLists<T>* out);
-  /// A fused multi-node `C` (`lead` arguments, then the nodes) in
-  /// kMultiChunk slices; each reply must append one entry per node.
+  /// Frames of a fused multi-node `C` (`lead` arguments, then the
+  /// nodes), kMultiChunk nodes each; each reply must append one entry
+  /// per node to `*out`.
   template <typename C, typename Out, typename... Lead>
-  util::Status InvokeFused(Out* out, std::span<const NodeRef> nodes,
-                           const Lead&... lead);
+  Frames FusedFrames(Out* out, std::span<const NodeRef> nodes,
+                     const Lead&... lead);
+  /// Frames of one request per node: `request(i)` is node i's payload
+  /// and `fold(body)` takes the replies in node order. kPerCall sends
+  /// each request as its own frame; the other modes pack kMultiChunk of
+  /// them into one kBatch frame.
+  template <typename Request, typename Fold>
+  Frames PerNodeFrames(size_t count, Request request, Fold fold);
+  /// PerNodeFrames of `C(node)`, reply i becoming list i of `*out`.
+  template <typename C, typename T>
+  Frames ListFrames(std::span<const NodeRef> nodes, FlatLists<T>* out);
+  /// Runs `frames` in order, one round trip each.
+  util::Status RunFrames(Frames frames);
 
   /// Handshake after connect: checks that the server speaks exactly
   /// server::kWireVersion and learns its backend tag.
@@ -342,7 +390,12 @@ class RemoteStore : public HyperStore,
   RemoteOptions options_;
   int fd_ = -1;
   std::string rx_;  // bytes received but not yet framed
-  /// True while RetryTransport/EnsureConnected is reconnecting; stops
+  /// The posted request awaiting its reply, kept for a re-send, and
+  /// the outcome of sending it.
+  std::string pending_;
+  util::Status sent_;
+  bool posted_ = false;
+  /// True while Resend/EnsureConnected is reconnecting; stops
   /// the Hello inside Reconnect() from recursing into its own retry.
   bool in_recovery_ = false;
   /// Backoff jitter. Fixed seed: the jitter decorrelates concurrent
@@ -353,6 +406,16 @@ class RemoteStore : public HyperStore,
   RemoteMode mode_ = RemoteMode::kPushdown;
   telemetry::Counter* roundtrips_ = nullptr;
 };
+
+/// Sends `*frames[i]` on `clients[i]` for every i where both are set,
+/// then awaits the posted replies in order and decodes the OK ones:
+/// every request is on the wire before any reply is read.
+/// `(*statuses)[i]` receives each outcome (Ok where nothing was sent).
+/// Every posted reply is read, even after another has failed, so no
+/// connection is left holding a stale reply.
+void FanOut(std::span<const std::unique_ptr<RemoteStore>> clients,
+            std::span<Frame* const> frames,
+            std::vector<util::Status>* statuses);
 
 }  // namespace hm::backends
 

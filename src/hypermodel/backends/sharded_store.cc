@@ -10,6 +10,8 @@
 
 namespace hm::backends {
 
+namespace calls = server::calls;
+
 namespace {
 
 const util::Status& StatusOf(const util::Status& status) { return status; }
@@ -39,6 +41,7 @@ ShardedStore::ShardedStore(std::vector<std::unique_ptr<RemoteStore>> shards)
                                         std::to_string(k) + ".rpcs"));
   }
   fanout_ = registry.GetHistogram("cluster.fanout");
+  rounds_ = registry.GetCounter("cluster.rounds");
   cross_edges_ = registry.GetCounter("cluster.cross_shard_edges");
 }
 
@@ -59,20 +62,22 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Connect(
     options.peer_label = "shard " + std::to_string(k) + " at " + addrs[k];
     HM_ASSIGN_OR_RETURN(std::unique_ptr<RemoteStore> client,
                         RemoteStore::Connect(options));
-    uint32_t id = 0;
-    uint32_t count = 0;
-    HM_RETURN_IF_ERROR(client->ShardInfo(&id, &count));
-    if (id != k || count != addrs.size()) {
-      return util::Status::InvalidArgument(
-          "mis-wired fleet: " + addrs[k] + " claims shard " +
-          std::to_string(id) + "/" + std::to_string(count) +
-          ", expected " + std::to_string(k) + "/" +
-          std::to_string(addrs.size()));
-    }
     shards.push_back(std::move(client));
   }
-  return std::unique_ptr<ShardedStore>(
-      new ShardedStore(std::move(shards)));
+  std::unique_ptr<ShardedStore> store(new ShardedStore(std::move(shards)));
+  std::vector<server::ShardPlacement> placements;
+  HM_RETURN_IF_ERROR(store->Broadcast<calls::ShardInfo>(&placements, nullptr));
+  for (size_t k = 0; k < addrs.size(); ++k) {
+    if (placements[k].shard_id != k ||
+        placements[k].shard_count != addrs.size()) {
+      return util::Status::InvalidArgument(
+          "mis-wired fleet: " + addrs[k] + " claims shard " +
+          std::to_string(placements[k].shard_id) + "/" +
+          std::to_string(placements[k].shard_count) + ", expected " +
+          std::to_string(k) + "/" + std::to_string(addrs.size()));
+    }
+  }
+  return store;
 }
 
 util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Loopback(
@@ -119,43 +124,78 @@ util::Status ShardedStore::OwnerOf(NodeRef node, size_t* shard) const {
   return util::Status::Ok();
 }
 
-util::Status ShardedStore::ResetServer() {
+util::Status ShardedStore::Round(std::span<Frame* const> frames,
+                                 std::vector<util::Status>* statuses) {
+  size_t fanout = 0;
   for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->ResetServer());
+    if (frames[k] == nullptr) continue;
+    ++fanout;
+    rpcs_[k]->Add();
   }
+  rounds_->Add();
+  fanout_->Record(fanout);
+  std::vector<util::Status> local;
+  if (statuses == nullptr) statuses = &local;
+  FanOut(shards_, frames, statuses);
+  for (const util::Status& status : *statuses) {
+    if (!status.ok()) return status;
+  }
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::Rounds(std::vector<Frames>* frames) {
+  size_t rounds = 0;
+  for (const Frames& mine : *frames) rounds = std::max(rounds, mine.size());
+  std::vector<Frame*> round(shards_.size());
+  for (size_t r = 0; r < rounds; ++r) {
+    for (size_t k = 0; k < shards_.size(); ++k) {
+      round[k] = r < (*frames)[k].size() ? &(*frames)[k][r] : nullptr;
+    }
+    HM_RETURN_IF_ERROR(Round(round));
+  }
+  return util::Status::Ok();
+}
+
+template <typename C, typename... A>
+util::Status ShardedStore::Broadcast(std::vector<typename C::Reply>* replies,
+                                     std::vector<util::Status>* statuses,
+                                     const A&... args) {
+  replies->assign(shards_.size(), {});
+  Frames frames;
+  frames.reserve(shards_.size());
+  std::vector<Frame*> round;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    frames.push_back(CallFrame<C>(&(*replies)[k], args...));
+    round.push_back(&frames.back());
+  }
+  return Round(round, statuses);
+}
+
+template <typename C>
+util::Status ShardedStore::Broadcast() {
+  std::vector<typename C::Reply> none;
+  return Broadcast<C>(&none, nullptr);
+}
+
+util::Status ShardedStore::ResetServer() {
+  HM_RETURN_IF_ERROR(Broadcast<calls::Reset>());
   root_ = kInvalidNode;
   return util::Status::Ok();
 }
 
-util::Status ShardedStore::Begin() {
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->Begin());
-  }
-  return util::Status::Ok();
-}
+util::Status ShardedStore::Begin() { return Broadcast<calls::Begin>(); }
 
 util::Status ShardedStore::Commit() {
-  // One commit per shard, in shard order — §14's explicit non-goal is
-  // atomicity across shards; a failure here can leave earlier shards
-  // committed.
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->Commit());
-  }
-  return util::Status::Ok();
+  // One commit per shard, all sent at once — §14's explicit non-goal is
+  // atomicity across shards: a failure on one shard can leave the
+  // others committed.
+  return Broadcast<calls::Commit>();
 }
 
-util::Status ShardedStore::Abort() {
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->Abort());
-  }
-  return util::Status::Ok();
-}
+util::Status ShardedStore::Abort() { return Broadcast<calls::Abort>(); }
 
 util::Status ShardedStore::CloseReopen() {
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->CloseReopen());
-  }
-  return util::Status::Ok();
+  return Broadcast<calls::CloseReopen>();
 }
 
 util::Result<NodeRef> ShardedStore::CreateNode(const NodeAttrs& attrs,
@@ -270,20 +310,18 @@ util::Result<std::string> ShardedStore::GetContents(NodeRef node) {
 }
 
 util::Result<NodeRef> ShardedStore::LookupUnique(int64_t unique_id) {
-  // uniqueIds carry no placement information, so probe the fleet in
-  // shard order; the first hit wins (uniqueIds are globally unique —
-  // each shard enforces them locally and the generator never reuses
-  // one across shards).
-  size_t probed = 0;
+  // uniqueIds carry no placement information, so probe every shard at
+  // once; the first hit in shard order wins (uniqueIds are globally
+  // unique — each shard enforces them locally and the generator never
+  // reuses one across shards), and an earlier shard's error other than
+  // NotFound is the answer.
+  std::vector<uint64_t> found;
+  std::vector<util::Status> statuses;
+  (void)Broadcast<calls::LookupUnique>(&found, &statuses, unique_id);
   for (size_t k = 0; k < shards_.size(); ++k) {
-    ++probed;
-    util::Result<NodeRef> found = At(k)->LookupUnique(unique_id);
-    if (found.ok() || !found.status().IsNotFound()) {
-      fanout_->Record(probed);
-      return found;
-    }
+    if (statuses[k].ok()) return NodeRef{found[k]};
+    if (!statuses[k].IsNotFound()) return statuses[k];
   }
-  fanout_->Record(probed);
   return util::Status::NotFound("no node with uniqueId " +
                                 std::to_string(unique_id));
 }
@@ -293,7 +331,23 @@ util::Status ShardedStore::FanRange(bool hundred, int64_t lo, int64_t hi,
   // Each shard scans its own index; the client merges in canonical
   // (value, uniqueId) order. This is the documented cluster scan
   // order: within one value, single-store backends surface their own
-  // insertion order, which is not reconstructible across shards.
+  // insertion order, which is not reconstructible across shards. Three
+  // rounds: the scans, then every shard's values, then its uniqueIds.
+  std::vector<std::vector<NodeRef>> refs;
+  HM_RETURN_IF_ERROR(
+      hundred ? Broadcast<calls::RangeHundred>(&refs, nullptr, lo, hi)
+              : Broadcast<calls::RangeMillion>(&refs, nullptr, lo, hi));
+  std::vector<std::vector<int64_t>> values(shards_.size());
+  std::vector<std::vector<int64_t>> uids(shards_.size());
+  HM_RETURN_IF_ERROR(
+      Scatter(refs, [&](size_t k, std::span<const NodeRef> mine) {
+        return shards_[k]->GetAttrsFrames(
+            mine, hundred ? Attr::kHundred : Attr::kMillion, &values[k]);
+      }));
+  HM_RETURN_IF_ERROR(
+      Scatter(refs, [&](size_t k, std::span<const NodeRef> mine) {
+        return shards_[k]->GetAttrsFrames(mine, Attr::kUniqueId, &uids[k]);
+      }));
   struct Hit {
     NodeRef ref;
     int64_t value;
@@ -301,21 +355,10 @@ util::Status ShardedStore::FanRange(bool hundred, int64_t lo, int64_t hi,
   };
   std::vector<Hit> hits;
   for (size_t k = 0; k < shards_.size(); ++k) {
-    std::vector<NodeRef> refs;
-    RemoteStore* client = At(k);
-    HM_RETURN_IF_ERROR(hundred ? client->RangeHundred(lo, hi, &refs)
-                               : client->RangeMillion(lo, hi, &refs));
-    if (refs.empty()) continue;
-    std::vector<int64_t> values;
-    std::vector<int64_t> uids;
-    HM_RETURN_IF_ERROR(client->GetAttrsMulti(
-        refs, hundred ? Attr::kHundred : Attr::kMillion, &values));
-    HM_RETURN_IF_ERROR(client->GetAttrsMulti(refs, Attr::kUniqueId, &uids));
-    for (size_t i = 0; i < refs.size(); ++i) {
-      hits.push_back({refs[i], values[i], uids[i]});
+    for (size_t i = 0; i < refs[k].size(); ++i) {
+      hits.push_back({refs[k][i], values[k][i], uids[k][i]});
     }
   }
-  fanout_->Record(shards_.size());
   std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
     return a.value != b.value ? a.value < b.value : a.uid < b.uid;
   });
@@ -376,96 +419,83 @@ util::Status ShardedStore::RefsFrom(NodeRef node,
 }
 
 util::Result<uint64_t> ShardedStore::StorageBytes() {
+  std::vector<uint64_t> bytes;
+  HM_RETURN_IF_ERROR(Broadcast<calls::StorageBytes>(&bytes, nullptr));
   uint64_t total = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_ASSIGN_OR_RETURN(uint64_t bytes, At(k)->StorageBytes());
-    total += bytes;
-  }
+  for (uint64_t shard_bytes : bytes) total += shard_bytes;
   return total;
 }
 
 // --- FrontierFetch ---------------------------------------------------
 
-util::Status ShardedStore::Partition(
-    std::span<const NodeRef> nodes,
-    std::vector<std::vector<size_t>>* at) const {
-  at->assign(shards_.size(), {});
+util::Status ShardedStore::SplitByOwner(std::span<const NodeRef> nodes,
+                                        Split* split) const {
+  split->nodes.assign(shards_.size(), {});
+  split->where.resize(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     size_t k = 0;
     HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    (*at)[k].push_back(i);
+    split->where[i] = {k, split->nodes[k].size()};
+    split->nodes[k].push_back(nodes[i]);
   }
   return util::Status::Ok();
 }
 
-template <typename Fetch>
-util::Status ShardedStore::Scatter(std::span<const NodeRef> nodes,
-                                   Fetch fetch) {
-  std::vector<std::vector<size_t>> at;
-  HM_RETURN_IF_ERROR(Partition(nodes, &at));
-  size_t touched = 0;
-  std::vector<NodeRef> mine;
+template <typename Build>
+util::Status ShardedStore::Scatter(
+    const std::vector<std::vector<NodeRef>>& nodes, Build build) {
+  std::vector<Frames> frames(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
-    if (at[k].empty()) continue;
-    ++touched;
-    mine.clear();
-    for (size_t i : at[k]) mine.push_back(nodes[i]);
-    HM_RETURN_IF_ERROR(fetch(k, std::span<const NodeRef>(mine),
-                             std::span<const size_t>(at[k])));
+    if (!nodes[k].empty()) frames[k] = build(k, nodes[k]);
   }
-  fanout_->Record(touched);
-  return util::Status::Ok();
+  return Rounds(&frames);
 }
 
 template <typename T>
-util::Status ShardedStore::ScatterLists(
+util::Status ShardedStore::GatherLists(
     std::span<const NodeRef> nodes, FlatLists<T>* out,
-    util::Status (RemoteStore::*fetch)(std::span<const NodeRef>,
-                                       FlatLists<T>*)) {
+    Frames (RemoteStore::*make)(std::span<const NodeRef>, FlatLists<T>*)) {
+  Split split;
+  HM_RETURN_IF_ERROR(SplitByOwner(nodes, &split));
   std::vector<FlatLists<T>> per(shards_.size());
-  // where[i] = (shard, position in that shard's request) of input i.
-  std::vector<std::pair<size_t, size_t>> where(nodes.size());
-  HM_RETURN_IF_ERROR(Scatter(
-      nodes, [&](size_t k, std::span<const NodeRef> mine,
-                 std::span<const size_t> positions) {
-        for (size_t j = 0; j < positions.size(); ++j) {
-          where[positions[j]] = {k, j};
-        }
-        return (At(k)->*fetch)(mine, &per[k]);
+  HM_RETURN_IF_ERROR(
+      Scatter(split.nodes, [&](size_t k, std::span<const NodeRef> mine) {
+        return (shards_[k].get()->*make)(mine, &per[k]);
       }));
   out->clear();
-  for (auto [k, j] : where) out->Append(per[k][j]);
+  for (auto [k, j] : split.where) out->Append(per[k][j]);
   return util::Status::Ok();
 }
 
 util::Status ShardedStore::ChildrenMulti(std::span<const NodeRef> nodes,
                                          RefLists* out) {
-  return ScatterLists(nodes, out, &RemoteStore::ChildrenMulti);
+  return GatherLists(nodes, out, &RemoteStore::ChildrenFrames);
 }
 
 util::Status ShardedStore::PartsMulti(std::span<const NodeRef> nodes,
                                       RefLists* out) {
-  return ScatterLists(nodes, out, &RemoteStore::PartsMulti);
+  return GatherLists(nodes, out, &RemoteStore::PartsFrames);
 }
 
 util::Status ShardedStore::RefsToMulti(std::span<const NodeRef> nodes,
                                        EdgeLists* out) {
-  return ScatterLists(nodes, out, &RemoteStore::RefsToMulti);
+  return GatherLists(nodes, out, &RemoteStore::RefsToFrames);
 }
 
 util::Status ShardedStore::GetAttrsMulti(std::span<const NodeRef> nodes,
                                          Attr attr,
                                          std::vector<int64_t>* values) {
-  values->assign(nodes.size(), 0);
-  std::vector<int64_t> got;
-  return Scatter(nodes, [&](size_t k, std::span<const NodeRef> mine,
-                            std::span<const size_t> positions) {
-    HM_RETURN_IF_ERROR(At(k)->GetAttrsMulti(mine, attr, &got));
-    for (size_t j = 0; j < positions.size(); ++j) {
-      (*values)[positions[j]] = got[j];
-    }
-    return util::Status::Ok();
-  });
+  Split split;
+  HM_RETURN_IF_ERROR(SplitByOwner(nodes, &split));
+  std::vector<std::vector<int64_t>> per(shards_.size());
+  HM_RETURN_IF_ERROR(
+      Scatter(split.nodes, [&](size_t k, std::span<const NodeRef> mine) {
+        return shards_[k]->GetAttrsFrames(mine, attr, &per[k]);
+      }));
+  values->clear();
+  values->reserve(nodes.size());
+  for (auto [k, j] : split.where) values->push_back(per[k][j]);
+  return util::Status::Ok();
 }
 
 util::Status ShardedStore::SetAttrsMulti(std::span<const NodeRef> nodes,
@@ -475,12 +505,14 @@ util::Status ShardedStore::SetAttrsMulti(std::span<const NodeRef> nodes,
     return util::Status::InvalidArgument(
         "SetAttrsMulti: nodes/values size mismatch");
   }
-  std::vector<int64_t> mine_values;
-  return Scatter(nodes, [&](size_t k, std::span<const NodeRef> mine,
-                            std::span<const size_t> positions) {
-    mine_values.clear();
-    for (size_t i : positions) mine_values.push_back(values[i]);
-    return At(k)->SetAttrsMulti(mine, attr, mine_values);
+  Split split;
+  HM_RETURN_IF_ERROR(SplitByOwner(nodes, &split));
+  std::vector<std::vector<int64_t>> per(shards_.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    per[split.where[i].first].push_back(values[i]);
+  }
+  return Scatter(split.nodes, [&](size_t k, std::span<const NodeRef> mine) {
+    return shards_[k]->SetAttrsFrames(mine, attr, per[k]);
   });
 }
 

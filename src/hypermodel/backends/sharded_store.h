@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hypermodel/backends/remote_store.h"
@@ -28,22 +29,24 @@ namespace hm::backends {
 /// transaction (a mid-pair transport failure surfaces kUnavailable
 /// and may leave the pair half-written).
 ///
-/// Reads route by the ref's shard byte. Index scans fan out to every
+/// Reads route by the ref's shard byte. Whatever goes to more than one
+/// shard goes in rounds: each round sends one request to every shard
+/// it involves before it reads any reply. Index scans fan out to every
 /// shard and merge client-side in canonical (value, uniqueId) order.
 /// As a FrontierFetch the client partitions each frontier by owner and
-/// sends one fused request per touched shard. §6.6 closures first try
-/// single-shard pushdown on the start node's owner — if the walk stays
-/// on one shard it is exactly the remote fast path — and otherwise run
-/// the traversal engine over those partitioned fetches: on kOutOfRange
-/// (ShardLocalStore's typed "walk left my shard" answer), or always
-/// when the shard clients are not in pushdown mode. The
-/// attribute-update closure is never pushed down on a fleet, because
-/// the server would mutate attributes up to the first shard crossing
-/// before erroring.
+/// sends one fused request per touched shard, all in one round. §6.6
+/// closures first try single-shard pushdown on the start node's owner
+/// — if the walk stays on one shard it is exactly the remote fast path
+/// — and otherwise run the traversal engine over those partitioned
+/// fetches: on kOutOfRange (ShardLocalStore's typed "walk left my
+/// shard" answer), or always when the shard clients are not in
+/// pushdown mode. The attribute-update closure is never pushed down on
+/// a fleet, because the server would mutate attributes up to the first
+/// shard crossing before erroring.
 ///
-/// Telemetry: `cluster.shard<k>.rpcs` (logical calls routed to shard
-/// k), `cluster.fanout` (shards touched per fan-out operation) and
-/// `cluster.cross_shard_edges`.
+/// Telemetry: `cluster.shard<k>.rpcs` (requests sent to shard k),
+/// `cluster.rounds` (fan-out rounds), `cluster.fanout` (shards per
+/// round) and `cluster.cross_shard_edges`.
 ///
 /// Like every HyperStore, a ShardedStore is single-threaded.
 class ShardedStore : public HyperStore,
@@ -69,8 +72,8 @@ class ShardedStore : public HyperStore,
 
   std::string name() const override { return "shard"; }
 
-  /// The client fans out sequentially over shared sockets; it is
-  /// single-threaded like its per-shard clients.
+  /// One connection per shard, one request outstanding on each; the
+  /// client is single-threaded like its per-shard clients.
   bool SupportsConcurrentReads() const override { return false; }
 
   size_t shard_count() const { return shards_.size(); }
@@ -156,23 +159,48 @@ class ShardedStore : public HyperStore,
   /// Validates the ref's shard byte against the fleet size.
   util::Status OwnerOf(NodeRef node, size_t* shard) const;
 
-  /// Splits `nodes` by owner: (*at)[k] lists the positions of shard
-  /// k's nodes, in input order.
-  util::Status Partition(std::span<const NodeRef> nodes,
-                         std::vector<std::vector<size_t>>* at) const;
-  /// The fan-out behind every FrontierFetch method: calls
-  /// fetch(k, shard_nodes, positions) once per touched shard k, where
-  /// positions[j] is the input index of shard_nodes[j]. Records the
-  /// shards touched in `cluster.fanout`.
-  template <typename Fetch>
-  util::Status Scatter(std::span<const NodeRef> nodes, Fetch fetch);
+  /// One fan-out round: FanOut of frames[k] to shard k (null: not in
+  /// this round), so every request is sent before any reply is read,
+  /// and every posted reply is read even after a failure. Counts
+  /// `cluster.rounds`, `cluster.fanout` and each shard's rpcs, and
+  /// returns the first failure in shard order; `statuses` (may be null)
+  /// receives every shard's outcome.
+  util::Status Round(std::span<Frame* const> frames,
+                     std::vector<util::Status>* statuses = nullptr);
+  /// Runs (*frames)[k] on shard k in rounds: round r sends frame r of
+  /// every shard that has one. Stops after the first failed round.
+  util::Status Rounds(std::vector<Frames>* frames);
+  /// Sends `C(args...)` to every shard in one round; shard k's reply
+  /// decodes into (*replies)[k] and its outcome lands in (*statuses)[k]
+  /// (may be null).
+  template <typename C, typename... A>
+  util::Status Broadcast(std::vector<typename C::Reply>* replies,
+                         std::vector<util::Status>* statuses,
+                         const A&... args);
+  /// Broadcast of an argument-less call whose replies nobody reads.
+  template <typename C>
+  util::Status Broadcast();
+
+  /// A frontier split by owner: nodes[k] holds shard k's nodes in input
+  /// order, and where[i] = (k, j) says input i is nodes[k][j].
+  struct Split {
+    std::vector<std::vector<NodeRef>> nodes;
+    std::vector<std::pair<size_t, size_t>> where;
+  };
+  util::Status SplitByOwner(std::span<const NodeRef> nodes,
+                            Split* split) const;
+  /// The fan-out behind every FrontierFetch method and the scan merge:
+  /// build(k, nodes[k]) makes the frames of each non-empty slice, which
+  /// then run in Rounds — one round per frame, usually one per fetch.
+  template <typename Build>
+  util::Status Scatter(const std::vector<std::vector<NodeRef>>& nodes,
+                       Build build);
   /// Scatter for the list fetches, merging the per-shard lists back
   /// into input order.
   template <typename T>
-  util::Status ScatterLists(
+  util::Status GatherLists(
       std::span<const NodeRef> nodes, FlatLists<T>* out,
-      util::Status (RemoteStore::*fetch)(std::span<const NodeRef>,
-                                         FlatLists<T>*));
+      Frames (RemoteStore::*make)(std::span<const NodeRef>, FlatLists<T>*));
   /// One shard-merged index scan (shared by RangeHundred/Million).
   util::Status FanRange(bool hundred, int64_t lo, int64_t hi,
                         std::vector<NodeRef>* out);
@@ -189,6 +217,7 @@ class ShardedStore : public HyperStore,
   NodeRef root_ = kInvalidNode;
   std::vector<telemetry::Counter*> rpcs_;
   telemetry::Histogram* fanout_;
+  telemetry::Counter* rounds_;
   telemetry::Counter* cross_edges_;
 };
 

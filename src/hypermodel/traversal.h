@@ -82,7 +82,8 @@ using EdgeLists = FlatLists<RefEdge>;
 /// method is positional — output i belongs to input node i — and
 /// replaces its output. An in-process store fetches with a loop
 /// (StoreFetch), the `remote` client with one fused request, the
-/// `shard://` client with one fused request per owning shard.
+/// `shard://` client with one fused request per owning shard, all sent
+/// before any reply is read.
 class FrontierFetch {
  public:
   virtual ~FrontierFetch() = default;
@@ -97,7 +98,8 @@ class FrontierFetch {
                                      Attr attr,
                                      std::vector<int64_t>* values) = 0;
   /// Writes values[i] to node i. Not atomic: a failure part-way leaves
-  /// a prefix written, like the equivalent SetAttr loop.
+  /// a prefix per shard written (a single store is one shard), like
+  /// one SetAttr loop per shard.
   virtual util::Status SetAttrsMulti(std::span<const NodeRef> nodes,
                                      Attr attr,
                                      std::span<const int64_t> values) = 0;

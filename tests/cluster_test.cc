@@ -3,6 +3,9 @@
 // errors), and the routing ShardedStore client — cross-shard edges,
 // fleet handshake validation, shard failure, and a small byte-identical
 // comparison of a 4-shard fleet against a single-node remote server.
+// The fan-out tests check that every request of a round is sent before
+// any reply is read, and that a failure on one shard leaves every other
+// shard's reply read.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +20,10 @@
 #include "hypermodel/backends/sharded_store.h"
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
+#include "hypermodel/traversal.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
+#include "util/failpoint.h"
 
 namespace hm {
 namespace {
@@ -292,7 +297,175 @@ TEST(ShardedStoreTest, KilledShardSurfacesUnavailable) {
   EXPECT_TRUE((*store)->GetAttr(*root, Attr::kTen).ok());
   EXPECT_TRUE((*store)->GetAttr(*on1, Attr::kTen).status().IsUnavailable());
   std::vector<NodeRef> out;
-  EXPECT_TRUE((*store)->RangeHundred(1, 100, &out).IsUnavailable());
+  util::Status scan = (*store)->RangeHundred(1, 100, &out);
+  EXPECT_TRUE(scan.IsUnavailable()) << scan.ToString();
+  EXPECT_NE(scan.message().find("shard 1"), std::string::npos)
+      << scan.ToString();
+  // Shard 0's scan reply was read in the same round, so its connection
+  // is still in step: the next call gets its own reply.
+  auto uid = (*store)->GetAttr(*root, Attr::kUniqueId);
+  ASSERT_TRUE(uid.ok()) << uid.status().ToString();
+  EXPECT_EQ(*uid, 1);
+}
+
+uint64_t CounterValue(const char* name) {
+  return telemetry::Registry::Global().GetCounter(name)->value();
+}
+
+std::vector<NodeRef> ListAt(const RefLists& lists, size_t i) {
+  return std::vector<NodeRef>(lists[i].begin(), lists[i].end());
+}
+
+// A transport failure in the middle of a fan-out round.
+class ShardFanOutFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!util::kFailpointsCompiled) {
+      GTEST_SKIP() << "failpoints compiled out of this build";
+    }
+  }
+  void TearDown() override { util::Failpoint::DisableAll(); }
+};
+
+TEST_F(ShardFanOutFaultTest, CommitFailureLeavesNoReplyUnread) {
+  SmallFleet fleet = MakeSmallFleet(2);
+  const NodeRef on0 = fleet.children[0];
+  const NodeRef on1 = fleet.children[1];
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  ASSERT_TRUE(fleet.store->SetAttr(on0, Attr::kTen, 40).ok());
+  ASSERT_TRUE(fleet.store->SetAttr(on1, Attr::kTen, 41).ok());
+
+  // Both commits are on the wire before either reply is read, and the
+  // first receive (shard 0's) fails. A commit of unknown fate is never
+  // re-sent.
+  ASSERT_TRUE(
+      util::Failpoint::Enable("remote/recv/error", "error,times=1").ok());
+  util::Status commit = fleet.store->Commit();
+  EXPECT_TRUE(commit.IsUnavailable()) << commit.ToString();
+  EXPECT_NE(commit.message().find("shard 0"), std::string::npos)
+      << commit.ToString();
+  EXPECT_EQ(util::Failpoint::FireCount("remote/recv/error"), 1u);
+
+  // Shard 1's commit reply was read in that round: had it been left in
+  // the socket, Begin would read it and GetAttr would read Begin's.
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  auto ten0 = fleet.store->GetAttr(on0, Attr::kTen);
+  auto ten1 = fleet.store->GetAttr(on1, Attr::kTen);
+  ASSERT_TRUE(ten0.ok()) << ten0.status().ToString();
+  ASSERT_TRUE(ten1.ok()) << ten1.status().ToString();
+  EXPECT_EQ(*ten0, 40);
+  EXPECT_EQ(*ten1, 41);
+  EXPECT_TRUE(fleet.store->Commit().ok());
+}
+
+TEST_F(ShardFanOutFaultTest, ReadFramesRetryWriteFramesAreNotResent) {
+  // Parts and attribute writes travel as one kBatch frame per shard.
+  SmallFleet fleet = MakeSmallFleet(2);
+  const NodeRef on0 = fleet.children[0];
+  const NodeRef on1 = fleet.children[1];
+  ASSERT_TRUE(fleet.store->AddPart(on0, on1).ok());
+  ASSERT_TRUE(fleet.store->AddPart(on1, on0).ok());
+  const NodeRef nodes[] = {on0, on1, fleet.root};
+
+  // Every entry of the failed frame is a read: shard 0 reconnects and
+  // re-sends it, and the fetch succeeds.
+  uint64_t retries = CounterValue("remote.retries");
+  ASSERT_TRUE(
+      util::Failpoint::Enable("remote/recv/error", "error,times=1").ok());
+  RefLists parts;
+  util::Status read = fleet.store->PartsMulti(nodes, &parts);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(util::Failpoint::FireCount("remote/recv/error"), 1u);
+  EXPECT_EQ(CounterValue("remote.retries"), retries + 1);
+  ASSERT_EQ(parts.size(), 3u);
+  EXPECT_EQ(ListAt(parts, 0), std::vector<NodeRef>{on1});
+  EXPECT_EQ(ListAt(parts, 1), std::vector<NodeRef>{on0});
+  EXPECT_TRUE(ListAt(parts, 2).empty());
+
+  // A frame of SetAttr entries has unknown fate once its receive fails:
+  // kUnavailable, and nothing is re-sent.
+  retries = CounterValue("remote.retries");
+  ASSERT_TRUE(
+      util::Failpoint::Enable("remote/recv/error", "error,times=1").ok());
+  const int64_t tens[] = {70, 71, 72};
+  util::Status write = fleet.store->SetAttrsMulti(nodes, Attr::kTen, tens);
+  EXPECT_TRUE(write.IsUnavailable()) << write.ToString();
+  EXPECT_NE(write.message().find("shard 0"), std::string::npos)
+      << write.ToString();
+  EXPECT_EQ(CounterValue("remote.retries"), retries);
+  // Shard 1's write landed in the same round, and both shards answer.
+  auto ten1 = fleet.store->GetAttr(on1, Attr::kTen);
+  ASSERT_TRUE(ten1.ok()) << ten1.status().ToString();
+  EXPECT_EQ(*ten1, 71);
+  EXPECT_TRUE(fleet.store->GetAttr(on0, Attr::kTen).ok());
+}
+
+// Counts the engine's PartsMulti calls on their way to the fleet.
+class CountingFetch final : public FrontierFetch {
+ public:
+  explicit CountingFetch(FrontierFetch* inner) : inner_(inner) {}
+
+  util::Status ChildrenMulti(std::span<const NodeRef> nodes,
+                             RefLists* out) override {
+    return inner_->ChildrenMulti(nodes, out);
+  }
+  util::Status PartsMulti(std::span<const NodeRef> nodes,
+                          RefLists* out) override {
+    ++parts_calls;
+    return inner_->PartsMulti(nodes, out);
+  }
+  util::Status RefsToMulti(std::span<const NodeRef> nodes,
+                           EdgeLists* out) override {
+    return inner_->RefsToMulti(nodes, out);
+  }
+  util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::vector<int64_t>* values) override {
+    return inner_->GetAttrsMulti(nodes, attr, values);
+  }
+  util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                             std::span<const int64_t> values) override {
+    return inner_->SetAttrsMulti(nodes, attr, values);
+  }
+
+  size_t parts_calls = 0;
+
+ private:
+  FrontierFetch* inner_;
+};
+
+TEST(ShardedStoreTest, ClosureMNTakesOneRoundPerFrontierLevel) {
+  // Batched mode runs closureMN through the engine on the client, so
+  // each frontier level is one PartsMulti over the fleet: one kBatch
+  // frame per touched shard, all sent in a single round.
+  auto fleet =
+      backends::ShardedStore::Loopback(2, backends::RemoteMode::kBatched);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  GeneratorConfig config;
+  config.levels = 4;
+  config.generate_contents = false;
+  auto db = Generator(config).Build(fleet->get(), nullptr);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+
+  auto& registry = telemetry::Registry::Global();
+  telemetry::Counter* rounds = registry.GetCounter("cluster.rounds");
+  telemetry::Histogram* fanout = registry.GetHistogram("cluster.fanout");
+  const uint64_t rounds_before = rounds->value();
+  const uint64_t fanout_count_before = fanout->count();
+  const uint64_t fanout_sum_before = fanout->sum();
+
+  CountingFetch counting(fleet->get());
+  std::vector<NodeRef> out;
+  ASSERT_TRUE(traversal::ClosureMN(&counting, db->root, &out).ok());
+  ASSERT_GE(counting.parts_calls, 3u);
+
+  EXPECT_EQ(rounds->value() - rounds_before, counting.parts_calls);
+  EXPECT_EQ(fanout->count() - fanout_count_before, counting.parts_calls);
+  // Some level spans both shards, and still costs one round.
+  EXPECT_GT(fanout->sum() - fanout_sum_before, counting.parts_calls);
+
+  std::vector<NodeRef> direct;
+  ASSERT_TRUE(ops::ClosureMN(fleet->get(), db->root, &direct).ok());
+  EXPECT_EQ(out, direct);
 }
 
 TEST(ShardedStoreTest, ConnectRejectsMiswiredFleet) {
