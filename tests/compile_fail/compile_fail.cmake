@@ -2,6 +2,7 @@
 #
 #   cmake -DCOMPILER=<c++ compiler> -DFLAGS=<extra flags>
 #         -DFIXTURE=<fixture.cc> -DINCLUDE_DIR=<repo src dir>
+#         [-DEXPECT=<regex the violation's diagnostics must match>]
 #         -P compile_fail.cmake
 #
 # Each fixture contains a violating variant under -DHM_EXPECT_VIOLATION
@@ -30,6 +31,11 @@ if(violation_rc EQUAL 0)
           "${FIXTURE}: the HM_EXPECT_VIOLATION variant compiled clean "
           "with '${FLAGS}' — the checker this fixture covers is not "
           "firing")
+endif()
+if(EXPECT AND NOT violation_err MATCHES "${EXPECT}")
+  message(FATAL_ERROR
+          "${FIXTURE}: the HM_EXPECT_VIOLATION variant was rejected, but "
+          "not with a diagnostic matching '${EXPECT}':\n${violation_err}")
 endif()
 
 execute_process(
