@@ -23,10 +23,10 @@ namespace hm::backends {
 /// callers keep the default. Every mode runs the same closure engine
 /// and returns identical results.
 enum class RemoteMode {
-  /// One round trip per HyperStore call, multi-node fetches included
-  /// (the benchmark baseline).
+  /// One round trip per HyperStore call, and per node of a multi-node
+  /// fetch (the benchmark baseline).
   kPerCall,
-  /// Frontier fetches travel as fused ops or Batch frames (one round
+  /// Frontier fetches travel as fused multi-node opcodes (one round
   /// trip per traversal level), but the closure engine runs
   /// client-side.
   kBatched,
@@ -104,10 +104,10 @@ Frame CallFrame(typename C::Reply* reply, const A&... args) {
 /// exactly the point: it exposes the client/server object-transfer
 /// cost axis the in-process backends cannot measure.
 ///
-/// The client amortizes round trips three ways: fused navigation
-/// opcodes (ChildrenMulti/GetAttrsMulti), a generic Batch frame
-/// coalescing arbitrary calls, and — as a TraversalCapable — pushing
-/// whole §6.6 closures to the server. RemoteMode picks the rung; every
+/// The client amortizes round trips two ways: fused multi-node opcodes
+/// (ChildrenMulti, PartsMulti, RefsToMulti, GetAttrsMulti,
+/// SetAttrsMulti) and — as a TraversalCapable — pushing whole §6.6
+/// closures to the server. RemoteMode picks the rung; every
 /// rung runs the one traversal engine, so results are identical.
 /// Every call is a Post (send) and an Await (receive), so a fleet
 /// client can send to all its servers before it reads any reply.
@@ -215,16 +215,15 @@ class RemoteStore : public HyperStore,
   /// Reads the reply to the posted request: the server's status for
   /// the op and, on OK, the body in `*result`. A transport failure of a
   /// retry-safe request reconnects and re-sends it within the retry
-  /// budget; a request of unknown fate that is not retry-safe surfaces
-  /// kUnavailable and is never re-sent. A kBatch frame is retry-safe
-  /// when every entry in it is.
+  /// budget; a request of unknown fate that is not retry-safe (its
+  /// class says, server::IsRetrySafe) surfaces kUnavailable and is never
+  /// re-sent.
   util::Status Await(std::string* result);
 
   // --- FrontierFetch -------------------------------------------------
-  // Each fetch is a sequence of frames, run one after another. kPerCall
-  // sends one node per frame; the other modes send ChildrenMulti and
-  // GetAttrsMulti as fused opcodes and the rest as kBatch frames, one
-  // frame per kMultiChunk nodes. SetAttrsMulti is not retry-safe: a
+  // Each fetch is a sequence of fused-opcode frames, run one after
+  // another: one node per frame in kPerCall mode, kMultiChunk nodes per
+  // frame otherwise. SetAttrsMulti is not retry-safe: a
   // transport failure mid-frame surfaces kUnavailable without
   // re-sending, so some writes may have landed.
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
@@ -356,21 +355,14 @@ class RemoteStore : public HyperStore,
   /// a Result.
   template <typename C, typename... A>
   auto Invoke(const A&... args);
-  /// Frames of a fused multi-node `C` (`lead` arguments, then the
-  /// nodes), kMultiChunk nodes each; each reply must append one entry
-  /// per node to `*out`.
-  template <typename C, typename Out, typename... Lead>
-  Frames FusedFrames(Out* out, std::span<const NodeRef> nodes,
-                     const Lead&... lead);
-  /// Frames of one request per node: `request(i)` is node i's payload
-  /// and `fold(body)` takes the replies in node order. kPerCall sends
-  /// each request as its own frame; the other modes pack kMultiChunk of
-  /// them into one kBatch frame.
-  template <typename Request, typename Fold>
-  Frames PerNodeFrames(size_t count, Request request, Fold fold);
-  /// PerNodeFrames of `C(node)`, reply i becoming list i of `*out`.
-  template <typename C, typename T>
-  Frames ListFrames(std::span<const NodeRef> nodes, FlatLists<T>* out);
+  /// Frames of the fused multi-node `C(args...)` over `count` nodes,
+  /// kMultiChunk nodes each (one in kPerCall mode): a span argument
+  /// holds one value per node and is cut to the frame's nodes. Each
+  /// reply must append one entry per node to `*out` (null for an empty
+  /// reply).
+  template <typename C, typename... A>
+  Frames FusedFrames(typename C::Reply* out, size_t count,
+                     const A&... args);
   /// Runs `frames` in order, one round trip each.
   util::Status RunFrames(Frames frames);
 

@@ -359,7 +359,7 @@ TEST_F(ShardFanOutFaultTest, CommitFailureLeavesNoReplyUnread) {
 }
 
 TEST_F(ShardFanOutFaultTest, ReadFramesRetryWriteFramesAreNotResent) {
-  // Parts and attribute writes travel as one kBatch frame per shard.
+  // Parts and attribute writes travel as one fused frame per shard.
   SmallFleet fleet = MakeSmallFleet(2);
   const NodeRef on0 = fleet.children[0];
   const NodeRef on1 = fleet.children[1];
@@ -367,7 +367,7 @@ TEST_F(ShardFanOutFaultTest, ReadFramesRetryWriteFramesAreNotResent) {
   ASSERT_TRUE(fleet.store->AddPart(on1, on0).ok());
   const NodeRef nodes[] = {on0, on1, fleet.root};
 
-  // Every entry of the failed frame is a read: shard 0 reconnects and
+  // The failed frame is a kPartsMulti, a read: shard 0 reconnects and
   // re-sends it, and the fetch succeeds.
   uint64_t retries = CounterValue("remote.retries");
   ASSERT_TRUE(
@@ -382,7 +382,7 @@ TEST_F(ShardFanOutFaultTest, ReadFramesRetryWriteFramesAreNotResent) {
   EXPECT_EQ(ListAt(parts, 1), std::vector<NodeRef>{on0});
   EXPECT_TRUE(ListAt(parts, 2).empty());
 
-  // A frame of SetAttr entries has unknown fate once its receive fails:
+  // A kSetAttrsMulti frame has unknown fate once its receive fails:
   // kUnavailable, and nothing is re-sent.
   retries = CounterValue("remote.retries");
   ASSERT_TRUE(
@@ -435,8 +435,8 @@ class CountingFetch final : public FrontierFetch {
 
 TEST(ShardedStoreTest, ClosureMNTakesOneRoundPerFrontierLevel) {
   // Batched mode runs closureMN through the engine on the client, so
-  // each frontier level is one PartsMulti over the fleet: one kBatch
-  // frame per touched shard, all sent in a single round.
+  // each frontier level is one PartsMulti over the fleet: one
+  // kPartsMulti frame per touched shard, all sent in a single round.
   auto fleet =
       backends::ShardedStore::Loopback(2, backends::RemoteMode::kBatched);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -474,6 +476,11 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
       calls::ReplStatus::Request(uint64_t{9}, uint64_t{300}),
       calls::ReplPromote::Request(uint64_t{300}),
       calls::ReplFence::Request(uint64_t{300}),
+      calls::PartsMulti::Request(std::span<const NodeRef>(nodes)),
+      calls::RefsToMulti::Request(std::span<const NodeRef>(nodes)),
+      calls::SetAttrsMulti::Request(Attr::kTen,
+                                    std::span<const NodeRef>(nodes),
+                                    std::vector<int64_t>{7, 8, 9}),
   };
   for (const std::string& payload : valid) {
     const std::string name(
@@ -510,7 +517,132 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
   expect_invalid(with_op(OpCode::kClosureMNAttLinkSum, {1, deep}), "deep");
   expect_invalid(with_op(OpCode::kChildrenMulti, {many}), "many nodes");
   expect_invalid(with_op(OpCode::kGetAttrsMulti, {1, many}), "many nodes");
+  expect_invalid(with_op(OpCode::kPartsMulti, {many}), "many nodes");
+  expect_invalid(with_op(OpCode::kRefsToMulti, {many}), "many nodes");
+  expect_invalid(with_op(OpCode::kSetAttrsMulti, {5, 1, 1, 1, 0}), "attr 5");
+  expect_invalid(with_op(OpCode::kSetAttrsMulti, {1, many}), "many nodes");
+  expect_invalid(with_op(OpCode::kSetAttrsMulti, {1, 1, 1, many}),
+                 "many values");
   ::close(fd);
+}
+
+TEST(ServerTest, RetiredBatchOpcodeAnswersInvalidArgument) {
+  // kBatch (30) was retired in wire v8; its number stays reserved.
+  // Whatever the body — empty, or an old batch of one Ping — the server
+  // answers InvalidArgument and keeps serving the connection.
+  auto srv = StartMemServer();
+  ASSERT_NE(srv, nullptr);
+  int fd = DialLoopback(srv->port());
+  ASSERT_GE(fd, 0);
+  std::string rx;
+  auto roundtrip = [&](std::string_view payload) {
+    std::string frame;
+    server::AppendFrame(&frame, payload);
+    EXPECT_TRUE(server::WriteAll(fd, frame));
+    std::string response;
+    EXPECT_TRUE(ReadFrame(fd, &rx, &response));
+    return response;
+  };
+  std::string old_batch(1, static_cast<char>(server::OpCode::kBatch));
+  util::PutVarint64(&old_batch, 1);
+  util::PutLengthPrefixed(&old_batch, server::calls::Ping::Request());
+  for (const std::string& request :
+       {std::string(1, static_cast<char>(server::OpCode::kBatch)),
+        old_batch}) {
+    const std::string response = roundtrip(request);
+    ASSERT_FALSE(response.empty());
+    EXPECT_EQ(response[0],
+              static_cast<char>(util::StatusCode::kInvalidArgument));
+    EXPECT_EQ(roundtrip(server::calls::Ping::Request()),
+              std::string(1, static_cast<char>(util::StatusCode::kOk)));
+  }
+  ::close(fd);
+}
+
+/// AcceptingRole that turns into a replica on demand: every gated
+/// request is then refused with kReadOnly.
+class SwitchableRole : public AcceptingRole {
+ public:
+  util::Status CheckMutation() override {
+    return replica ? util::Status::ReadOnly("replica") : util::Status::Ok();
+  }
+  std::atomic<bool> replica{false};
+};
+
+TEST(ServerTest, ReplicaRefusesFusedWritesAndServesFusedReads) {
+  // The fused multi-node opcodes take their class from the call table
+  // like any other: a replica serves kPartsMulti and kRefsToMulti and
+  // refuses kSetAttrsMulti before anything is written.
+  SwitchableRole role;
+  server::ServerOptions options;
+  options.replication = &role;
+  auto srv = StartMemServer(options);
+  ASSERT_NE(srv, nullptr);
+  auto client = ConnectTo(*srv, backends::RemoteMode::kBatched);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Begin().ok());
+  const NodeRef a = client->CreateNode(MakeAttrs(1), kInvalidNode).ValueOr(0);
+  const NodeRef b = client->CreateNode(MakeAttrs(2), kInvalidNode).ValueOr(0);
+  ASSERT_TRUE(client->AddPart(a, b).ok());
+  ASSERT_TRUE(client->AddRef(a, b, 3, 4).ok());
+  ASSERT_TRUE(client->Commit().ok());
+  role.replica = true;
+
+  telemetry::Snapshot before;
+  ASSERT_TRUE(client->ServerStats(&before).ok());
+  const std::vector<NodeRef> nodes{a, b};
+  RefLists parts;
+  ASSERT_TRUE(client->PartsMulti(nodes, &parts).ok());
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(std::vector<NodeRef>(parts[0].begin(), parts[0].end()),
+            std::vector<NodeRef>{b});
+  EXPECT_TRUE(parts[1].empty());
+  EdgeLists refs;
+  ASSERT_TRUE(client->RefsToMulti(nodes, &refs).ok());
+  ASSERT_EQ(refs.size(), 2u);
+  ASSERT_EQ(refs[0].size(), 1u);
+  EXPECT_EQ(refs[0][0].node, b);
+  const std::vector<int64_t> values{70, 80};
+  EXPECT_EQ(client->SetAttrsMulti(nodes, Attr::kTen, values).code(),
+            util::StatusCode::kReadOnly);
+  EXPECT_EQ(client->GetAttr(a, Attr::kTen).ValueOr(0), MakeAttrs(1).ten);
+
+  telemetry::Snapshot after;
+  ASSERT_TRUE(client->ServerStats(&after).ok());
+  telemetry::Snapshot diff = after.DiffSince(before);
+  EXPECT_EQ(diff.counter("server.op.parts_multi.count"), 1u);
+  EXPECT_EQ(diff.counter("server.op.refs_to_multi.count"), 1u);
+  EXPECT_EQ(diff.counter("server.op.set_attrs_multi.errors"), 1u);
+}
+
+TEST(ServerTest, BatchedAttSetMarksStoreDirty) {
+  // Batched closure1NAttSet writes through kSetAttrsMulti. That write
+  // must mark the store dirty, so the next Reset rebuilds (here: fails,
+  // there is no factory) instead of answering a clean-database no-op.
+  auto backend = std::make_unique<MemStore>();
+  const NodeRef root = backend->CreateNode(MakeAttrs(1), kInvalidNode)
+                           .ValueOr(kInvalidNode);
+  const NodeRef leaf = backend->CreateNode(MakeAttrs(2), kInvalidNode)
+                           .ValueOr(kInvalidNode);
+  ASSERT_TRUE(backend->AddChild(root, leaf).ok());
+  server::ServerOptions options;
+  options.port = 0;
+  auto srv = server::Server::Start(options, std::move(backend));
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  auto client = ConnectTo(**srv, backends::RemoteMode::kBatched);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->ResetServer().ok());  // untouched: a no-op
+
+  telemetry::Snapshot before;
+  ASSERT_TRUE(client->ServerStats(&before).ok());
+  EXPECT_EQ(client->TravClosure1NAttSet(root).ValueOr(0), 2u);
+  EXPECT_EQ(client->GetAttr(leaf, Attr::kHundred).ValueOr(0),
+            99 - MakeAttrs(2).hundred);
+  telemetry::Snapshot after;
+  ASSERT_TRUE(client->ServerStats(&after).ok());
+  EXPECT_EQ(after.DiffSince(before).counter("server.op.set_attrs_multi.count"),
+            1u);
+  EXPECT_EQ(client->ResetServer().code(), util::StatusCode::kNotSupported);
 }
 
 TEST(ServerTest, ConcurrentReadersRunUnderSharedLock) {
