@@ -648,23 +648,34 @@ util::Status ObjectStore::FreeOverflow(PageId head) {
   return util::Status::Ok();
 }
 
-util::Result<std::string> ObjectStore::ReadOverflow(PageId head) const {
-  std::string out;
+util::Status ObjectStore::ReadOverflow(PageId head, std::string* out) const {
+  // Each hop visits a distinct page of a well-formed chain, so a chain
+  // longer than the file loops.
+  const uint64_t max_hops = data_file_.page_count();
+  uint64_t hops = 0;
   PageId current = head;
   while (current != kInvalidPageId) {
+    if (++hops > max_hops) {
+      return util::Status::Corruption("overflow chain loops");
+    }
     // Latch-crawl: one shared latch at a time down the chain.
     HM_ASSIGN_OR_RETURN(PageGuard guard,
                         pool_->Fetch(current, storage::PinMode::kRead));
+    if (guard.page()->type() != PageType::kOverflow) {
+      return util::Status::Corruption("overflow chain reaches page " +
+                                      std::to_string(current) +
+                                      " that is not an overflow page");
+    }
     const char* p = guard.page()->payload();
     PageId next = util::DecodeFixed32(p);
     uint32_t len = util::DecodeFixed32(p + 4);
     if (len > kOverflowCapacity) {
       return util::Status::Corruption("overflow page length out of range");
     }
-    out.append(p + kOverflowHeader, len);
+    out->append(p + kOverflowHeader, len);
     current = next;
   }
-  return out;
+  return util::Status::Ok();
 }
 
 util::Result<ObjectStore::DirEntry> ObjectStore::Place(std::string_view data,
@@ -871,20 +882,29 @@ util::Result<Oid> ObjectStore::CreateLocked(Transaction* txn,
   return oid;
 }
 
-util::Result<std::string> ObjectStore::Read(Oid oid) const {
+util::Result<std::string_view> ObjectStore::PinRecord(
+    Oid oid, PageGuard* guard, std::string* overflow) const {
   // Latch-crawling read: directory page, then data/overflow pages,
   // all under shared frame latches — never write_mu_ — so concurrent
   // readers proceed in parallel across (and within) pool shards.
   HM_ASSIGN_OR_RETURN(DirEntry entry, DirGet(oid));
   stats_.objects_read.fetch_add(1, std::memory_order_relaxed);
   if (entry.flags == kDirOverflow) {
-    return ReadOverflow(entry.page);
+    HM_RETURN_IF_ERROR(ReadOverflow(entry.page, overflow));
+    return std::string_view(*overflow);
   }
-  HM_ASSIGN_OR_RETURN(PageGuard guard,
+  HM_ASSIGN_OR_RETURN(*guard,
                       pool_->Fetch(entry.page, storage::PinMode::kRead));
-  HM_ASSIGN_OR_RETURN(std::string_view record,
-                      SlottedPage::Read(*guard.page(), entry.slot));
-  return std::string(record);
+  return SlottedPage::Read(*guard->page(), entry.slot);
+}
+
+util::Result<std::string> ObjectStore::Read(Oid oid) const {
+  std::string out;
+  HM_RETURN_IF_ERROR(View(oid, [&out](std::string_view record) {
+    out.assign(record);
+    return util::Status::Ok();
+  }));
+  return out;
 }
 
 util::Status ObjectStore::Update(Transaction* txn, Oid oid,

@@ -165,7 +165,23 @@ class ObjectStore {
   util::Result<Oid> Create(Transaction* txn, std::string_view data,
                            Oid near = kInvalidOid);
 
-  /// Reads an object's bytes.
+  /// Runs `fn(std::string_view)` on an object's bytes without copying
+  /// them out of the page: a slotted record is viewed in place while
+  /// its data page is pinned under a shared read latch; an overflow
+  /// record is first assembled into a local string. The view is valid
+  /// only inside `fn`: nothing pointing into it may escape, and `fn`
+  /// must not fetch pages or call back into the store (DESIGN.md §13).
+  /// Returns `fn`'s status. Counts one object read.
+  template <typename Fn>
+  util::Status View(Oid oid, Fn&& fn) const {
+    storage::PageGuard guard;
+    std::string overflow;
+    HM_ASSIGN_OR_RETURN(std::string_view record,
+                        PinRecord(oid, &guard, &overflow));
+    return fn(record);
+  }
+
+  /// Reads a copy of an object's bytes (View plus a copy).
   util::Result<std::string> Read(Oid oid) const;
 
   /// Replaces an object's bytes (may relocate the record).
@@ -316,7 +332,15 @@ class ObjectStore {
   /// Writes `data` as an overflow chain; returns the head page.
   util::Result<storage::PageId> WriteOverflow(std::string_view data);
   util::Status FreeOverflow(storage::PageId head);
-  util::Result<std::string> ReadOverflow(storage::PageId head) const;
+  /// Appends the bytes of the overflow chain starting at `head` to
+  /// `*out`. Corruption if a chain page is not an overflow page or the
+  /// chain runs longer than the data file (a loop).
+  util::Status ReadOverflow(storage::PageId head, std::string* out) const;
+  /// The one record-reading walk behind View: directory page, then
+  /// the data page (left pinned in `*guard`, the record viewed in
+  /// place) or the overflow chain (assembled into `*overflow`).
+  util::Result<std::string_view> PinRecord(Oid oid, storage::PageGuard* guard,
+                                           std::string* overflow) const;
   /// Physically removes the record behind `entry`.
   util::Status Remove(const DirEntry& entry);
 

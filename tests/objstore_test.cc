@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "objstore/object_store.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace hm::objstore {
@@ -101,6 +105,111 @@ TEST_F(ObjectStoreTest, BigObjectsUseOverflowChains) {
   auto data = store->Read(*oid);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, big);
+}
+
+// The overflow pages of a store holding one big object, with the
+// page each one links to next.
+std::vector<std::pair<storage::PageId, storage::PageId>> OverflowLinks(
+    ObjectStore* store) {
+  std::vector<std::pair<storage::PageId, storage::PageId>> links;
+  for (storage::PageId id = 1; id < store->page_count(); ++id) {
+    auto guard = store->buffer_pool()->Fetch(id, storage::PinMode::kRead);
+    EXPECT_TRUE(guard.ok()) << guard.status().ToString();
+    if (guard.ok() && guard->page()->type() == storage::PageType::kOverflow) {
+      links.emplace_back(id, util::DecodeFixed32(guard->page()->payload()));
+    }
+  }
+  return links;
+}
+
+// Commits one object spanning three overflow pages; returns its OID.
+Oid CreateThreePageObject(ObjectStore* store) {
+  auto txn = store->Begin();
+  EXPECT_TRUE(txn.ok());
+  auto oid = store->Create(&*txn, std::string(20050, 'B'));
+  EXPECT_TRUE(oid.ok());
+  EXPECT_TRUE(store->Commit(&*txn).ok());
+  EXPECT_EQ(OverflowLinks(store).size(), 3u);
+  return oid.ok() ? *oid : kInvalidOid;
+}
+
+TEST_F(ObjectStoreTest, OverflowChainThatLoopsIsCorruption) {
+  auto store = Open();
+  const Oid oid = CreateThreePageObject(store.get());
+  // Point the chain's tail back at another chain page.
+  auto links = OverflowLinks(store.get());
+  auto tail = std::find_if(links.begin(), links.end(), [](const auto& link) {
+    return link.second == storage::kInvalidPageId;
+  });
+  ASSERT_NE(tail, links.end());
+  const storage::PageId target =
+      links[0].first == tail->first ? links[1].first : links[0].first;
+  {
+    auto guard = store->buffer_pool()->Fetch(tail->first);
+    ASSERT_TRUE(guard.ok());
+    util::EncodeFixed32(guard->page()->payload(), target);
+    guard->MarkDirty();
+  }
+  auto data = store->Read(oid);
+  EXPECT_EQ(data.status().code(), util::StatusCode::kCorruption)
+      << data.status().ToString();
+}
+
+TEST_F(ObjectStoreTest, OverflowChainThroughFreedPageIsCorruption) {
+  auto store = Open();
+  const Oid oid = CreateThreePageObject(store.get());
+  // What FreeOverflow leaves behind: a chain page retyped to kFree,
+  // still linked and still holding its bytes.
+  const storage::PageId freed = OverflowLinks(store.get())[1].first;
+  {
+    auto guard = store->buffer_pool()->Fetch(freed);
+    ASSERT_TRUE(guard.ok());
+    guard->page()->set_type(storage::PageType::kFree);
+    guard->MarkDirty();
+  }
+  auto data = store->Read(oid);
+  EXPECT_EQ(data.status().code(), util::StatusCode::kCorruption)
+      << data.status().ToString();
+}
+
+TEST_F(ObjectStoreTest, ViewSeesTheRecordInPlace) {
+  auto store = Open();
+  auto txn = store->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto small = store->Create(&*txn, "in place");
+  auto big = store->Create(&*txn, std::string(20050, 'B'));
+  ASSERT_TRUE(small.ok() && big.ok());
+  ASSERT_TRUE(store->Commit(&*txn).ok());
+
+  std::string seen;
+  ASSERT_TRUE(store
+                  ->View(*small,
+                         [&seen](std::string_view record) {
+                           seen.assign(record);
+                           return util::Status::Ok();
+                         })
+                  .ok());
+  EXPECT_EQ(seen, "in place");
+  size_t big_size = 0;
+  ASSERT_TRUE(store
+                  ->View(*big,
+                         [&big_size](std::string_view record) {
+                           big_size = record.size();
+                           return util::Status::Ok();
+                         })
+                  .ok());
+  EXPECT_EQ(big_size, 20050u);
+  // The callback's status is View's.
+  EXPECT_TRUE(store
+                  ->View(*small,
+                         [](std::string_view) {
+                           return util::Status::Corruption("callback");
+                         })
+                  .IsCorruption());
+  EXPECT_TRUE(store
+                  ->View(*big + 1,
+                         [](std::string_view) { return util::Status::Ok(); })
+                  .IsNotFound());
 }
 
 TEST_F(ObjectStoreTest, OverflowUpdateAndShrinkBackToSlotted) {
@@ -336,8 +445,18 @@ TEST_F(ObjectStoreTest, StatsCount) {
   ASSERT_TRUE(store->Commit(&*txn).ok());
   ASSERT_TRUE(store->Read(*oid).ok());
   EXPECT_EQ(store->stats().objects_created, 1u);
-  // Update's pre-image read also counts as a read.
-  EXPECT_GE(store->stats().objects_read, 1u);
+  // Update's pre-image read plus the Read.
+  EXPECT_EQ(store->stats().objects_read, 2u);
+  // One per View, whatever the callback returns; none for a missing
+  // OID.
+  ASSERT_TRUE(store
+                  ->View(*oid,
+                         [](std::string_view) {
+                           return util::Status::Corruption("callback");
+                         })
+                  .IsCorruption());
+  EXPECT_FALSE(store->Read(*oid + 1).ok());
+  EXPECT_EQ(store->stats().objects_read, 3u);
   EXPECT_EQ(store->stats().objects_updated, 1u);
   EXPECT_EQ(store->stats().commits, 1u);
 }
