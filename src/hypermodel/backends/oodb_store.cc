@@ -1,5 +1,7 @@
 #include "hypermodel/backends/oodb_store.h"
 
+#include <utility>
+
 #include "telemetry/metrics.h"
 #include "util/check.h"
 #include "util/coding.h"
@@ -33,19 +35,14 @@ constexpr size_t kOffParent = 42;
 constexpr size_t kOffContent = 50;
 constexpr size_t kFixedHeader = 58;
 
+// Relationship lists in record order, and each entry's encoded size.
+enum class List : uint8_t { kChildren, kParts, kPartOf, kRefsTo, kRefsFrom };
+constexpr size_t kListCount = 5;
+constexpr size_t kEntrySize[kListCount] = {8, 8, 8, 24, 24};
+
 void PutOidList(std::string* out, const std::vector<Oid>& oids) {
   util::PutFixed32(out, static_cast<uint32_t>(oids.size()));
   for (Oid oid : oids) util::PutFixed64(out, oid);
-}
-
-bool GetOidList(util::Decoder* dec, std::vector<Oid>* oids) {
-  uint32_t count = 0;
-  if (!dec->GetFixed32(&count)) return false;
-  oids->resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!dec->GetFixed64(&(*oids)[i])) return false;
-  }
-  return true;
 }
 
 void PutEdgeList(std::string* out, const std::vector<RefEdge>& edges) {
@@ -57,20 +54,149 @@ void PutEdgeList(std::string* out, const std::vector<RefEdge>& edges) {
   }
 }
 
-bool GetEdgeList(util::Decoder* dec, std::vector<RefEdge>* edges) {
-  uint32_t count = 0;
-  if (!dec->GetFixed32(&count)) return false;
-  edges->resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t node = 0, from = 0, to = 0;
-    if (!dec->GetFixed64(&node) || !dec->GetFixed64(&from) ||
-        !dec->GetFixed64(&to)) {
-      return false;
-    }
-    (*edges)[i] = RefEdge{node, static_cast<int64_t>(from),
-                          static_cast<int64_t>(to)};
+size_t AttrOffset(Attr attr) {
+  switch (attr) {
+    case Attr::kUniqueId:
+      return kOffUnique;
+    case Attr::kTen:
+      return kOffTen;
+    case Attr::kHundred:
+      return kOffHundred;
+    case Attr::kThousand:
+      return kOffThousand;
+    case Attr::kMillion:
+      return kOffMillion;
   }
-  return true;
+  return kOffUnique;  // unreachable: every boundary validates Attr
+}
+
+/// A node record parsed in place. Parse checks the tag and the fixed
+/// header and bounds-checks all five list counts against the record's
+/// length, so every accessor after it reads in range. It allocates
+/// nothing; a view points into the bytes it was parsed from and lives
+/// no longer than they do.
+class NodeView {
+ public:
+  static util::Result<NodeView> Parse(std::string_view data) {
+    if (data.size() < kFixedHeader ||
+        static_cast<uint8_t>(data[0]) != kTagNode) {
+      return util::Status::Corruption("not a node record");
+    }
+    NodeView view;
+    view.data_ = data;
+    size_t off = kFixedHeader;
+    for (size_t list = 0; list < kListCount; ++list) {
+      if (data.size() - off < 4) {
+        return util::Status::Corruption("truncated node record");
+      }
+      const uint64_t bytes =
+          uint64_t{util::DecodeFixed32(data.data() + off)} * kEntrySize[list];
+      if (data.size() - off - 4 < bytes) {
+        return util::Status::Corruption("truncated node record");
+      }
+      view.list_[list] = off;
+      off += 4 + static_cast<size_t>(bytes);
+    }
+    return view;
+  }
+
+  NodeKind kind() const { return static_cast<NodeKind>(data_[kOffKind]); }
+  int64_t attr(Attr attr) const {
+    return static_cast<int64_t>(Fixed64(AttrOffset(attr)));
+  }
+  Oid parent() const { return Fixed64(kOffParent); }
+  Oid content() const { return Fixed64(kOffContent); }
+
+  /// Decodes one OID list into `*out`, replacing its contents and
+  /// reusing its capacity.
+  void DecodeList(List list, std::vector<Oid>* out) const {
+    const char* p = Entries(list, out);
+    for (Oid& oid : *out) {
+      oid = util::DecodeFixed64(p);
+      p += 8;
+    }
+  }
+
+  /// Decodes one edge list into `*out`, as above.
+  void DecodeList(List list, std::vector<RefEdge>* out) const {
+    const char* p = Entries(list, out);
+    for (RefEdge& edge : *out) {
+      edge = RefEdge{util::DecodeFixed64(p),
+                     static_cast<int64_t>(util::DecodeFixed64(p + 8)),
+                     static_cast<int64_t>(util::DecodeFixed64(p + 16))};
+      p += 24;
+    }
+  }
+
+ private:
+  uint64_t Fixed64(size_t off) const {
+    return util::DecodeFixed64(data_.data() + off);
+  }
+
+  /// Sizes `*out` to the list's count; returns its first entry.
+  template <typename T>
+  const char* Entries(List list, std::vector<T>* out) const {
+    const char* p = data_.data() + list_[static_cast<size_t>(list)];
+    out->resize(util::DecodeFixed32(p));
+    return p + 4;
+  }
+
+  std::string_view data_;
+  size_t list_[kListCount] = {};  // offset of each list's count
+};
+
+/// Returns `get(view)` for node `node`'s record, parsed in place on
+/// its pinned page. `get` returns a value, never a pointer into the
+/// view.
+template <typename Get>
+auto ReadField(const objstore::ObjectStore& store, Oid node, Get get)
+    -> util::Result<decltype(get(std::declval<const NodeView&>()))> {
+  decltype(get(std::declval<const NodeView&>())) value{};
+  HM_RETURN_IF_ERROR(
+      store.View(node, [&](std::string_view data) -> util::Status {
+        HM_ASSIGN_OR_RETURN(NodeView view, NodeView::Parse(data));
+        value = get(view);
+        return util::Status::Ok();
+      }));
+  return value;
+}
+
+/// Decodes one of node `node`'s lists into `*out`.
+template <typename T>
+util::Status ReadList(const objstore::ObjectStore& store, Oid node, List list,
+                      std::vector<T>* out) {
+  return store.View(node, [&](std::string_view data) -> util::Status {
+    HM_ASSIGN_OR_RETURN(NodeView view, NodeView::Parse(data));
+    view.DecodeList(list, out);
+    return util::Status::Ok();
+  });
+}
+
+/// The bytes of content object `content`, without its tag.
+util::Result<std::string> ReadContent(const objstore::ObjectStore& store,
+                                      Oid content) {
+  // Not HM_ASSIGN_OR_RETURN: GCC 12 flags the moved-out string with a
+  // false -Wmaybe-uninitialized.
+  util::Result<std::string> blob = store.Read(content);
+  if (!blob.ok()) return blob.status();
+  if (blob->empty() || static_cast<uint8_t>((*blob)[0]) != kTagContent) {
+    return util::Status::Corruption("bad content object");
+  }
+  return blob->substr(1);
+}
+
+/// What the content accessors read of a node: its kind and content
+/// object.
+struct ContentRef {
+  NodeKind kind = NodeKind::kInternal;
+  Oid content = objstore::kInvalidOid;
+};
+
+util::Result<ContentRef> ReadContentRef(const objstore::ObjectStore& store,
+                                        Oid node) {
+  return ReadField(store, node, [](const NodeView& view) {
+    return ContentRef{view.kind(), view.content()};
+  });
 }
 
 }  // namespace
@@ -80,7 +206,9 @@ bool GetEdgeList(util::Decoder* dec, std::vector<RefEdge>* edges) {
 ///   [million:8][parent:8][content:8]
 ///   [children oid-list][parts oid-list][partOf oid-list]
 ///   [refsTo edge-list][refsFrom edge-list]
-/// Content objects are `[tag:1='C'][bytes...]`.
+/// Content objects are `[tag:1='C'][bytes...]`. Reads go through
+/// NodeView; the decoded NodeRecord serves the write paths, which
+/// re-encode the whole record.
 struct OodbStore::NodeRecord {
   NodeKind kind = NodeKind::kInternal;
   int64_t unique_id = 0;
@@ -119,29 +247,21 @@ struct OodbStore::NodeRecord {
   }
 
   static util::Result<NodeRecord> Decode(std::string_view data) {
-    if (data.size() < kFixedHeader ||
-        static_cast<uint8_t>(data[0]) != kTagNode) {
-      return util::Status::Corruption("not a node record");
-    }
+    HM_ASSIGN_OR_RETURN(NodeView view, NodeView::Parse(data));
     NodeRecord rec;
-    rec.kind = static_cast<NodeKind>(data[kOffKind]);
-    rec.unique_id =
-        static_cast<int64_t>(util::DecodeFixed64(data.data() + kOffUnique));
-    rec.ten = static_cast<int64_t>(util::DecodeFixed64(data.data() + kOffTen));
-    rec.hundred =
-        static_cast<int64_t>(util::DecodeFixed64(data.data() + kOffHundred));
-    rec.thousand =
-        static_cast<int64_t>(util::DecodeFixed64(data.data() + kOffThousand));
-    rec.million =
-        static_cast<int64_t>(util::DecodeFixed64(data.data() + kOffMillion));
-    rec.parent = util::DecodeFixed64(data.data() + kOffParent);
-    rec.content = util::DecodeFixed64(data.data() + kOffContent);
-    util::Decoder dec(data.substr(kFixedHeader));
-    if (!GetOidList(&dec, &rec.children) || !GetOidList(&dec, &rec.parts) ||
-        !GetOidList(&dec, &rec.part_of) || !GetEdgeList(&dec, &rec.refs_to) ||
-        !GetEdgeList(&dec, &rec.refs_from)) {
-      return util::Status::Corruption("truncated node record");
-    }
+    rec.kind = view.kind();
+    rec.unique_id = view.attr(Attr::kUniqueId);
+    rec.ten = view.attr(Attr::kTen);
+    rec.hundred = view.attr(Attr::kHundred);
+    rec.thousand = view.attr(Attr::kThousand);
+    rec.million = view.attr(Attr::kMillion);
+    rec.parent = view.parent();
+    rec.content = view.content();
+    view.DecodeList(List::kChildren, &rec.children);
+    view.DecodeList(List::kParts, &rec.parts);
+    view.DecodeList(List::kPartOf, &rec.part_of);
+    view.DecodeList(List::kRefsTo, &rec.refs_to);
+    view.DecodeList(List::kRefsFrom, &rec.refs_from);
     return rec;
   }
 };
@@ -221,15 +341,29 @@ util::Status OodbStore::RebuildIndexes() {
   by_million_.emplace(million);
   for (Oid oid = 1; oid < store_->next_oid(); ++oid) {
     if (!store_->Exists(oid)) continue;
-    HM_ASSIGN_OR_RETURN(std::string data, store_->Read(oid));
-    if (data.empty() || static_cast<uint8_t>(data[0]) != kTagNode) continue;
-    HM_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::Decode(data));
+    // The keys are copied out so the index inserts, which fetch pages,
+    // run after the record's page is unpinned.
+    bool is_node = false;
+    int64_t unique_id = 0, hundred = 0, million = 0;
+    HM_RETURN_IF_ERROR(
+        store_->View(oid, [&](std::string_view data) -> util::Status {
+          if (data.empty() || static_cast<uint8_t>(data[0]) != kTagNode) {
+            return util::Status::Ok();  // a content object
+          }
+          HM_ASSIGN_OR_RETURN(NodeView view, NodeView::Parse(data));
+          is_node = true;
+          unique_id = view.attr(Attr::kUniqueId);
+          hundred = view.attr(Attr::kHundred);
+          million = view.attr(Attr::kMillion);
+          return util::Status::Ok();
+        }));
+    if (!is_node) continue;
     HM_RETURN_IF_ERROR(by_unique_->Insert(
-        Key128{static_cast<uint64_t>(rec.unique_id), 0}, oid));
+        Key128{static_cast<uint64_t>(unique_id), 0}, oid));
     HM_RETURN_IF_ERROR(by_hundred_->Insert(
-        Key128{static_cast<uint64_t>(rec.hundred), oid}, oid));
+        Key128{static_cast<uint64_t>(hundred), oid}, oid));
     HM_RETURN_IF_ERROR(by_million_->Insert(
-        Key128{static_cast<uint64_t>(rec.million), oid}, oid));
+        Key128{static_cast<uint64_t>(million), oid}, oid));
   }
   // No checkpoint here: rebuilds may run inside an open transaction
   // (GC) — the caller decides when the new baseline is durable.
@@ -438,31 +572,8 @@ util::Status OodbStore::AddRef(NodeRef from, NodeRef to, int64_t offset_from,
 }
 
 util::Result<int64_t> OodbStore::GetAttr(NodeRef node, Attr attr) {
-  // Fast path: attributes live at fixed offsets; skip full decode.
-  HM_ASSIGN_OR_RETURN(std::string data, store_->Read(node));
-  if (data.size() < kFixedHeader ||
-      static_cast<uint8_t>(data[0]) != kTagNode) {
-    return util::Status::Corruption("not a node record");
-  }
-  size_t off = 0;
-  switch (attr) {
-    case Attr::kUniqueId:
-      off = kOffUnique;
-      break;
-    case Attr::kTen:
-      off = kOffTen;
-      break;
-    case Attr::kHundred:
-      off = kOffHundred;
-      break;
-    case Attr::kThousand:
-      off = kOffThousand;
-      break;
-    case Attr::kMillion:
-      off = kOffMillion;
-      break;
-  }
-  return static_cast<int64_t>(util::DecodeFixed64(data.data() + off));
+  return ReadField(*store_, node,
+                   [attr](const NodeView& view) { return view.attr(attr); });
 }
 
 util::Status OodbStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
@@ -498,38 +609,27 @@ util::Status OodbStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
 }
 
 util::Result<NodeKind> OodbStore::GetKind(NodeRef node) {
-  HM_ASSIGN_OR_RETURN(std::string data, store_->Read(node));
-  if (data.size() < kFixedHeader ||
-      static_cast<uint8_t>(data[0]) != kTagNode) {
-    return util::Status::Corruption("not a node record");
-  }
-  return static_cast<NodeKind>(data[kOffKind]);
+  return ReadField(*store_, node,
+                   [](const NodeView& view) { return view.kind(); });
 }
 
 util::Result<std::string> OodbStore::GetText(NodeRef node) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  if (rec.kind != NodeKind::kText) {
+  HM_ASSIGN_OR_RETURN(ContentRef ref, ReadContentRef(*store_, node));
+  if (ref.kind != NodeKind::kText) {
     return util::Status::InvalidArgument("node is not a TextNode");
   }
-  if (rec.content == objstore::kInvalidOid) return std::string();
-  HM_ASSIGN_OR_RETURN(std::string blob, store_->Read(rec.content));
-  if (blob.empty() || static_cast<uint8_t>(blob[0]) != kTagContent) {
-    return util::Status::Corruption("bad content object");
-  }
-  return blob.substr(1);
+  if (ref.content == objstore::kInvalidOid) return std::string();
+  return ReadContent(*store_, ref.content);
 }
 
 util::Result<util::Bitmap> OodbStore::GetForm(NodeRef node) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  if (rec.kind != NodeKind::kForm) {
+  HM_ASSIGN_OR_RETURN(ContentRef ref, ReadContentRef(*store_, node));
+  if (ref.kind != NodeKind::kForm) {
     return util::Status::InvalidArgument("node is not a FormNode");
   }
-  if (rec.content == objstore::kInvalidOid) return util::Bitmap();
-  HM_ASSIGN_OR_RETURN(std::string blob, store_->Read(rec.content));
-  if (blob.empty() || static_cast<uint8_t>(blob[0]) != kTagContent) {
-    return util::Status::Corruption("bad content object");
-  }
-  return util::Bitmap::Deserialize(std::string_view(blob).substr(1));
+  if (ref.content == objstore::kInvalidOid) return util::Bitmap();
+  HM_ASSIGN_OR_RETURN(std::string bits, ReadContent(*store_, ref.content));
+  return util::Bitmap::Deserialize(bits);
 }
 
 util::Status OodbStore::SetContents(NodeRef node, std::string_view data) {
@@ -551,16 +651,12 @@ util::Status OodbStore::SetContents(NodeRef node, std::string_view data) {
 }
 
 util::Result<std::string> OodbStore::GetContents(NodeRef node) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  if (rec.kind == NodeKind::kInternal) {
+  HM_ASSIGN_OR_RETURN(ContentRef ref, ReadContentRef(*store_, node));
+  if (ref.kind == NodeKind::kInternal) {
     return util::Status::InvalidArgument("internal nodes carry no contents");
   }
-  if (rec.content == objstore::kInvalidOid) return std::string();
-  HM_ASSIGN_OR_RETURN(std::string blob, store_->Read(rec.content));
-  if (blob.empty() || static_cast<uint8_t>(blob[0]) != kTagContent) {
-    return util::Status::Corruption("bad content object");
-  }
-  return blob.substr(1);
+  if (ref.content == objstore::kInvalidOid) return std::string();
+  return ReadContent(*store_, ref.content);
 }
 
 util::Result<NodeRef> OodbStore::LookupUnique(int64_t unique_id) {
@@ -593,38 +689,28 @@ util::Status OodbStore::RangeMillion(int64_t lo, int64_t hi,
 }
 
 util::Status OodbStore::Children(NodeRef node, std::vector<NodeRef>* out) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  *out = std::move(rec.children);
-  return util::Status::Ok();
+  return ReadList(*store_, node, List::kChildren, out);
 }
 
 util::Result<NodeRef> OodbStore::Parent(NodeRef node) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  return rec.parent;
+  return ReadField(*store_, node,
+                   [](const NodeView& view) { return view.parent(); });
 }
 
 util::Status OodbStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  *out = std::move(rec.parts);
-  return util::Status::Ok();
+  return ReadList(*store_, node, List::kParts, out);
 }
 
 util::Status OodbStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  *out = std::move(rec.part_of);
-  return util::Status::Ok();
+  return ReadList(*store_, node, List::kPartOf, out);
 }
 
 util::Status OodbStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  *out = std::move(rec.refs_to);
-  return util::Status::Ok();
+  return ReadList(*store_, node, List::kRefsTo, out);
 }
 
 util::Status OodbStore::RefsFrom(NodeRef node, std::vector<RefEdge>* out) {
-  HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
-  *out = std::move(rec.refs_from);
-  return util::Status::Ok();
+  return ReadList(*store_, node, List::kRefsFrom, out);
 }
 
 util::Result<uint64_t> OodbStore::StorageBytes() {

@@ -41,6 +41,14 @@ struct OodbOptions {
 /// roots persist in the store catalog. Relationships are embedded in
 /// the node record (forward and inverse), so traversal is a pointer
 /// chase — clustered along the 1-N hierarchy when enabled.
+///
+/// Every read accessor decodes only the field it returns, in place on
+/// the pinned page (`ObjectStore::View`): the record is validated in
+/// full (tag, fixed header, all five list bounds) without allocating,
+/// then one attribute, kind, parent, content OID or list is read. The
+/// list accessors overwrite the caller's vector, reusing its capacity.
+/// The fully decoded `NodeRecord` serves the write paths only, which
+/// re-encode the whole record.
 class OodbStore : public HyperStore, public PipelinedCommitCapable {
  public:
   /// Opens (creating or recovering) a store under `dir`. After WAL
@@ -120,9 +128,11 @@ class OodbStore : public HyperStore, public PipelinedCommitCapable {
  private:
   OodbStore() = default;
 
-  /// Decoded node record (see oodb_store.cc for the wire format).
+  /// Decoded node record (see oodb_store.cc for the wire format);
+  /// write paths only.
   struct NodeRecord;
 
+  /// Copies and fully decodes a record, for a write path to modify.
   util::Result<NodeRecord> ReadNode(NodeRef node) const;
   util::Status WriteNode(NodeRef node, const NodeRecord& record);
   util::Status RequireActiveTxn();

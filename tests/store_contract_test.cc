@@ -531,6 +531,80 @@ TEST_P(StoreContractTest, CapabilityTraversalsMatchGenericKernels) {
   }
 }
 
+// Builds nodes with uniqueId 1..`count` under one transaction: node
+// `uid` is a child of node `uid / 3 + 1`. Returns each node's expected
+// child list, indexed by uniqueId.
+std::vector<std::vector<NodeRef>> BuildReaderTree(HyperStore* store,
+                                                  int64_t count) {
+  std::vector<std::vector<NodeRef>> children(static_cast<size_t>(count + 1));
+  std::vector<NodeRef> nodes{kInvalidNode};  // indexed by uniqueId
+  EXPECT_TRUE(store->Begin().ok());
+  for (int64_t uid = 1; uid <= count; ++uid) {
+    NodeAttrs attrs;
+    attrs.unique_id = uid;
+    attrs.ten = uid % 10 + 1;
+    attrs.hundred = uid % 100 + 1;
+    attrs.thousand = uid % 1000 + 1;
+    attrs.million = uid * 37 % 1000000 + 1;
+    auto node = store->CreateNode(attrs, kInvalidNode);
+    EXPECT_TRUE(node.ok()) << node.status().ToString();
+    nodes.push_back(node.ok() ? *node : kInvalidNode);
+    if (uid == 1) continue;
+    const int64_t parent = uid / 3 + 1;
+    EXPECT_TRUE(store->AddChild(nodes[static_cast<size_t>(parent)],
+                                nodes.back())
+                    .ok());
+    children[static_cast<size_t>(parent)].push_back(nodes.back());
+  }
+  EXPECT_TRUE(store->Commit().ok());
+  return children;
+}
+
+// Runs `threads` readers of random nodes of a BuildReaderTree tree at
+// once; each checks the attributes and the exact child list it reads.
+// Returns the number of readers that saw a failed or wrong read.
+int ConcurrentReaderFailures(
+    HyperStore* store, int threads, int iters_per_thread,
+    const std::vector<std::vector<NodeRef>>& children) {
+  const int64_t count = static_cast<int64_t>(children.size()) - 1;
+  std::atomic<int> failures{0};
+  auto reader = [&](int seed) {
+    std::mt19937 rng(static_cast<unsigned>(seed));
+    std::uniform_int_distribution<int64_t> pick(1, count);
+    std::vector<NodeRef> got;
+    for (int i = 0; i < iters_per_thread; ++i) {
+      const int64_t uid = pick(rng);
+      auto node = store->LookupUnique(uid);
+      if (!node.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      auto unique = store->GetAttr(*node, Attr::kUniqueId);
+      auto hundred = store->GetAttr(*node, Attr::kHundred);
+      if (!unique.ok() || *unique != uid || !hundred.ok() ||
+          *hundred != uid % 100 + 1) {
+        failures.fetch_add(1);
+        return;
+      }
+      got.clear();
+      if (!store->Children(*node, &got).ok() ||
+          got != children[static_cast<size_t>(uid)]) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::vector<NodeRef> band;
+      if (!store->RangeHundred(10, 19, &band).ok() || band.empty()) {
+        failures.fetch_add(1);
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) pool.emplace_back(reader, 7 + t);
+  for (auto& th : pool) th.join();
+  return failures.load();
+}
+
 TEST_P(StoreContractTest, ConcurrentReadersSeeConsistentData) {
   // The persistent page-based backends latch-crawl their reads and
   // advertise it alongside mem; net/remote stay read-serial (remote's
@@ -541,57 +615,33 @@ TEST_P(StoreContractTest, ConcurrentReadersSeeConsistentData) {
                                factory_.name == "rel";
   EXPECT_EQ(store_->SupportsConcurrentReads(), expect_parallel);
 
-  constexpr int64_t kNodes = 120;
-  ASSERT_TRUE(store_->Begin().ok());
-  NodeRef root = Create(1);
-  std::vector<NodeRef> nodes{root};
-  for (int64_t uid = 2; uid <= kNodes; ++uid) {
-    NodeRef node = Create(uid);
-    ASSERT_TRUE(
-        store_->AddChild(nodes[static_cast<size_t>(uid / 3)], node).ok());
-    nodes.push_back(node);
-  }
-  ASSERT_TRUE(store_->Commit().ok());
-
+  const auto children = BuildReaderTree(store_.get(), 120);
   // Only backends that advertise the capability must survive races;
   // running the readers unthreaded everywhere keeps the checks
   // themselves covered for every backend.
   const int threads = store_->SupportsConcurrentReads() ? 8 : 1;
-  constexpr int kItersPerThread = 100;
-  std::atomic<int> failures{0};
-  auto reader = [&](int seed) {
-    std::mt19937 rng(static_cast<unsigned>(seed));
-    std::uniform_int_distribution<int64_t> pick(1, kNodes);
-    for (int i = 0; i < kItersPerThread; ++i) {
-      const int64_t uid = pick(rng);
-      auto node = store_->LookupUnique(uid);
-      if (!node.ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      auto unique = store_->GetAttr(*node, Attr::kUniqueId);
-      auto hundred = store_->GetAttr(*node, Attr::kHundred);
-      if (!unique.ok() || *unique != uid || !hundred.ok() ||
-          *hundred != uid % 100 + 1) {
-        failures.fetch_add(1);
-        return;
-      }
-      std::vector<NodeRef> children;
-      if (!store_->Children(*node, &children).ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      std::vector<NodeRef> band;
-      if (!store_->RangeHundred(10, 19, &band).ok() || band.empty()) {
-        failures.fetch_add(1);
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) pool.emplace_back(reader, 7 + t);
-  for (auto& th : pool) th.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(ConcurrentReaderFailures(store_.get(), threads, 100, children), 0);
+}
+
+// oodb reads decode records in place on their pinned pages. With a
+// pool this small the eight readers keep evicting one another's pages,
+// so a record viewed after its pin was dropped would show up as a
+// wrong child list. Ten frames leave room for the readers' pins:
+// each holds at most one at a time.
+TEST(OodbConcurrentReads, ReadersEvictingEachOtherSeeCorrectLists) {
+  const std::string dir = ::testing::TempDir() + "/hm_contract_oodb_evict";
+  std::filesystem::remove_all(dir);
+  backends::OodbOptions options;
+  options.cache_pages = 10;
+  auto store = backends::OodbStore::Open(options, dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const auto children = BuildReaderTree(store->get(), 600);
+  storage::BufferPool* pool = (*store)->object_store()->buffer_pool();
+  pool->ResetStats();
+  EXPECT_EQ(ConcurrentReaderFailures(store->get(), 8, 1000, children), 0);
+  EXPECT_GT(pool->stats().evictions, 0u);
+  store->reset();
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreContractTest,
