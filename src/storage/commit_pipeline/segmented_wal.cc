@@ -100,6 +100,7 @@ util::Status SegmentedWal::Open(const std::string& base_path,
   }
   options_ = options;
   base_path_ = base_path;
+  sync_pending_ = true;
 
   std::string dir, name;
   SplitPath(base_path_, &dir, &name);
@@ -198,6 +199,7 @@ util::Result<uint64_t> SegmentedWal::AppendLocked(WalRecordType type,
   uint64_t lsn = MakeLsn(seq_, CurrentSizeLocked());
   AppendWalFrame(&buffer_, type, txn_id, payload);
   ++records_appended_;
+  sync_pending_ = true;
   static telemetry::Counter* appends =
       telemetry::Registry::Global().GetCounter("storage.wal.appends");
   appends->Add();
@@ -251,11 +253,13 @@ util::Status SegmentedWal::Sync() {
 util::Status SegmentedWal::SyncLocked() {
   if (!IsOpenLocked()) return util::Status::InvalidArgument("WAL not open");
   HM_FAILPOINT("wal/sync/error");
+  if (!sync_pending_) return util::Status::Ok();
   HM_RETURN_IF_ERROR(FlushBuffer());
   if (::fdatasync(fd_) != 0) {
     return util::Status::IoError(
         ErrnoMessage("fdatasync", SegmentPath(base_path_, seq_)));
   }
+  sync_pending_ = false;
   ++syncs_;
   static telemetry::Counter* syncs =
       telemetry::Registry::Global().GetCounter("storage.wal.syncs");

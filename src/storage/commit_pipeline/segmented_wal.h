@@ -61,7 +61,14 @@ class SegmentedWal {
   util::Result<uint64_t> Append(WalRecordType type, uint64_t txn_id,
                                 std::string_view payload);
 
-  /// Flushes buffered records and fdatasync()s the current segment.
+  /// Flushes buffered records and fdatasync()s the current segment —
+  /// but only when a record was appended since the last successful
+  /// sync (a freshly opened log counts as pending). With nothing
+  /// pending it returns Ok without writing or syncing, so a commit
+  /// that logged nothing costs no fsync while a commit that follows
+  /// someone else's unsynced append still makes it durable. The
+  /// `wal/sync/error` failpoint fires ahead of that check, so fault
+  /// schedules count every call.
   util::Status Sync();
 
   /// LSN the next Append() would return if no rollover intervenes — a
@@ -176,6 +183,9 @@ class SegmentedWal {
   uint64_t sealed_bytes_ HM_GUARDED_BY(mu_) = 0;
   uint64_t records_appended_ HM_GUARDED_BY(mu_) = 0;
   uint64_t syncs_ HM_GUARDED_BY(mu_) = 0;
+  /// A record was appended since the last successful fdatasync, so
+  /// Sync() has work to do. Set on Open, Append; cleared by Sync().
+  bool sync_pending_ HM_GUARDED_BY(mu_) = true;
   /// Pruning floor; see SetRetainLsn().
   uint64_t retain_lsn_ HM_GUARDED_BY(mu_) = kNoRetainLsn;
 };

@@ -390,5 +390,92 @@ TEST_F(CommitPipelineStoreTest, FuzzyCheckpointSkipsWhenIdle) {
   ASSERT_TRUE(store->Close().ok());
 }
 
+TEST_F(CommitPipelineStoreTest, ReadOnlyCommitWaitsForEarlierUnsyncedRecords) {
+  objstore::ObjectStoreOptions options;
+  options.group_commit_us = 100;
+  auto opened = objstore::ObjectStore::Open(options, dir_ + "/os");
+  ASSERT_TRUE(opened.ok());
+  objstore::ObjectStore* store = opened->get();
+
+  // Session A appends its records and enrolls, but does not wait.
+  auto a = store->Begin();
+  ASSERT_TRUE(a.ok());
+  auto oid = store->Create(&*a, "from a");
+  ASSERT_TRUE(oid.ok());
+  auto ticket_a = store->CommitAsync(&*a);
+  ASSERT_TRUE(ticket_a.ok());
+  const uint64_t records = store->wal()->records_appended();
+  const uint64_t syncs = store->wal()->syncs();
+
+  // Session B logs nothing, yet its commit returns only once the sync
+  // covering A's records has run.
+  auto b = store->Begin();
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(store->Read(*oid).ok());
+  ASSERT_TRUE(store->Commit(&*b).ok());
+  EXPECT_EQ(store->wal()->records_appended(), records);
+  EXPECT_EQ(store->wal()->syncs(), syncs + 1);
+
+  // A's ticket is already covered: its wait costs no second sync.
+  ASSERT_TRUE(store->WaitCommitDurable(*ticket_a).ok());
+  EXPECT_EQ(store->wal()->syncs(), syncs + 1);
+  ASSERT_TRUE(store->Close().ok());
+}
+
+TEST_F(CommitPipelineStoreTest, TransactionSpanningRolloverAndCheckpointIsRedone) {
+  // Begin logs nothing; the WAL's NextLsn() at Begin is the bound that
+  // clamps a checkpoint's recovery start while a transaction is open.
+  objstore::ObjectStoreOptions options;
+  options.wal_segment_bytes = 4096;
+  auto opened = objstore::ObjectStore::Open(options, dir_ + "/os");
+  ASSERT_TRUE(opened.ok());
+  objstore::ObjectStore* store = opened->get();
+
+  auto spanning = store->Begin();
+  ASSERT_TRUE(spanning.ok());
+  // A loser: writes before the checkpoint, never finishes.
+  auto loser = store->Begin();
+  ASSERT_TRUE(loser.ok());
+  auto loser_oid = store->Create(&*loser, "never committed");
+  ASSERT_TRUE(loser_oid.ok());
+
+  // Other commits roll the log past both begins.
+  std::vector<objstore::Oid> others;
+  while (store->wal()->segment_count() < 3) {
+    auto txn = store->Begin();
+    ASSERT_TRUE(txn.ok());
+    auto oid = store->Create(&*txn, std::string(1000, 'o'));
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE(store->Commit(&*txn).ok());
+    others.push_back(*oid);
+  }
+  ASSERT_TRUE(store->Checkpoint().ok());
+  // The recovery start stayed at the oldest begin, so no segment was
+  // pruned; the checkpoint flushed the loser's uncommitted page too.
+  EXPECT_GE(store->wal()->segment_count(), 4u);
+
+  auto oid = store->Create(&*spanning, "spans the checkpoint");
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(store->Commit(&*spanning).ok());
+
+  // Crash image: the data file as of the checkpoint plus the synced log.
+  std::filesystem::copy(dir_ + "/os", dir_ + "/crash",
+                        std::filesystem::copy_options::recursive);
+  ASSERT_TRUE(store->Abort(&*loser).ok());
+  ASSERT_TRUE(store->Close().ok());
+
+  auto recovered = objstore::ObjectStore::Open(options, dir_ + "/crash");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GT((*recovered)->recovered_records(), 0u);
+  auto data = (*recovered)->Read(*oid);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, "spans the checkpoint");
+  for (objstore::Oid other : others) {
+    EXPECT_TRUE((*recovered)->Exists(other)) << "oid " << other;
+  }
+  EXPECT_FALSE((*recovered)->Exists(*loser_oid));
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
 }  // namespace
 }  // namespace hm

@@ -6,6 +6,7 @@
 // of the randomized tools/hm_torture driver.
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -246,6 +247,43 @@ TEST_F(CrashTortureTest, CrashMidFuzzyCheckpointRecovers) {
       RunWorkloadChild("checkpoint/mid_flush/crash", "crash,after=1", options);
   ASSERT_TRUE(WIFEXITED(wait_status));
   ASSERT_EQ(WEXITSTATUS(wait_status), util::kFailpointCrashExit);
+  VerifyRecovered();
+}
+
+TEST_F(CrashTortureTest, KilledAfterReadOnlyCommitKeepsPriorEdit) {
+  // A read-only commit writes nothing to the log. The child commits one
+  // edit, commits a read-only transaction over it and is killed; the
+  // edit must survive and the store must fsck clean.
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int oracle = ::open((dir_ + "/oracle.log").c_str(),
+                        O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (oracle < 0) ::_exit(2);
+    auto store = OodbStore::Open(OodbOptions{}, dir_);
+    if (!store.ok()) ::_exit(3);
+    auto db = Generator(SmallConfig()).Build(store->get(), nullptr);
+    if (!db.ok()) ::_exit(4);
+    if (!OracleAppend(oracle, "built")) ::_exit(2);
+    const NodeRef ref = db->text_nodes[0];
+    util::Status s = (*store)->Begin();
+    if (s.ok()) s = (*store)->SetText(ref, EditText(0));
+    if (s.ok()) s = (*store)->Commit();
+    if (!s.ok()) ::_exit(43);
+    if (!OracleAppend(oracle, "committed 0 " + std::to_string(ref))) {
+      ::_exit(2);
+    }
+    s = (*store)->Begin();
+    if (s.ok()) s = (*store)->GetText(ref).status();
+    if (s.ok()) s = (*store)->Commit();
+    if (!s.ok()) ::_exit(43);
+    ::kill(::getpid(), SIGKILL);
+    ::_exit(5);
+  }
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(wait_status)) << "child exit " << wait_status;
+  ASSERT_EQ(WTERMSIG(wait_status), SIGKILL);
   VerifyRecovered();
 }
 
