@@ -133,23 +133,35 @@ Oid CreateThreePageObject(ObjectStore* store) {
   return oid.ok() ? *oid : kInvalidOid;
 }
 
-TEST_F(ObjectStoreTest, OverflowChainThatLoopsIsCorruption) {
-  auto store = Open();
-  const Oid oid = CreateThreePageObject(store.get());
-  // Point the chain's tail back at another chain page.
-  auto links = OverflowLinks(store.get());
+// Points the chain's tail back at another chain page.
+void LoopOverflowChain(ObjectStore* store) {
+  auto links = OverflowLinks(store);
   auto tail = std::find_if(links.begin(), links.end(), [](const auto& link) {
     return link.second == storage::kInvalidPageId;
   });
   ASSERT_NE(tail, links.end());
   const storage::PageId target =
       links[0].first == tail->first ? links[1].first : links[0].first;
-  {
-    auto guard = store->buffer_pool()->Fetch(tail->first);
-    ASSERT_TRUE(guard.ok());
-    util::EncodeFixed32(guard->page()->payload(), target);
-    guard->MarkDirty();
-  }
+  auto guard = store->buffer_pool()->Fetch(tail->first);
+  ASSERT_TRUE(guard.ok());
+  util::EncodeFixed32(guard->page()->payload(), target);
+  guard->MarkDirty();
+}
+
+// What FreeOverflow leaves behind: a chain page retyped to kFree,
+// still linked and still holding its bytes.
+void FreeMiddleOverflowPage(ObjectStore* store) {
+  const storage::PageId freed = OverflowLinks(store)[1].first;
+  auto guard = store->buffer_pool()->Fetch(freed);
+  ASSERT_TRUE(guard.ok());
+  guard->page()->set_type(storage::PageType::kFree);
+  guard->MarkDirty();
+}
+
+TEST_F(ObjectStoreTest, OverflowChainThatLoopsIsCorruption) {
+  auto store = Open();
+  const Oid oid = CreateThreePageObject(store.get());
+  LoopOverflowChain(store.get());
   auto data = store->Read(oid);
   EXPECT_EQ(data.status().code(), util::StatusCode::kCorruption)
       << data.status().ToString();
@@ -158,18 +170,49 @@ TEST_F(ObjectStoreTest, OverflowChainThatLoopsIsCorruption) {
 TEST_F(ObjectStoreTest, OverflowChainThroughFreedPageIsCorruption) {
   auto store = Open();
   const Oid oid = CreateThreePageObject(store.get());
-  // What FreeOverflow leaves behind: a chain page retyped to kFree,
-  // still linked and still holding its bytes.
-  const storage::PageId freed = OverflowLinks(store.get())[1].first;
-  {
-    auto guard = store->buffer_pool()->Fetch(freed);
-    ASSERT_TRUE(guard.ok());
-    guard->page()->set_type(storage::PageType::kFree);
-    guard->MarkDirty();
-  }
+  FreeMiddleOverflowPage(store.get());
   auto data = store->Read(oid);
   EXPECT_EQ(data.status().code(), util::StatusCode::kCorruption)
       << data.status().ToString();
+}
+
+// Deleting an object and aborting its creation both free its chain.
+// A corrupt chain is refused with Corruption, never walked forever,
+// and no page of it changes type.
+TEST_F(ObjectStoreTest, DeleteThroughCorruptOverflowChainIsCorruption) {
+  for (auto doctor : {&LoopOverflowChain, &FreeMiddleOverflowPage}) {
+    auto store = Open();
+    const Oid oid = CreateThreePageObject(store.get());
+    doctor(store.get());
+    const size_t overflow_pages = OverflowLinks(store.get()).size();
+    auto txn = store->Begin();
+    ASSERT_TRUE(txn.ok());
+    util::Status deleted = store->Delete(&*txn, oid);
+    EXPECT_EQ(deleted.code(), util::StatusCode::kCorruption)
+        << deleted.ToString();
+    ASSERT_TRUE(store->Abort(&*txn).ok());
+    EXPECT_EQ(OverflowLinks(store.get()).size(), overflow_pages);
+    ASSERT_TRUE(store->Close().ok());
+    std::filesystem::remove_all(dir_);
+  }
+}
+
+TEST_F(ObjectStoreTest, AbortedCreateWithCorruptOverflowChainIsCorruption) {
+  for (auto doctor : {&LoopOverflowChain, &FreeMiddleOverflowPage}) {
+    auto store = Open();
+    auto txn = store->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(store->Create(&*txn, std::string(20050, 'B')).ok());
+    ASSERT_EQ(OverflowLinks(store.get()).size(), 3u);
+    doctor(store.get());
+    const size_t overflow_pages = OverflowLinks(store.get()).size();
+    util::Status aborted = store->Abort(&*txn);
+    EXPECT_EQ(aborted.code(), util::StatusCode::kCorruption)
+        << aborted.ToString();
+    EXPECT_EQ(OverflowLinks(store.get()).size(), overflow_pages);
+    store.reset();
+    std::filesystem::remove_all(dir_);
+  }
 }
 
 TEST_F(ObjectStoreTest, ViewSeesTheRecordInPlace) {
