@@ -14,6 +14,8 @@ namespace hm::storage {
 /// owning store defines their meaning and replays them on recovery.
 /// kCheckpoint carries a fixed64 recovery-start LSN (empty payload on
 /// logs written before segmented checkpoints: start at the record).
+/// kBegin is read but no longer written: the object store opens a
+/// transaction without logging, but older logs contain it.
 enum class WalRecordType : uint8_t {
   kBegin = 1,
   kUpdate = 2,
