@@ -177,8 +177,10 @@ util::Status Coordinator::WaitCommitReplicated() {
     return util::Status::Ok();
   }
   if (shipper->follower_count() == 0) return util::Status::Ok();
-  // NextLsn is an exclusive upper bound on the commit record just
-  // appended, so a follower acking >= it has replayed the commit.
+  // NextLsn is past every record appended before this commit, its own
+  // kCommit included when it wrote. A read-only commit has no record
+  // of its own, so the target can sit just past a kAbort or
+  // kCheckpoint; the follower acks at each of those as at a kCommit.
   const uint64_t lsn = store_->object_store()->wal()->NextLsn();
   if (!shipper->WaitAcked(lsn, options_.semisync_timeout_ms)) {
     // Degrade to asynchronous for this commit rather than failing it:
