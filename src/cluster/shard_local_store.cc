@@ -239,6 +239,15 @@ util::Status ShardLocalStore::Children(NodeRef node,
   return util::Status::Ok();
 }
 
+util::Status ShardLocalStore::ChildrenAndAttr(NodeRef node, Attr attr,
+                                              std::vector<NodeRef>* out,
+                                              int64_t* value) {
+  HM_ASSIGN_OR_RETURN(NodeRef local, ToLocal(node));
+  HM_RETURN_IF_ERROR(base_->ChildrenAndAttr(local, attr, out, value));
+  TranslateList(out);
+  return util::Status::Ok();
+}
+
 util::Result<NodeRef> ShardLocalStore::Parent(NodeRef node) {
   HM_ASSIGN_OR_RETURN(NodeRef local, ToLocal(node));
   HM_ASSIGN_OR_RETURN(NodeRef parent, base_->Parent(local));

@@ -43,6 +43,22 @@ void CountEdges(int64_t n) {
   edges->Add(n);
 }
 
+util::Result<int64_t> AttrOf(const NodeAttrs& attrs, Attr attr) {
+  switch (attr) {
+    case Attr::kUniqueId:
+      return attrs.unique_id;
+    case Attr::kTen:
+      return attrs.ten;
+    case Attr::kHundred:
+      return attrs.hundred;
+    case Attr::kThousand:
+      return attrs.thousand;
+    case Attr::kMillion:
+      return attrs.million;
+  }
+  return util::Status::InvalidArgument("unknown attribute");
+}
+
 }  // namespace
 
 util::Result<NodeRef> MemStore::CreateNode(const NodeAttrs& attrs,
@@ -112,19 +128,7 @@ util::Status MemStore::AddRef(NodeRef from, NodeRef to, int64_t offset_from,
 
 util::Result<int64_t> MemStore::GetAttr(NodeRef node, Attr attr) {
   HM_ASSIGN_OR_RETURN(MemNode * n, Find(node));
-  switch (attr) {
-    case Attr::kUniqueId:
-      return n->attrs.unique_id;
-    case Attr::kTen:
-      return n->attrs.ten;
-    case Attr::kHundred:
-      return n->attrs.hundred;
-    case Attr::kThousand:
-      return n->attrs.thousand;
-    case Attr::kMillion:
-      return n->attrs.million;
-  }
-  return util::Status::InvalidArgument("unknown attribute");
+  return AttrOf(n->attrs, attr);
 }
 
 util::Status MemStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
@@ -235,6 +239,15 @@ util::Status MemStore::RangeMillion(int64_t lo, int64_t hi,
 
 util::Status MemStore::Children(NodeRef node, std::vector<NodeRef>* out) {
   HM_ASSIGN_OR_RETURN(MemNode * n, Find(node));
+  *out = n->children;
+  return util::Status::Ok();
+}
+
+util::Status MemStore::ChildrenAndAttr(NodeRef node, Attr attr,
+                                       std::vector<NodeRef>* out,
+                                       int64_t* value) {
+  HM_ASSIGN_OR_RETURN(MemNode * n, Find(node));
+  HM_ASSIGN_OR_RETURN(*value, AttrOf(n->attrs, attr));
   *out = n->children;
   return util::Status::Ok();
 }

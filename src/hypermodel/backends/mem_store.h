@@ -57,6 +57,10 @@ class MemStore : public HyperStore {
                             std::vector<NodeRef>* out) override;
 
   util::Status Children(NodeRef node, std::vector<NodeRef>* out) override;
+  /// One node lookup for both.
+  util::Status ChildrenAndAttr(NodeRef node, Attr attr,
+                               std::vector<NodeRef>* out,
+                               int64_t* value) override;
   util::Result<NodeRef> Parent(NodeRef node) override;
   util::Status Parts(NodeRef node, std::vector<NodeRef>* out) override;
   util::Status PartOf(NodeRef node, std::vector<NodeRef>* out) override;

@@ -692,6 +692,17 @@ util::Status OodbStore::Children(NodeRef node, std::vector<NodeRef>* out) {
   return ReadList(*store_, node, List::kChildren, out);
 }
 
+util::Status OodbStore::ChildrenAndAttr(NodeRef node, Attr attr,
+                                        std::vector<NodeRef>* out,
+                                        int64_t* value) {
+  return store_->View(node, [&](std::string_view data) -> util::Status {
+    HM_ASSIGN_OR_RETURN(NodeView view, NodeView::Parse(data));
+    *value = view.attr(attr);
+    view.DecodeList(List::kChildren, out);
+    return util::Status::Ok();
+  });
+}
+
 util::Result<NodeRef> OodbStore::Parent(NodeRef node) {
   return ReadField(*store_, node,
                    [](const NodeView& view) { return view.parent(); });

@@ -688,6 +688,13 @@ Frames RemoteStore::RefsToFrames(std::span<const NodeRef> nodes,
   return FusedFrames<calls::RefsToMulti>(out, nodes.size(), nodes);
 }
 
+Frames RemoteStore::ChildrenAttrsFrames(std::span<const NodeRef> nodes,
+                                        Attr attr,
+                                        server::ListsAndValues* out) {
+  return FusedFrames<calls::ChildrenAttrsMulti>(out, nodes.size(), attr,
+                                                nodes);
+}
+
 Frames RemoteStore::GetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
                                    std::vector<int64_t>* values) {
   return FusedFrames<calls::GetAttrsMulti>(values, nodes.size(), attr, nodes);
@@ -715,6 +722,16 @@ util::Status RemoteStore::RefsToMulti(std::span<const NodeRef> nodes,
                                       EdgeLists* out) {
   out->clear();
   return RunFrames(RefsToFrames(nodes, out));
+}
+
+util::Status RemoteStore::ChildrenAttrsMulti(std::span<const NodeRef> nodes,
+                                             Attr attr, RefLists* children,
+                                             std::vector<int64_t>* values) {
+  server::ListsAndValues reply;
+  HM_RETURN_IF_ERROR(RunFrames(ChildrenAttrsFrames(nodes, attr, &reply)));
+  *children = std::move(reply.lists);
+  *values = std::move(reply.values);
+  return util::Status::Ok();
 }
 
 util::Status RemoteStore::GetAttrsMulti(std::span<const NodeRef> nodes,

@@ -482,6 +482,26 @@ util::Status ShardedStore::RefsToMulti(std::span<const NodeRef> nodes,
   return GatherLists(nodes, out, &RemoteStore::RefsToFrames);
 }
 
+util::Status ShardedStore::ChildrenAttrsMulti(std::span<const NodeRef> nodes,
+                                              Attr attr, RefLists* children,
+                                              std::vector<int64_t>* values) {
+  Split split;
+  HM_RETURN_IF_ERROR(SplitByOwner(nodes, &split));
+  std::vector<server::ListsAndValues> per(shards_.size());
+  HM_RETURN_IF_ERROR(
+      Scatter(split.nodes, [&](size_t k, std::span<const NodeRef> mine) {
+        return shards_[k]->ChildrenAttrsFrames(mine, attr, &per[k]);
+      }));
+  children->clear();
+  values->clear();
+  values->reserve(nodes.size());
+  for (auto [k, j] : split.where) {
+    children->Append(per[k].lists[j]);
+    values->push_back(per[k].values[j]);
+  }
+  return util::Status::Ok();
+}
+
 util::Status ShardedStore::GetAttrsMulti(std::span<const NodeRef> nodes,
                                          Attr attr,
                                          std::vector<int64_t>* values) {

@@ -128,6 +128,9 @@ class ShardedStore : public HyperStore,
                           RefLists* out) override;
   util::Status RefsToMulti(std::span<const NodeRef> nodes,
                            EdgeLists* out) override;
+  util::Status ChildrenAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                                  RefLists* children,
+                                  std::vector<int64_t>* values) override;
   util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,

@@ -102,6 +102,20 @@ class HyperStore {
   /// Incoming refFrom edges (M-N attributed, inverse).
   virtual util::Status RefsFrom(NodeRef node, std::vector<RefEdge>* out) = 0;
 
+  /// Children(node) and GetAttr(node, attr) in one call: replaces
+  /// `*out` with the ordered children and sets `*value`, or fails with
+  /// the status the first of the two would. The closure engine's
+  /// per-node read; a backend that keeps both in one record overrides
+  /// it to read that record once.
+  virtual util::Status ChildrenAndAttr(NodeRef node, Attr attr,
+                                       std::vector<NodeRef>* out,
+                                       int64_t* value) {
+    out->clear();
+    HM_RETURN_IF_ERROR(Children(node, out));
+    HM_ASSIGN_OR_RETURN(*value, GetAttr(node, attr));
+    return util::Status::Ok();
+  }
+
   // --- Bulk / diagnostics ----------------------------------------------
   /// Approximate bytes of stored data (for the §5.2 size report).
   virtual util::Result<uint64_t> StorageBytes() = 0;

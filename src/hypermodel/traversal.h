@@ -78,7 +78,8 @@ using EdgeLists = FlatLists<RefEdge>;
 
 /// The set-at-a-time reads the closure engine is written against: each
 /// frontier step is one fetch, i.e. a join of the frontier with one
-/// edge relation (children, parts, refTo) or attribute column. Every
+/// edge relation (children, parts, refTo), with the children relation
+/// and one attribute column together, or with an attribute column. Every
 /// method is positional — output i belongs to input node i — and
 /// replaces its output. An in-process store fetches with a loop
 /// (StoreFetch), the `remote` client with one fused request, the
@@ -94,6 +95,14 @@ class FrontierFetch {
                                   RefLists* out) = 0;
   virtual util::Status RefsToMulti(std::span<const NodeRef> nodes,
                                    EdgeLists* out) = 0;
+  /// Node i's children and its `attr` value, at position i of
+  /// `children` and `values`: the 1-N engine's fetch whenever its
+  /// kernel reads an attribute, so a tier costs one read per node.
+  virtual util::Status ChildrenAttrsMulti(std::span<const NodeRef> nodes,
+                                          Attr attr, RefLists* children,
+                                          std::vector<int64_t>* values) = 0;
+  /// The attribute column alone: BulkGetAttr and seqScan, not the
+  /// closure engine.
   virtual util::Status GetAttrsMulti(std::span<const NodeRef> nodes,
                                      Attr attr,
                                      std::vector<int64_t>* values) = 0;
@@ -118,6 +127,10 @@ class StoreFetch final : public FrontierFetch {
                           RefLists* out) override;
   util::Status RefsToMulti(std::span<const NodeRef> nodes,
                            EdgeLists* out) override;
+  /// One ChildrenAndAttr per node.
+  util::Status ChildrenAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
+                                  RefLists* children,
+                                  std::vector<int64_t>* values) override;
   util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
@@ -132,28 +145,31 @@ class StoreFetch final : public FrontierFetch {
 /// result order is rebuilt locally from the fetched lists. Every
 /// caller — `ops::` for in-process stores, the server for the pushdown
 /// opcodes, the remote, sharded and replicated clients — runs these,
-/// so results are identical across stacks by construction. The access
-/// set matches a navigation-at-a-time walk: each visited node's list
-/// is fetched exactly once.
+/// so results are identical across stacks by construction. Each
+/// visited node is fetched exactly once: its list alone for closure1N,
+/// its list with the attribute the kernel reads (ChildrenAttrsMulti)
+/// for the other 1-N kernels. A node closure1NPred prunes is still
+/// fetched, list and value together, but its list is never followed.
 namespace traversal {
 
 /// Pre-order walk of the 1-N hierarchy, children order preserved.
 util::Status Closure1N(FrontierFetch* fetch, NodeRef start,
                        std::vector<NodeRef>* out);
 
-/// Sums Attr::kHundred over the pre-order closure; `visited` (may be
-/// null) receives the node count.
+/// Sums Attr::kHundred over the closure, each node's value read with
+/// its list; `visited` (may be null) receives the node count.
 util::Result<int64_t> Closure1NAttSum(FrontierFetch* fetch, NodeRef start,
                                       uint64_t* visited);
 
 /// Rewrites hundred := 99 - hundred over the pre-order closure;
 /// returns the update count. The only mutating kernel: it enumerates
-/// the closure first, then writes.
+/// the closure and its hundreds first, then writes them in pre-order.
 util::Result<uint64_t> Closure1NAttSet(FrontierFetch* fetch, NodeRef start);
 
 /// Pre-order closure pruned at nodes with million in [lo, hi]: an
 /// excluded node is skipped AND its subtree is never visited (§6.6
-/// op /*13*/ semantics — recursion terminates at the predicate).
+/// op /*13*/ semantics — recursion terminates at the predicate). Its
+/// own list arrives with its million and is dropped.
 util::Status Closure1NPred(FrontierFetch* fetch, NodeRef start, int64_t lo,
                            int64_t hi, std::vector<NodeRef>* out);
 

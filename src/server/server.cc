@@ -218,6 +218,12 @@ constexpr Binding kBindings[] = {
             std::span<const int64_t> values) {
            return fetch->SetAttrsMulti(nodes, attr, values);
          }>(),
+    Bind<calls::ChildrenAttrsMulti,
+         [](FrontierFetch* fetch, Attr attr, std::span<const NodeRef> nodes,
+            ListsAndValues* out) {
+           return fetch->ChildrenAttrsMulti(nodes, attr, &out->lists,
+                                            &out->values);
+         }>(),
 };
 
 /// kBindings indexed by opcode byte; null for the hand-served opcodes

@@ -52,8 +52,8 @@ namespace hm::server {
 /// (DESIGN.md §16); v7 the exact-version Hello and kVersionMismatch;
 /// v8 the fused kPartsMulti / kRefsToMulti / kSetAttrsMulti, the
 /// retirement of kBatch, and status code 17 (kFailedPrecondition),
-/// which shipped earlier without a bump.
-inline constexpr uint8_t kWireVersion = 8;
+/// which shipped earlier without a bump; v9 kChildrenAttrsMulti.
+inline constexpr uint8_t kWireVersion = 9;
 
 /// Bytes before the payload: fixed32 length + fixed32 masked CRC.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -147,6 +147,10 @@ enum class OpCode : uint8_t {
   kPartsMulti = 48,
   kRefsToMulti = 49,
   kSetAttrsMulti = 50,
+
+  // ---- v9: fused kChildrenAttrsMulti, each node's children list with
+  // one attribute: the 1-N engine's one fetch per tier.
+  kChildrenAttrsMulti = 51,
 };
 
 /// The one class each opcode declares in the call table

@@ -344,6 +344,35 @@ struct Codec<ShardPlacement>
 template <>
 struct Codec<AttSum> : FieldsCodec<&AttSum::visited, &AttSum::sum> {};
 
+/// kChildrenAttrsMulti reply: node i's children list and attribute
+/// value, at position i of each.
+struct ListsAndValues {
+  RefLists lists;
+  std::vector<int64_t> values;
+
+  /// Nodes answered: a fused reply must grow by one per node.
+  size_t size() const { return lists.size(); }
+};
+
+/// The lists as a multi-node list reply, then the values as a
+/// multi-node value reply. `Get` appends both and fails unless it
+/// appended as many values as lists.
+template <>
+struct Codec<ListsAndValues> {
+  using Value = ListsAndValues;
+  static void Put(std::string* dst, const ListsAndValues& reply) {
+    Codec<RefLists>::Put(dst, reply.lists);
+    Codec<std::vector<int64_t>>::Put(dst, reply.values);
+  }
+  static bool Get(util::Decoder* in, ListsAndValues* reply) {
+    const size_t lists = reply->lists.size();
+    const size_t values = reply->values.size();
+    return Codec<RefLists>::Get(in, &reply->lists) &&
+           Codec<std::vector<int64_t>>::Get(in, &reply->values) &&
+           reply->lists.size() - lists == reply->values.size() - values;
+  }
+};
+
 template <>
 struct Codec<ReplChain>
     : FieldsCodec<&ReplChain::epoch, &ReplChain::next_lsn,
@@ -575,6 +604,9 @@ using RefsToMulti =
     Call<kRefsToMulti, "refs_to_multi", kRead, EdgeLists, NodeBatch>;
 using SetAttrsMulti = Call<kSetAttrsMulti, "set_attrs_multi", kWrite, Empty,
                            Attr, NodeBatch, std::vector<int64_t>>;
+// The 1-N engine's tier fetch (v9): node i's children and attribute.
+using ChildrenAttrsMulti = Call<kChildrenAttrsMulti, "children_attrs_multi",
+                                kRead, ListsAndValues, Attr, NodeBatch>;
 
 using Table = CallTable<
     Hello, Reset, Begin, Commit, Abort, CloseReopen, CreateNode, SetText,
@@ -585,7 +617,7 @@ using Table = CallTable<
     ClosureMNAtt, Closure1NAttSum, Closure1NAttSet, Closure1NPred,
     ClosureMNAttLinkSum, Stats, Ping, ShardInfo, ReplSubscribe, ReplSegment,
     ReplStatus, ReplPromote, ReplFence, PartsMulti, RefsToMulti,
-    SetAttrsMulti>;
+    SetAttrsMulti, ChildrenAttrsMulti>;
 
 }  // namespace calls
 

@@ -204,12 +204,12 @@ TEST(WireOpCodeTest, NameAndReadOnlyClassArePinnedForEveryByte) {
       "stats",          "ping",           "shard_info",
       "repl_subscribe", "repl_segment",   "repl_status",
       "repl_promote",   "repl_fence",     "parts_multi",
-      "refs_to_multi",  "set_attrs_multi",
+      "refs_to_multi",  "set_attrs_multi", "children_attrs_multi",
   };
   constexpr uint8_t kReadOnly[] = {1,  13, 15, 16, 17, 19, 20, 21, 22, 23,
                                    24, 25, 26, 27, 28, 29, 31, 32, 33, 34,
                                    35, 36, 38, 39, 40, 41, 42, 43, 44, 45,
-                                   48, 49};
+                                   48, 49, 51};
   for (int byte = 0; byte < 256; ++byte) {
     const auto op = static_cast<OpCode>(byte);
     const std::string_view name =
@@ -301,8 +301,9 @@ TEST(WireBatchTest, FrameCrcCoversBatchContents) {
 // ignored). The steps build a four-node graph on a MemStore server, read
 // it back through every opcode, then drive the five replication opcodes
 // against a primary Coordinator. The constants were recorded from the
-// hand-written codecs that preceded the call table, and the v8 steps
-// (the fused *_multi opcodes, the retired batch) when v8 added them;
+// hand-written codecs that preceded the call table, the v8 steps (the
+// fused *_multi opcodes, the retired batch) when v8 added them, and the
+// v9 step (children_attrs_multi) and version bytes when v9 did;
 // changing one means the wire changed, which needs a kWireVersion bump.
 //
 // MemStore hands out refs 1..4 in creation order:
@@ -316,7 +317,7 @@ struct GoldenStep {
 };
 
 constexpr GoldenStep kGolden[] = {
-    {"hello", "01 08", "00 08030000006d656d"},
+    {"hello", "01 09", "00 09030000006d656d"},
     {"reset_clean", "02", "00"},
     {"begin", "03", "00"},
     {"create_node_1", "07 02 02 14 c801 d00f 00 00", "00 01"},
@@ -359,6 +360,7 @@ constexpr GoldenStep kGolden[] = {
     {"get_attrs_multi", "20 02 04 01 02 03 04", "00 0414283c50"},
     {"parts_multi", "30 02 01 04", "00 02 0104 0102"},
     {"refs_to_multi", "31 02 02 03", "00 02 01030607 01040002"},
+    {"children_attrs_multi", "33 02 02 01 04", "00 02 020203 00 02 14 50"},
     {"closure_1n", "21 01", "00 03010203"},
     {"closure_mn", "22 01", "00 03010402"},
     {"closure_mn_att", "23 02 02", "00 03020304"},
@@ -378,7 +380,7 @@ constexpr GoldenStep kGolden[] = {
      "09 390000006d656d206261636b656e6420686173206e6f207472616e73616374696f6"
      "e20726f6c6c6261636b2028696d6167652073656d616e7469637329"},
     {"close_reopen", "06", "00"},
-    {"repl_subscribe", "2b 08 09 00", "00 01998080802002"},
+    {"repl_subscribe", "2b 09 09 00", "00 01998080802002"},
     {"repl_segment", "2c 02 00 10",
      "00 001910000000110000006919f84d0500000000000000"},
     {"repl_status_ack", "2d 09 05", "00 01019980808020"},
@@ -642,6 +644,12 @@ TEST(WireGoldenClientTest, RemoteStoreSendsAndDecodesRecordedBytes) {
   EXPECT_EQ(edge_lists.items.size(), 2u);
   EXPECT_EQ(edge_lists.items[1].node, 4u);
   EXPECT_EQ(edge_lists.items[1].offset_to, 1);
+  EXPECT_TRUE(
+      store.ChildrenAttrsMulti(pair, Attr::kHundred, &lists, &values).ok());
+  ASSERT_EQ(lists.size(), 2u);
+  EXPECT_EQ(Refs(lists[0].begin(), lists[0].end()), (Refs{2, 3}));
+  EXPECT_TRUE(lists[1].empty());
+  EXPECT_EQ(values, (std::vector<int64_t>{10, 40}));
 
   EXPECT_TRUE(store.TravClosure1N(1, &refs).ok());
   EXPECT_EQ(refs, (Refs{1, 2, 3}));
