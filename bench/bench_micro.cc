@@ -1,12 +1,19 @@
 // Substrate micro-benchmarks (google-benchmark): the primitive costs
 // underneath the paper tables — B+tree point ops, object store CRUD,
 // buffer-pool hit path, slotted-page ops, WAL appends, CRC32, bitmap
-// inversion. Useful for attributing where the macro numbers come from.
+// inversion — and the warm 1-N closures on `mem` and `oodb`. Useful for
+// attributing where the macro numbers come from.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
+#include <vector>
 
+#include "hypermodel/backends/mem_store.h"
+#include "hypermodel/backends/oodb_store.h"
+#include "hypermodel/generator.h"
+#include "hypermodel/operations.h"
 #include "index/bptree.h"
 #include "objstore/object_store.h"
 #include "storage/buffer_pool.h"
@@ -206,6 +213,102 @@ void BM_WalAppend(benchmark::State& state) {
   (void)wal.Close();
 }
 BENCHMARK(BM_WalAppend)->Arg(100)->Arg(1000);
+
+// ---------- 1-N closures ----------
+
+enum class ClosureOp { k1N, k1NAttSum, k1NPred };
+
+/// A level-5 database (no text or form contents) per backend, built on
+/// first use and shared by every case on that backend.
+struct ClosureFixture {
+  std::unique_ptr<hm::HyperStore> store;
+  hm::backends::OodbStore* oodb = nullptr;  // null on mem
+  std::vector<hm::NodeRef> starts;          // the level-3 nodes, §6.5
+};
+
+ClosureFixture* Fixture(bool oodb) {
+  static ClosureFixture fixtures[2];
+  ClosureFixture& fixture = fixtures[oodb ? 1 : 0];
+  if (fixture.store != nullptr) return &fixture;
+  if (oodb) {
+    auto opened = hm::backends::OodbStore::Open(
+        {}, ScratchDir("closure_oodb") + "/db");
+    if (!opened.ok()) return nullptr;
+    fixture.oodb = opened->get();
+    fixture.store = std::move(*opened);
+  } else {
+    fixture.store = std::make_unique<hm::backends::MemStore>();
+  }
+  hm::GeneratorConfig config;
+  config.levels = 5;
+  config.generate_contents = false;
+  auto db = hm::Generator(config).Build(fixture.store.get(), nullptr);
+  if (!db.ok()) {
+    fixture.store.reset();
+    return nullptr;
+  }
+  fixture.starts = db->level(3);
+  return &fixture;
+}
+
+/// One closure from the i-th start node (mod the level size). Op 13's
+/// band is fixed: million in [500000, 509999].
+bool RunClosure(hm::HyperStore* store, ClosureOp op, hm::NodeRef start,
+                std::vector<hm::NodeRef>* out) {
+  switch (op) {
+    case ClosureOp::k1N:
+      return hm::ops::Closure1N(store, start, out).ok();
+    case ClosureOp::k1NAttSum:
+      return hm::ops::Closure1NAttSum(store, start, nullptr).ok();
+    case ClosureOp::k1NPred:
+      return hm::ops::Closure1NPred(store, start, 500000, out).ok();
+  }
+  return false;
+}
+
+// Warm: every start node runs once before timing. On oodb the
+// `objects_read` counter is the object store's reads per closure.
+void BM_Closure(benchmark::State& state, ClosureOp op, bool oodb) {
+  ClosureFixture* fixture = Fixture(oodb);
+  if (fixture == nullptr) {
+    state.SkipWithError("could not build the level-5 database");
+    return;
+  }
+  std::vector<hm::NodeRef> out;
+  for (hm::NodeRef start : fixture->starts) {
+    if (!RunClosure(fixture->store.get(), op, start, &out)) {
+      state.SkipWithError("closure failed");
+      return;
+    }
+  }
+  const uint64_t reads_before =
+      oodb ? fixture->oodb->object_store()->stats().objects_read : 0;
+  size_t i = 0;
+  for (auto _ : state) {
+    const hm::NodeRef start = fixture->starts[i++ % fixture->starts.size()];
+    benchmark::DoNotOptimize(
+        RunClosure(fixture->store.get(), op, start, &out));
+  }
+  if (oodb) {
+    state.counters["objects_read"] = benchmark::Counter(
+        static_cast<double>(
+            fixture->oodb->object_store()->stats().objects_read -
+            reads_before),
+        benchmark::Counter::kAvgIterations);
+  }
+}
+BENCHMARK_CAPTURE(BM_Closure, op10_mem, ClosureOp::k1N, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op11_mem, ClosureOp::k1NAttSum, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op13_mem, ClosureOp::k1NPred, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op10_oodb, ClosureOp::k1N, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op11_oodb, ClosureOp::k1NAttSum, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op13_oodb, ClosureOp::k1NPred, true)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
