@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <unordered_set>
 
 #include "storage/slotted_page.h"
 #include "telemetry/metrics.h"
@@ -234,55 +233,27 @@ util::Status ObjectStore::LoadMeta() {
 }
 
 util::Status ObjectStore::Recover() {
-  // Redo/undo recovery across the segment chain. Pass A classifies:
-  // the last checkpoint's recovery-start LSN, plus the committed and
-  // aborted transaction sets. Pass B streams again, re-applying every
-  // committed update at or after the start LSN in log order; updates
-  // of *loser* transactions (neither committed nor aborted — in-flight
-  // at the crash) are retained and then undone in reverse using their
-  // logged pre-images, because a buffer-pool steal or a fuzzy
-  // checkpoint may have pushed their uncommitted page state to disk.
-  // Replay is self-healing (see ApplyLogical's `recovering` mode): a
-  // crash mid-checkpoint persists an arbitrary subset of dirty pages,
-  // so each record's target location is verified and the record
-  // relocated when the page image is older than the directory entry.
-  uint64_t start = 0;
-  std::unordered_set<uint64_t> committed;
-  std::unordered_set<uint64_t> aborted;
-  HM_RETURN_IF_ERROR(
-      wal_.Scan([&](const storage::SegmentedWal::ScannedRecord& rec) {
-        switch (rec.type) {
-          case storage::WalRecordType::kCheckpoint:
-            start = rec.payload.size() >= 8
-                        ? util::DecodeFixed64(rec.payload.data())
-                        : rec.lsn;
-            break;
-          case storage::WalRecordType::kCommit:
-            committed.insert(rec.txn_id);
-            break;
-          case storage::WalRecordType::kAbort:
-            aborted.insert(rec.txn_id);
-            break;
-          default:
-            break;
-        }
-        return util::Status::Ok();
-      }));
-
+  // Redo/undo recovery across the segment chain. SegmentedWal::Recover
+  // classifies the log and hands back, in log order, every committed
+  // update at or after the recovery start (re-applied at once) and
+  // every update of a *loser* transaction — neither committed nor
+  // aborted, in flight at the crash. Losers are undone afterwards in
+  // reverse using their logged pre-images, because a buffer-pool
+  // steal or a fuzzy checkpoint may have pushed their uncommitted page
+  // state to disk. Replay is self-healing (see ApplyLogical's
+  // `recovering` mode): a crash mid-checkpoint persists an arbitrary
+  // subset of dirty pages, so each record's target location is
+  // verified and the record relocated when the page image is older
+  // than the directory entry.
   std::vector<std::string> losers;
   uint64_t redone = 0;
-  HM_RETURN_IF_ERROR(
-      wal_.Scan([&](const storage::SegmentedWal::ScannedRecord& rec) {
-        if (rec.type != storage::WalRecordType::kUpdate || rec.lsn < start) {
-          return util::Status::Ok();
-        }
-        if (committed.contains(rec.txn_id)) {
-          ++redone;
-          return ApplyRecoveredRecord(rec.payload);
-        }
-        if (!aborted.contains(rec.txn_id)) {
-          losers.emplace_back(rec.payload);
-        }
+  HM_RETURN_IF_ERROR(wal_.Recover(
+      [&](uint64_t, std::string_view payload) {
+        ++redone;
+        return ApplyRecoveredRecord(payload);
+      },
+      [&](uint64_t, std::string_view payload) {
+        losers.emplace_back(payload);
         return util::Status::Ok();
       }));
   for (auto it = losers.rbegin(); it != losers.rend(); ++it) {

@@ -1,6 +1,5 @@
 #include "replication/replicator.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -14,8 +13,6 @@
 
 #include "storage/commit_pipeline/segmented_wal.h"
 #include "storage/wal.h"
-#include "util/coding.h"
-#include "util/crc32.h"
 
 namespace hm::replication {
 
@@ -64,33 +61,35 @@ bool IsFatalPullError(const util::Status& status) {
 // --- FrameDecoder ----------------------------------------------------
 
 util::Result<bool> FrameDecoder::Next(Frame* frame) {
-  if (buffer_.size() < storage::kWalFrameHeaderSize) return false;
-  util::Decoder header(buffer_);
-  uint32_t len = 0;
-  uint32_t masked_crc = 0;
-  header.GetFixed32(&len);
-  header.GetFixed32(&masked_crc);
-  if (len < storage::kWalRecordPrefixSize || len > (256u << 20)) {
-    return util::Status::Corruption(
-        "replication stream: impossible frame length " + std::to_string(len));
+  storage::WalRecord record;
+  size_t frame_size = 0;
+  util::Result<storage::WalFrameStatus> status =
+      storage::DecodeWalFrame(buffer_, &record, &frame_size);
+  auto corruption = [&](const std::string& what) {
+    return util::Status::Corruption("replication stream: " + what +
+                                    " at consumed offset " +
+                                    std::to_string(consumed_));
+  };
+  if (!status.ok()) return corruption(status.status().message());
+  switch (*status) {
+    case storage::WalFrameStatus::kNeedMore:
+      // A stream cannot buffer forever on a garbage length.
+      if (frame_size > storage::kWalFrameHeaderSize + (256u << 20)) {
+        return corruption(
+            "impossible frame length " +
+            std::to_string(frame_size - storage::kWalFrameHeaderSize));
+      }
+      return false;
+    case storage::WalFrameStatus::kTorn:
+      return corruption("frame CRC mismatch");
+    case storage::WalFrameStatus::kRecord:
+      break;
   }
-  const size_t total = storage::kWalFrameHeaderSize + len;
-  if (buffer_.size() < total) return false;
-  std::string_view body =
-      std::string_view(buffer_).substr(storage::kWalFrameHeaderSize, len);
-  if (util::MaskCrc(util::Crc32(body)) != masked_crc) {
-    return util::Status::Corruption(
-        "replication stream: frame CRC mismatch at consumed offset " +
-        std::to_string(consumed_));
-  }
-  frame->type = static_cast<storage::WalRecordType>(body[0]);
-  uint64_t txn_id = 0;
-  util::Decoder prefix(body.substr(1));
-  prefix.GetFixed64(&txn_id);
-  frame->txn_id = txn_id;
-  frame->payload.assign(body.substr(storage::kWalRecordPrefixSize));
-  buffer_.erase(0, total);
-  consumed_ += total;
+  frame->type = record.type;
+  frame->txn_id = record.txn_id;
+  frame->payload.assign(record.payload);
+  buffer_.erase(0, frame_size);
+  consumed_ += frame_size;
   return true;
 }
 
@@ -184,11 +183,18 @@ uint64_t Replicator::FinalizeForPromotion() {
   return replayed_lsn_.load(std::memory_order_relaxed);
 }
 
+util::Status Replicator::fatal_status() const {
+  util::MutexLock lock(mu_);
+  return fatal_status_;
+}
+
 void Replicator::ThreadMain() {
   util::Status status = ReplayMirror();
   if (!status.ok()) {
     std::fprintf(stderr, "replication: mirror replay failed: %s\n",
                  status.ToString().c_str());
+    util::MutexLock lock(mu_);
+    fatal_status_ = status;
     return;
   }
   while (!stop_.load(std::memory_order_relaxed) &&
@@ -202,6 +208,8 @@ void Replicator::ThreadMain() {
       std::fprintf(stderr,
                    "replication: stopping pull (serving stale reads): %s\n",
                    status.ToString().c_str());
+      util::MutexLock lock(mu_);
+      fatal_status_ = status;
       break;
     }
     // Transport trouble: the primary is down or unreachable. Keep
@@ -216,87 +224,34 @@ void Replicator::ThreadMain() {
 }
 
 util::Status Replicator::ReplayMirror() {
-  DIR* d = ::opendir(options_.mirror_dir.c_str());
-  if (d == nullptr) {
-    return util::Status::IoError(ErrnoMessage("opendir", options_.mirror_dir));
-  }
-  std::vector<uint64_t> seqs;
-  while (struct dirent* ent = ::readdir(d)) {
-    std::string_view name(ent->d_name);
-    if (name.size() != 10 || name.substr(0, 4) != "wal.") continue;
-    uint64_t seq = 0;
-    bool digits = true;
-    for (char c : name.substr(4)) {
-      if (c < '0' || c > '9') {
-        digits = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (digits && seq > 0) seqs.push_back(seq);
-  }
-  ::closedir(d);
-  std::sort(seqs.begin(), seqs.end());
-  for (size_t i = 0; i + 1 < seqs.size(); ++i) {
-    if (seqs[i + 1] != seqs[i] + 1) {
-      return util::Status::Corruption(
-          "replication mirror: missing segment between " +
-          MirrorSegmentPath(seqs[i]) + " and " +
-          MirrorSegmentPath(seqs[i + 1]));
-    }
-  }
-
+  HM_ASSIGN_OR_RETURN(
+      std::vector<uint64_t> seqs,
+      storage::SegmentedWal::ListSegments(options_.mirror_dir + "/wal"));
+  cursor_seq_ = 0;
+  cursor_offset_ = 0;
   for (size_t i = 0; i < seqs.size(); ++i) {
-    const bool last = i + 1 == seqs.size();
-    const std::string path = MirrorSegmentPath(seqs[i]);
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-    decoder_.Reset();
+    // The mirror obeys the primary chain's own rules (DESIGN.md §12):
+    // only a torn tail on the final segment is a crash scar, left by a
+    // crash mid chunk append; anything else is loud.
     cursor_seq_ = seqs[i];
-    char buf[1 << 16];
-    util::Status read_status;
-    while (true) {
-      ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        read_status = util::Status::IoError(ErrnoMessage("read", path));
-        break;
-      }
-      if (n == 0) break;
-      decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      read_status = DrainDecoder();
-      if (!read_status.ok()) break;
-    }
-    ::close(fd);
-    if (!read_status.ok()) {
-      if (!last || !read_status.IsCorruption()) return read_status;
-      // Torn tail on the final mirror segment: the crash interrupted
-      // the chunk append. Truncate back to the last whole frame; the
-      // resumed fetch re-ships the rest.
-      if (::truncate(path.c_str(), static_cast<off_t>(decoder_.consumed())) !=
-          0) {
-        return util::Status::IoError(ErrnoMessage("truncate", path));
-      }
-    } else if (!last && !decoder_.empty()) {
-      return util::Status::Corruption(
-          "replication mirror: sealed segment " + path +
-          " ends mid-frame");
-    }
+    HM_ASSIGN_OR_RETURN(
+        cursor_offset_,
+        storage::SegmentedWal::ScanSegment(
+            MirrorSegmentPath(cursor_seq_), cursor_seq_,
+            i + 1 == seqs.size(),
+            [this](const storage::SegmentedWal::ScannedRecord& rec) {
+              Assemble(rec.type, rec.txn_id, std::string(rec.payload),
+                       rec.end_lsn);
+              return util::Status::Ok();
+            }));
     if (!ApplyReady()) return util::Status::Ok();  // stopping
   }
-
-  if (!seqs.empty()) {
-    cursor_seq_ = seqs.back();
-    cursor_offset_ = decoder_.consumed();
-    // Drop any torn bytes still buffered: the file was truncated to
-    // the consumed offset above (or ended cleanly, leaving nothing).
-    decoder_.Reset();
+  if (cursor_seq_ != 0) {
+    // Truncates a torn tail back to the last whole frame; the resumed
+    // fetch re-ships the rest.
     HM_RETURN_IF_ERROR(OpenMirrorSegment(cursor_seq_, true));
     replayed_gauge_->Set(
         static_cast<int64_t>(replayed_lsn_.load(std::memory_order_relaxed)));
-  } else {
-    cursor_seq_ = 0;
-    cursor_offset_ = 0;
   }
   return util::Status::Ok();
 }
@@ -333,42 +288,44 @@ util::Status Replicator::OpenMirrorSegment(uint64_t seq,
 util::Status Replicator::DrainDecoder() {
   FrameDecoder::Frame frame;
   while (true) {
-    util::Result<bool> got = decoder_.Next(&frame);
-    if (!got.ok()) return got.status();
-    if (!got.value()) return util::Status::Ok();
-    ReadyBatch batch;
-    switch (frame.type) {
-      case storage::WalRecordType::kBegin:  // written only by older code
-        pending_[frame.txn_id];
-        continue;
-      case storage::WalRecordType::kUpdate:
-        pending_[frame.txn_id].push_back(std::move(frame.payload));
-        continue;
-      case storage::WalRecordType::kCommit: {
-        auto it = pending_.find(frame.txn_id);
-        if (it != pending_.end()) {
-          batch.payloads = std::move(it->second);
-          pending_.erase(it);
-        }
-        break;
-      }
-      case storage::WalRecordType::kAbort:
-        pending_.erase(frame.txn_id);
-        break;
-      case storage::WalRecordType::kCheckpoint:
-        // The primary's checkpoints are about *its* recovery start;
-        // the follower's durable truth is the mirror, start to tail.
-        break;
-    }
-    // Every frame that closes a log position is an ack point. A
-    // read-only commit appends nothing, so its semi-sync wait can end
-    // just past a kAbort or kCheckpoint; an empty batch moves the ack
-    // past those in order with the commits before them.
-    batch.end_lsn =
-        storage::SegmentedWal::MakeLsn(cursor_seq_, decoder_.consumed());
-    util::MutexLock lock(mu_);
-    ready_.push_back(std::move(batch));
+    HM_ASSIGN_OR_RETURN(bool got, decoder_.Next(&frame));
+    if (!got) return util::Status::Ok();
+    Assemble(frame.type, frame.txn_id, std::move(frame.payload),
+             storage::SegmentedWal::MakeLsn(cursor_seq_, decoder_.consumed()));
   }
+}
+
+void Replicator::Assemble(storage::WalRecordType type, uint64_t txn_id,
+                          std::string payload, uint64_t end_lsn) {
+  ReadyBatch batch;
+  switch (type) {
+    case storage::WalRecordType::kUpdate:
+      pending_[txn_id].push_back(std::move(payload));
+      return;
+    case storage::WalRecordType::kCommit: {
+      auto it = pending_.find(txn_id);
+      if (it != pending_.end()) {
+        batch.payloads = std::move(it->second);
+        pending_.erase(it);
+      }
+      break;
+    }
+    case storage::WalRecordType::kAbort:
+      pending_.erase(txn_id);
+      break;
+    default:
+      // kCheckpoint, the only other type the decoder passes, is about
+      // the primary's recovery start; the follower's durable truth is
+      // the mirror, start to tail.
+      break;
+  }
+  // Every frame that closes a log position is an ack point. A
+  // read-only commit appends nothing, so its semi-sync wait can end
+  // just past a kAbort or kCheckpoint; an empty batch moves the ack
+  // past those in order with the commits before them.
+  batch.end_lsn = end_lsn;
+  util::MutexLock lock(mu_);
+  ready_.push_back(std::move(batch));
 }
 
 bool Replicator::ApplyReady() {

@@ -21,16 +21,15 @@
 namespace hm::replication {
 
 /// Incremental WAL frame decoder for the replication stream: feed it
-/// arbitrary byte chunks, pull out whole `[len][masked-crc][body]`
-/// frames. Unlike storage::WalRecordReader it reads from memory (the
-/// shipped chunks), tolerates a frame split across chunk boundaries,
-/// and reports how many bytes it has *consumed* — the follower's
-/// replayed offset is always a frame boundary. Exposed in the header
-/// for the unit tests.
+/// arbitrary byte chunks, pull out whole frames. It wraps
+/// storage::DecodeWalFrame over memory (the shipped chunks), tolerates
+/// a frame split across chunk boundaries, and reports how many bytes
+/// it has *consumed* — the follower's replayed offset is always a
+/// frame boundary. Exposed in the header for the unit tests.
 class FrameDecoder {
  public:
   struct Frame {
-    storage::WalRecordType type = storage::WalRecordType::kBegin;
+    storage::WalRecordType type = storage::WalRecordType::kUpdate;
     uint64_t txn_id = 0;
     std::string payload;
   };
@@ -38,8 +37,9 @@ class FrameDecoder {
   void Feed(std::string_view bytes) { buffer_.append(bytes); }
 
   /// Decodes the next whole frame. Ok+true: *frame filled. Ok+false:
-  /// need more bytes. Corruption: CRC mismatch or impossible length —
-  /// the stream is unrecoverable.
+  /// need more bytes. Corruption: a torn (CRC-failing) frame, an
+  /// impossible one, or a length over the stream's 256 MiB bound — the
+  /// stream is unrecoverable.
   util::Result<bool> Next(Frame* frame);
 
   /// Bytes consumed through the end of the last decoded frame,
@@ -154,6 +154,10 @@ class Replicator {
   /// LSN. After this the local store state == acked state.
   uint64_t FinalizeForPromotion();
 
+  /// Why the pull thread stopped for good: a failed mirror replay or a
+  /// fatal pull error. Ok while it runs and after a plain Stop().
+  util::Status fatal_status() const;
+
  private:
   /// One commit (or, with no payloads, an abort or checkpoint frame)
   /// decoded and waiting to be applied.
@@ -170,9 +174,12 @@ class Replicator {
   /// Returns when the connection dies (retry), the chain diverges
   /// (fatal, stop pulling) or stop/promotion is signalled.
   util::Status PullFromPrimary();
-  /// Decodes every whole frame buffered in decoder_, assembling
-  /// transactions; moves completed commits to ready_.
+  /// Decodes every whole frame buffered in decoder_ and Assemble()s it.
   util::Status DrainDecoder();
+  /// Adds one decoded record, ending at `end_lsn`, to its pending
+  /// transaction; a commit, abort or checkpoint becomes a ready batch.
+  void Assemble(storage::WalRecordType type, uint64_t txn_id,
+                std::string payload, uint64_t end_lsn);
   /// Applies all ready batches under the exclusive hook (coalesced:
   /// one index rebuild per call) and advances replayed_lsn_. Returns
   /// false when the hook found the replicator promoted/stopped.
@@ -212,8 +219,9 @@ class Replicator {
   /// FinalizeForPromotion drains it from another thread; the pull
   /// thread swaps it out *inside* the exclusive hook, so a batch can
   /// never fall between promotion's drain and the thread's role check.
-  util::RankedMutex<util::LockRank::kGroupCommit> mu_;
+  mutable util::RankedMutex<util::LockRank::kGroupCommit> mu_;
   std::vector<ReadyBatch> ready_ HM_GUARDED_BY(mu_);
+  util::Status fatal_status_ HM_GUARDED_BY(mu_);
 
   telemetry::Counter* bytes_received_;
   telemetry::Counter* txns_applied_;

@@ -20,6 +20,10 @@ namespace hm::storage {
 
 namespace {
 
+/// Scan read granularity. Large enough that a log of small records costs
+/// one pread per 64 KiB, small enough that recovery memory stays flat.
+constexpr size_t kReadChunk = 64 * 1024;
+
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
 }
@@ -102,28 +106,12 @@ util::Status SegmentedWal::Open(const std::string& base_path,
   base_path_ = base_path;
   sync_pending_ = true;
 
-  std::string dir, name;
-  SplitPath(base_path_, &dir, &name);
-  std::vector<uint64_t> seqs;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    return util::Status::IoError(ErrnoMessage("opendir", dir));
-  }
-  while (struct dirent* ent = ::readdir(d)) {
-    uint64_t seq = ParseSegmentSuffix(ent->d_name, name);
-    if (seq > 0) seqs.push_back(seq);
-  }
-  ::closedir(d);
-  std::sort(seqs.begin(), seqs.end());
-
-  if (seqs.empty() && ::access(base_path_.c_str(), F_OK) == 0) {
-    // Adopt a pre-segmentation single-file log as segment 000001.
-    std::string seg1 = SegmentPath(base_path_, 1);
-    if (::rename(base_path_.c_str(), seg1.c_str()) != 0) {
-      return util::Status::IoError(ErrnoMessage("rename legacy WAL", seg1));
-    }
-    HM_RETURN_IF_ERROR(SyncDir());
-    seqs.push_back(1);
+  HM_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs, ListSegments(base_path_));
+  if (::access(base_path_.c_str(), F_OK) == 0) {
+    return util::Status::Corruption(
+        "'" + base_path_ + "' is a single-file WAL, a format earlier "
+        "revisions wrote, no longer read: logs are segment chains " +
+        SegmentPath(base_path_, 1) + ", ...");
   }
 
   if (seqs.empty()) {
@@ -136,14 +124,6 @@ util::Status SegmentedWal::Open(const std::string& base_path,
     HM_RETURN_IF_ERROR(SyncDir());
     UpdateSegmentsGauge();
     return util::Status::Ok();
-  }
-
-  for (size_t i = 0; i + 1 < seqs.size(); ++i) {
-    if (seqs[i + 1] != seqs[i] + 1) {
-      return util::Status::Corruption(
-          "missing WAL segment: chain has " + SegmentPath(name, seqs[i]) +
-          " then " + SegmentPath(name, seqs[i + 1]));
-    }
   }
 
   sealed_.clear();
@@ -168,6 +148,31 @@ util::Status SegmentedWal::Open(const std::string& base_path,
   }
   UpdateSegmentsGauge();
   return util::Status::Ok();
+}
+
+util::Result<std::vector<uint64_t>> SegmentedWal::ListSegments(
+    const std::string& base_path) {
+  std::string dir, name;
+  SplitPath(base_path, &dir, &name);
+  std::vector<uint64_t> seqs;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    return util::Status::IoError(ErrnoMessage("opendir", dir));
+  }
+  while (struct dirent* ent = ::readdir(d)) {
+    uint64_t seq = ParseSegmentSuffix(ent->d_name, name);
+    if (seq > 0) seqs.push_back(seq);
+  }
+  ::closedir(d);
+  std::sort(seqs.begin(), seqs.end());
+  for (size_t i = 0; i + 1 < seqs.size(); ++i) {
+    if (seqs[i + 1] != seqs[i] + 1) {
+      return util::Status::Corruption(
+          "missing WAL segment: chain has " + SegmentPath(base_path, seqs[i]) +
+          " then " + SegmentPath(base_path, seqs[i + 1]));
+    }
+  }
+  return seqs;
 }
 
 util::Status SegmentedWal::Close() {
@@ -343,91 +348,114 @@ util::Status SegmentedWal::Scan(
 util::Status SegmentedWal::ScanLocked(
     const std::function<util::Status(const ScannedRecord&)>& visit) {
   HM_RETURN_IF_ERROR(FlushBuffer());
-
   for (const auto& [seq, size] : sealed_) {
-    std::string path = SegmentPath(base_path_, seq);
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-    WalRecordReader reader(fd, size);
-    util::Status status = util::Status::Ok();
-    while (true) {
-      uint64_t record_off = reader.offset();
-      WalRecord rec;
-      util::Result<WalRecordReader::Outcome> outcome = reader.Next(&rec);
-      if (!outcome.ok()) {
-        status = outcome.status();
-        break;
-      }
-      if (*outcome == WalRecordReader::Outcome::kEnd) break;
-      if (*outcome == WalRecordReader::Outcome::kTorn) {
-        // Only the chain's very last segment may end mid-frame; a torn
-        // frame here means a whole suffix of the log vanished.
-        status = util::Status::Corruption(
-            "torn WAL frame in non-last segment '" + path + "' at offset " +
-            std::to_string(record_off));
-        break;
-      }
-      ScannedRecord scanned;
-      scanned.lsn = MakeLsn(seq, record_off);
-      scanned.type = rec.type;
-      scanned.txn_id = rec.txn_id;
-      scanned.payload = rec.payload;
-      status = visit(scanned);
-      if (!status.ok()) break;
-    }
-    ::close(fd);
-    HM_RETURN_IF_ERROR(status);
+    HM_RETURN_IF_ERROR(
+        ScanSegment(SegmentPath(base_path_, seq), seq, false, visit).status());
   }
-
-  WalRecordReader reader(fd_, file_size_);
-  while (true) {
-    uint64_t record_off = reader.offset();
-    WalRecord rec;
-    HM_ASSIGN_OR_RETURN(WalRecordReader::Outcome outcome, reader.Next(&rec));
-    if (outcome == WalRecordReader::Outcome::kEnd) break;
-    if (outcome == WalRecordReader::Outcome::kTorn) {
-      // Torn or corrupt tail: drop it so subsequent O_APPEND writes
-      // land contiguously after the intact prefix. Without the
-      // truncate, new records would sit beyond the garbage and never
-      // replay.
-      if (::ftruncate(fd_, static_cast<off_t>(record_off)) != 0) {
-        return util::Status::IoError(
-            ErrnoMessage("ftruncate", SegmentPath(base_path_, seq_)));
-      }
-      file_size_ = record_off;
-      break;
+  const std::string path = SegmentPath(base_path_, seq_);
+  HM_ASSIGN_OR_RETURN(uint64_t end, ScanSegment(path, seq_, true, visit));
+  if (end < file_size_) {
+    // Drop the torn tail so subsequent O_APPEND writes land right
+    // after the intact prefix. Without the truncate, new records
+    // would sit beyond the garbage and never replay.
+    if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
+      return util::Status::IoError(ErrnoMessage("ftruncate", path));
     }
-    ScannedRecord scanned;
-    scanned.lsn = MakeLsn(seq_, record_off);
-    scanned.type = rec.type;
-    scanned.txn_id = rec.txn_id;
-    scanned.payload = rec.payload;
-    HM_RETURN_IF_ERROR(visit(scanned));
+    file_size_ = end;
   }
   return util::Status::Ok();
 }
 
-util::Status SegmentedWal::Recover(
-    const std::function<util::Status(uint64_t, std::string_view)>& redo) {
+util::Result<uint64_t> SegmentedWal::ScanSegment(
+    const std::string& path, uint64_t seq, bool last,
+    const std::function<util::Status(const ScannedRecord&)>& visit) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return util::Status::IoError(ErrnoMessage("fstat", path));
+  }
+  uint64_t size = static_cast<uint64_t>(st.st_size);
+  // Frames decode from a window holding at most one read chunk beyond
+  // the frame at window[pos], so a segment of any size scans in
+  // O(largest record) memory.
+  std::string window;
+  size_t pos = 0;
+  uint64_t offset = 0;  // file offset of window[pos], a frame boundary
+  util::Status status = util::Status::Ok();
+  while (status.ok() && offset < size) {
+    WalRecord rec;
+    size_t frame_size = 0;
+    util::Result<WalFrameStatus> decoded = DecodeWalFrame(
+        std::string_view(window).substr(pos), &rec, &frame_size);
+    if (!decoded.ok()) {
+      status = util::Status::Corruption(decoded.status().message() + " in '" +
+                                        path + "' at offset " +
+                                        std::to_string(offset));
+    } else if (*decoded == WalFrameStatus::kRecord) {
+      status = visit({MakeLsn(seq, offset), MakeLsn(seq, offset + frame_size),
+                      rec.type, rec.txn_id, rec.payload});
+      pos += frame_size;
+      offset += frame_size;
+    } else if (*decoded == WalFrameStatus::kNeedMore &&
+               offset + frame_size <= size) {
+      // Keep the partial frame and read at least the rest of it.
+      window.erase(0, pos);
+      pos = 0;
+      const size_t have = window.size();
+      const size_t want = static_cast<size_t>(std::min<uint64_t>(
+          std::max(frame_size, have + kReadChunk), size - offset));
+      window.resize(want);
+      ssize_t n = ::pread(fd, window.data() + have, want - have,
+                          static_cast<off_t>(offset + have));
+      if (n < 0) status = util::Status::IoError(ErrnoMessage("pread", path));
+      window.resize(have + static_cast<size_t>(std::max<ssize_t>(n, 0)));
+      if (n == 0) size = offset + have;  // the file shrank: a torn end
+    } else {
+      // A torn frame: cut short by the end of the file or failing its
+      // CRC. Only the chain's very last segment may end this way; a
+      // torn frame earlier means a whole suffix of the log vanished.
+      if (!last) {
+        status = util::Status::Corruption(
+            "torn WAL frame in non-last segment '" + path + "' at offset " +
+            std::to_string(offset));
+      }
+      break;
+    }
+  }
+  ::close(fd);
+  HM_RETURN_IF_ERROR(status);
+  return offset;
+}
+
+util::Status SegmentedWal::Recover(const UpdateFn& redo,
+                                   const UpdateFn& loser) {
   util::MutexLock lock(mu_);
   if (!IsOpenLocked()) return util::Status::InvalidArgument("WAL not open");
 
   uint64_t start = 0;
   std::unordered_set<uint64_t> committed;
+  std::unordered_set<uint64_t> aborted;
   HM_RETURN_IF_ERROR(ScanLocked([&](const ScannedRecord& rec) {
     if (rec.type == WalRecordType::kCheckpoint) {
-      start = rec.payload.size() >= 8 ? util::DecodeFixed64(rec.payload.data())
-                                      : rec.lsn;
+      // DecodeWalFrame admits only an 8-byte checkpoint payload.
+      start = util::DecodeFixed64(rec.payload.data());
     } else if (rec.type == WalRecordType::kCommit) {
       committed.insert(rec.txn_id);
+    } else if (rec.type == WalRecordType::kAbort) {
+      aborted.insert(rec.txn_id);
     }
     return util::Status::Ok();
   }));
 
   return ScanLocked([&](const ScannedRecord& rec) {
-    if (rec.type == WalRecordType::kUpdate && rec.lsn >= start &&
-        committed.contains(rec.txn_id)) {
-      return redo(rec.txn_id, rec.payload);
+    if (rec.type != WalRecordType::kUpdate || rec.lsn < start) {
+      return util::Status::Ok();
+    }
+    if (committed.contains(rec.txn_id)) return redo(rec.txn_id, rec.payload);
+    if (loser && !aborted.contains(rec.txn_id)) {
+      return loser(rec.txn_id, rec.payload);
     }
     return util::Status::Ok();
   });

@@ -28,8 +28,10 @@ struct SegmentedWalOptions {
 /// belongs to the current segment, because rolling over flushes and
 /// fdatasync()s the old segment before the new one opens. Checkpoints
 /// delete segments wholly below the recovery-start LSN instead of
-/// truncating in place. A legacy single-file log at `<base>` is
-/// adopted as segment 000001 on open.
+/// truncating in place. This class owns the recovery rules of the log:
+/// which damage is a crash scar to truncate, which is Corruption, and
+/// which updates redo or undo. A bare `<base>` file (the single-file
+/// log of earlier revisions) is Corruption on open.
 class SegmentedWal {
  public:
   SegmentedWal() = default;
@@ -78,25 +80,45 @@ class SegmentedWal {
 
   struct ScannedRecord {
     uint64_t lsn = 0;
-    WalRecordType type = WalRecordType::kBegin;
+    uint64_t end_lsn = 0;  // just past the frame
+    WalRecordType type = WalRecordType::kUpdate;
     uint64_t txn_id = 0;
     std::string_view payload;  // valid only during the visit callback
   };
 
   /// Streams every record in the chain in LSN order. A torn tail on
-  /// the *last* segment is truncated (the log stays appendable); a bad
-  /// frame in any earlier segment, or a gap in the segment sequence,
-  /// is loud Corruption — never silently skipped.
+  /// the *last* segment is truncated (the log stays appendable); a torn
+  /// frame in any earlier segment, a frame DecodeWalFrame finds
+  /// impossible in any segment, or a gap in the segment sequence is
+  /// loud Corruption — never silently skipped.
   util::Status Scan(
       const std::function<util::Status(const ScannedRecord&)>& visit);
 
-  /// Classic committed-only replay: streams the chain twice, invoking
-  /// `redo(txn_id, payload)` for every kUpdate of a committed
-  /// transaction at or after the last checkpoint's recovery-start LSN,
-  /// in log order. Tolerates a torn tail like Scan().
-  util::Status Recover(
-      const std::function<util::Status(uint64_t txn_id,
-                                       std::string_view payload)>& redo);
+  /// Sequence numbers of the segment files `<base>.NNNNNN` on disk,
+  /// ascending. Corruption when the sequence has a gap.
+  static util::Result<std::vector<uint64_t>> ListSegments(
+      const std::string& base_path);
+
+  /// Streams the records of segment file `path` (sequence `seq`) under
+  /// Scan()'s rules and returns the offset where its intact frames
+  /// end. A torn frame ends a `last` segment there — the caller
+  /// truncates the rest — and is Corruption in any other. A follower
+  /// reloads its mirror of the primary's chain with this.
+  static util::Result<uint64_t> ScanSegment(
+      const std::string& path, uint64_t seq, bool last,
+      const std::function<util::Status(const ScannedRecord&)>& visit);
+
+  using UpdateFn =
+      std::function<util::Status(uint64_t txn_id, std::string_view payload)>;
+
+  /// The recovery classification. Streams the chain twice: the first
+  /// pass finds the last checkpoint's recovery-start LSN and the
+  /// committed and aborted transactions; the second calls, in log
+  /// order, `redo` for each kUpdate of a committed transaction and
+  /// `loser` (when given) for each kUpdate of a transaction that
+  /// neither committed nor aborted, both only at or after the start.
+  /// Aborted transactions reach neither. Damage is handled as in Scan().
+  util::Status Recover(const UpdateFn& redo, const UpdateFn& loser = {});
 
   /// Seals the current segment (flush + fdatasync) and opens the next
   /// one, if the current segment has any content. No-op on an empty

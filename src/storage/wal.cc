@@ -1,21 +1,11 @@
 #include "storage/wal.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <string>
 
 #include "util/coding.h"
 #include "util/crc32.h"
 
 namespace hm::storage {
-
-namespace {
-/// Refill granularity. Large enough that a log of small records costs
-/// one pread per 64 KiB, small enough that recovery memory stays flat.
-constexpr size_t kReadChunk = 64 * 1024;
-}  // namespace
 
 void AppendWalFrame(std::string* out, WalRecordType type, uint64_t txn_id,
                     std::string_view payload) {
@@ -29,65 +19,50 @@ void AppendWalFrame(std::string* out, WalRecordType type, uint64_t txn_id,
   out->append(body);
 }
 
-util::Status WalRecordReader::Refill(size_t need) {
-  if (Available() >= need) return util::Status::Ok();
-  // Drop the consumed prefix so the buffer tracks the live frame only.
-  if (pos_ > 0) {
-    buffer_.erase(0, pos_);
-    buffer_start_ += pos_;
-    pos_ = 0;
+util::Result<WalFrameStatus> DecodeWalFrame(std::string_view bytes,
+                                            WalRecord* record,
+                                            size_t* frame_size) {
+  *frame_size = kWalFrameHeaderSize;
+  if (bytes.size() < kWalFrameHeaderSize) return WalFrameStatus::kNeedMore;
+  uint32_t len = util::DecodeFixed32(bytes.data());
+  *frame_size += len;
+  if (bytes.size() < *frame_size) return WalFrameStatus::kNeedMore;
+  std::string_view body = bytes.substr(kWalFrameHeaderSize, len);
+  const uint32_t masked_crc = util::DecodeFixed32(bytes.data() + 4);
+  if (util::MaskCrc(util::Crc32(body)) != masked_crc) {
+    return WalFrameStatus::kTorn;
   }
-  uint64_t file_end = buffer_start_ + buffer_.size();
-  while (buffer_.size() < need && file_end < file_size_) {
-    size_t want = std::max(need - buffer_.size(), kReadChunk);
-    want = static_cast<size_t>(
-        std::min<uint64_t>(want, file_size_ - file_end));
-    size_t old_size = buffer_.size();
-    buffer_.resize(old_size + want);
-    ssize_t n = ::pread(fd_, buffer_.data() + old_size, want,
-                        static_cast<off_t>(file_end));
-    if (n < 0) {
-      buffer_.resize(old_size);
-      return util::Status::IoError(std::string("WAL pread: ") +
-                                   std::strerror(errno));
-    }
-    if (n == 0) {
-      // File shorter than the caller's size snapshot; treat the gap as
-      // a torn tail by reporting fewer bytes than asked.
-      buffer_.resize(old_size);
-      break;
-    }
-    buffer_.resize(old_size + static_cast<size_t>(n));
-    file_end += static_cast<uint64_t>(n);
-  }
-  return util::Status::Ok();
-}
-
-util::Result<WalRecordReader::Outcome> WalRecordReader::Next(
-    WalRecord* record) {
-  if (next_offset_ >= file_size_) return Outcome::kEnd;
-  if (next_offset_ + kWalFrameHeaderSize > file_size_) {
-    return Outcome::kTorn;  // partial frame header at the tail
-  }
-  HM_RETURN_IF_ERROR(Refill(kWalFrameHeaderSize));
-  if (Available() < kWalFrameHeaderSize) return Outcome::kTorn;
-  uint32_t len = util::DecodeFixed32(buffer_.data() + pos_);
-  uint32_t masked = util::DecodeFixed32(buffer_.data() + pos_ + 4);
-  uint64_t frame_size = kWalFrameHeaderSize + static_cast<uint64_t>(len);
-  if (next_offset_ + frame_size > file_size_) return Outcome::kTorn;
-  HM_RETURN_IF_ERROR(Refill(static_cast<size_t>(frame_size)));
-  if (Available() < frame_size) return Outcome::kTorn;
-  std::string_view body(buffer_.data() + pos_ + kWalFrameHeaderSize, len);
-  if (util::Crc32(body) != util::UnmaskCrc(masked)) return Outcome::kTorn;
   if (len < kWalRecordPrefixSize) {
-    return util::Status::Corruption("WAL record too short");
+    return util::Status::Corruption("WAL record body is " +
+                                    std::to_string(len) + " bytes, shorter "
+                                    "than the record prefix");
   }
-  record->type = static_cast<WalRecordType>(body[0]);
+  const auto type = static_cast<WalRecordType>(body[0]);
+  std::string_view payload = body.substr(kWalRecordPrefixSize);
+  switch (type) {
+    case WalRecordType::kUpdate:
+    case WalRecordType::kCommit:
+    case WalRecordType::kAbort:
+      break;
+    case WalRecordType::kCheckpoint:
+      if (payload.size() == 8) break;
+      return util::Status::Corruption(
+          "WAL kCheckpoint payload is " + std::to_string(payload.size()) +
+          " bytes, not an 8-byte recovery-start LSN (an empty payload is "
+          "the pre-segmentation format, no longer read)");
+    case WalRecordType::kBegin:
+      return util::Status::Corruption(
+          "WAL record type 1 (kBegin) is a format earlier revisions "
+          "wrote, no longer read");
+    default:
+      return util::Status::Corruption(
+          "unknown WAL record type " +
+          std::to_string(static_cast<unsigned>(body[0] & 0xff)));
+  }
+  record->type = type;
   record->txn_id = util::DecodeFixed64(body.data() + 1);
-  record->payload = body.substr(kWalRecordPrefixSize);
-  pos_ += static_cast<size_t>(frame_size);
-  next_offset_ += frame_size;
-  return Outcome::kRecord;
+  record->payload = payload;
+  return WalFrameStatus::kRecord;
 }
 
 }  // namespace hm::storage

@@ -13,8 +13,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,7 +70,7 @@ bool WaitFor(const std::function<bool()>& pred, int64_t timeout_ms = 15000) {
 
 std::string ThreeFrameTxn(uint64_t txn_id, const std::string& payload) {
   std::string bytes;
-  storage::AppendWalFrame(&bytes, WalRecordType::kBegin, txn_id, "");
+  storage::AppendWalFrame(&bytes, WalRecordType::kUpdate, txn_id, "head");
   storage::AppendWalFrame(&bytes, WalRecordType::kUpdate, txn_id, payload);
   storage::AppendWalFrame(&bytes, WalRecordType::kCommit, txn_id, "");
   return bytes;
@@ -85,8 +85,9 @@ TEST(FrameDecoderTest, DecodesWholeFrames) {
   auto got = decoder.Next(&frame);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(*got);
-  EXPECT_EQ(frame.type, WalRecordType::kBegin);
+  EXPECT_EQ(frame.type, WalRecordType::kUpdate);
   EXPECT_EQ(frame.txn_id, 7u);
+  EXPECT_EQ(frame.payload, "head");
 
   got = decoder.Next(&frame);
   ASSERT_TRUE(got.ok() && *got);
@@ -142,6 +143,28 @@ TEST(FrameDecoderTest, CrcMismatchIsCorruption) {
     ASSERT_TRUE(*got) << "decoder ran dry without noticing corruption";
   }
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST(FrameDecoderTest, ImpossibleTypeIsCorruptionNamingTheType) {
+  // A CRC-valid frame of a type no current writer produces — unknown
+  // (0, 6) or the kBegin that earlier revisions logged (1) — is
+  // Corruption, never a frame for the replicator to ack.
+  for (int type : {0, 1, 6}) {
+    std::string bytes;
+    storage::AppendWalFrame(&bytes, WalRecordType::kUpdate, 5, "ok");
+    storage::AppendWalFrame(&bytes, static_cast<WalRecordType>(type), 5, "");
+    FrameDecoder decoder;
+    decoder.Feed(bytes);
+    FrameDecoder::Frame frame;
+    auto got = decoder.Next(&frame);
+    ASSERT_TRUE(got.ok() && *got) << type;
+    got = decoder.Next(&frame);
+    ASSERT_FALSE(got.ok()) << type;
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+    EXPECT_NE(got.status().message().find("type " + std::to_string(type)),
+              std::string::npos)
+        << got.status().ToString();
+  }
 }
 
 TEST(FrameDecoderTest, ResetForgetsPartialState) {
@@ -282,7 +305,7 @@ TEST_F(WalShipperTest, WaitAckedBlocksUntilAckOrTimeout) {
   EXPECT_TRUE(shipper.WaitAcked(target, 0));
 }
 
-// --- Logs written before Begin stopped logging ------------------------
+// --- Replaying a log offline: crash recovery and the follower mirror
 
 /// uid -> hundred for every uid in [1, max_uid] that LookupUnique finds.
 std::map<int64_t, int64_t> HundredByUid(HyperStore* store, int64_t max_uid) {
@@ -297,116 +320,184 @@ std::map<int64_t, int64_t> HundredByUid(HyperStore* store, int64_t max_uid) {
   return out;
 }
 
-TEST(LegacyWalTest, LogWithBeginRecordsRecoversAndReplays) {
-  // Older code opened every transaction with a kBegin record and
-  // closed read-only ones with a kCommit. Rebuild such a log from a
-  // live store's records and check that crash recovery and a follower
-  // replaying it as its mirror both reach the live store's state.
-  const std::string root = ::testing::TempDir() + "/hm_legacy_wal";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  constexpr int64_t kMaxUid = 99;
+bool WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out.good();
+}
 
-  auto live = OodbStore::Open({}, root + "/live");
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
-  HyperStore* store = live->get();
-  NodeRef first = kInvalidNode;
-  for (int64_t uid = 1; uid <= 6; uid += 2) {
+/// A live store's log and the state it reaches: three creating
+/// transactions, an edit, an abort and a read-only transaction. The
+/// tests feed the log's own bytes, or a damaged copy, to crash
+/// recovery and to a follower replaying them as its mirror with no
+/// primary listening, so the replicator stops at the mirror tail.
+class OfflineReplayTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kMaxUid = 99;
+
+  void SetUp() override {
+    root_ = ::testing::TempDir() + "/hm_offline_replay_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_);
+
+    auto live = OodbStore::Open({}, root_ + "/live");
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    HyperStore* store = live->get();
+    NodeRef first = kInvalidNode;
+    for (int64_t uid = 1; uid <= 6; uid += 2) {
+      ASSERT_TRUE(store->Begin().ok());
+      auto a = store->CreateNode(MakeAttrs(uid), kInvalidNode);
+      auto b = store->CreateNode(MakeAttrs(uid + 1), kInvalidNode);
+      ASSERT_TRUE(a.ok() && b.ok());
+      if (first == kInvalidNode) first = *a;
+      ASSERT_TRUE(store->Commit().ok());
+    }
     ASSERT_TRUE(store->Begin().ok());
-    auto a = store->CreateNode(MakeAttrs(uid), kInvalidNode);
-    auto b = store->CreateNode(MakeAttrs(uid + 1), kInvalidNode);
-    ASSERT_TRUE(a.ok() && b.ok());
-    if (first == kInvalidNode) first = *a;
+    ASSERT_TRUE(store->SetAttr(first, Attr::kHundred, 42).ok());
     ASSERT_TRUE(store->Commit().ok());
+    ASSERT_TRUE(store->Begin().ok());
+    ASSERT_TRUE(store->CreateNode(MakeAttrs(kMaxUid), kInvalidNode).ok());
+    ASSERT_TRUE(store->Abort().ok());
+    ASSERT_TRUE(store->Begin().ok());
+    ASSERT_TRUE(store->LookupUnique(3).ok());
+    ASSERT_TRUE(store->Commit().ok());
+    expected_ = HundredByUid(store, kMaxUid);
+    ASSERT_EQ(expected_.size(), 6u);
+    EXPECT_EQ(expected_.at(1), 42);
+
+    // The crash image: the data file as of the open-time checkpoint,
+    // plus the log, which the commits synced.
+    std::filesystem::copy(root_ + "/live", root_ + "/crash",
+                          std::filesystem::copy_options::recursive);
+    SegmentedWal* wal = (*live)->object_store()->wal();
+    ASSERT_EQ(wal->segment_count(), 1u);
+    seq_ = wal->OldestSeq();
+    crash_segment_ =
+        root_ + "/crash/" +
+        std::filesystem::path(wal->SegmentPaths().front()).filename().string();
+    std::ifstream in(crash_segment_, std::ios::binary);
+    log_.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    ASSERT_FALSE(log_.empty());
   }
-  ASSERT_TRUE(store->Begin().ok());
-  ASSERT_TRUE(store->SetAttr(first, Attr::kHundred, 42).ok());
-  ASSERT_TRUE(store->Commit().ok());
-  ASSERT_TRUE(store->Begin().ok());
-  ASSERT_TRUE(store->CreateNode(MakeAttrs(kMaxUid), kInvalidNode).ok());
-  ASSERT_TRUE(store->Abort().ok());
-  ASSERT_TRUE(store->Begin().ok());
-  ASSERT_TRUE(store->LookupUnique(3).ok());
-  ASSERT_TRUE(store->Commit().ok());
-  const std::map<int64_t, int64_t> expected = HundredByUid(store, kMaxUid);
-  ASSERT_EQ(expected.size(), 6u);
-  EXPECT_EQ(expected.at(1), 42);
 
-  // The crash image: the data file as of the open-time checkpoint,
-  // plus the log, which the commits synced.
-  std::filesystem::copy(root + "/live", root + "/crash",
-                        std::filesystem::copy_options::recursive);
-  SegmentedWal* wal = (*live)->object_store()->wal();
-  ASSERT_EQ(wal->segment_count(), 1u);
-  const std::string segment_name =
-      std::filesystem::path(wal->SegmentPaths().front()).filename();
+  void TearDown() override { std::filesystem::remove_all(root_); }
 
-  // Re-emit the live log with the old framing: a kBegin ahead of each
-  // transaction's first record, then an empty read-only transaction
-  // and one left open at the crash.
-  std::string legacy;
-  std::set<uint64_t> begun;
-  uint64_t max_txn = 0;
-  ASSERT_TRUE(wal->Scan([&](const SegmentedWal::ScannedRecord& rec) {
-                  if (rec.txn_id != 0 && begun.insert(rec.txn_id).second) {
-                    storage::AppendWalFrame(&legacy, WalRecordType::kBegin,
-                                            rec.txn_id, "");
-                  }
-                  max_txn = std::max(max_txn, rec.txn_id);
-                  storage::AppendWalFrame(&legacy, rec.type, rec.txn_id,
-                                          rec.payload);
-                  return util::Status::Ok();
-                }).ok());
-  EXPECT_EQ(begun.size(), 5u);  // three creates, the edit, the abort
-  storage::AppendWalFrame(&legacy, WalRecordType::kBegin, max_txn + 1, "");
-  storage::AppendWalFrame(&legacy, WalRecordType::kCommit, max_txn + 1, "");
-  storage::AppendWalFrame(&legacy, WalRecordType::kBegin, max_txn + 2, "");
-  live->reset();
+  /// Writes `bytes` as the follower's only mirror segment, under the
+  /// live segment's sequence number, and starts its replicator.
+  std::unique_ptr<Replicator> StartFollower(const std::string& bytes) {
+    const std::string mirror = root_ + "/follower/repl_mirror";
+    std::filesystem::create_directories(mirror);
+    mirror_segment_ = SegmentedWal::SegmentPath(mirror + "/wal", seq_);
+    EXPECT_TRUE(WriteFile(mirror_segment_, bytes));
+    auto follower = OodbStore::Open({}, root_ + "/follower/oodb");
+    EXPECT_TRUE(follower.ok()) << follower.status().ToString();
+    follower_ = std::move(follower).value();
+    ReplicatorOptions ropts;
+    ropts.primary.host = "127.0.0.1";
+    ropts.primary.port = 1;
+    ropts.mirror_dir = mirror;
+    ropts.follower_id = 1;
+    auto replicator = std::make_unique<Replicator>(
+        ropts, follower_.get(), [](const std::function<void()>& fn) { fn(); });
+    EXPECT_TRUE(replicator->Start().ok());
+    return replicator;
+  }
 
-  auto write_file = [](const std::string& path, const std::string& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return out.good();
-  };
-  ASSERT_TRUE(write_file(root + "/crash/" + segment_name, legacy));
+  /// Waits for the replicator to stop on a fatal error, then joins it.
+  static util::Status FatalStatus(Replicator* replicator) {
+    EXPECT_TRUE(WaitFor([&] { return !replicator->fatal_status().ok(); },
+                        5000));
+    replicator->Stop();
+    return replicator->fatal_status();
+  }
+
+  std::string root_;
+  std::string crash_segment_;
+  std::string mirror_segment_;
+  uint64_t seq_ = 0;
+  std::string log_;
+  std::map<int64_t, int64_t> expected_;
+  std::unique_ptr<OodbStore> follower_;
+};
+
+TEST_F(OfflineReplayTest, CrashImageAndMirrorReachLiveState) {
   {
-    auto recovered = OodbStore::Open({}, root + "/crash");
+    auto recovered = OodbStore::Open({}, root_ + "/crash");
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_GT((*recovered)->object_store()->recovered_records(), 0u);
-    EXPECT_EQ(HundredByUid(recovered->get(), kMaxUid), expected);
+    EXPECT_EQ(HundredByUid(recovered->get(), kMaxUid), expected_);
   }
+  auto replicator = StartFollower(log_);
+  // Acked through the abort's kAbort, the log's last frame.
+  const uint64_t end = SegmentedWal::MakeLsn(seq_, log_.size());
+  EXPECT_TRUE(
+      WaitFor([&] { return replicator->replayed_lsn() >= end; }, 5000));
+  replicator->Stop();
+  EXPECT_EQ(replicator->replayed_lsn(), end);
+  EXPECT_TRUE(replicator->fatal_status().ok())
+      << replicator->fatal_status().ToString();
+  EXPECT_EQ(HundredByUid(follower_.get(), kMaxUid), expected_);
+}
 
-  // A follower replays the same bytes as its mirror. The segment keeps
-  // its sequence number; no primary is listening, so the replicator
-  // stops at the mirror tail.
-  const std::string mirror = root + "/follower/repl_mirror";
-  std::filesystem::create_directories(mirror);
-  const std::string seq_suffix =
-      segment_name.substr(segment_name.rfind('.'));
-  ASSERT_TRUE(write_file(mirror + "/wal" + seq_suffix, legacy));
-  auto follower = OodbStore::Open({}, root + "/follower/oodb");
-  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
-  ReplicatorOptions ropts;
-  ropts.primary.host = "127.0.0.1";
-  ropts.primary.port = 1;
-  ropts.mirror_dir = mirror;
-  ropts.follower_id = 1;
-  Replicator replicator(ropts, follower->get(),
-                        [](const std::function<void()>& fn) { fn(); });
-  ASSERT_TRUE(replicator.Start().ok());
-  // Acked through the read-only transaction's kCommit: the last
-  // commit in the log.
-  const uint64_t last_commit_end =
-      SegmentedWal::MakeLsn(std::stoull(seq_suffix.substr(1)),
-                            legacy.size() - storage::kWalFrameHeaderSize -
-                                storage::kWalRecordPrefixSize);
-  EXPECT_TRUE(WaitFor(
-      [&] { return replicator.replayed_lsn() >= last_commit_end; }, 5000));
-  replicator.Stop();
-  EXPECT_EQ(replicator.replayed_lsn(), last_commit_end);
-  EXPECT_EQ(HundredByUid(follower->get(), kMaxUid), expected);
-  follower->reset();
-  std::filesystem::remove_all(root);
+TEST_F(OfflineReplayTest, SplicedBeginRecordIsCorruption) {
+  // One kBegin frame, the type earlier revisions opened each
+  // transaction with, spliced in after the log's first frame.
+  storage::WalRecord first;
+  size_t first_size = 0;
+  auto decoded = storage::DecodeWalFrame(log_, &first, &first_size);
+  ASSERT_TRUE(decoded.ok() && *decoded == storage::WalFrameStatus::kRecord);
+  std::string spliced = log_.substr(0, first_size);
+  storage::AppendWalFrame(&spliced, WalRecordType::kBegin, 1, "");
+  spliced += log_.substr(first_size);
+
+  ASSERT_TRUE(WriteFile(crash_segment_, spliced));
+  auto recovered = OodbStore::Open({}, root_ + "/crash");
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_TRUE(recovered.status().IsCorruption())
+      << recovered.status().ToString();
+  EXPECT_NE(recovered.status().message().find("kBegin"), std::string::npos)
+      << recovered.status().ToString();
+
+  auto replicator = StartFollower(spliced);
+  util::Status status = FatalStatus(replicator.get());
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("kBegin"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(replicator->replayed_lsn(), 0u);
+}
+
+TEST_F(OfflineReplayTest, TornMirrorTailIsTruncated) {
+  // A whole frame whose CRC fails at the mirror's tail is what a crash
+  // mid-append leaves: truncated away, with everything before replayed.
+  std::string torn = log_;
+  storage::AppendWalFrame(&torn, WalRecordType::kCommit, 1, "");
+  torn.back() ^= 0x40;
+  auto replicator = StartFollower(torn);
+  const uint64_t end = SegmentedWal::MakeLsn(seq_, log_.size());
+  EXPECT_TRUE(
+      WaitFor([&] { return replicator->replayed_lsn() >= end; }, 5000));
+  replicator->Stop();
+  EXPECT_EQ(replicator->replayed_lsn(), end);
+  EXPECT_TRUE(replicator->fatal_status().ok())
+      << replicator->fatal_status().ToString();
+  EXPECT_EQ(std::filesystem::file_size(mirror_segment_), log_.size());
+  EXPECT_EQ(HundredByUid(follower_.get(), kMaxUid), expected_);
+}
+
+TEST_F(OfflineReplayTest, ImpossibleMirrorTailFailsLoudly) {
+  // A CRC-valid frame of an unknown type is corruption, not a crash
+  // scar: the replay stops and the mirror is left as it was.
+  std::string bad = log_;
+  storage::AppendWalFrame(&bad, static_cast<WalRecordType>(6), 1, "");
+  auto replicator = StartFollower(bad);
+  util::Status status = FatalStatus(replicator.get());
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("type 6"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(replicator->replayed_lsn(), 0u);
+  EXPECT_EQ(std::filesystem::file_size(mirror_segment_), bad.size());
 }
 
 // --- End-to-end fleets over loopback ---------------------------------

@@ -1,9 +1,10 @@
 // Tests for the segmented WAL (storage/commit_pipeline/segmented_wal):
 // LSN arithmetic, rollover at exact frame boundaries, recovery across
 // a segment chain with a torn tail on the last segment only, loud
-// failure on a missing middle segment, checkpoint pruning leaving
-// the chain appendable, and Sync() costing nothing when no record is
-// pending.
+// failure on a missing middle segment, on impossible frames and on
+// formats earlier revisions wrote, the redo/loser classification,
+// checkpoint pruning leaving the chain appendable, and Sync() costing
+// nothing when no record is pending.
 
 #include "storage/commit_pipeline/segmented_wal.h"
 
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <thread>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/failpoint.h"
@@ -272,31 +274,104 @@ TEST_F(SegmentedWalTest, PartialCheckpointKeepsSegmentsAtOrAboveStartLsn) {
   EXPECT_TRUE(std::filesystem::exists(Segment(4)));
 }
 
-TEST_F(SegmentedWalTest, AdoptsLegacySingleFileLog) {
-  // A pre-segmentation log written at the bare base path is adopted as
-  // segment 000001 and its records replay.
+TEST_F(SegmentedWalTest, BareBaseFileIsCorruption) {
+  // Earlier revisions wrote the whole log to the bare base path. That
+  // format is no longer read, and a file there is reported, never
+  // ignored — with or without a segment chain next to it.
+  { std::ofstream(base_) << "old log bytes"; }
+  SegmentedWal wal;
+  util::Status s = wal.Open(base_);
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.message().find("single-file WAL"), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(std::filesystem::exists(Segment(1)));
+
+  ASSERT_TRUE(std::filesystem::remove(base_));
   {
-    SegmentedWal writer;
-    ASSERT_TRUE(writer.Open(dir_ + "/tmp.log").ok());
-    ASSERT_TRUE(writer.Append(WalRecordType::kUpdate, 1, "legacy").ok());
-    ASSERT_TRUE(writer.Append(WalRecordType::kCommit, 1, "").ok());
-    ASSERT_TRUE(writer.Sync().ok());
-    ASSERT_TRUE(writer.Close().ok());
+    SegmentedWal chain;
+    ASSERT_TRUE(chain.Open(base_).ok());
   }
-  std::filesystem::rename(SegmentedWal::SegmentPath(dir_ + "/tmp.log", 1),
-                          base_);
+  { std::ofstream(base_) << "old log bytes"; }
+  s = wal.Open(base_);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST_F(SegmentedWalTest, ImpossibleFramesAreCorruptionNamingTheFormat) {
+  // CRC-valid frames that no current writer produces: an unknown type
+  // (0, 6), the kBegin type earlier revisions logged (1), and the empty
+  // kCheckpoint payload of pre-segmentation logs. Each is Corruption
+  // even as the last frame of the last segment, where a torn frame
+  // would be truncated, and the log is left as it was.
+  struct Case {
+    WalRecordType type;
+    std::string payload;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {static_cast<WalRecordType>(0), "", "unknown WAL record type 0"},
+      {WalRecordType::kBegin, "", "type 1 (kBegin)"},
+      {static_cast<WalRecordType>(6), "", "unknown WAL record type 6"},
+      {WalRecordType::kCheckpoint, "", "kCheckpoint payload is 0 bytes"},
+  };
+  for (const Case& c : cases) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    SegmentedWal wal;
+    ASSERT_TRUE(wal.Open(base_).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kUpdate, 1, "kept").ok());
+    ASSERT_TRUE(wal.Append(c.type, 1, c.payload).ok());
+    ASSERT_TRUE(wal.Sync().ok());
+    const uint64_t size = wal.SizeBytes();
+    int visited = 0;
+    util::Status s = wal.Scan([&](const SegmentedWal::ScannedRecord&) {
+      ++visited;
+      return util::Status::Ok();
+    });
+    ASSERT_TRUE(s.IsCorruption()) << c.message << ": " << s.ToString();
+    EXPECT_NE(s.message().find(c.message), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find(Segment(1)), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(visited, 1);
+    EXPECT_EQ(std::filesystem::file_size(Segment(1)), size);
+  }
+}
+
+TEST_F(SegmentedWalTest, RecoverClassifiesCommittedAbortedAndInFlight) {
+  // Three transactions, each with updates on both sides of the
+  // checkpoint's recovery start: txn 1 commits, txn 2 aborts, txn 3 is
+  // in flight at the crash.
   SegmentedWal wal;
   ASSERT_TRUE(wal.Open(base_).ok());
-  EXPECT_FALSE(std::filesystem::exists(base_));  // renamed to .000001
-  EXPECT_TRUE(std::filesystem::exists(Segment(1)));
-  std::vector<std::string> replayed;
-  ASSERT_TRUE(wal.Recover([&](uint64_t, std::string_view payload) {
-                   replayed.emplace_back(payload);
-                   return util::Status::Ok();
-                 })
-                  .ok());
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(replayed[0], "legacy");
+  for (uint64_t txn : {1, 2, 3}) {
+    ASSERT_TRUE(wal.Append(WalRecordType::kUpdate, txn,
+                           "old-" + std::to_string(txn))
+                    .ok());
+  }
+  const uint64_t start = wal.NextLsn();
+  for (uint64_t txn : {1, 2, 3}) {
+    ASSERT_TRUE(wal.Append(WalRecordType::kUpdate, txn,
+                           "new-" + std::to_string(txn))
+                    .ok());
+  }
+  ASSERT_TRUE(wal.Checkpoint(start).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kUpdate, 3, "late-3").ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 1, "").ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kAbort, 2, "").ok());
+  ASSERT_TRUE(wal.Sync().ok());
+
+  using Seen = std::vector<std::pair<uint64_t, std::string>>;
+  Seen redone;
+  Seen losers;
+  auto record = [](Seen* seen) {
+    return [seen](uint64_t txn, std::string_view payload) {
+      seen->emplace_back(txn, std::string(payload));
+      return util::Status::Ok();
+    };
+  };
+  ASSERT_TRUE(wal.Recover(record(&redone), record(&losers)).ok());
+  EXPECT_EQ(redone, (Seen{{1, "new-1"}}));
+  EXPECT_EQ(losers, (Seen{{3, "new-3"}, {3, "late-3"}}));
 }
 
 TEST_F(SegmentedWalTest, NextLsnBoundsAppends) {

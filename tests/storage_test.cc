@@ -440,10 +440,8 @@ TEST_F(WalTest, RecoversCommittedOnly) {
   {
     SegmentedWal wal;
     ASSERT_TRUE(wal.Open(path).ok());
-    ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 1, "").ok());
     ASSERT_TRUE(wal.Append(WalRecordType::kUpdate, 1, "one").ok());
     ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 1, "").ok());
-    ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 2, "").ok());
     ASSERT_TRUE(wal.Append(WalRecordType::kUpdate, 2, "two").ok());
     // txn 2 never commits.
     ASSERT_TRUE(wal.Sync().ok());
