@@ -7,8 +7,10 @@
 // append under one mutex (via PipelinedCommitCapable::CommitBegin) and
 // then block on durability *outside* it (CommitWait) — which is
 // exactly the window the group-commit coordinator amortizes: N
-// committers, one fsync. At --group-commit-us=0 the store falls back
-// to a private fsync per commit, the classic baseline.
+// committers, one fsync. Every commit goes through the coordinator;
+// the window is only how long a solo leader waits for a companion, so
+// at --group-commit-us=0 a lone committer syncs at once and committers
+// that arrive during a sync still share the next one.
 //
 // Flags (comma lists fan out the run matrix):
 //   --backend=oodb|rel      default oodb
@@ -47,14 +49,14 @@ struct Config {
   std::string backend = "oodb";
   std::vector<int> clients{1, 2, 4, 8};
   int commits = 200;
-  std::vector<uint64_t> windows_us{0, 100, 1000};
+  std::vector<uint32_t> windows_us{0, 100, 1000};
   std::string dir;
   std::string json_path;
 };
 
 struct RunResult {
   std::string backend;
-  uint64_t window_us = 0;
+  uint32_t window_us = 0;
   int clients = 0;
   int commits = 0;  // total across clients
   double wall_ms = 0;
@@ -90,7 +92,7 @@ Config ParseFlags(int argc, char** argv) {
   return config;
 }
 
-std::unique_ptr<HyperStore> OpenStore(const Config& config, uint64_t window_us,
+std::unique_ptr<HyperStore> OpenStore(const Config& config, uint32_t window_us,
                                       const std::string& dir) {
   BackendConfig backend;
   backend.group_commit_us = window_us;
@@ -99,7 +101,7 @@ std::unique_ptr<HyperStore> OpenStore(const Config& config, uint64_t window_us,
   return std::move(*store);
 }
 
-RunResult RunOne(const Config& config, uint64_t window_us, int clients) {
+RunResult RunOne(const Config& config, uint32_t window_us, int clients) {
   std::string dir = config.dir + "/" + config.backend + "_w" +
                     std::to_string(window_us) + "_c" + std::to_string(clients);
   std::filesystem::remove_all(dir);
@@ -227,7 +229,7 @@ int Main(int argc, char** argv) {
               "commits", "commits/s", "p50(us)", "p99(us)", "wal_syncs",
               "syncs/c");
   std::vector<RunResult> rows;
-  for (uint64_t window_us : config.windows_us) {
+  for (uint32_t window_us : config.windows_us) {
     for (int clients : config.clients) {
       RunResult r = RunOne(config, window_us, clients);
       rows.push_back(r);

@@ -109,10 +109,13 @@ class Flags {
 struct BackendConfig {
   /// Workstation cache of the persistent backends, in 8 KiB pages.
   size_t cache_pages = 2048;
-  /// Group-commit window of oodb/rel commits (0 = fsync per commit).
-  uint64_t group_commit_us = 0;
+  /// Group-commit window of oodb/rel commits: how long a solo
+  /// committer waits for a companion to share its fsync (0 = not at
+  /// all). The stores' own type, so the flag parser's range check
+  /// rejects what they could not hold.
+  uint32_t group_commit_us = 0;
   /// oodb background fuzzy-checkpoint interval (0 = at shutdown only).
-  uint64_t checkpoint_ms = 0;
+  uint32_t checkpoint_ms = 0;
   /// Server of a wire backend: host:port for `remote`, a semicolon
   /// list primary;replica;... for the replica-aware client, a
   /// shard://host:port,... fleet for `shard`. Empty self-hosts an

@@ -157,7 +157,6 @@ struct ReplNode {
 backends::OodbOptions StoreOptions() {
   backends::OodbOptions options;
   options.cache_pages = 1024;
-  options.sync_commits = true;
   options.wal_segment_bytes = 1 << 18;
   options.checkpoint_interval_ms = 0;
   return options;

@@ -268,18 +268,8 @@ struct OodbStore::NodeRecord {
 
 util::Result<std::unique_ptr<OodbStore>> OodbStore::Open(
     const OodbOptions& options, const std::string& dir) {
-  objstore::ObjectStoreOptions store_options;
-  store_options.cache_pages = options.cache_pages;
-  store_options.placement = options.placement;
-  store_options.sync_commits = options.sync_commits;
-  store_options.group_commit_us = options.group_commit_us;
-  store_options.wal_segment_bytes = options.wal_segment_bytes;
-  store_options.checkpoint_interval_ms = options.checkpoint_interval_ms;
-  store_options.checkpoint_wal_bytes = options.checkpoint_wal_bytes;
-
   std::unique_ptr<OodbStore> oodb(new OodbStore());
-  HM_ASSIGN_OR_RETURN(oodb->store_,
-                      objstore::ObjectStore::Open(store_options, dir));
+  HM_ASSIGN_OR_RETURN(oodb->store_, objstore::ObjectStore::Open(options, dir));
   objstore::ObjectStore* store = oodb->store_.get();
 
   if (store->GetCatalog(kSlotUniqueRoot) == 0) {

@@ -12,24 +12,10 @@
 
 namespace hm::backends {
 
-/// Options for the persistent object-oriented backend.
-struct OodbOptions {
-  /// Workstation-cache size in 8 KiB pages.
-  size_t cache_pages = 2048;
-  /// Cluster new nodes near their 1-N parent (§5.2). Turning this off
-  /// is the E10 ablation.
-  objstore::PlacementPolicy placement = objstore::PlacementPolicy::kClustered;
-  /// fsync WAL on commit.
-  bool sync_commits = true;
-  /// Group-commit window in microseconds (0 = fsync per commit).
-  uint64_t group_commit_us = 0;
-  /// WAL segment rollover threshold in bytes.
-  uint64_t wal_segment_bytes = 16ull * 1024 * 1024;
-  /// Background fuzzy-checkpoint interval in ms (0 = foreground only).
-  uint64_t checkpoint_interval_ms = 0;
-  /// WAL bytes that nudge the checkpointer early (0 = 4x segment).
-  uint64_t checkpoint_wal_bytes = 0;
-};
+/// Options for the persistent object-oriented backend: the object
+/// store's own (cache_pages is the workstation cache in 8 KiB pages;
+/// placement off the clustered default is the E10 ablation).
+using OodbOptions = objstore::ObjectStoreOptions;
 
 /// The persistent OODB backend — the architecture class the paper's
 /// Vbase/GemStone measurements represent. Every HyperModel node is one

@@ -65,15 +65,8 @@ util::Result<std::unique_ptr<RelStore>> RelStore::Open(
     return util::Status::IoError("create_directories '" + dir +
                                  "': " + ec.message());
   }
-  std::unique_ptr<RelStore> rel(new RelStore());
+  std::unique_ptr<RelStore> rel(new RelStore(options.group_commit_us));
   HM_RETURN_IF_ERROR(rel->file_.Open(dir + "/relational.db"));
-  if (options.group_commit_us > 0) {
-    storage::GroupCommitCoordinator::Options gc;
-    gc.window_us = static_cast<uint32_t>(options.group_commit_us);
-    storage::FileManager* file = &rel->file_;
-    rel->group_commit_ = std::make_unique<storage::GroupCommitCoordinator>(
-        [file] { return file->Sync(); }, gc);
-  }
   rel->pool_ = std::make_unique<storage::BufferPool>(&rel->file_,
                                                      options.cache_pages);
 
@@ -92,9 +85,12 @@ util::Result<std::unique_ptr<RelStore>> RelStore::Open(
   return rel;
 }
 
+RelStore::RelStore(uint32_t group_commit_us)
+    : group_commit_([this] { return file_.Sync(); }, group_commit_us) {}
+
 RelStore::~RelStore() {
   // Best-effort teardown: a destructor has no caller to report to.
-  if (group_commit_ != nullptr) (void)group_commit_->Drain();
+  (void)group_commit_.Drain();
   if (pool_ != nullptr) {
     (void)SaveMeta();
     (void)pool_->FlushAll();
@@ -190,22 +186,16 @@ util::Status RelStore::Commit() {
 util::Result<uint64_t> RelStore::CommitBegin() {
   // FORCE policy: durability by flushing every dirty page at commit.
   // The flush runs under commit_mu_ so concurrent committers do not
-  // interleave SaveMeta; the fsync is either inline (no coordinator)
-  // or batched with other committers' by the coordinator.
+  // interleave SaveMeta; the coordinator batches the fsync with other
+  // committers'.
   util::MutexLock lock(commit_mu_);
   HM_RETURN_IF_ERROR(SaveMeta());
   HM_RETURN_IF_ERROR(pool_->FlushAll());
-  if (group_commit_ == nullptr) {
-    lock.unlock();
-    HM_RETURN_IF_ERROR(file_.Sync());
-    return uint64_t{0};
-  }
-  return group_commit_->Enroll();
+  return group_commit_.Enroll();
 }
 
 util::Status RelStore::CommitWait(uint64_t ticket) {
-  if (group_commit_ == nullptr) return util::Status::Ok();
-  return group_commit_->WaitDurable(ticket);
+  return group_commit_.WaitDurable(ticket);
 }
 
 util::Status RelStore::CloseReopen() {

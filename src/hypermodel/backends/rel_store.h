@@ -19,9 +19,10 @@ namespace hm::backends {
 /// Options for the relational comparator backend.
 struct RelOptions {
   size_t cache_pages = 2048;
-  /// Group-commit window in microseconds (0 = fsync per commit). The
+  /// Group-commit window in microseconds: how long a solo committer
+  /// waits for a companion to share its fsync (0 = not at all). The
   /// FORCE flush still happens per commit; only the fsync is batched.
-  uint64_t group_commit_us = 0;
+  uint32_t group_commit_us = 0;
 };
 
 /// The relational-mapping backend, following the /BLAH88/ methodology
@@ -66,8 +67,7 @@ class RelStore : public HyperStore, public PipelinedCommitCapable {
 
   // PipelinedCommitCapable: CommitBegin runs the FORCE flush (all
   // dirty pages written) and enrolls for the shared fsync; CommitWait
-  // blocks on the coordinator. With group_commit_us == 0 CommitBegin
-  // syncs inline and CommitWait is a no-op.
+  // blocks on the coordinator.
   util::Result<uint64_t> CommitBegin() override;
   util::Status CommitWait(uint64_t ticket) override;
 
@@ -104,7 +104,7 @@ class RelStore : public HyperStore, public PipelinedCommitCapable {
   util::Result<uint64_t> StorageBytes() override;
 
  private:
-  RelStore() = default;
+  explicit RelStore(uint32_t group_commit_us);
 
   util::Status InitFresh();
   util::Status LoadMeta();
@@ -123,8 +123,8 @@ class RelStore : public HyperStore, public PipelinedCommitCapable {
 
   storage::FileManager file_;
   std::unique_ptr<storage::BufferPool> pool_;
-  /// Non-null iff group_commit_us > 0; batches the commit fsync.
-  std::unique_ptr<storage::GroupCommitCoordinator> group_commit_;
+  /// Makes every commit durable, batching the commit fsync.
+  storage::GroupCommitCoordinator group_commit_;
   /// Serializes the SaveMeta+FlushAll phase of concurrent committers
   /// (the rel backend has no finer-grained write lock of its own). A
   /// pure phase lock: it guards a critical *section*, not any member,

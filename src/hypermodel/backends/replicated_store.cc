@@ -257,7 +257,7 @@ RemoteStore* ReplicatedStore::PickReadPeer(size_t* index_out) {
       return i != primary_ && (!down_[i] || reads_ % 32 == 0);
     };
     auto lags = [&](size_t i) {
-      return replayed_[i] + options_.staleness_bytes < watermark_;
+      return replayed_[i] < watermark_;
     };
     // Re-read every lagging candidate's LSN in one round.
     std::vector<size_t> lagging;
@@ -278,9 +278,8 @@ RemoteStore* ReplicatedStore::PickReadPeer(size_t* index_out) {
       return conn;
     }
   }
-  // No caught-up replica (or the watermark is unknown): bounded
-  // staleness says fall back to the primary rather than serve a
-  // possibly-stale read.
+  // No caught-up replica (or the watermark is unknown): fall back to
+  // the primary rather than serve a possibly-stale read.
   *index_out = primary_;
   return Primary();
 }

@@ -20,11 +20,6 @@ struct ReplicatedOptions {
   /// until the client learns better (an existing higher-epoch primary,
   /// or its own promotion after a failure).
   std::vector<RemoteOptions> peers;
-  /// How stale a replica read may be, in LSN *bytes behind the
-  /// watermark the client requires* — 0 keeps strict read-your-writes:
-  /// a replica serves a read only once it has replayed past the
-  /// primary's durable LSN observed after this client's last write.
-  uint64_t staleness_bytes = 0;
 };
 
 /// Parses "host:port;host:port;..." (the `remote://a;b;c` spelling

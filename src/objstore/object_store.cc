@@ -90,7 +90,8 @@ void ApplyEnvOverrides(ObjectStoreOptions* options) {
 }
 
 ObjectStore::ObjectStore(const ObjectStoreOptions& options)
-    : options_(options) {}
+    : options_(options),
+      group_commit_([this] { return wal_.Sync(); }, options.group_commit_us) {}
 
 ObjectStore::~ObjectStore() {
   // Best-effort close; a failed final checkpoint has nowhere to
@@ -138,13 +139,6 @@ util::Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(
   {
     util::MutexLock lock(store->write_mu_);
     store->open_ = true;
-  }
-  if (store->options_.sync_commits && store->options_.group_commit_us > 0) {
-    storage::GroupCommitCoordinator::Options gc;
-    gc.window_us = store->options_.group_commit_us;
-    ObjectStore* raw = store.get();
-    store->group_commit_ = std::make_unique<storage::GroupCommitCoordinator>(
-        [raw] { return raw->wal_.Sync(); }, gc);
   }
   // FuzzyCheckpoint() is public (callable without the background
   // thread), so its dedicated data-sync fd always exists.
@@ -305,9 +299,7 @@ util::Status ObjectStore::Close() {
   // then every enrolled commit durable, then the final full
   // checkpoint.
   checkpointer_.Stop();
-  if (group_commit_) {
-    HM_RETURN_IF_ERROR(group_commit_->Drain());
-  }
+  HM_RETURN_IF_ERROR(group_commit_.Drain());
   if (checkpoint_data_fd_ >= 0) {
     ::close(checkpoint_data_fd_);
     checkpoint_data_fd_ = -1;
@@ -466,18 +458,7 @@ util::Result<uint64_t> ObjectStore::CommitAsync(Transaction* txn) {
     }
     // Enrolling under write_mu_ keeps ticket order consistent with
     // append order, so a ticket's sync always covers its records.
-    if (options_.sync_commits && group_commit_) {
-      ticket = group_commit_->Enroll();
-    }
-  }
-  if (options_.sync_commits && !group_commit_) {
-    // Classic path: a private fsync, off the write lock (free when no
-    // record is pending). On failure the transaction stays active (and
-    // registered), as before.
-    HM_RETURN_IF_ERROR(wal_.Sync());
-  }
-  {
-    util::MutexLock lock(write_mu_);
+    ticket = group_commit_.Enroll();
     active_txns_.erase(txn->id_);
     if (active_txns_.empty()) quiesce_cv_.notify_all();
     stats_.commits.fetch_add(1, std::memory_order_relaxed);
@@ -489,8 +470,7 @@ util::Result<uint64_t> ObjectStore::CommitAsync(Transaction* txn) {
 }
 
 util::Status ObjectStore::WaitCommitDurable(uint64_t ticket) {
-  if (ticket == 0 || !group_commit_) return util::Status::Ok();
-  return group_commit_->WaitDurable(ticket);
+  return group_commit_.WaitDurable(ticket);
 }
 
 util::Status ObjectStore::Abort(Transaction* txn) {

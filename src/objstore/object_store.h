@@ -43,19 +43,17 @@ enum class PlacementPolicy : uint8_t {
   kRandom = 2,
 };
 
-/// Tuning knobs for an object store instance.
+/// Tuning knobs for an object store instance (and, as OodbOptions, for
+/// the oodb backend over it). Commits are always durable (R10).
 struct ObjectStoreOptions {
   /// Buffer-pool capacity in pages (the workstation cache size, R7).
   size_t cache_pages = 2048;
   /// Physical placement of new objects (the §5.2 clustering knob).
   PlacementPolicy placement = PlacementPolicy::kClustered;
-  /// fsync the WAL on every commit. Turning this off models a server
-  /// with battery-backed log cache; kept on by default.
-  bool sync_commits = true;
-  /// Group-commit window in microseconds: concurrent committers share
-  /// one WAL fsync, with a leader lingering up to this long for
-  /// stragglers. 0 = classic private fsync per commit (the coordinator
-  /// is bypassed entirely).
+  /// Group-commit window in microseconds: every commit waits on the
+  /// coordinator, where concurrent committers share one WAL fsync and
+  /// a solo leader lingers up to this long for a companion. 0 = a
+  /// solo leader syncs at once.
   uint32_t group_commit_us = 0;
   /// WAL segment rollover threshold. Overridden by
   /// $HM_WAL_SEGMENT_BYTES.
@@ -125,7 +123,7 @@ struct ObjectStoreStats {
 /// an optional `near` OID hint implementing clustering along the 1-N
 /// aggregation hierarchy.
 ///
-/// Durability: write-ahead redo logging with commit-time fsync (R10).
+/// Durability: write-ahead redo logging with a (group-)commit fsync (R10).
 /// Recovery replays committed transactions over the last checkpointed
 /// page image. `DropCaches()` gives the benchmark protocol its "close
 /// the database" cold-cache step.
@@ -150,23 +148,26 @@ class ObjectStore {
   /// clamps a checkpoint's recovery start while it is active.
   util::Result<Transaction> Begin();
 
-  /// Durably commits `txn` (WAL commit record + fsync, or one shared
-  /// group-commit fsync when a window is configured). A transaction
-  /// that logged nothing appends no commit record. Either way, every
-  /// record appended before the commit returns is durable. Equivalent
-  /// to CommitAsync() + WaitCommitDurable().
+  /// Durably commits `txn`: appends its commit record and waits for
+  /// the group-commit fsync that covers it. A transaction that logged
+  /// nothing appends no commit record. Either way, every record
+  /// appended before the commit returns is durable. Equivalent to
+  /// CommitAsync() + WaitCommitDurable(), and an error means the same
+  /// as there: the outcome is unknown.
   util::Status Commit(Transaction* txn);
 
-  /// Appends `txn`'s commit record and, under group commit, enrolls it
-  /// for the next batched fsync, returning a ticket to pass to
-  /// WaitCommitDurable(). Without a coordinator (group_commit_us == 0)
-  /// the commit is already durable on return and the ticket is 0. The
-  /// caller may release its own serialization before waiting — that
-  /// overlap is where fsync amortization comes from.
+  /// Appends `txn`'s commit record, ends the transaction and enrolls
+  /// it with the group-commit coordinator, returning the ticket to
+  /// pass to WaitCommitDurable(). An error here leaves `txn` active.
+  /// The caller may release its own serialization before waiting —
+  /// that overlap is where fsync amortization comes from.
   util::Result<uint64_t> CommitAsync(Transaction* txn);
 
   /// Blocks until the batched fsync covering `ticket` completes;
-  /// returns its status. Ticket 0 (no coordinator) returns Ok.
+  /// returns its status. An error means the commit's outcome is
+  /// unknown: its records may or may not have reached the disk, so a
+  /// crash now may recover it or not. The transaction has ended
+  /// either way and no longer holds back checkpoints.
   util::Status WaitCommitDurable(uint64_t ticket);
 
   /// Rolls back `txn` using in-memory pre-images.
@@ -407,8 +408,8 @@ class ObjectStore {
       HM_GUARDED_BY(write_mu_);
   uint64_t last_checkpoint_records_ HM_GUARDED_BY(write_mu_) = 0;
 
-  /// Non-null iff sync_commits && group_commit_us > 0.
-  std::unique_ptr<storage::GroupCommitCoordinator> group_commit_;
+  /// Makes every commit durable; drained at close.
+  storage::GroupCommitCoordinator group_commit_;
   storage::Checkpointer checkpointer_;
   /// Dedicated fd onto objects.db for the fuzzy checkpointer's data
   /// fsync, so it never touches FileManager state outside write_mu_.

@@ -12,15 +12,11 @@ namespace hm::storage {
 
 namespace {
 
-/// Shard-count policy: the explicit option, else auto-sizing (one
-/// shard per 64 frames, capped at 16). The result is floored to a power
-/// of two (for mask-based selection) and never exceeds the capacity, so
-/// every shard owns at least one frame.
-size_t ResolveShardCount(size_t capacity, size_t requested) {
-  size_t shards = requested;
-  if (shards == 0) shards = std::min<size_t>(16, capacity / 64);
-  if (shards == 0) shards = 1;
-  shards = std::min(shards, capacity);
+/// Shard-count policy: one shard per 64 frames, at least 1 and capped
+/// at 16, floored to a power of two (for mask-based selection). Every
+/// shard owns at least one frame.
+size_t ShardCountFor(size_t capacity) {
+  size_t shards = std::max<size_t>(1, std::min<size_t>(16, capacity / 64));
   while ((shards & (shards - 1)) != 0) shards &= shards - 1;
   return shards;
 }
@@ -104,10 +100,10 @@ void PageGuard::Release() {
   }
 }
 
-BufferPool::BufferPool(FileManager* file, const BufferPoolOptions& options)
-    : file_(file), capacity_(options.capacity) {
+BufferPool::BufferPool(FileManager* file, size_t capacity)
+    : file_(file), capacity_(capacity) {
   HM_CHECK_GT(capacity_, 0u);
-  shard_count_ = ResolveShardCount(capacity_, options.shards);
+  shard_count_ = ShardCountFor(capacity_);
   shards_ = std::make_unique<Shard[]>(shard_count_);
   const size_t base = capacity_ / shard_count_;
   const size_t extra = capacity_ % shard_count_;
@@ -122,9 +118,6 @@ BufferPool::BufferPool(FileManager* file, const BufferPoolOptions& options)
   t_evictions_ = registry.GetCounter("storage.buffer_pool.evictions");
   t_flushes_ = registry.GetCounter("storage.buffer_pool.flushes");
 }
-
-BufferPool::BufferPool(FileManager* file, size_t capacity)
-    : BufferPool(file, BufferPoolOptions{capacity, 0}) {}
 
 BufferPool::~BufferPool() {
   // Best effort; errors on teardown are not recoverable anyway — the

@@ -133,17 +133,6 @@ struct BufferPoolStats {
   uint64_t flushes = 0;
 };
 
-/// Sizing knobs for the pool.
-struct BufferPoolOptions {
-  /// Number of 8 KiB page frames held in memory (total, across shards).
-  size_t capacity = 0;
-  /// Number of hash partitions; rounded down to a power of two and
-  /// capped at `capacity`. 0 means auto: min(16, capacity / 64), at
-  /// least 1 — small pools (unit tests) collapse to a single shard
-  /// and keep exact legacy CLOCK semantics.
-  size_t shards = 0;
-};
-
 /// Fixed-capacity page cache over a FileManager, with CLOCK
 /// (second-chance) eviction and pin counting. This models the
 /// workstation-side object cache of the paper's client/server
@@ -168,8 +157,10 @@ struct BufferPoolOptions {
 /// store-level write lock. See DESIGN.md §13.
 class BufferPool {
  public:
-  BufferPool(FileManager* file, const BufferPoolOptions& options);
-  /// Legacy convenience: `capacity` frames, auto shard count.
+  /// `capacity` 8 KiB page frames in total, split over
+  /// min(16, capacity / 64) shards rounded down to a power of two, at
+  /// least 1 — small pools (unit tests) collapse to a single shard
+  /// and keep exact CLOCK semantics.
   BufferPool(FileManager* file, size_t capacity);
   ~BufferPool();
 

@@ -9,8 +9,8 @@
 namespace hm::storage {
 
 GroupCommitCoordinator::GroupCommitCoordinator(SyncFn sync,
-                                               const Options& options)
-    : sync_(std::move(sync)), options_(options) {}
+                                               uint32_t window_us)
+    : sync_(std::move(sync)), window_us_(window_us) {}
 
 uint64_t GroupCommitCoordinator::Enroll() {
   util::MutexLock lock(mu_);
@@ -36,11 +36,10 @@ util::Status GroupCommitCoordinator::WaitDurable(uint64_t ticket) {
     // hoping a companion turns the fsync into a shared one; it gives
     // up early once an entire slice passes with no new enrollment.
     leader_active_ = true;
-    if (options_.window_us > 0) {
-      auto deadline = Clock::now() + std::chrono::microseconds(
-                                         options_.window_us);
-      auto slice = std::chrono::microseconds(std::clamp<uint32_t>(
-          options_.window_us / 4, 50, 250));
+    if (window_us_ > 0) {
+      auto deadline = Clock::now() + std::chrono::microseconds(window_us_);
+      auto slice = std::chrono::microseconds(
+          std::clamp<uint32_t>(window_us_ / 4, 50, 250));
       while (Clock::now() < deadline && enrolled_ - durable_ < 2) {
         uint64_t seen = enrolled_;
         enrolled_cv_.wait_until(lock,

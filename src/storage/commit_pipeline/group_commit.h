@@ -12,7 +12,9 @@
 
 namespace hm::storage {
 
-/// Amortizes one log fsync over many concurrent committers.
+/// Amortizes one log fsync over many concurrent committers. It is the
+/// only way an oodb or rel commit becomes durable: a lone committer
+/// goes through it too, and simply leads a batch of one.
 ///
 /// A committer appends its records to the WAL (under its store's write
 /// lock), Enroll()s for a ticket, then blocks in WaitDurable() until a
@@ -29,16 +31,11 @@ namespace hm::storage {
 /// one. The sync function runs with no coordinator lock held.
 class GroupCommitCoordinator {
  public:
-  struct Options {
-    /// Max time a solo leader waits for a companion before syncing.
-    /// The owner should bypass the coordinator entirely at 0 (classic
-    /// sync-per-commit); a zero window here just syncs immediately.
-    uint32_t window_us = 0;
-  };
-
   using SyncFn = std::function<util::Status()>;
 
-  GroupCommitCoordinator(SyncFn sync, const Options& options);
+  /// `window_us` is the most a solo leader waits for a companion
+  /// before syncing; at 0 it syncs at once.
+  GroupCommitCoordinator(SyncFn sync, uint32_t window_us);
 
   GroupCommitCoordinator(const GroupCommitCoordinator&) = delete;
   GroupCommitCoordinator& operator=(const GroupCommitCoordinator&) = delete;
@@ -68,7 +65,7 @@ class GroupCommitCoordinator {
 
   /// Immutable after construction (called with mu_ *released*).
   SyncFn sync_;
-  Options options_;
+  uint32_t window_us_;
   uint64_t enrolled_ HM_GUARDED_BY(mu_) = 0;  // tickets handed out
   /// Highest ticket covered by a finished sync.
   uint64_t durable_ HM_GUARDED_BY(mu_) = 0;

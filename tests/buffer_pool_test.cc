@@ -69,25 +69,17 @@ class BufferPoolTest : public ::testing::Test {
 // ---------- Shard-count policy ----------
 
 TEST_F(BufferPoolTest, AutoShardCountScalesWithCapacity) {
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{8, 0}).shard_count(), 1u);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{64, 0}).shard_count(), 1u);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{128, 0}).shard_count(), 2u);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{512, 0}).shard_count(), 8u);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{4096, 0}).shard_count(), 16u);
-}
-
-TEST_F(BufferPoolTest, ExplicitShardCountIsFlooredToPowerOfTwo) {
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{256, 6}).shard_count(), 4u);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{256, 8}).shard_count(), 8u);
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{256, 1}).shard_count(), 1u);
-  // Capped at capacity: every shard owns at least one frame.
-  EXPECT_EQ(BufferPool(&fm_, BufferPoolOptions{4, 64}).shard_count(), 4u);
+  EXPECT_EQ(BufferPool(&fm_, 8).shard_count(), 1u);
+  EXPECT_EQ(BufferPool(&fm_, 64).shard_count(), 1u);
+  EXPECT_EQ(BufferPool(&fm_, 128).shard_count(), 2u);
+  EXPECT_EQ(BufferPool(&fm_, 512).shard_count(), 8u);
+  EXPECT_EQ(BufferPool(&fm_, 4096).shard_count(), 16u);
 }
 
 // ---------- Read pins ----------
 
 TEST_F(BufferPoolTest, ReadGuardSeesDataAndCountsHit) {
-  BufferPool pool(&fm_, BufferPoolOptions{8, 1});
+  BufferPool pool(&fm_, 8);
   Populate(&pool, 2);
   pool.ResetStats();
   auto guard = pool.Fetch(0, PinMode::kRead);
@@ -98,7 +90,7 @@ TEST_F(BufferPoolTest, ReadGuardSeesDataAndCountsHit) {
 }
 
 TEST_F(BufferPoolTest, MarkDirtyOnReadPinAborts) {
-  BufferPool pool(&fm_, BufferPoolOptions{8, 1});
+  BufferPool pool(&fm_, 8);
   Populate(&pool, 1);
   auto guard = pool.Fetch(0, PinMode::kRead);
   ASSERT_TRUE(guard.ok());
@@ -106,7 +98,7 @@ TEST_F(BufferPoolTest, MarkDirtyOnReadPinAborts) {
 }
 
 TEST_F(BufferPoolTest, ReadPinnedPageIsNotEvicted) {
-  BufferPool pool(&fm_, BufferPoolOptions{2, 1});
+  BufferPool pool(&fm_, 2);
   Populate(&pool, 2);
   auto pinned = pool.Fetch(0, PinMode::kRead);
   ASSERT_TRUE(pinned.ok());
@@ -125,7 +117,7 @@ TEST_F(BufferPoolTest, ReadPinnedPageIsNotEvicted) {
 // ---------- Concurrency ----------
 
 TEST_F(BufferPoolTest, RacingReadersAcrossShards) {
-  BufferPool pool(&fm_, BufferPoolOptions{256, 0});
+  BufferPool pool(&fm_, 256);
   ASSERT_EQ(pool.shard_count(), 4u);
   constexpr size_t kPages = 64;
   Populate(&pool, kPages);
@@ -156,7 +148,7 @@ TEST_F(BufferPoolTest, RacingReadersAcrossShards) {
 }
 
 TEST_F(BufferPoolTest, SamePageSharedLatchesOverlap) {
-  BufferPool pool(&fm_, BufferPoolOptions{8, 1});
+  BufferPool pool(&fm_, 8);
   Populate(&pool, 1);
 
   // Every thread read-pins page 0 and holds the guard until all of
@@ -196,7 +188,7 @@ TEST_F(BufferPoolTest, EvictionChurnsUnderPinnedReaders) {
   // One small shard so every fetch contends on the same CLOCK hand
   // while other threads hold read pins: eviction must skip pinned
   // frames and never hand a reader's page to someone else.
-  BufferPool pool(&fm_, BufferPoolOptions{4, 1});
+  BufferPool pool(&fm_, 4);
   constexpr size_t kPages = 16;
   Populate(&pool, kPages);
 
@@ -230,7 +222,7 @@ TEST_F(BufferPoolTest, EvictionChurnsUnderPinnedReaders) {
 }
 
 TEST_F(BufferPoolTest, ReadersWritersAndFlushSweepInterleave) {
-  BufferPool pool(&fm_, BufferPoolOptions{256, 4});
+  BufferPool pool(&fm_, 256);
   constexpr size_t kPages = 32;
   Populate(&pool, kPages);
 
@@ -293,7 +285,7 @@ TEST_F(BufferPoolTest, ReadersWritersAndFlushSweepInterleave) {
 // ---------- Flush cursor ----------
 
 TEST_F(BufferPoolTest, FlushBatchSweepsEveryShard) {
-  BufferPool pool(&fm_, BufferPoolOptions{256, 4});
+  BufferPool pool(&fm_, 256);
   constexpr size_t kPages = 32;
   Populate(&pool, kPages);
 
@@ -324,7 +316,7 @@ TEST_F(BufferPoolTest, FlushBatchSweepsEveryShard) {
 }
 
 TEST_F(BufferPoolTest, StatsAggregateAcrossShardsAndReset) {
-  BufferPool pool(&fm_, BufferPoolOptions{256, 4});
+  BufferPool pool(&fm_, 256);
   constexpr size_t kPages = 16;
   Populate(&pool, kPages);
   pool.ResetStats();

@@ -7,8 +7,9 @@ Runs every op on every backend kind at a small level and checks the
 JSON report has exactly one row per (op, backend); runs the E1
 creation-only spelling; checks that op 17 on a level-2 database, which
 has no form node, fails with a Status instead of aborting; checks flags
-a subcommand does not honour are refused; and checks the scratch
-directory is gone after each run.
+a subcommand does not honour, and store settings out of the stores'
+range, are refused; and checks the scratch directory is gone after
+each run.
 """
 
 import json
@@ -21,8 +22,9 @@ BACKENDS = ["mem", "oodb", "rel", "net", "remote[percall]", "shard"]
 OPS = 20
 
 
-def run(argv):
-    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+def run(argv, timeout=300):
+    return subprocess.run(argv, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def check(condition, message, result=None):
@@ -80,6 +82,17 @@ def main():
         result = run(argv)
         check(result.returncode == 1, "accepted %s" % " ".join(argv[1:]),
               result)
+
+    # A store setting the stores cannot hold is refused at parse time,
+    # not narrowed: 2^32 + 100 must not serve with a 100 us window.
+    for flag in ("--group-commit-us=4294967396", "--checkpoint-ms=4294967296"):
+        argv = [hmbench, "serve", "--backend=oodb", "--port=0", flag]
+        try:
+            result = run(argv, timeout=30)
+        except subprocess.TimeoutExpired:
+            sys.exit("FAIL: served with out-of-range " + flag)
+        check(result.returncode == 1 and flag.split("=")[0] in result.stderr,
+              "accepted out-of-range " + flag, result)
     print("hmbench_test: OK")
 
 

@@ -545,11 +545,10 @@ class ReplicationE2eTest : public ::testing::Test {
   }
 
   /// Small segments so replication streams cross rollovers even in
-  /// short tests; sync commits so every ack is a durability claim.
+  /// short tests.
   static backends::OodbOptions StoreOptions() {
     backends::OodbOptions options;
     options.cache_pages = 256;
-    options.sync_commits = true;
     options.wal_segment_bytes = 1 << 16;
     options.checkpoint_interval_ms = 0;
     return options;

@@ -547,7 +547,7 @@ int RunDrills(const Args& args) {
                       O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (oracle < 0) ::_exit(2);
 
-  OodbOptions options;  // sync_commits=true: commits are durable
+  OodbOptions options;
   // Exercise the whole commit pipeline: segment rollover every 4 KiB,
   // a 100 us group-commit window and a 20 ms fuzzy checkpointer.
   options.wal_segment_bytes = 4096;
