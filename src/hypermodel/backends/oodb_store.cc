@@ -400,9 +400,11 @@ util::Result<uint64_t> OodbStore::CommitBegin() {
   HM_RETURN_IF_ERROR(RequireActiveTxn());
   HM_RETURN_IF_ERROR(PersistIndexRoots());
   util::Result<uint64_t> ticket = store_->CommitAsync(&*txn_);
-  // The API-level transaction ends here either way (matching the old
-  // Commit semantics, where a failed store commit still cleared txn_).
+  // The transaction ends here either way: a failed CommitAsync rolled
+  // it back. Its index entries are not part of that object-level undo,
+  // so re-derive them, as Abort does.
   txn_.reset();
+  if (!ticket.ok()) HM_RETURN_IF_ERROR(RebuildIndexes());
   return ticket;
 }
 

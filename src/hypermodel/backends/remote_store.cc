@@ -30,9 +30,14 @@ util::Status Errno(const std::string& what) {
                                std::strerror(errno));
 }
 
-/// Nodes per fused-multi request: keeps any one frame far below the
+/// Entries per fused-multi request: keeps any one frame far below the
 /// 16 MB ceiling and under the server's kMaxBatchEntries.
 constexpr size_t kMultiChunk = 8192;
+
+/// Contents bytes per fused-multi request. With kMultiChunk entries of
+/// at most ~80 fixed bytes each, a frame stays near 5 MiB, well under
+/// the 16 MiB ceiling; a single entry larger than this travels alone.
+constexpr size_t kMultiBytes = 4u << 20;
 
 /// `arg` cut to the nodes [begin, begin + n) of one fused frame when it
 /// holds a value per node (a span); other arguments go to every frame.
@@ -43,6 +48,16 @@ const T& Chunk(const T& arg, size_t, size_t) {
 template <typename T>
 std::span<const T> Chunk(std::span<const T> arg, size_t begin, size_t n) {
   return arg.subspan(begin, n);
+}
+
+/// The variable-length bytes entry i adds to a fused frame: its
+/// contents, when `arg` holds them; nothing for every other argument.
+template <typename T>
+size_t EntryBytes(const T&, size_t) {
+  return 0;
+}
+size_t EntryBytes(std::span<const std::string_view> arg, size_t i) {
+  return arg[i].size();
 }
 
 }  // namespace
@@ -477,8 +492,12 @@ Frames RemoteStore::FusedFrames(typename C::Reply* out, size_t count,
                                 const A&... args) {
   const size_t chunk = mode_ == RemoteMode::kPerCall ? 1 : kMultiChunk;
   Frames frames;
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    const size_t n = std::min(chunk, count - begin);
+  for (size_t begin = 0, n = 0; begin < count; begin += n) {
+    size_t bytes = 0;
+    for (n = 0; n < chunk && begin + n < count; ++n) {
+      bytes += (EntryBytes(args, begin + n) + ... + size_t{0});
+      if (n > 0 && bytes > kMultiBytes) break;
+    }
     frames.push_back(
         {C::Request(Chunk(args, begin, n)...),
          [out, n](std::string_view body) {
@@ -706,6 +725,33 @@ Frames RemoteStore::SetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
                                            values);
 }
 
+Frames RemoteStore::CreateNodesFrames(
+    std::span<const NodeAttrs> attrs, std::span<const NodeRef> near,
+    std::span<const std::string_view> contents, std::vector<NodeRef>* refs) {
+  return FusedFrames<calls::CreateNodesMulti>(refs, attrs.size(), attrs, near,
+                                              contents);
+}
+
+Frames RemoteStore::AddChildrenFrames(std::span<const NodeRef> parents,
+                                      std::span<const NodeRef> children) {
+  return FusedFrames<calls::AddChildrenMulti>(nullptr, parents.size(),
+                                              parents, children);
+}
+
+Frames RemoteStore::AddPartsFrames(std::span<const NodeRef> owners,
+                                   std::span<const NodeRef> parts) {
+  return FusedFrames<calls::AddPartsMulti>(nullptr, owners.size(), owners,
+                                           parts);
+}
+
+Frames RemoteStore::AddRefsFrames(std::span<const NodeRef> from,
+                                  std::span<const NodeRef> to,
+                                  std::span<const int64_t> offset_from,
+                                  std::span<const int64_t> offset_to) {
+  return FusedFrames<calls::AddRefsMulti>(nullptr, from.size(), from, to,
+                                          offset_from, offset_to);
+}
+
 util::Status RemoteStore::ChildrenMulti(std::span<const NodeRef> nodes,
                                         RefLists* out) {
   out->clear();
@@ -745,11 +791,43 @@ util::Status RemoteStore::GetAttrsMulti(std::span<const NodeRef> nodes,
 util::Status RemoteStore::SetAttrsMulti(std::span<const NodeRef> nodes,
                                         Attr attr,
                                         std::span<const int64_t> values) {
-  if (nodes.size() != values.size()) {
-    return util::Status::InvalidArgument(
-        "SetAttrsMulti: nodes/values size mismatch");
-  }
+  HM_RETURN_IF_ERROR(
+      CheckPositional("SetAttrsMulti", nodes.size(), {values.size()}));
   return RunFrames(SetAttrsFrames(nodes, attr, values));
+}
+
+util::Status RemoteStore::CreateNodesMulti(
+    std::span<const NodeAttrs> attrs, std::span<const NodeRef> near,
+    std::span<const std::string_view> contents, std::vector<NodeRef>* refs) {
+  HM_RETURN_IF_ERROR(CheckPositional("CreateNodesMulti", attrs.size(),
+                                     {near.size(), contents.size()}));
+  refs->clear();
+  refs->reserve(attrs.size());
+  return RunFrames(CreateNodesFrames(attrs, near, contents, refs));
+}
+
+util::Status RemoteStore::AddChildrenMulti(std::span<const NodeRef> parents,
+                                           std::span<const NodeRef> children) {
+  HM_RETURN_IF_ERROR(CheckPositional("AddChildrenMulti", parents.size(),
+                                     {children.size()}));
+  return RunFrames(AddChildrenFrames(parents, children));
+}
+
+util::Status RemoteStore::AddPartsMulti(std::span<const NodeRef> owners,
+                                        std::span<const NodeRef> parts) {
+  HM_RETURN_IF_ERROR(
+      CheckPositional("AddPartsMulti", owners.size(), {parts.size()}));
+  return RunFrames(AddPartsFrames(owners, parts));
+}
+
+util::Status RemoteStore::AddRefsMulti(std::span<const NodeRef> from,
+                                       std::span<const NodeRef> to,
+                                       std::span<const int64_t> offset_from,
+                                       std::span<const int64_t> offset_to) {
+  HM_RETURN_IF_ERROR(
+      CheckPositional("AddRefsMulti", from.size(),
+                      {to.size(), offset_from.size(), offset_to.size()}));
+  return RunFrames(AddRefsFrames(from, to, offset_from, offset_to));
 }
 
 // --- TraversalCapable -------------------------------------------------

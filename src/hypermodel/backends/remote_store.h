@@ -105,9 +105,9 @@ Frame CallFrame(typename C::Reply* reply, const A&... args) {
 /// cost axis the in-process backends cannot measure.
 ///
 /// The client amortizes round trips two ways: fused multi-node opcodes
-/// (ChildrenMulti, PartsMulti, RefsToMulti, ChildrenAttrsMulti,
-/// GetAttrsMulti, SetAttrsMulti) and — as a TraversalCapable — pushing
-/// whole §6.6 closures to the server. RemoteMode picks the rung; every
+/// (the FrontierFetch reads and writes, the generator's load included)
+/// and — as a TraversalCapable — pushing whole §6.6 closures to the
+/// server. RemoteMode picks the rung; every
 /// rung runs the one traversal engine, so results are identical.
 /// Every call is a Post (send) and an Await (receive), so a fleet
 /// client can send to all its servers before it reads any reply.
@@ -222,10 +222,10 @@ class RemoteStore : public HyperStore,
 
   // --- FrontierFetch -------------------------------------------------
   // Each fetch is a sequence of fused-opcode frames, run one after
-  // another: one node per frame in kPerCall mode, kMultiChunk nodes per
-  // frame otherwise. SetAttrsMulti is not retry-safe: a
-  // transport failure mid-frame surfaces kUnavailable without
-  // re-sending, so some writes may have landed.
+  // another: one entry per frame in kPerCall mode, otherwise up to
+  // kMultiChunk entries and kMultiBytes of contents per frame. The
+  // writes are not retry-safe: a transport failure mid-frame surfaces
+  // kUnavailable without re-sending, so some writes may have landed.
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
                              RefLists* out) override;
   util::Status PartsMulti(std::span<const NodeRef> nodes,
@@ -239,11 +239,23 @@ class RemoteStore : public HyperStore,
                              std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::span<const int64_t> values) override;
+  util::Status CreateNodesMulti(std::span<const NodeAttrs> attrs,
+                                std::span<const NodeRef> near,
+                                std::span<const std::string_view> contents,
+                                std::vector<NodeRef>* refs) override;
+  util::Status AddChildrenMulti(std::span<const NodeRef> parents,
+                                std::span<const NodeRef> children) override;
+  util::Status AddPartsMulti(std::span<const NodeRef> owners,
+                             std::span<const NodeRef> parts) override;
+  util::Status AddRefsMulti(std::span<const NodeRef> from,
+                            std::span<const NodeRef> to,
+                            std::span<const int64_t> offset_from,
+                            std::span<const int64_t> offset_to) override;
 
-  /// The frames of the fetches above. Each frame's decoder appends to
-  /// the output, so running them in order yields the fetch's
-  /// positional result. SetAttrsFrames requires nodes.size() ==
-  /// values.size().
+  /// The frames of the fetches and writes above. Each frame's decoder
+  /// appends to the output, so running them in order yields the call's
+  /// positional result. Every span must hold one entry per node or
+  /// edge (CheckPositional).
   Frames ChildrenFrames(std::span<const NodeRef> nodes, RefLists* out);
   Frames PartsFrames(std::span<const NodeRef> nodes, RefLists* out);
   Frames RefsToFrames(std::span<const NodeRef> nodes, EdgeLists* out);
@@ -253,6 +265,18 @@ class RemoteStore : public HyperStore,
                         std::vector<int64_t>* values);
   Frames SetAttrsFrames(std::span<const NodeRef> nodes, Attr attr,
                         std::span<const int64_t> values);
+  Frames CreateNodesFrames(std::span<const NodeAttrs> attrs,
+                           std::span<const NodeRef> near,
+                           std::span<const std::string_view> contents,
+                           std::vector<NodeRef>* refs);
+  Frames AddChildrenFrames(std::span<const NodeRef> parents,
+                           std::span<const NodeRef> children);
+  Frames AddPartsFrames(std::span<const NodeRef> owners,
+                        std::span<const NodeRef> parts);
+  Frames AddRefsFrames(std::span<const NodeRef> from,
+                       std::span<const NodeRef> to,
+                       std::span<const int64_t> offset_from,
+                       std::span<const int64_t> offset_to);
 
   // --- Replication ----------------------------------------------------
   /// Opens (or resumes, when `resume_seq` > 0) a WAL subscription as
@@ -360,11 +384,11 @@ class RemoteStore : public HyperStore,
   /// a Result.
   template <typename C, typename... A>
   auto Invoke(const A&... args);
-  /// Frames of the fused multi-node `C(args...)` over `count` nodes,
-  /// kMultiChunk nodes each (one in kPerCall mode): a span argument
-  /// holds one value per node and is cut to the frame's nodes. Each
-  /// reply must append one entry per node to `*out` (null for an empty
-  /// reply).
+  /// Frames of the fused multi-node `C(args...)` over `count` entries:
+  /// up to kMultiChunk entries and kMultiBytes of contents each (one
+  /// entry in kPerCall mode). A span argument holds one value per entry
+  /// and is cut to the frame's entries. Each reply must append one
+  /// value per entry to `*out` (null for an empty reply).
   template <typename C, typename... A>
   Frames FusedFrames(typename C::Reply* out, size_t count,
                      const A&... args);

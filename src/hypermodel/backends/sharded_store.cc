@@ -20,6 +20,16 @@ const util::Status& StatusOf(const util::Result<T>& result) {
   return result.status();
 }
 
+/// in[i] for each i of `picks`, in order: one shard's slice of a fused
+/// write's positional input.
+template <typename T>
+std::vector<T> Pick(std::span<const T> in, std::span<const size_t> picks) {
+  std::vector<T> out;
+  out.reserve(picks.size());
+  for (size_t i : picks) out.push_back(in[i]);
+  return out;
+}
+
 /// Fresh shard-k-of-n backend for the loopback fleet (also its
 /// kReset rebuild path).
 util::Result<std::unique_ptr<HyperStore>> MakeLoopbackShard(
@@ -198,18 +208,25 @@ util::Status ShardedStore::CloseReopen() {
   return Broadcast<calls::CloseReopen>();
 }
 
+util::Status ShardedStore::PlaceOf(const NodeAttrs& attrs, NodeRef near,
+                                   size_t* shard) const {
+  if (near == kInvalidNode) {
+    *shard = 0;  // the root (and rootless creations) anchor shard 0
+    return util::Status::Ok();
+  }
+  if (near == root_) {
+    // Children of the root are the top-level subtrees — the placement
+    // unit. Spread them by uniqueId so the fleet shares the load.
+    *shard = static_cast<uint64_t>(attrs.unique_id) % shards_.size();
+    return util::Status::Ok();
+  }
+  return OwnerOf(near, shard);
+}
+
 util::Result<NodeRef> ShardedStore::CreateNode(const NodeAttrs& attrs,
                                                NodeRef near) {
   size_t target = 0;
-  if (near == kInvalidNode) {
-    target = 0;  // the root (and rootless creations) anchor shard 0
-  } else if (near == root_) {
-    // Children of the root are the top-level subtrees — the placement
-    // unit. Spread them by uniqueId so the fleet shares the load.
-    target = static_cast<uint64_t>(attrs.unique_id) % shards_.size();
-  } else {
-    HM_RETURN_IF_ERROR(OwnerOf(near, &target));
-  }
+  HM_RETURN_IF_ERROR(PlaceOf(attrs, near, &target));
   HM_ASSIGN_OR_RETURN(NodeRef ref, At(target)->CreateNode(attrs, near));
   if (root_ == kInvalidNode) root_ = ref;
   return ref;
@@ -441,12 +458,12 @@ util::Status ShardedStore::SplitByOwner(std::span<const NodeRef> nodes,
   return util::Status::Ok();
 }
 
-template <typename Build>
-util::Status ShardedStore::Scatter(
-    const std::vector<std::vector<NodeRef>>& nodes, Build build) {
+template <typename T, typename Build>
+util::Status ShardedStore::Scatter(const std::vector<std::vector<T>>& items,
+                                   Build build) {
   std::vector<Frames> frames(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
-    if (!nodes[k].empty()) frames[k] = build(k, nodes[k]);
+    if (!items[k].empty()) frames[k] = build(k, std::span<const T>(items[k]));
   }
   return Rounds(&frames);
 }
@@ -521,10 +538,8 @@ util::Status ShardedStore::GetAttrsMulti(std::span<const NodeRef> nodes,
 util::Status ShardedStore::SetAttrsMulti(std::span<const NodeRef> nodes,
                                          Attr attr,
                                          std::span<const int64_t> values) {
-  if (nodes.size() != values.size()) {
-    return util::Status::InvalidArgument(
-        "SetAttrsMulti: nodes/values size mismatch");
-  }
+  HM_RETURN_IF_ERROR(
+      CheckPositional("SetAttrsMulti", nodes.size(), {values.size()}));
   Split split;
   HM_RETURN_IF_ERROR(SplitByOwner(nodes, &split));
   std::vector<std::vector<int64_t>> per(shards_.size());
@@ -534,6 +549,130 @@ util::Status ShardedStore::SetAttrsMulti(std::span<const NodeRef> nodes,
   return Scatter(split.nodes, [&](size_t k, std::span<const NodeRef> mine) {
     return shards_[k]->SetAttrsFrames(mine, attr, per[k]);
   });
+}
+
+// The load writes. Every ordered list a shard keeps — children, parts,
+// partOf, refsTo, refsFrom — receives its entries in input order, as
+// the serial calls give them. The rounds are not atomic: a failure
+// leaves a prefix of each shard's entries written and, on a cross-shard
+// edge, possibly one half (DESIGN.md §14).
+
+util::Status ShardedStore::CreateNodesMulti(
+    std::span<const NodeAttrs> attrs, std::span<const NodeRef> near,
+    std::span<const std::string_view> contents, std::vector<NodeRef>* refs) {
+  HM_RETURN_IF_ERROR(CheckPositional("CreateNodesMulti", attrs.size(),
+                                     {near.size(), contents.size()}));
+  std::vector<std::vector<size_t>> picks(shards_.size());
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    size_t k = 0;
+    HM_RETURN_IF_ERROR(PlaceOf(attrs[i], near[i], &k));
+    picks[k].push_back(i);
+  }
+  std::vector<std::vector<NodeRef>> refs_of(shards_.size());
+  HM_RETURN_IF_ERROR(
+      Scatter(picks, [&](size_t k, std::span<const size_t> mine) {
+        return shards_[k]->CreateNodesFrames(
+            Pick(attrs, mine), Pick(near, mine), Pick(contents, mine),
+            &refs_of[k]);
+      }));
+  refs->assign(attrs.size(), kInvalidNode);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    for (size_t j = 0; j < picks[k].size(); ++j) {
+      (*refs)[picks[k][j]] = refs_of[k][j];
+    }
+  }
+  if (root_ == kInvalidNode && !refs->empty()) root_ = refs->front();
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::SplitEdges(std::span<const NodeRef> a,
+                                      std::span<const NodeRef> b,
+                                      std::vector<std::vector<size_t>>* picks,
+                                      uint64_t* cross) const {
+  picks->assign(shards_.size(), {});
+  *cross = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    size_t ak = 0;
+    size_t bk = 0;
+    HM_RETURN_IF_ERROR(OwnerOf(a[i], &ak));
+    HM_RETURN_IF_ERROR(OwnerOf(b[i], &bk));
+    (*picks)[ak].push_back(i);
+    if (bk != ak) {
+      (*picks)[bk].push_back(i);
+      ++*cross;
+    }
+  }
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::AddChildrenMulti(std::span<const NodeRef> parents,
+                                            std::span<const NodeRef> children) {
+  HM_RETURN_IF_ERROR(CheckPositional("AddChildrenMulti", parents.size(),
+                                     {children.size()}));
+  // Round 1 goes to the child's shard first, as in AddChild: it holds
+  // the real child node, so its single-parent check is the
+  // authoritative one. Round 2 is every parent-side call. A shard's
+  // children lists fill in round 2 alone, in input order; round 1 only
+  // sets parents.
+  std::vector<std::vector<size_t>> child_side(shards_.size());
+  std::vector<std::vector<size_t>> parent_side(shards_.size());
+  uint64_t cross = 0;
+  for (size_t i = 0; i < parents.size(); ++i) {
+    size_t pk = 0;
+    size_t ck = 0;
+    HM_RETURN_IF_ERROR(OwnerOf(parents[i], &pk));
+    HM_RETURN_IF_ERROR(OwnerOf(children[i], &ck));
+    if (ck != pk) {
+      child_side[ck].push_back(i);
+      ++cross;
+    }
+    parent_side[pk].push_back(i);
+  }
+  for (const auto* round : {&child_side, &parent_side}) {
+    HM_RETURN_IF_ERROR(
+        Scatter(*round, [&](size_t k, std::span<const size_t> mine) {
+          return shards_[k]->AddChildrenFrames(Pick(parents, mine),
+                                               Pick(children, mine));
+        }));
+  }
+  cross_edges_->Add(cross);
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::AddPartsMulti(std::span<const NodeRef> owners,
+                                         std::span<const NodeRef> parts) {
+  HM_RETURN_IF_ERROR(
+      CheckPositional("AddPartsMulti", owners.size(), {parts.size()}));
+  std::vector<std::vector<size_t>> picks;
+  uint64_t cross = 0;
+  HM_RETURN_IF_ERROR(SplitEdges(owners, parts, &picks, &cross));
+  HM_RETURN_IF_ERROR(
+      Scatter(picks, [&](size_t k, std::span<const size_t> mine) {
+        return shards_[k]->AddPartsFrames(Pick(owners, mine),
+                                          Pick(parts, mine));
+      }));
+  cross_edges_->Add(cross);
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::AddRefsMulti(std::span<const NodeRef> from,
+                                        std::span<const NodeRef> to,
+                                        std::span<const int64_t> offset_from,
+                                        std::span<const int64_t> offset_to) {
+  HM_RETURN_IF_ERROR(
+      CheckPositional("AddRefsMulti", from.size(),
+                      {to.size(), offset_from.size(), offset_to.size()}));
+  std::vector<std::vector<size_t>> picks;
+  uint64_t cross = 0;
+  HM_RETURN_IF_ERROR(SplitEdges(from, to, &picks, &cross));
+  HM_RETURN_IF_ERROR(
+      Scatter(picks, [&](size_t k, std::span<const size_t> mine) {
+        return shards_[k]->AddRefsFrames(
+            Pick(from, mine), Pick(to, mine), Pick(offset_from, mine),
+            Pick(offset_to, mine));
+      }));
+  cross_edges_->Add(cross);
+  return util::Status::Ok();
 }
 
 // --- TraversalCapable ------------------------------------------------

@@ -27,7 +27,10 @@ namespace hm::backends {
 /// travel as shard-qualified refs (cluster/shard_map.h) and are
 /// double-written, one side per endpoint shard, with no distributed
 /// transaction (a mid-pair transport failure surfaces kUnavailable
-/// and may leave the pair half-written).
+/// and may leave the pair half-written). The generator's fused load
+/// writes go the same way, split by owner and sent in rounds, so a
+/// level of nodes or an edge phase costs a few rounds, not a round
+/// trip per item.
 ///
 /// Reads route by the ref's shard byte. Whatever goes to more than one
 /// shard goes in rounds: each round sends one request to every shard
@@ -135,6 +138,26 @@ class ShardedStore : public HyperStore,
                              std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::span<const int64_t> values) override;
+  /// Each node goes to the shard CreateNode would place it on; refs come
+  /// back in input order.
+  util::Status CreateNodesMulti(std::span<const NodeAttrs> attrs,
+                                std::span<const NodeRef> near,
+                                std::span<const std::string_view> contents,
+                                std::vector<NodeRef>* refs) override;
+  /// Two rounds, like AddChild's two writes: the child-side halves of
+  /// the cross-shard edges, then — only if they all landed — every
+  /// parent-side call in input order.
+  util::Status AddChildrenMulti(std::span<const NodeRef> parents,
+                                std::span<const NodeRef> children) override;
+  /// One round: each shard receives every edge that touches it, in
+  /// input order, so its parts, partOf, refsTo and refsFrom lists come
+  /// out as a serial build leaves them.
+  util::Status AddPartsMulti(std::span<const NodeRef> owners,
+                             std::span<const NodeRef> parts) override;
+  util::Status AddRefsMulti(std::span<const NodeRef> from,
+                            std::span<const NodeRef> to,
+                            std::span<const int64_t> offset_from,
+                            std::span<const int64_t> offset_to) override;
 
   // --- TraversalCapable ----------------------------------------------
   util::Status BulkGetAttr(std::span<const NodeRef> nodes, Attr attr,
@@ -161,6 +184,9 @@ class ShardedStore : public HyperStore,
   RemoteStore* At(size_t k);
   /// Validates the ref's shard byte against the fleet size.
   util::Status OwnerOf(NodeRef node, size_t* shard) const;
+  /// The shard a node created from `attrs` near `near` lands on.
+  util::Status PlaceOf(const NodeAttrs& attrs, NodeRef near,
+                       size_t* shard) const;
 
   /// One fan-out round: FanOut of frames[k] to shard k (null: not in
   /// this round), so every request is sent before any reply is read,
@@ -193,10 +219,11 @@ class ShardedStore : public HyperStore,
   util::Status SplitByOwner(std::span<const NodeRef> nodes,
                             Split* split) const;
   /// The fan-out behind every FrontierFetch method and the scan merge:
-  /// build(k, nodes[k]) makes the frames of each non-empty slice, which
-  /// then run in Rounds — one round per frame, usually one per fetch.
-  template <typename Build>
-  util::Status Scatter(const std::vector<std::vector<NodeRef>>& nodes,
+  /// build(k, items[k]) makes the frames of each non-empty slice (nodes,
+  /// or input positions), which then run in Rounds — one round per
+  /// frame, usually one per call.
+  template <typename T, typename Build>
+  util::Status Scatter(const std::vector<std::vector<T>>& items,
                        Build build);
   /// Scatter for the list fetches, merging the per-shard lists back
   /// into input order.
@@ -204,6 +231,13 @@ class ShardedStore : public HyperStore,
   util::Status GatherLists(
       std::span<const NodeRef> nodes, FlatLists<T>* out,
       Frames (RemoteStore::*make)(std::span<const NodeRef>, FlatLists<T>*));
+  /// Input positions by shard for a fused edge write: (*picks)[k] lists,
+  /// in input order, every edge (a[i], b[i]) with an endpoint on shard
+  /// k — once when both are. Counts the cross-shard edges into `*cross`.
+  util::Status SplitEdges(std::span<const NodeRef> a,
+                          std::span<const NodeRef> b,
+                          std::vector<std::vector<size_t>>* picks,
+                          uint64_t* cross) const;
   /// One shard-merged index scan (shared by RangeHundred/Million).
   util::Status FanRange(bool hundred, int64_t lo, int64_t hi,
                         std::vector<NodeRef>* out);

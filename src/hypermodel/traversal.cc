@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -76,15 +77,82 @@ util::Status StoreFetch::GetAttrsMulti(std::span<const NodeRef> nodes,
   return util::Status::Ok();
 }
 
+util::Status CheckPositional(std::string_view method, size_t n,
+                             std::initializer_list<size_t> sizes) {
+  for (size_t size : sizes) {
+    if (size != n) {
+      return util::Status::InvalidArgument(std::string(method) +
+                                           ": input spans differ in size");
+    }
+  }
+  return util::Status::Ok();
+}
+
 util::Status StoreFetch::SetAttrsMulti(std::span<const NodeRef> nodes,
                                        Attr attr,
                                        std::span<const int64_t> values) {
-  if (nodes.size() != values.size()) {
-    return util::Status::InvalidArgument(
-        "SetAttrsMulti: nodes/values size mismatch");
-  }
+  HM_RETURN_IF_ERROR(
+      CheckPositional("SetAttrsMulti", nodes.size(), {values.size()}));
   for (size_t i = 0; i < nodes.size(); ++i) {
     HM_RETURN_IF_ERROR(store_->SetAttr(nodes[i], attr, values[i]));
+  }
+  return util::Status::Ok();
+}
+
+util::Status StoreFetch::CreateNodesMulti(
+    std::span<const NodeAttrs> attrs, std::span<const NodeRef> near,
+    std::span<const std::string_view> contents, std::vector<NodeRef>* refs) {
+  HM_RETURN_IF_ERROR(CheckPositional("CreateNodesMulti", attrs.size(),
+                                     {near.size(), contents.size()}));
+  refs->clear();
+  refs->reserve(attrs.size());
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    HM_ASSIGN_OR_RETURN(NodeRef node, store_->CreateNode(attrs[i], near[i]));
+    refs->push_back(node);
+    if (contents[i].empty()) continue;
+    if (attrs[i].kind == NodeKind::kText) {
+      HM_RETURN_IF_ERROR(store_->SetText(node, contents[i]));
+    } else if (attrs[i].kind == NodeKind::kForm) {
+      HM_ASSIGN_OR_RETURN(util::Bitmap form,
+                          util::Bitmap::Deserialize(contents[i]));
+      HM_RETURN_IF_ERROR(store_->SetForm(node, form));
+    } else {
+      HM_RETURN_IF_ERROR(store_->SetContents(node, contents[i]));
+    }
+  }
+  return util::Status::Ok();
+}
+
+util::Status StoreFetch::AddChildrenMulti(std::span<const NodeRef> parents,
+                                          std::span<const NodeRef> children) {
+  HM_RETURN_IF_ERROR(CheckPositional("AddChildrenMulti", parents.size(),
+                                     {children.size()}));
+  for (size_t i = 0; i < parents.size(); ++i) {
+    HM_RETURN_IF_ERROR(store_->AddChild(parents[i], children[i]));
+  }
+  return util::Status::Ok();
+}
+
+util::Status StoreFetch::AddPartsMulti(std::span<const NodeRef> owners,
+                                       std::span<const NodeRef> parts) {
+  HM_RETURN_IF_ERROR(
+      CheckPositional("AddPartsMulti", owners.size(), {parts.size()}));
+  for (size_t i = 0; i < owners.size(); ++i) {
+    HM_RETURN_IF_ERROR(store_->AddPart(owners[i], parts[i]));
+  }
+  return util::Status::Ok();
+}
+
+util::Status StoreFetch::AddRefsMulti(std::span<const NodeRef> from,
+                                      std::span<const NodeRef> to,
+                                      std::span<const int64_t> offset_from,
+                                      std::span<const int64_t> offset_to) {
+  HM_RETURN_IF_ERROR(
+      CheckPositional("AddRefsMulti", from.size(),
+                      {to.size(), offset_from.size(), offset_to.size()}));
+  for (size_t i = 0; i < from.size(); ++i) {
+    HM_RETURN_IF_ERROR(
+        store_->AddRef(from[i], to[i], offset_from[i], offset_to[i]));
   }
   return util::Status::Ok();
 }

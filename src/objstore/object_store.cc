@@ -452,19 +452,25 @@ util::Result<uint64_t> ObjectStore::CommitAsync(Transaction* txn) {
   {
     util::MutexLock lock(write_mu_);
     if (txn->logged_) {
-      HM_ASSIGN_OR_RETURN(uint64_t lsn,
-                          wal_.Append(WalRecordType::kCommit, txn->id_, ""));
-      (void)lsn;
+      util::Result<uint64_t> lsn =
+          wal_.Append(WalRecordType::kCommit, txn->id_, "");
+      if (!lsn.ok()) {
+        // A failed append wrote nothing, so recovery would find no
+        // commit record and undo the transaction. Do the same now, and
+        // end it: left active, it would pin every later checkpoint.
+        util::Status undone = UndoLocked(txn);
+        EndLocked(txn);
+        stats_.aborts.fetch_add(1, std::memory_order_relaxed);
+        // A rollback that failed too is the graver of the two errors.
+        return undone.ok() ? lsn.status() : undone;
+      }
     }
     // Enrolling under write_mu_ keeps ticket order consistent with
     // append order, so a ticket's sync always covers its records.
     ticket = group_commit_.Enroll();
-    active_txns_.erase(txn->id_);
-    if (active_txns_.empty()) quiesce_cv_.notify_all();
+    EndLocked(txn);
     stats_.commits.fetch_add(1, std::memory_order_relaxed);
   }
-  txn->active_ = false;
-  txn->undo_.clear();
   MaybeNudgeCheckpointer();
   return ticket;
 }
@@ -478,6 +484,20 @@ util::Status ObjectStore::Abort(Transaction* txn) {
     return util::Status::InvalidArgument("transaction not active");
   }
   util::MutexLock lock(write_mu_);
+  HM_RETURN_IF_ERROR(UndoLocked(txn));
+  util::Status logged = util::Status::Ok();
+  if (txn->logged_) {
+    logged = wal_.Append(WalRecordType::kAbort, txn->id_, "").status();
+  }
+  // The pages are restored either way, and a log with no kAbort still
+  // reads as a loser on recovery, so the transaction ends even when its
+  // abort record did not land.
+  EndLocked(txn);
+  stats_.aborts.fetch_add(1, std::memory_order_relaxed);
+  return logged;
+}
+
+util::Status ObjectStore::UndoLocked(Transaction* txn) {
   // Undo in reverse order using the retained pre-images.
   for (auto it = txn->undo_.rbegin(); it != txn->undo_.rend(); ++it) {
     switch (it->kind) {
@@ -501,17 +521,14 @@ util::Status ObjectStore::Abort(Transaction* txn) {
       }
     }
   }
-  if (txn->logged_) {
-    HM_ASSIGN_OR_RETURN(uint64_t lsn,
-                        wal_.Append(WalRecordType::kAbort, txn->id_, ""));
-    (void)lsn;
-  }
+  return util::Status::Ok();
+}
+
+void ObjectStore::EndLocked(Transaction* txn) {
   active_txns_.erase(txn->id_);
   if (active_txns_.empty()) quiesce_cv_.notify_all();
   txn->active_ = false;
   txn->undo_.clear();
-  stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-  return util::Status::Ok();
 }
 
 util::Result<ObjectStore::DirEntry> ObjectStore::DirGet(Oid oid) const {

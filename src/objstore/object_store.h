@@ -158,7 +158,10 @@ class ObjectStore {
 
   /// Appends `txn`'s commit record, ends the transaction and enrolls
   /// it with the group-commit coordinator, returning the ticket to
-  /// pass to WaitCommitDurable(). An error here leaves `txn` active.
+  /// pass to WaitCommitDurable(). If the commit record cannot be
+  /// appended, no byte of it reached the log, so the transaction is a
+  /// loser: it is rolled back as Abort would and ended, and the append
+  /// error returned. Either way `txn` is no longer active.
   /// The caller may release its own serialization before waiting —
   /// that overlap is where fsync amortization comes from.
   util::Result<uint64_t> CommitAsync(Transaction* txn);
@@ -313,6 +316,12 @@ class ObjectStore {
   /// Nudges the background checkpointer when the WAL has outgrown the
   /// configured threshold.
   void MaybeNudgeCheckpointer();
+  /// Undoes `txn`'s writes in reverse order from the retained
+  /// pre-images: Abort's rollback, and a failed commit's.
+  util::Status UndoLocked(Transaction* txn) HM_REQUIRES(write_mu_);
+  /// Ends `txn`: it leaves the active set (so it no longer holds back
+  /// checkpoints) and becomes inactive.
+  void EndLocked(Transaction* txn) HM_REQUIRES(write_mu_);
 
   util::Result<Oid> CreateLocked(Transaction* txn, std::string_view data,
                                  Oid near) HM_REQUIRES(write_mu_);

@@ -52,8 +52,10 @@ namespace hm::server {
 /// (DESIGN.md §16); v7 the exact-version Hello and kVersionMismatch;
 /// v8 the fused kPartsMulti / kRefsToMulti / kSetAttrsMulti, the
 /// retirement of kBatch, and status code 17 (kFailedPrecondition),
-/// which shipped earlier without a bump; v9 kChildrenAttrsMulti.
-inline constexpr uint8_t kWireVersion = 9;
+/// which shipped earlier without a bump; v9 kChildrenAttrsMulti; v10
+/// the fused load writes kCreateNodesMulti, kAddChildrenMulti,
+/// kAddPartsMulti and kAddRefsMulti.
+inline constexpr uint8_t kWireVersion = 10;
 
 /// Bytes before the payload: fixed32 length + fixed32 masked CRC.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -151,6 +153,14 @@ enum class OpCode : uint8_t {
   // ---- v9: fused kChildrenAttrsMulti, each node's children list with
   // one attribute: the 1-N engine's one fetch per tier.
   kChildrenAttrsMulti = 51,
+
+  // ---- v10: the fused load writes of the §5.2 generator, one entry per
+  // node or edge: a whole level of nodes with their contents, or a whole
+  // edge phase, per frame.
+  kCreateNodesMulti = 52,
+  kAddChildrenMulti = 53,
+  kAddPartsMulti = 54,
+  kAddRefsMulti = 55,
 };
 
 /// The one class each opcode declares in the call table

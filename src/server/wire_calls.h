@@ -296,6 +296,19 @@ struct Codec<NodeBatch> : ListCodec<NodeRef, kMaxBatchEntries> {};
 template <>
 struct Codec<std::vector<int64_t>> : ListCodec<int64_t, kMaxBatchEntries> {};
 
+/// The attributes of a kCreateNodesMulti request, one per node: varint
+/// n <= kMaxBatchEntries, then n attribute records.
+template <>
+struct Codec<std::vector<NodeAttrs>>
+    : ListCodec<NodeAttrs, kMaxBatchEntries> {};
+
+/// The contents of a kCreateNodesMulti request, one per node: varint
+/// n <= kMaxBatchEntries, then n length-prefixed byte strings, decoded
+/// as views into the body.
+template <>
+struct Codec<std::vector<std::string_view>>
+    : ListCodec<std::string_view, kMaxBatchEntries> {};
+
 /// One list per node of a multi-node request: varint n <=
 /// kMaxBatchEntries, then n lists. `Get` appends n lists.
 template <typename T>
@@ -607,6 +620,22 @@ using SetAttrsMulti = Call<kSetAttrsMulti, "set_attrs_multi", kWrite, Empty,
 // The 1-N engine's tier fetch (v9): node i's children and attribute.
 using ChildrenAttrsMulti = Call<kChildrenAttrsMulti, "children_attrs_multi",
                                 kRead, ListsAndValues, Attr, NodeBatch>;
+// The generator's fused load writes (v10), entry i of every list
+// belonging together. attrs, near, contents -> one new node per entry.
+using CreateNodesMulti =
+    Call<kCreateNodesMulti, "create_nodes_multi", kWrite, NodeBatch,
+         std::vector<NodeAttrs>, NodeBatch, std::vector<std::string_view>>;
+// parents, children.
+using AddChildrenMulti = Call<kAddChildrenMulti, "add_children_multi",
+                              kWrite, Empty, NodeBatch, NodeBatch>;
+// owners, parts.
+using AddPartsMulti =
+    Call<kAddPartsMulti, "add_parts_multi", kWrite, Empty, NodeBatch,
+         NodeBatch>;
+// from, to, offset_from, offset_to.
+using AddRefsMulti =
+    Call<kAddRefsMulti, "add_refs_multi", kWrite, Empty, NodeBatch, NodeBatch,
+         std::vector<int64_t>, std::vector<int64_t>>;
 
 using Table = CallTable<
     Hello, Reset, Begin, Commit, Abort, CloseReopen, CreateNode, SetText,
@@ -617,7 +646,8 @@ using Table = CallTable<
     ClosureMNAtt, Closure1NAttSum, Closure1NAttSet, Closure1NPred,
     ClosureMNAttLinkSum, Stats, Ping, ShardInfo, ReplSubscribe, ReplSegment,
     ReplStatus, ReplPromote, ReplFence, PartsMulti, RefsToMulti,
-    SetAttrsMulti, ChildrenAttrsMulti>;
+    SetAttrsMulti, ChildrenAttrsMulti, CreateNodesMulti, AddChildrenMulti,
+    AddPartsMulti, AddRefsMulti>;
 
 }  // namespace calls
 

@@ -9,17 +9,21 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "analysis/fsck.h"
 #include "hypermodel/backends/net_store.h"
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/rel_store.h"
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
 #include "storage/commit_pipeline/segmented_wal.h"
+#include "telemetry/metrics.h"
 #include "util/coding.h"
+#include "util/failpoint.h"
 
 namespace hm::backends {
 namespace {
@@ -129,6 +133,75 @@ TEST_F(BackendDirTest, OodbAbortRollsBackAndKeepsIndexesConsistent) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], keeper);
   EXPECT_EQ(*(*store)->GetAttr(keeper, Attr::kHundred), 2);  // restored
+}
+
+// A commit whose commit record cannot be appended wrote no byte of it,
+// so the transaction is a loser: it is rolled back and ended. It must
+// not survive, before or after reopen, nor stay registered as active,
+// where it would pin every later checkpoint's recovery start and make
+// every fuzzy checkpoint give up.
+TEST_F(BackendDirTest, OodbFailedCommitAppendRollsBackAndEnds) {
+  if (!util::kFailpointsCompiled) {
+    GTEST_SKIP() << "failpoints compiled out of this build";
+  }
+  OodbOptions options;
+  options.wal_segment_bytes = 4 * 1024;
+  GeneratorConfig config;
+  config.levels = 2;
+  auto fsck_clean = [&](HyperStore* store) {
+    analysis::FsckOptions fsck;
+    fsck.config = config;
+    auto report = analysis::RunFsck(store, fsck);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << [&] {
+      std::ostringstream os;
+      report->PrintTo(os);
+      return os.str();
+    }();
+  };
+  constexpr int64_t kDoomed = 1000;
+  {
+    auto store = OodbStore::Open(options, dir_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto db = Generator(config).Build(store->get(), nullptr);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    objstore::ObjectStore* objects = (*store)->object_store();
+
+    const uint64_t failed_seq =
+        storage::SegmentedWal::LsnSegment(objects->wal()->NextLsn());
+    ASSERT_TRUE((*store)->Begin().ok());
+    auto doomed = (*store)->CreateNode(Attrs(kDoomed), db->root);
+    ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+    ASSERT_TRUE(
+        util::Failpoint::Enable("wal/append/error", "error,times=1").ok());
+    util::Status failed = (*store)->Commit();
+    util::Failpoint::DisableAll();
+    EXPECT_EQ(failed.code(), util::StatusCode::kIoError) << failed.ToString();
+    EXPECT_TRUE((*store)->LookupUnique(kDoomed).status().IsNotFound());
+    EXPECT_FALSE((*store)->GetAttr(*doomed, Attr::kTen).ok());
+
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE((*store)->Begin().ok());
+      ASSERT_TRUE((*store)
+                      ->SetAttr(db->all_nodes[static_cast<size_t>(i) %
+                                              db->all_nodes.size()],
+                                Attr::kTen, 1 + i % 10)
+                      .ok());
+      ASSERT_TRUE((*store)->Commit().ok());
+    }
+    ASSERT_TRUE(objects->Checkpoint().ok());
+    EXPECT_GT(objects->wal()->OldestSeq(), failed_seq);
+    telemetry::Counter* skipped =
+        telemetry::Registry::Global().GetCounter("storage.checkpoint.skipped");
+    const uint64_t skipped_before = skipped->value();
+    ASSERT_TRUE(objects->FuzzyCheckpoint().ok());
+    EXPECT_EQ(skipped->value(), skipped_before);
+    fsck_clean(store->get());
+  }
+  auto reopened = OodbStore::Open(options, dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE((*reopened)->LookupUnique(kDoomed).status().IsNotFound());
+  fsck_clean(reopened->get());
 }
 
 // ---------- OODB: garbage collection (R10) ----------

@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/shard_local_store.h"
@@ -431,6 +434,26 @@ class CountingFetch final : public FrontierFetch {
                              std::span<const int64_t> values) override {
     return inner_->SetAttrsMulti(nodes, attr, values);
   }
+  util::Status CreateNodesMulti(std::span<const NodeAttrs> attrs,
+                                std::span<const NodeRef> near,
+                                std::span<const std::string_view> contents,
+                                std::vector<NodeRef>* refs) override {
+    return inner_->CreateNodesMulti(attrs, near, contents, refs);
+  }
+  util::Status AddChildrenMulti(std::span<const NodeRef> parents,
+                                std::span<const NodeRef> children) override {
+    return inner_->AddChildrenMulti(parents, children);
+  }
+  util::Status AddPartsMulti(std::span<const NodeRef> owners,
+                             std::span<const NodeRef> parts) override {
+    return inner_->AddPartsMulti(owners, parts);
+  }
+  util::Status AddRefsMulti(std::span<const NodeRef> from,
+                            std::span<const NodeRef> to,
+                            std::span<const int64_t> offset_from,
+                            std::span<const int64_t> offset_to) override {
+    return inner_->AddRefsMulti(from, to, offset_from, offset_to);
+  }
 
   size_t parts_calls = 0;
 
@@ -681,6 +704,144 @@ TEST(ShardedStoreTest, EveryModeMatchesInProcessClosures) {
     EXPECT_EQ(got.visited, expected.visited);
     EXPECT_EQ(got.flipped, expected.flipped);
     EXPECT_EQ(got.sum_after_flip, expected.sum_after_flip);
+  }
+}
+
+/// Everything observable about one node, refs translated to uniqueIds.
+struct NodeImage {
+  std::vector<int64_t> attrs;  // the five attributes, then the kind
+  std::string contents;
+  std::vector<int64_t> children, parts, part_of;
+  std::vector<std::tuple<int64_t, int64_t, int64_t>> refs_to, refs_from;
+
+  bool operator==(const NodeImage&) const = default;
+};
+
+/// The image of every node of `db`, in creation order.
+std::vector<NodeImage> ImageOf(HyperStore* store, const TestDatabase& db) {
+  std::unordered_map<NodeRef, int64_t> uid;
+  for (NodeRef node : db.all_nodes) {
+    uid[node] = store->GetAttr(node, Attr::kUniqueId).ValueOr(-1);
+  }
+  auto uids = [&](const std::vector<NodeRef>& refs) {
+    std::vector<int64_t> out;
+    for (NodeRef ref : refs) out.push_back(uid.at(ref));
+    return out;
+  };
+  auto edges = [&](const std::vector<RefEdge>& list) {
+    std::vector<std::tuple<int64_t, int64_t, int64_t>> out;
+    for (const RefEdge& e : list) {
+      out.emplace_back(uid.at(e.node), e.offset_from, e.offset_to);
+    }
+    return out;
+  };
+  std::vector<NodeImage> images;
+  for (NodeRef node : db.all_nodes) {
+    NodeImage image;
+    for (Attr attr : {Attr::kUniqueId, Attr::kTen, Attr::kHundred,
+                      Attr::kThousand, Attr::kMillion}) {
+      image.attrs.push_back(store->GetAttr(node, attr).ValueOr(-1));
+    }
+    const NodeKind kind = store->GetKind(node).ValueOr(NodeKind::kDraw);
+    image.attrs.push_back(static_cast<int64_t>(kind));
+    if (kind == NodeKind::kText) {
+      image.contents = store->GetText(node).ValueOr("?");
+    } else if (kind == NodeKind::kForm) {
+      auto form = store->GetForm(node);
+      image.contents = form.ok() ? form->Serialize() : "?";
+    }
+    // Each list read into a fresh vector: the remote clients append.
+    auto refs = [&](auto read) {
+      std::vector<NodeRef> out;
+      EXPECT_TRUE((store->*read)(node, &out).ok());
+      return uids(out);
+    };
+    auto ref_edges = [&](auto read) {
+      std::vector<RefEdge> out;
+      EXPECT_TRUE((store->*read)(node, &out).ok());
+      return edges(out);
+    };
+    image.children = refs(&HyperStore::Children);
+    image.parts = refs(&HyperStore::Parts);
+    image.part_of = refs(&HyperStore::PartOf);
+    image.refs_to = ref_edges(&HyperStore::RefsTo);
+    image.refs_from = ref_edges(&HyperStore::RefsFrom);
+    images.push_back(std::move(image));
+  }
+  return images;
+}
+
+TEST(ShardedStoreTest, SetAtATimeLoadMatchesSerialBuildInEveryMode) {
+  // The generator loads a fleet with one fused write per level and per
+  // edge phase. Each shard must still receive its entries in input
+  // order: a naive "all owner halves, then all other halves" split
+  // would reorder partOf and refsFrom. So every node — attributes,
+  // contents and all five ordered lists — must match a serial MemStore
+  // build of the same seed, uid-translated, on 2 and 3 shards in every
+  // mode. The same builds pin the traffic.
+  GeneratorConfig config;
+  config.levels = 4;
+  backends::MemStore local;
+  auto db_local = Generator(config).Build(&local, nullptr);
+  ASSERT_TRUE(db_local.ok()) << db_local.status().ToString();
+  const std::vector<NodeImage> expected = ImageOf(&local, *db_local);
+  const uint64_t nodes = db_local->node_count();
+  const uint64_t edges = (nodes - 1) + 5 * db_local->internal_nodes.size() +
+                         nodes;  // children, parts, refs
+
+  for (uint32_t shards : {2u, 3u}) {
+    // Cross-shard edges of this placement, as the serial AddChild /
+    // AddPart / AddRef calls counted them.
+    const uint64_t cross_edges = shards == 2 ? 782 : 1001;
+    for (backends::RemoteMode mode :
+         {backends::RemoteMode::kPerCall, backends::RemoteMode::kBatched,
+          backends::RemoteMode::kPushdown}) {
+      const std::string mode_name(backends::RemoteModeName(mode));
+      SCOPED_TRACE(mode_name + " on " + std::to_string(shards) + " shards");
+      auto fleet = backends::ShardedStore::Loopback(shards, mode);
+      ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+      const telemetry::Snapshot before =
+          telemetry::Registry::Global().TakeSnapshot();
+      auto db = Generator(config).Build(fleet->get(), nullptr);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      const telemetry::Snapshot diff =
+          telemetry::Registry::Global().TakeSnapshot().DiffSince(before);
+
+      EXPECT_EQ(diff.counter("cluster.cross_shard_edges"), cross_edges);
+      const uint64_t roundtrips =
+          diff.counter("remote." + mode_name + ".roundtrips");
+      if (mode == backends::RemoteMode::kPerCall) {
+        // One entry per frame: a round trip per node, per edge half and
+        // per shard's Begin and Commit of the five phases. A serial
+        // build pays one more per leaf, whose contents now ride in its
+        // node's create entry (4549 on 2 shards, 4778 on 3).
+        EXPECT_EQ(roundtrips, nodes + edges + cross_edges + 10 * shards);
+      } else {
+        // Ten transaction calls, five node writes, two children rounds,
+        // one parts and one refs write per shard, at most.
+        for (uint32_t k = 0; k < shards; ++k) {
+          EXPECT_LE(diff.counter("cluster.shard" + std::to_string(k) +
+                                 ".rpcs"),
+                    19u)
+              << "shard " << k;
+        }
+        EXPECT_LE(roundtrips, 19u * shards);
+      }
+
+      const std::vector<NodeImage> got = ImageOf(fleet->get(), *db);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("node " + std::to_string(i));
+        EXPECT_EQ(got[i].attrs, expected[i].attrs);
+        EXPECT_EQ(got[i].contents, expected[i].contents);
+        EXPECT_EQ(got[i].children, expected[i].children);
+        EXPECT_EQ(got[i].parts, expected[i].parts);
+        EXPECT_EQ(got[i].part_of, expected[i].part_of);
+        EXPECT_EQ(got[i].refs_to, expected[i].refs_to);
+        EXPECT_EQ(got[i].refs_from, expected[i].refs_from);
+        if (got[i] != expected[i]) break;
+      }
+    }
   }
 }
 

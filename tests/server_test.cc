@@ -554,6 +554,18 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
                                     std::vector<int64_t>{7, 8, 9}),
       calls::ChildrenAttrsMulti::Request(Attr::kMillion,
                                          std::span<const NodeRef>(nodes)),
+      calls::CreateNodesMulti::Request(
+          std::vector<NodeAttrs>{MakeAttrs(1), MakeAttrs(2)},
+          std::vector<NodeRef>{0, 1},
+          std::vector<std::string_view>{"", "text"}),
+      calls::AddChildrenMulti::Request(std::span<const NodeRef>(nodes),
+                                       std::span<const NodeRef>(nodes)),
+      calls::AddPartsMulti::Request(std::span<const NodeRef>(nodes),
+                                    std::span<const NodeRef>(nodes)),
+      calls::AddRefsMulti::Request(std::span<const NodeRef>(nodes),
+                                   std::span<const NodeRef>(nodes),
+                                   std::vector<int64_t>{1, 2, 3},
+                                   std::vector<int64_t>{4, 5, 6}),
   };
   for (const std::string& payload : valid) {
     const std::string name(
@@ -599,6 +611,22 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
   expect_invalid(with_op(OpCode::kChildrenAttrsMulti, {5, 1, 1}), "attr 5");
   expect_invalid(with_op(OpCode::kChildrenAttrsMulti, {1, many}),
                  "many nodes");
+  expect_invalid(with_op(OpCode::kCreateNodesMulti, {1, 0, 0, 0, 0, 0, 4}),
+                 "kind 4");
+  expect_invalid(with_op(OpCode::kCreateNodesMulti, {many}), "many attrs");
+  expect_invalid(with_op(OpCode::kCreateNodesMulti, {0, many}),
+                 "many near");
+  expect_invalid(with_op(OpCode::kCreateNodesMulti, {0, 0, many}),
+                 "many contents");
+  for (OpCode op : {OpCode::kAddChildrenMulti, OpCode::kAddPartsMulti,
+                    OpCode::kAddRefsMulti}) {
+    expect_invalid(with_op(op, {many}), "many first endpoints");
+    expect_invalid(with_op(op, {0, many}), "many second endpoints");
+  }
+  expect_invalid(with_op(OpCode::kAddRefsMulti, {0, 0, many}),
+                 "many offsets_from");
+  expect_invalid(with_op(OpCode::kAddRefsMulti, {0, 0, 0, many}),
+                 "many offsets_to");
   ::close(fd);
 }
 
@@ -648,8 +676,8 @@ class SwitchableRole : public AcceptingRole {
 TEST(ServerTest, ReplicaRefusesFusedWritesAndServesFusedReads) {
   // The fused multi-node opcodes take their class from the call table
   // like any other: a replica serves kPartsMulti, kRefsToMulti and
-  // kChildrenAttrsMulti and refuses kSetAttrsMulti before anything is
-  // written.
+  // kChildrenAttrsMulti and refuses kSetAttrsMulti and the four load
+  // writes before anything is written.
   SwitchableRole role;
   server::ServerOptions options;
   options.replication = &role;
@@ -689,6 +717,35 @@ TEST(ServerTest, ReplicaRefusesFusedWritesAndServesFusedReads) {
   EXPECT_EQ(client->SetAttrsMulti(nodes, Attr::kTen, values).code(),
             util::StatusCode::kReadOnly);
   EXPECT_EQ(client->GetAttr(a, Attr::kTen).ValueOr(0), MakeAttrs(1).ten);
+  const NodeAttrs more[] = {MakeAttrs(3)};
+  const std::string_view no_contents[] = {""};
+  std::vector<NodeRef> created;
+  EXPECT_EQ(client->CreateNodesMulti(more, std::vector<NodeRef>{a},
+                                     no_contents, &created)
+                .code(),
+            util::StatusCode::kReadOnly);
+  EXPECT_TRUE(client->LookupUnique(3).status().IsNotFound());
+  EXPECT_EQ(client->AddChildrenMulti(std::vector<NodeRef>{a},
+                                     std::vector<NodeRef>{b})
+                .code(),
+            util::StatusCode::kReadOnly);
+  EXPECT_EQ(client->AddPartsMulti(std::vector<NodeRef>{b},
+                                  std::vector<NodeRef>{a})
+                .code(),
+            util::StatusCode::kReadOnly);
+  EXPECT_EQ(client->AddRefsMulti(std::vector<NodeRef>{b},
+                                 std::vector<NodeRef>{a},
+                                 std::vector<int64_t>{1},
+                                 std::vector<int64_t>{2})
+                .code(),
+            util::StatusCode::kReadOnly);
+  EXPECT_EQ(client->Parent(b).ValueOr(a), kInvalidNode);
+  std::vector<NodeRef> b_parts;
+  ASSERT_TRUE(client->Parts(b, &b_parts).ok());
+  EXPECT_TRUE(b_parts.empty());
+  std::vector<RefEdge> b_refs;
+  ASSERT_TRUE(client->RefsTo(b, &b_refs).ok());
+  EXPECT_TRUE(b_refs.empty());
 
   telemetry::Snapshot after;
   ASSERT_TRUE(client->ServerStats(&after).ok());
@@ -697,6 +754,11 @@ TEST(ServerTest, ReplicaRefusesFusedWritesAndServesFusedReads) {
   EXPECT_EQ(diff.counter("server.op.refs_to_multi.count"), 1u);
   EXPECT_EQ(diff.counter("server.op.children_attrs_multi.count"), 1u);
   EXPECT_EQ(diff.counter("server.op.set_attrs_multi.errors"), 1u);
+  for (const char* op : {"create_nodes_multi", "add_children_multi",
+                         "add_parts_multi", "add_refs_multi"}) {
+    EXPECT_EQ(diff.counter("server.op." + std::string(op) + ".errors"), 1u)
+        << op;
+  }
 }
 
 TEST(ServerTest, BatchedAttSetMarksStoreDirty) {

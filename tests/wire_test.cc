@@ -205,6 +205,8 @@ TEST(WireOpCodeTest, NameAndReadOnlyClassArePinnedForEveryByte) {
       "repl_subscribe", "repl_segment",   "repl_status",
       "repl_promote",   "repl_fence",     "parts_multi",
       "refs_to_multi",  "set_attrs_multi", "children_attrs_multi",
+      "create_nodes_multi",               "add_children_multi",
+      "add_parts_multi",                  "add_refs_multi",
   };
   constexpr uint8_t kReadOnly[] = {1,  13, 15, 16, 17, 19, 20, 21, 22, 23,
                                    24, 25, 26, 27, 28, 29, 31, 32, 33, 34,
@@ -302,13 +304,18 @@ TEST(WireBatchTest, FrameCrcCoversBatchContents) {
 // it back through every opcode, then drive the five replication opcodes
 // against a primary Coordinator. The constants were recorded from the
 // hand-written codecs that preceded the call table, the v8 steps (the
-// fused *_multi opcodes, the retired batch) when v8 added them, and the
-// v9 step (children_attrs_multi) and version bytes when v9 did;
-// changing one means the wire changed, which needs a kWireVersion bump.
+// fused *_multi opcodes, the retired batch) when v8 added them, the
+// v9 step (children_attrs_multi) and version bytes when v9 did, and the
+// v10 load steps and version bytes when v10 did; changing one means the
+// wire changed, which needs a kWireVersion bump.
 //
 // MemStore hands out refs 1..4 in creation order:
 //   1 --child--> 2 (text "hello"), 3 (form);  1 --part--> 4 --part--> 2;
 //   2 --ref(3,-4)--> 3 --ref(0,1)--> 4.
+// After the last reset the v10 load steps build, with one fused write
+// each, the nodes 1..3 of the same attributes and contents:
+//   1 --child--> 2, 3;  1 --part--> 3 --part--> 2;
+//   2 --ref(3,-4)--> 3 --ref(0,1)--> 1.
 struct GoldenStep {
   const char* name;
   const char* request;
@@ -317,7 +324,7 @@ struct GoldenStep {
 };
 
 constexpr GoldenStep kGolden[] = {
-    {"hello", "01 09", "00 09030000006d656d"},
+    {"hello", "01 0a", "00 0a030000006d656d"},
     {"reset_clean", "02", "00"},
     {"begin", "03", "00"},
     {"create_node_1", "07 02 02 14 c801 d00f 00 00", "00 01"},
@@ -380,7 +387,7 @@ constexpr GoldenStep kGolden[] = {
      "09 390000006d656d206261636b656e6420686173206e6f207472616e73616374696f6"
      "e20726f6c6c6261636b2028696d6167652073656d616e7469637329"},
     {"close_reopen", "06", "00"},
-    {"repl_subscribe", "2b 09 09 00", "00 01998080802002"},
+    {"repl_subscribe", "2b 0a 09 00", "00 01998080802002"},
     {"repl_segment", "2c 02 00 10",
      "00 001910000000110000006919f84d0500000000000000"},
     {"repl_status_ack", "2d 09 05", "00 01019980808020"},
@@ -388,6 +395,19 @@ constexpr GoldenStep kGolden[] = {
     {"repl_promote", "2e 01", "00 01"},
     {"repl_fence", "2f 01", "00 01"},
     {"reset_dirty", "02", "00"},
+    {"begin_load", "03", "00"},
+    {"create_nodes_multi",
+     "34 03 02 02 14 c801 d00f 00  04 04 28 9003 a01f 01  06 06 3c d804 f02e 02"
+     "   03 00 01 01"
+     "   03 00000000 05000000 68656c6c6f"
+     "      18000000 040000000200000001000000000000000800000000000000",
+     "00 03 01 02 03"},
+    {"add_children_multi", "35 02 01 01 02 02 03", "00"},
+    {"add_parts_multi", "36 02 01 03 02 03 02", "00"},
+    {"add_refs_multi", "37 02 02 03 02 03 01 02 06 00 02 07 02", "00"},
+    {"commit_load", "04", "00"},
+    {"children_loaded", "17 01", "00 020203"},
+    {"refs_from_loaded", "1c 01", "00 01030002"},
 };
 
 std::string Unhex(std::string_view hex) {
@@ -708,6 +728,32 @@ TEST(WireGoldenClientTest, RemoteStoreSendsAndDecodesRecordedBytes) {
   EXPECT_TRUE(store.ReplFence(1, &epoch).ok());
   EXPECT_EQ(epoch, 1u);
   EXPECT_TRUE(store.ResetServer().ok());
+
+  EXPECT_TRUE(store.Begin().ok());
+  const NodeAttrs load_attrs[] = {attrs(1, NodeKind::kInternal),
+                                  attrs(2, NodeKind::kText),
+                                  attrs(3, NodeKind::kForm)};
+  const std::string form_bytes = form.Serialize();
+  const std::string_view contents[] = {"", "hello", form_bytes};
+  Refs created;
+  EXPECT_TRUE(
+      store.CreateNodesMulti(load_attrs, Refs{0, 1, 1}, contents, &created)
+          .ok());
+  EXPECT_EQ(created, (Refs{1, 2, 3}));
+  EXPECT_TRUE(store.AddChildrenMulti(Refs{1, 1}, Refs{2, 3}).ok());
+  EXPECT_TRUE(store.AddPartsMulti(Refs{1, 3}, Refs{3, 2}).ok());
+  const std::vector<int64_t> offsets_from{3, 0};
+  const std::vector<int64_t> offsets_to{-4, 1};
+  EXPECT_TRUE(
+      store.AddRefsMulti(Refs{2, 3}, Refs{3, 1}, offsets_from, offsets_to)
+          .ok());
+  EXPECT_TRUE(store.Commit().ok());
+  refs.clear();
+  EXPECT_TRUE(store.Children(1, &refs).ok());
+  EXPECT_EQ(refs, (Refs{2, 3}));
+  edges.clear();
+  EXPECT_TRUE(store.RefsFrom(1, &edges).ok());
+  EXPECT_EQ(edge_key(edges), (EdgeKeys{{3, 0, 1}}));
 
   connected->reset();
   peer.join();
