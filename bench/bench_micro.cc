@@ -1,8 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): the primitive costs
 // underneath the paper tables — B+tree point ops, object store CRUD,
 // buffer-pool hit path, slotted-page ops, WAL appends, CRC32, bitmap
-// inversion — and the warm 1-N closures on `mem` and `oodb`. Useful for
-// attributing where the macro numbers come from.
+// inversion — the oodb §5.2 load, and the warm 1-N closures on `mem`
+// and `oodb`. Useful for attributing where the macro numbers come from.
 
 #include <benchmark/benchmark.h>
 
@@ -213,6 +213,53 @@ void BM_WalAppend(benchmark::State& state) {
   (void)wal.Close();
 }
 BENCHMARK(BM_WalAppend)->Arg(100)->Arg(1000);
+
+// ---------- §5.2 load ----------
+
+// One level-5 oodb build per iteration into a fresh directory, opening
+// and closing untimed. Without contents every record update belongs to
+// an edge phase, so `updates_per_rel` is the edge phases' record
+// updates per relationship; `wal_bytes_per_rel` is the whole build's
+// WAL bytes per relationship.
+void BM_LoadOodb(benchmark::State& state) {
+  hm::GeneratorConfig config;
+  config.levels = 5;
+  config.generate_contents = false;
+  const std::string dir = ScratchDir("load_oodb") + "/db";
+  uint64_t updates = 0;
+  uint64_t wal_bytes = 0;
+  uint64_t relationships = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    auto opened = hm::backends::OodbStore::Open({}, dir);
+    if (!opened.ok()) {
+      state.SkipWithError("could not open the store");
+      break;
+    }
+    hm::objstore::ObjectStore* objects = (*opened)->object_store();
+    const uint64_t wal_before = objects->wal()->SizeBytes();
+    hm::CreationTiming timing;
+    state.ResumeTiming();
+    auto db = hm::Generator(config).Build(opened->get(), &timing);
+    state.PauseTiming();
+    if (!db.ok()) {
+      state.SkipWithError("could not build the level-5 database");
+      break;
+    }
+    updates += objects->stats().objects_updated;
+    wal_bytes += objects->wal()->SizeBytes() - wal_before;
+    relationships += timing.rel_1n + timing.rel_mn + timing.rel_mnatt;
+    opened->reset();
+    state.ResumeTiming();
+  }
+  if (relationships == 0) return;
+  state.counters["updates_per_rel"] =
+      static_cast<double>(updates) / static_cast<double>(relationships);
+  state.counters["wal_bytes_per_rel"] =
+      static_cast<double>(wal_bytes) / static_cast<double>(relationships);
+}
+BENCHMARK(BM_LoadOodb)->Unit(benchmark::kMillisecond);
 
 // ---------- 1-N closures ----------
 
