@@ -221,6 +221,7 @@ util::Result<NodeRef> MemStore::LookupUnique(int64_t unique_id) {
 
 util::Status MemStore::RangeHundred(int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
+  out->clear();
   for (auto it = by_hundred_.lower_bound(lo);
        it != by_hundred_.end() && it->first <= hi; ++it) {
     out->insert(out->end(), it->second.begin(), it->second.end());
@@ -230,6 +231,7 @@ util::Status MemStore::RangeHundred(int64_t lo, int64_t hi,
 
 util::Status MemStore::RangeMillion(int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
+  out->clear();
   for (auto it = by_million_.lower_bound(lo);
        it != by_million_.end() && it->first <= hi; ++it) {
     out->insert(out->end(), it->second.begin(), it->second.end());

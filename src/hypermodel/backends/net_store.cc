@@ -588,6 +588,7 @@ util::Result<NodeRef> NetStore::LookupUnique(int64_t unique_id) {
 
 util::Status NetStore::RangeHundred(int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
+  out->clear();
   // No secondary index: the network model scans (R12's motivation).
   return ScanNodes([&](NodeRef ref, const NodeRecord& rec) {
     if (rec.hundred >= lo && rec.hundred <= hi) out->push_back(ref);
@@ -597,6 +598,7 @@ util::Status NetStore::RangeHundred(int64_t lo, int64_t hi,
 
 util::Status NetStore::RangeMillion(int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
+  out->clear();
   return ScanNodes([&](NodeRef ref, const NodeRecord& rec) {
     if (rec.million >= lo && rec.million <= hi) out->push_back(ref);
     return true;
@@ -604,6 +606,7 @@ util::Status NetStore::RangeMillion(int64_t lo, int64_t hi,
 }
 
 util::Status NetStore::Children(NodeRef node, std::vector<NodeRef>* out) {
+  out->clear();
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
   NodeRef current = rec.first_child;
   while (current != 0) {
@@ -620,6 +623,7 @@ util::Result<NodeRef> NetStore::Parent(NodeRef node) {
 }
 
 util::Status NetStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
+  out->clear();
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
   uint64_t current = rec.first_part;
   while (current != 0) {
@@ -631,6 +635,7 @@ util::Status NetStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
 }
 
 util::Status NetStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
+  out->clear();
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
   uint64_t current = rec.first_partof;
   while (current != 0) {
@@ -642,6 +647,7 @@ util::Status NetStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
 }
 
 util::Status NetStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
+  out->clear();
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
   uint64_t current = rec.first_refto;
   while (current != 0) {
@@ -653,6 +659,7 @@ util::Status NetStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
 }
 
 util::Status NetStore::RefsFrom(NodeRef node, std::vector<RefEdge>* out) {
+  out->clear();
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
   uint64_t current = rec.first_reffrom;
   while (current != 0) {

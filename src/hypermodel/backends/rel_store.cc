@@ -478,6 +478,7 @@ util::Result<NodeRef> RelStore::LookupUnique(int64_t unique_id) {
 
 util::Status RelStore::RangeHundred(int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
+  out->clear();
   // Index-only scan: the uid is the key's second component.
   return idx_node_hundred_->ScanRange(
       Key128{static_cast<uint64_t>(lo), 0},
@@ -490,6 +491,7 @@ util::Status RelStore::RangeHundred(int64_t lo, int64_t hi,
 
 util::Status RelStore::RangeMillion(int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
+  out->clear();
   return idx_node_million_->ScanRange(
       Key128{static_cast<uint64_t>(lo), 0},
       Key128{static_cast<uint64_t>(hi), ~0ULL},
@@ -500,6 +502,7 @@ util::Status RelStore::RangeMillion(int64_t lo, int64_t hi,
 }
 
 util::Status RelStore::Children(NodeRef node, std::vector<NodeRef>* out) {
+  out->clear();
   // seq is the key's second component, so index order is child order.
   std::vector<Rid> rids;
   HM_RETURN_IF_ERROR(idx_children_parent_->ScanRange(
@@ -525,6 +528,7 @@ util::Result<NodeRef> RelStore::Parent(NodeRef node) {
 }
 
 util::Status RelStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
+  out->clear();
   std::vector<Rid> rids;
   HM_RETURN_IF_ERROR(idx_parts_owner_->ScanRange(
       Key128{node, 0}, Key128{node, ~0ULL}, [&](Key128, uint64_t rid) {
@@ -539,6 +543,7 @@ util::Status RelStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
 }
 
 util::Status RelStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
+  out->clear();
   std::vector<Rid> rids;
   HM_RETURN_IF_ERROR(idx_parts_part_->ScanRange(
       Key128{node, 0}, Key128{node, ~0ULL}, [&](Key128, uint64_t rid) {
@@ -553,6 +558,7 @@ util::Status RelStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
 }
 
 util::Status RelStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
+  out->clear();
   std::vector<Rid> rids;
   HM_RETURN_IF_ERROR(idx_refs_from_->ScanRange(
       Key128{node, 0}, Key128{node, ~0ULL}, [&](Key128, uint64_t rid) {
@@ -568,6 +574,7 @@ util::Status RelStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
 }
 
 util::Status RelStore::RefsFrom(NodeRef node, std::vector<RefEdge>* out) {
+  out->clear();
   std::vector<Rid> rids;
   HM_RETURN_IF_ERROR(idx_refs_to_->ScanRange(
       Key128{node, 0}, Key128{node, ~0ULL}, [&](Key128, uint64_t rid) {

@@ -468,9 +468,16 @@ void FanOut(std::span<const std::unique_ptr<RemoteStore>> clients,
 template <typename C, typename... A>
 util::Status RemoteStore::InvokeInto(typename C::Reply* reply,
                                      const A&... args) {
+  // DecodeReply appends a list reply; the list reads replace *reply,
+  // and leave it empty when the call fails.
+  constexpr bool kList = requires { reply->clear(); };
+  if constexpr (kList) reply->clear();
   std::string result;
   HM_RETURN_IF_ERROR(Call(C::Request(args...), &result));
-  if (!C::DecodeReply(result, reply)) return MalformedReply(C::kOpCode);
+  if (!C::DecodeReply(result, reply)) {
+    if constexpr (kList) reply->clear();
+    return MalformedReply(C::kOpCode);
+  }
   return util::Status::Ok();
 }
 
@@ -847,7 +854,6 @@ util::Status RemoteStore::TravClosure1N(NodeRef start,
   if (mode_ != RemoteMode::kPushdown) {
     return traversal::Closure1N(this, start, out);
   }
-  out->clear();
   return InvokeInto<calls::Closure1N>(out, start);
 }
 
@@ -875,7 +881,6 @@ util::Status RemoteStore::TravClosure1NPred(NodeRef start, int64_t lo,
   if (mode_ != RemoteMode::kPushdown) {
     return traversal::Closure1NPred(this, start, lo, hi, out);
   }
-  out->clear();
   return InvokeInto<calls::Closure1NPred>(out, start, lo, hi);
 }
 
@@ -884,7 +889,6 @@ util::Status RemoteStore::TravClosureMN(NodeRef start,
   if (mode_ != RemoteMode::kPushdown) {
     return traversal::ClosureMN(this, start, out);
   }
-  out->clear();
   return InvokeInto<calls::ClosureMN>(out, start);
 }
 
@@ -893,7 +897,6 @@ util::Status RemoteStore::TravClosureMNAtt(NodeRef start, int depth,
   if (mode_ != RemoteMode::kPushdown) {
     return traversal::ClosureMNAtt(this, start, depth, out);
   }
-  out->clear();
   return InvokeInto<calls::ClosureMNAtt>(out, start, depth);
 }
 
@@ -902,7 +905,6 @@ util::Status RemoteStore::TravClosureMNAttLinkSum(
   if (mode_ != RemoteMode::kPushdown) {
     return traversal::ClosureMNAttLinkSum(this, start, depth, out);
   }
-  out->clear();
   return InvokeInto<calls::ClosureMNAttLinkSum>(out, start, depth);
 }
 

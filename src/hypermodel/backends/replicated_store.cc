@@ -524,26 +524,17 @@ util::Result<NodeRef> ReplicatedStore::LookupUnique(int64_t unique_id) {
 
 util::Status ReplicatedStore::RangeHundred(int64_t lo, int64_t hi,
                                            std::vector<NodeRef>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.RangeHundred(lo, hi, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.RangeHundred(lo, hi, out); });
 }
 
 util::Status ReplicatedStore::RangeMillion(int64_t lo, int64_t hi,
                                            std::vector<NodeRef>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.RangeMillion(lo, hi, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.RangeMillion(lo, hi, out); });
 }
 
 util::Status ReplicatedStore::Children(NodeRef node,
                                        std::vector<NodeRef>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.Children(node, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.Children(node, out); });
 }
 
 util::Result<NodeRef> ReplicatedStore::Parent(NodeRef node) {
@@ -551,32 +542,20 @@ util::Result<NodeRef> ReplicatedStore::Parent(NodeRef node) {
 }
 
 util::Status ReplicatedStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.Parts(node, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.Parts(node, out); });
 }
 
 util::Status ReplicatedStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.PartOf(node, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.PartOf(node, out); });
 }
 
 util::Status ReplicatedStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.RefsTo(node, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.RefsTo(node, out); });
 }
 
 util::Status ReplicatedStore::RefsFrom(NodeRef node,
                                        std::vector<RefEdge>* out) {
-  return ReadOp([&](RemoteStore& s) {
-    out->clear();
-    return s.RefsFrom(node, out);
-  });
+  return ReadOp([&](RemoteStore& s) { return s.RefsFrom(node, out); });
 }
 
 util::Result<uint64_t> ReplicatedStore::StorageBytes() {

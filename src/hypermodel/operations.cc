@@ -28,25 +28,21 @@ util::Result<int64_t> NameOidLookup(HyperStore* store, NodeRef ref) {
 
 util::Status RangeLookupHundred(HyperStore* store, int64_t x,
                                 std::vector<NodeRef>* out) {
-  out->clear();
   return store->RangeHundred(x, x + 9, out);
 }
 
 util::Status RangeLookupMillion(HyperStore* store, int64_t x,
                                 std::vector<NodeRef>* out) {
-  out->clear();
   return store->RangeMillion(x, x + 9999, out);
 }
 
 util::Status GroupLookup1N(HyperStore* store, NodeRef node,
                            std::vector<NodeRef>* out) {
-  out->clear();
   return store->Children(node, out);
 }
 
 util::Status GroupLookupMN(HyperStore* store, NodeRef node,
                            std::vector<NodeRef>* out) {
-  out->clear();
   return store->Parts(node, out);
 }
 
@@ -65,7 +61,6 @@ util::Result<NodeRef> RefLookup1N(HyperStore* store, NodeRef node) {
 
 util::Status RefLookupMN(HyperStore* store, NodeRef node,
                          std::vector<NodeRef>* out) {
-  out->clear();
   return store->PartOf(node, out);
 }
 

@@ -17,6 +17,9 @@ namespace hm {
 /// `mem`). All operations of §6 are expressed in terms of this API, so
 /// adding a backend means implementing exactly this surface.
 ///
+/// Every method with a `std::vector* out` replaces `*out` with its
+/// result: it never appends to what the vector held, on any stack.
+///
 /// Transactions are single-threaded and coarse: Begin/Commit bracket
 /// the benchmark protocol's update batches. CloseReopen() is the
 /// protocol's "close the database" step — it must defeat any caching
@@ -102,15 +105,14 @@ class HyperStore {
   /// Incoming refFrom edges (M-N attributed, inverse).
   virtual util::Status RefsFrom(NodeRef node, std::vector<RefEdge>* out) = 0;
 
-  /// Children(node) and GetAttr(node, attr) in one call: replaces
-  /// `*out` with the ordered children and sets `*value`, or fails with
-  /// the status the first of the two would. The closure engine's
+  /// Children(node) and GetAttr(node, attr) in one call: the ordered
+  /// children in `*out` and the value in `*value`, or the status the
+  /// first of the two would fail with. The closure engine's
   /// per-node read; a backend that keeps both in one record overrides
   /// it to read that record once.
   virtual util::Status ChildrenAndAttr(NodeRef node, Attr attr,
                                        std::vector<NodeRef>* out,
                                        int64_t* value) {
-    out->clear();
     HM_RETURN_IF_ERROR(Children(node, out));
     HM_ASSIGN_OR_RETURN(*value, GetAttr(node, attr));
     return util::Status::Ok();

@@ -19,7 +19,6 @@ util::Status LoopLists(std::span<const NodeRef> nodes, FlatLists<T>* out,
   out->clear();
   std::vector<T> list;
   for (NodeRef node : nodes) {
-    list.clear();
     HM_RETURN_IF_ERROR(read(node, &list));
     out->Append(list);
   }

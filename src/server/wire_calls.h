@@ -466,7 +466,8 @@ struct Call {
   static void EncodeReply(std::string* dst, const Reply& reply) {
     Codec<ReplyT>::Put(dst, reply);
   }
-  /// Decodes into `*reply`; list replies append.
+  /// Decodes into `*reply`; list replies append (a multi-frame reply
+  /// is decoded chunk after chunk into one list).
   static bool DecodeReply(std::string_view body, Reply* reply) {
     util::Decoder in(body);
     return Codec<ReplyT>::Get(&in, reply) && in.Empty();
