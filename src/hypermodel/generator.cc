@@ -26,13 +26,13 @@ util::Result<TestDatabase> Generator::Build(HyperStore* store,
     return util::Status::InvalidArgument("levels and fanout must be >= 1");
   }
   // Set-at-a-time load: one write per internal level, one for the leaf
-  // level with its contents, one per edge phase. A store with a fused
-  // surface of its own (remote, shard://) takes each as a few frames;
-  // every other store gets the per-item calls of a serial build, in the
-  // same order, through StoreFetch.
-  StoreFetch per_item(store);
-  auto* fetch = dynamic_cast<FrontierFetch*>(store);
-  if (fetch == nullptr) fetch = &per_item;
+  // level with its contents, one per edge phase. A store with a
+  // set-at-a-time surface of its own takes each whole: remote and
+  // shard:// as a few frames, oodb with one update per record an edge
+  // phase touches. Every other store gets the per-item calls of a
+  // serial build, in the same order, through StoreFetch.
+  FetchFor fetch_for(store);
+  FrontierFetch* fetch = fetch_for.get();
 
   CreationTiming unused;
   CreationTiming* t = timing != nullptr ? timing : &unused;

@@ -150,9 +150,9 @@ util::Status CheckPositional(std::string_view method, size_t n,
                              std::initializer_list<size_t> sizes);
 
 /// FrontierFetch over any HyperStore: one store call per node or edge,
-/// in input order. The fetch of every in-process backend, of the
-/// server's fused and pushdown opcodes, and of the generator on a store
-/// with no fused surface of its own.
+/// in input order. The fetch of a store with no set-at-a-time surface
+/// of its own (FetchFor), of `ops::` on every in-process store, and of
+/// `oodb`'s own reads.
 class StoreFetch final : public FrontierFetch {
  public:
   explicit StoreFetch(HyperStore* store) : store_(store) {}
@@ -187,6 +187,25 @@ class StoreFetch final : public FrontierFetch {
 
  private:
   HyperStore* store_;
+};
+
+/// The fetch to run over a store: the store itself when it implements
+/// FrontierFetch (`oodb`, `remote`, `shard://`), else a StoreFetch over
+/// it. The generator and the server's call context choose it here.
+class FetchFor {
+ public:
+  explicit FetchFor(HyperStore* store)
+      : per_item_(store), fetch_(dynamic_cast<FrontierFetch*>(store)) {
+    if (fetch_ == nullptr) fetch_ = &per_item_;
+  }
+  FetchFor(const FetchFor&) = delete;
+  FetchFor& operator=(const FetchFor&) = delete;
+
+  FrontierFetch* get() const { return fetch_; }
+
+ private:
+  StoreFetch per_item_;
+  FrontierFetch* fetch_;
 };
 
 /// The §6.6 closure kernels, written once as level-synchronous walks

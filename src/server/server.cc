@@ -602,8 +602,9 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
                             std::string(OpCodeName(op)) + ")"));
     return;
   }
-  StoreFetch fetch(backend_.get());
-  CallContext ctx{backend_.get(), &fetch, options_.replication, &options_};
+  FetchFor fetch(backend_.get());
+  CallContext ctx{backend_.get(), fetch.get(), options_.replication,
+                  &options_};
   if (binding->serve(ctx, body, response) && op_class == OpClass::kWrite) {
     MarkDirty();
   }
