@@ -105,6 +105,7 @@ util::Status SegmentedWal::Open(const std::string& base_path,
   options_ = options;
   base_path_ = base_path;
   sync_pending_ = true;
+  write_error_ = util::Status::Ok();
 
   HM_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs, ListSegments(base_path_));
   if (::access(base_path_.c_str(), F_OK) == 0) {
@@ -198,6 +199,7 @@ util::Result<uint64_t> SegmentedWal::AppendLocked(WalRecordType type,
                                                   std::string_view payload) {
   if (!IsOpenLocked()) return util::Status::InvalidArgument("WAL not open");
   HM_FAILPOINT("wal/append/error");
+  HM_RETURN_IF_ERROR(write_error_);
   if (CurrentSizeLocked() >= options_.segment_bytes) {
     HM_RETURN_IF_ERROR(RollLocked());
   }
@@ -273,7 +275,14 @@ util::Status SegmentedWal::SyncLocked() {
 }
 
 util::Status SegmentedWal::FlushBuffer() {
+  HM_RETURN_IF_ERROR(write_error_);
   if (buffer_.empty()) return util::Status::Ok();
+  util::Status status = WriteBuffer();
+  if (!status.ok()) write_error_ = status;
+  return status;
+}
+
+util::Status SegmentedWal::WriteBuffer() {
   std::string path = SegmentPath(base_path_, seq_);
   if (HM_FAILPOINT_FIRED("wal/append/short_write")) {
     // Torn tail: persist all but the final bytes of the buffered

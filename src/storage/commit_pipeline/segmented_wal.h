@@ -176,7 +176,13 @@ class SegmentedWal {
                                       std::string_view payload)
       HM_REQUIRES(mu_);
   util::Status SyncLocked() HM_REQUIRES(mu_);
+  /// Writes the buffered frames. After a write fails, this and every
+  /// Append fail with that error until the log is reopened: the failed
+  /// write may have left a torn frame at the segment's end, and a frame
+  /// written after it, or a rollover sealing it, would bury the tear
+  /// mid-log, where recovery refuses the chain.
   util::Status FlushBuffer() HM_REQUIRES(mu_);
+  util::Status WriteBuffer() HM_REQUIRES(mu_);
   util::Status RollLocked() HM_REQUIRES(mu_);
   util::Status PruneBelowLocked(uint64_t lsn) HM_REQUIRES(mu_);
   util::Status ScanLocked(
@@ -208,6 +214,8 @@ class SegmentedWal {
   /// A record was appended since the last successful fdatasync, so
   /// Sync() has work to do. Set on Open, Append; cleared by Sync().
   bool sync_pending_ HM_GUARDED_BY(mu_) = true;
+  /// The error of the first failed write since Open; see FlushBuffer.
+  util::Status write_error_ HM_GUARDED_BY(mu_);
   /// Pruning floor; see SetRetainLsn().
   uint64_t retain_lsn_ HM_GUARDED_BY(mu_) = kNoRetainLsn;
 };

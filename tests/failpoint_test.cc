@@ -232,6 +232,44 @@ TEST_F(FailpointWalTest, WalSyncErrorSurfacesAsStatus) {
   EXPECT_TRUE(wal.Sync().ok());
 }
 
+// A torn write stops the log: an append after it, which would roll
+// the torn segment into the sealed middle of the chain here, fails
+// with the write's error instead, so reopening recovers the commits
+// before the tear.
+TEST_F(FailpointWalTest, TornWriteStopsTheLogUntilReopen) {
+  const std::string path = dir_ + "/wal.log";
+  storage::SegmentedWalOptions options;
+  options.segment_bytes = 64;
+  {
+    storage::SegmentedWal wal;
+    ASSERT_TRUE(wal.Open(path, options).ok());
+    ASSERT_TRUE(wal.Append(storage::WalRecordType::kUpdate, 1, "one").ok());
+    ASSERT_TRUE(wal.Append(storage::WalRecordType::kCommit, 1, "").ok());
+    ASSERT_TRUE(wal.Sync().ok());
+    ASSERT_TRUE(
+        Failpoint::Enable("wal/append/short_write", "error,times=1").ok());
+    ASSERT_TRUE(wal.Append(storage::WalRecordType::kUpdate, 2, "torn").ok());
+    util::Status sync = wal.Sync();
+    ASSERT_FALSE(sync.ok());
+    auto after = wal.Append(storage::WalRecordType::kAbort, 2, "");
+    ASSERT_FALSE(after.ok());
+    EXPECT_EQ(after.status().message(), sync.message());
+    EXPECT_EQ(wal.Sync().message(), sync.message());
+    EXPECT_EQ(wal.segment_count(), 1u);
+  }
+  storage::SegmentedWal wal;
+  ASSERT_TRUE(wal.Open(path, options).ok());
+  std::vector<std::string> replayed;
+  ASSERT_TRUE(wal.Recover([&](uint64_t, std::string_view payload) {
+                   replayed.emplace_back(payload);
+                   return util::Status::Ok();
+                 })
+                  .ok());
+  EXPECT_EQ(replayed, std::vector<std::string>{"one"});
+  EXPECT_TRUE(wal.Append(storage::WalRecordType::kUpdate, 3, "fresh").ok());
+  EXPECT_TRUE(wal.Sync().ok());
+}
+
 // Satellite: the torn-tail scenario end to end. A short write tears
 // the final record; Recover keeps every prior commit, truncates the
 // tail, and the log accepts (and replays) new appends cleanly.
