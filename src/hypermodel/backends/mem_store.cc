@@ -96,6 +96,9 @@ util::Status MemStore::SetForm(NodeRef node, const util::Bitmap& form) {
 }
 
 util::Status MemStore::AddChild(NodeRef parent, NodeRef child) {
+  if (parent == child) {
+    return util::Status::InvalidArgument("a node cannot be its own child");
+  }
   HM_ASSIGN_OR_RETURN(MemNode * p, Find(parent));
   HM_ASSIGN_OR_RETURN(MemNode * c, Find(child));
   if (c->parent != kInvalidNode) {

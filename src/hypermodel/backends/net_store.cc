@@ -466,6 +466,9 @@ util::Result<util::Bitmap> NetStore::GetForm(NodeRef node) {
 }
 
 util::Status NetStore::AddChild(NodeRef parent, NodeRef child) {
+  if (parent == child) {
+    return util::Status::InvalidArgument("a node cannot be its own child");
+  }
   HM_ASSIGN_OR_RETURN(NodeRecord parent_rec, ReadNode(parent));
   HM_ASSIGN_OR_RETURN(NodeRecord child_rec, ReadNode(child));
   if (child_rec.parent != 0) {

@@ -801,6 +801,10 @@ util::Status OodbStore::AddChildrenMulti(std::span<const NodeRef> parents,
   return WriteEdges(
       parents, children,
       [&](size_t i, NodeRecord& parent, NodeRecord& child) -> util::Status {
+        if (parents[i] == children[i]) {
+          return util::Status::InvalidArgument(
+              "a node cannot be its own child");
+        }
         if (child.parent != objstore::kInvalidOid) {
           return util::Status::InvalidArgument("node already has a parent");
         }

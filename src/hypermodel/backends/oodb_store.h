@@ -143,7 +143,8 @@ class OodbStore : public HyperStore,
                                 std::span<const std::string_view> contents,
                                 std::vector<NodeRef>* refs) override;
   /// Fails with "node already has a parent" for a child that has one,
-  /// including a child named twice in one call.
+  /// including a child named twice in one call, and refuses a node as
+  /// its own child.
   util::Status AddChildrenMulti(std::span<const NodeRef> parents,
                                 std::span<const NodeRef> children) override;
   util::Status AddPartsMulti(std::span<const NodeRef> owners,

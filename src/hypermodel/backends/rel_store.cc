@@ -353,6 +353,9 @@ util::Result<std::string> RelStore::GetContents(NodeRef node) {
 }
 
 util::Status RelStore::AddChild(NodeRef parent, NodeRef child) {
+  if (parent == child) {
+    return util::Status::InvalidArgument("a node cannot be its own child");
+  }
   if (idx_children_child_->Get(Key128{child, 0}).ok()) {
     return util::Status::InvalidArgument("node already has a parent");
   }

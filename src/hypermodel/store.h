@@ -57,6 +57,8 @@ class HyperStore {
   /// Sets the bitmap contents of a FormNode.
   virtual util::Status SetForm(NodeRef node, const util::Bitmap& form) = 0;
   /// Appends `child` to `parent`'s ordered children (1-N aggregation).
+  /// InvalidArgument, writing nothing, when `child` already has a
+  /// parent or is `parent` itself.
   virtual util::Status AddChild(NodeRef parent, NodeRef child) = 0;
   /// Adds `part` to `owner`'s parts (M-N aggregation).
   virtual util::Status AddPart(NodeRef owner, NodeRef part) = 0;

@@ -332,6 +332,20 @@ TEST_P(StoreContractTest, SecondParentRejected) {
   ASSERT_TRUE(store_->Commit().ok());
 }
 
+// A node is not its own child: the 1-N self-cycle would never end a
+// §6.6 pre-order closure. The refused call writes nothing.
+TEST_P(StoreContractTest, SelfChildRejected) {
+  ASSERT_TRUE(store_->Begin().ok());
+  NodeRef a = Create(1);
+  EXPECT_EQ(store_->AddChild(a, a).code(),
+            util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(store_->Commit().ok());
+  EXPECT_EQ(store_->Parent(a).ValueOr(a), kInvalidNode);
+  std::vector<NodeRef> children;
+  ASSERT_TRUE(store_->Children(a, &children).ok());
+  EXPECT_TRUE(children.empty());
+}
+
 TEST_P(StoreContractTest, PartsBothDirections) {
   ASSERT_TRUE(store_->Begin().ok());
   NodeRef owner1 = Create(1);
