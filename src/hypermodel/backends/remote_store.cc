@@ -556,7 +556,7 @@ util::Status RemoteStore::CloseReopen() {
 
 util::Result<NodeRef> RemoteStore::CreateNode(const NodeAttrs& attrs,
                                               NodeRef near) {
-  return Invoke<calls::CreateNode>(attrs, near);
+  return CreateOne(attrs, near);
 }
 
 util::Status RemoteStore::SetText(NodeRef node, std::string_view text) {
@@ -568,16 +568,17 @@ util::Status RemoteStore::SetForm(NodeRef node, const util::Bitmap& form) {
 }
 
 util::Status RemoteStore::AddChild(NodeRef parent, NodeRef child) {
-  return Invoke<calls::AddChild>(parent, child);
+  return AddChildrenMulti({&parent, 1}, {&child, 1});
 }
 
 util::Status RemoteStore::AddPart(NodeRef owner, NodeRef part) {
-  return Invoke<calls::AddPart>(owner, part);
+  return AddPartsMulti({&owner, 1}, {&part, 1});
 }
 
 util::Status RemoteStore::AddRef(NodeRef from, NodeRef to,
                                  int64_t offset_from, int64_t offset_to) {
-  return Invoke<calls::AddRef>(from, to, offset_from, offset_to);
+  return AddRefsMulti({&from, 1}, {&to, 1}, {&offset_from, 1},
+                      {&offset_to, 1});
 }
 
 util::Result<int64_t> RemoteStore::GetAttr(NodeRef node, Attr attr) {

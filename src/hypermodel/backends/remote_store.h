@@ -174,6 +174,9 @@ class RemoteStore : public HyperStore,
   util::Status Abort() override;
   util::Status CloseReopen() override;
 
+  /// The per-item creates and edge writes send the fused write of one
+  /// entry (kCreateNodesMulti ... kAddRefsMulti); a create carries no
+  /// contents.
   util::Result<NodeRef> CreateNode(const NodeAttrs& attrs,
                                    NodeRef near) override;
   util::Status SetText(NodeRef node, std::string_view text) override;

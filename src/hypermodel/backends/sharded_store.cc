@@ -225,11 +225,7 @@ util::Status ShardedStore::PlaceOf(const NodeAttrs& attrs, NodeRef near,
 
 util::Result<NodeRef> ShardedStore::CreateNode(const NodeAttrs& attrs,
                                                NodeRef near) {
-  size_t target = 0;
-  HM_RETURN_IF_ERROR(PlaceOf(attrs, near, &target));
-  HM_ASSIGN_OR_RETURN(NodeRef ref, At(target)->CreateNode(attrs, near));
-  if (root_ == kInvalidNode) root_ = ref;
-  return ref;
+  return CreateOne(attrs, near);
 }
 
 util::Status ShardedStore::SetText(NodeRef node, std::string_view text) {
@@ -245,43 +241,17 @@ util::Status ShardedStore::SetForm(NodeRef node, const util::Bitmap& form) {
 }
 
 util::Status ShardedStore::AddChild(NodeRef parent, NodeRef child) {
-  size_t pk = 0;
-  size_t ck = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(parent, &pk));
-  HM_RETURN_IF_ERROR(OwnerOf(child, &ck));
-  if (pk == ck) return At(pk)->AddChild(parent, child);
-  // Child's shard first: it holds the real child node, so its
-  // single-parent check is the authoritative one — a second parent is
-  // rejected before the parent side learns anything.
-  HM_RETURN_IF_ERROR(At(ck)->AddChild(parent, child));
-  HM_RETURN_IF_ERROR(At(pk)->AddChild(parent, child));
-  cross_edges_->Add();
-  return util::Status::Ok();
+  return AddChildrenMulti({&parent, 1}, {&child, 1});
 }
 
 util::Status ShardedStore::AddPart(NodeRef owner, NodeRef part) {
-  size_t ok = 0;
-  size_t pk = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(owner, &ok));
-  HM_RETURN_IF_ERROR(OwnerOf(part, &pk));
-  if (ok == pk) return At(ok)->AddPart(owner, part);
-  HM_RETURN_IF_ERROR(At(ok)->AddPart(owner, part));
-  HM_RETURN_IF_ERROR(At(pk)->AddPart(owner, part));
-  cross_edges_->Add();
-  return util::Status::Ok();
+  return AddPartsMulti({&owner, 1}, {&part, 1});
 }
 
 util::Status ShardedStore::AddRef(NodeRef from, NodeRef to,
                                   int64_t offset_from, int64_t offset_to) {
-  size_t fk = 0;
-  size_t tk = 0;
-  HM_RETURN_IF_ERROR(OwnerOf(from, &fk));
-  HM_RETURN_IF_ERROR(OwnerOf(to, &tk));
-  if (fk == tk) return At(fk)->AddRef(from, to, offset_from, offset_to);
-  HM_RETURN_IF_ERROR(At(fk)->AddRef(from, to, offset_from, offset_to));
-  HM_RETURN_IF_ERROR(At(tk)->AddRef(from, to, offset_from, offset_to));
-  cross_edges_->Add();
-  return util::Status::Ok();
+  return AddRefsMulti({&from, 1}, {&to, 1}, {&offset_from, 1},
+                      {&offset_to, 1});
 }
 
 util::Result<int64_t> ShardedStore::GetAttr(NodeRef node, Attr attr) {
@@ -585,23 +555,28 @@ util::Status ShardedStore::CreateNodesMulti(
   return util::Status::Ok();
 }
 
-util::Status ShardedStore::SplitEdges(std::span<const NodeRef> a,
+template <typename Make>
+util::Status ShardedStore::WriteEdges(std::span<const NodeRef> a,
                                       std::span<const NodeRef> b,
-                                      std::vector<std::vector<size_t>>* picks,
-                                      uint64_t* cross) const {
-  picks->assign(shards_.size(), {});
-  *cross = 0;
+                                      bool b_first, Make make) {
+  std::vector<std::vector<size_t>> a_side(shards_.size());
+  std::vector<std::vector<size_t>> b_side(shards_.size());
+  std::vector<std::vector<size_t>>& b_halves = b_first ? b_side : a_side;
+  uint64_t cross = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     size_t ak = 0;
     size_t bk = 0;
     HM_RETURN_IF_ERROR(OwnerOf(a[i], &ak));
     HM_RETURN_IF_ERROR(OwnerOf(b[i], &bk));
-    (*picks)[ak].push_back(i);
+    a_side[ak].push_back(i);
     if (bk != ak) {
-      (*picks)[bk].push_back(i);
-      ++*cross;
+      b_halves[bk].push_back(i);
+      ++cross;
     }
   }
+  HM_RETURN_IF_ERROR(Scatter(b_side, make));  // empty unless b_first
+  HM_RETURN_IF_ERROR(Scatter(a_side, make));
+  cross_edges_->Add(cross);
   return util::Status::Ok();
 }
 
@@ -609,50 +584,27 @@ util::Status ShardedStore::AddChildrenMulti(std::span<const NodeRef> parents,
                                             std::span<const NodeRef> children) {
   HM_RETURN_IF_ERROR(CheckPositional("AddChildrenMulti", parents.size(),
                                      {children.size()}));
-  // Round 1 goes to the child's shard first, as in AddChild: it holds
-  // the real child node, so its single-parent check is the
-  // authoritative one. Round 2 is every parent-side call. A shard's
-  // children lists fill in round 2 alone, in input order; round 1 only
-  // sets parents.
-  std::vector<std::vector<size_t>> child_side(shards_.size());
-  std::vector<std::vector<size_t>> parent_side(shards_.size());
-  uint64_t cross = 0;
-  for (size_t i = 0; i < parents.size(); ++i) {
-    size_t pk = 0;
-    size_t ck = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(parents[i], &pk));
-    HM_RETURN_IF_ERROR(OwnerOf(children[i], &ck));
-    if (ck != pk) {
-      child_side[ck].push_back(i);
-      ++cross;
-    }
-    parent_side[pk].push_back(i);
-  }
-  for (const auto* round : {&child_side, &parent_side}) {
-    HM_RETURN_IF_ERROR(
-        Scatter(*round, [&](size_t k, std::span<const size_t> mine) {
-          return shards_[k]->AddChildrenFrames(Pick(parents, mine),
-                                               Pick(children, mine));
-        }));
-  }
-  cross_edges_->Add(cross);
-  return util::Status::Ok();
+  // The child's shard goes first: it holds the real child node, so its
+  // single-parent check is the authoritative one, and a second parent
+  // is refused before the parent's shard hears of it. A shard's
+  // children lists fill in the second round alone, in input order; the
+  // first only sets parents.
+  return WriteEdges(parents, children, /*b_first=*/true,
+                    [&](size_t k, std::span<const size_t> mine) {
+                      return shards_[k]->AddChildrenFrames(
+                          Pick(parents, mine), Pick(children, mine));
+                    });
 }
 
 util::Status ShardedStore::AddPartsMulti(std::span<const NodeRef> owners,
                                          std::span<const NodeRef> parts) {
   HM_RETURN_IF_ERROR(
       CheckPositional("AddPartsMulti", owners.size(), {parts.size()}));
-  std::vector<std::vector<size_t>> picks;
-  uint64_t cross = 0;
-  HM_RETURN_IF_ERROR(SplitEdges(owners, parts, &picks, &cross));
-  HM_RETURN_IF_ERROR(
-      Scatter(picks, [&](size_t k, std::span<const size_t> mine) {
-        return shards_[k]->AddPartsFrames(Pick(owners, mine),
-                                          Pick(parts, mine));
-      }));
-  cross_edges_->Add(cross);
-  return util::Status::Ok();
+  return WriteEdges(owners, parts, /*b_first=*/false,
+                    [&](size_t k, std::span<const size_t> mine) {
+                      return shards_[k]->AddPartsFrames(Pick(owners, mine),
+                                                        Pick(parts, mine));
+                    });
 }
 
 util::Status ShardedStore::AddRefsMulti(std::span<const NodeRef> from,
@@ -662,17 +614,12 @@ util::Status ShardedStore::AddRefsMulti(std::span<const NodeRef> from,
   HM_RETURN_IF_ERROR(
       CheckPositional("AddRefsMulti", from.size(),
                       {to.size(), offset_from.size(), offset_to.size()}));
-  std::vector<std::vector<size_t>> picks;
-  uint64_t cross = 0;
-  HM_RETURN_IF_ERROR(SplitEdges(from, to, &picks, &cross));
-  HM_RETURN_IF_ERROR(
-      Scatter(picks, [&](size_t k, std::span<const size_t> mine) {
-        return shards_[k]->AddRefsFrames(
-            Pick(from, mine), Pick(to, mine), Pick(offset_from, mine),
-            Pick(offset_to, mine));
-      }));
-  cross_edges_->Add(cross);
-  return util::Status::Ok();
+  return WriteEdges(from, to, /*b_first=*/false,
+                    [&](size_t k, std::span<const size_t> mine) {
+                      return shards_[k]->AddRefsFrames(
+                          Pick(from, mine), Pick(to, mine),
+                          Pick(offset_from, mine), Pick(offset_to, mine));
+                    });
 }
 
 // --- TraversalCapable ------------------------------------------------

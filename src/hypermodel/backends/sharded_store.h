@@ -23,14 +23,14 @@ namespace hm::backends {
 /// root lands on shard 0; a node created `near` the root is placed by
 /// uniqueId modulo N; every deeper node is placed `near` its parent,
 /// so a whole subtree is co-resident and 1-N closure traffic crosses
-/// shards only at the root fan-out. Cross-shard `parts`/`refTo` edges
-/// travel as shard-qualified refs (cluster/shard_map.h) and are
-/// double-written, one side per endpoint shard, with no distributed
-/// transaction (a mid-pair transport failure surfaces kUnavailable
-/// and may leave the pair half-written). The generator's fused load
-/// writes go the same way, split by owner and sent in rounds, so a
-/// level of nodes or an edge phase costs a few rounds, not a round
-/// trip per item.
+/// shards only at the root fan-out. Cross-shard edges travel as
+/// shard-qualified refs (cluster/shard_map.h) and are double-written,
+/// one side per endpoint shard, with no distributed transaction (a
+/// mid-pair transport failure surfaces kUnavailable and may leave the
+/// pair half-written). Every create and edge write is a fused write,
+/// split by owner and sent in rounds: a level of nodes or an edge
+/// phase of the generator costs a few rounds, and a per-item write is
+/// the same write with one entry.
 ///
 /// Reads route by the ref's shard byte. Whatever goes to more than one
 /// shard goes in rounds: each round sends one request to every shard
@@ -92,6 +92,8 @@ class ShardedStore : public HyperStore,
   util::Status Abort() override;
   util::Status CloseReopen() override;
 
+  /// The per-item creates and edge writes are the fused writes below
+  /// with one entry; a create carries no contents.
   util::Result<NodeRef> CreateNode(const NodeAttrs& attrs,
                                    NodeRef near) override;
   util::Status SetText(NodeRef node, std::string_view text) override;
@@ -138,15 +140,14 @@ class ShardedStore : public HyperStore,
                              std::vector<int64_t>* values) override;
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::span<const int64_t> values) override;
-  /// Each node goes to the shard CreateNode would place it on; refs come
-  /// back in input order.
+  /// Each node goes to the shard PlaceOf picks; refs come back in input
+  /// order.
   util::Status CreateNodesMulti(std::span<const NodeAttrs> attrs,
                                 std::span<const NodeRef> near,
                                 std::span<const std::string_view> contents,
                                 std::vector<NodeRef>* refs) override;
-  /// Two rounds, like AddChild's two writes: the child-side halves of
-  /// the cross-shard edges, then — only if they all landed — every
-  /// parent-side call in input order.
+  /// Two rounds: the child-side halves of the cross-shard edges, then —
+  /// only if they all landed — every parent-side call in input order.
   util::Status AddChildrenMulti(std::span<const NodeRef> parents,
                                 std::span<const NodeRef> children) override;
   /// One round: each shard receives every edge that touches it, in
@@ -231,13 +232,17 @@ class ShardedStore : public HyperStore,
   util::Status GatherLists(
       std::span<const NodeRef> nodes, FlatLists<T>* out,
       Frames (RemoteStore::*make)(std::span<const NodeRef>, FlatLists<T>*));
-  /// Input positions by shard for a fused edge write: (*picks)[k] lists,
-  /// in input order, every edge (a[i], b[i]) with an endpoint on shard
-  /// k — once when both are. Counts the cross-shard edges into `*cross`.
-  util::Status SplitEdges(std::span<const NodeRef> a,
-                          std::span<const NodeRef> b,
-                          std::vector<std::vector<size_t>>* picks,
-                          uint64_t* cross) const;
+  /// The fused edge write behind AddChildrenMulti, AddPartsMulti and
+  /// AddRefsMulti: edge i is (a[i], b[i]), and make(k, picks) builds
+  /// shard k's frames for the input positions `picks`. Every edge goes
+  /// to a[i]'s shard, and a cross-shard edge to b[i]'s too, counted in
+  /// `cluster.cross_shard_edges` once the write lands. Each shard gets
+  /// its edges in input order: with `b_first` the b-side halves go in
+  /// rounds before any a-side call, otherwise in the same rounds.
+  template <typename Make>
+  util::Status WriteEdges(std::span<const NodeRef> a,
+                          std::span<const NodeRef> b, bool b_first,
+                          Make make);
   /// One shard-merged index scan (shared by RangeHundred/Million).
   util::Status FanRange(bool hundred, int64_t lo, int64_t hi,
                         std::vector<NodeRef>* out);

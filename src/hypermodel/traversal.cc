@@ -98,6 +98,15 @@ util::Status StoreFetch::SetAttrsMulti(std::span<const NodeRef> nodes,
   return util::Status::Ok();
 }
 
+util::Result<NodeRef> FrontierFetch::CreateOne(const NodeAttrs& attrs,
+                                               NodeRef near) {
+  const std::string_view no_contents;
+  std::vector<NodeRef> refs;
+  HM_RETURN_IF_ERROR(
+      CreateNodesMulti({&attrs, 1}, {&near, 1}, {&no_contents, 1}, &refs));
+  return refs.front();
+}
+
 util::Status StoreFetch::CreateNodesMulti(
     std::span<const NodeAttrs> attrs, std::span<const NodeRef> near,
     std::span<const std::string_view> contents, std::vector<NodeRef>* refs) {

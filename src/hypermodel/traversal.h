@@ -142,6 +142,10 @@ class FrontierFetch {
                                     std::span<const NodeRef> to,
                                     std::span<const int64_t> offset_from,
                                     std::span<const int64_t> offset_to) = 0;
+
+  /// CreateNode as a one-entry CreateNodesMulti with no contents: the
+  /// per-item create of a client whose only write is the fused one.
+  util::Result<NodeRef> CreateOne(const NodeAttrs& attrs, NodeRef near);
 };
 
 /// InvalidArgument naming `method` unless every size in `sizes` equals

@@ -151,12 +151,8 @@ constexpr Binding kBindings[] = {
          }>(),
     Bind<calls::Abort, &HyperStore::Abort>(),
     Bind<calls::CloseReopen, &HyperStore::CloseReopen>(),
-    Bind<calls::CreateNode, &HyperStore::CreateNode>(),
     Bind<calls::SetText, &HyperStore::SetText>(),
     Bind<calls::SetForm, &HyperStore::SetForm>(),
-    Bind<calls::AddChild, &HyperStore::AddChild>(),
-    Bind<calls::AddPart, &HyperStore::AddPart>(),
-    Bind<calls::AddRef, &HyperStore::AddRef>(),
     Bind<calls::GetAttr, &HyperStore::GetAttr>(),
     Bind<calls::SetAttr, &HyperStore::SetAttr>(),
     Bind<calls::GetKind, &HyperStore::GetKind>(),
@@ -592,7 +588,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       break;
   }
 
-  // A kNone opcode — retired kBatch, or a byte outside the table — has
+  // A kNone opcode — a retired one, or a byte outside the table — has
   // no handler.
   const Binding* binding = BindingFor(static_cast<uint8_t>(op));
   if (binding == nullptr) {

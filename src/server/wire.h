@@ -54,8 +54,10 @@ namespace hm::server {
 /// retirement of kBatch, and status code 17 (kFailedPrecondition),
 /// which shipped earlier without a bump; v9 kChildrenAttrsMulti; v10
 /// the fused load writes kCreateNodesMulti, kAddChildrenMulti,
-/// kAddPartsMulti and kAddRefsMulti.
-inline constexpr uint8_t kWireVersion = 10;
+/// kAddPartsMulti and kAddRefsMulti; v11 the retirement of the
+/// per-item writes kCreateNode, kAddChild, kAddPart and kAddRef, which
+/// a client now sends as one-entry fused writes.
+inline constexpr uint8_t kWireVersion = 11;
 
 /// Bytes before the payload: fixed32 length + fixed32 masked CRC.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -77,12 +79,12 @@ enum class OpCode : uint8_t {
   kCommit = 4,
   kAbort = 5,
   kCloseReopen = 6,
-  kCreateNode = 7,
+  kCreateNode = 7,  // retired in v11
   kSetText = 8,
   kSetForm = 9,
-  kAddChild = 10,
-  kAddPart = 11,
-  kAddRef = 12,
+  kAddChild = 10,  // retired in v11
+  kAddPart = 11,   // retired in v11
+  kAddRef = 12,    // retired in v11
   kGetAttr = 13,
   kSetAttr = 14,
   kGetKind = 15,
@@ -161,6 +163,11 @@ enum class OpCode : uint8_t {
   kAddChildrenMulti = 53,
   kAddPartsMulti = 54,
   kAddRefsMulti = 55,
+
+  // ---- v11: no new opcodes. kCreateNode, kAddChild, kAddPart and
+  // kAddRef are retired: a client sends each per-item write as a
+  // one-entry kCreateNodesMulti ... kAddRefsMulti. Their numbers stay
+  // reserved and answer kInvalidArgument, as kBatch's does.
 };
 
 /// The one class each opcode declares in the call table
@@ -174,7 +181,7 @@ enum class OpClass : uint8_t {
   kTxn,       // Begin, Commit, Abort
   kSession,   // Reset and CloseReopen, which are idempotent
   kRole,      // role changes: Promote, Fence (epoch-idempotent)
-  kNone,      // no call: retired kBatch, and every byte outside the table
+  kNone,      // no call: a retired opcode, and every byte outside the table
 };
 
 /// The side of the server's dispatch lock a class takes. The pull path

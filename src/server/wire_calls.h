@@ -532,19 +532,17 @@ using Begin = Call<kBegin, "begin", kTxn, Empty>;
 using Commit = Call<kCommit, "commit", kTxn, Empty>;
 using Abort = Call<kAbort, "abort", kTxn, Empty>;
 using CloseReopen = Call<kCloseReopen, "close_reopen", kSession, Empty>;
-// attrs + near -> new node.
-using CreateNode =
-    Call<kCreateNode, "create_node", kWrite, uint64_t, NodeAttrs, uint64_t>;
+// Retired in v11 (a per-item write is a one-entry fused write): the
+// numbers and names stay reserved, and the server answers
+// InvalidArgument.
+using CreateNode = Call<kCreateNode, "create_node", kNone, Empty>;
 using SetText =
     Call<kSetText, "set_text", kWrite, Empty, uint64_t, std::string_view>;
 using SetForm =
     Call<kSetForm, "set_form", kWrite, Empty, uint64_t, util::Bitmap>;
-using AddChild =
-    Call<kAddChild, "add_child", kWrite, Empty, uint64_t, uint64_t>;
-using AddPart = Call<kAddPart, "add_part", kWrite, Empty, uint64_t, uint64_t>;
-// from, to, offset_from, offset_to.
-using AddRef = Call<kAddRef, "add_ref", kWrite, Empty, uint64_t, uint64_t,
-                    int64_t, int64_t>;
+using AddChild = Call<kAddChild, "add_child", kNone, Empty>;
+using AddPart = Call<kAddPart, "add_part", kNone, Empty>;
+using AddRef = Call<kAddRef, "add_ref", kNone, Empty>;
 using GetAttr = Call<kGetAttr, "get_attr", kRead, int64_t, uint64_t, Attr>;
 using SetAttr =
     Call<kSetAttr, "set_attr", kWrite, Empty, uint64_t, Attr, int64_t>;
@@ -621,8 +619,9 @@ using SetAttrsMulti = Call<kSetAttrsMulti, "set_attrs_multi", kWrite, Empty,
 // The 1-N engine's tier fetch (v9): node i's children and attribute.
 using ChildrenAttrsMulti = Call<kChildrenAttrsMulti, "children_attrs_multi",
                                 kRead, ListsAndValues, Attr, NodeBatch>;
-// The generator's fused load writes (v10), entry i of every list
-// belonging together. attrs, near, contents -> one new node per entry.
+// The fused writes (v10), entry i of every list belonging together:
+// the generator's load, and every per-item write as one entry.
+// attrs, near, contents -> one new node per entry.
 using CreateNodesMulti =
     Call<kCreateNodesMulti, "create_nodes_multi", kWrite, NodeBatch,
          std::vector<NodeAttrs>, NodeBatch, std::vector<std::string_view>>;

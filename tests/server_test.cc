@@ -503,12 +503,8 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
       calls::Commit::Request(),
       calls::Abort::Request(),
       calls::CloseReopen::Request(),
-      calls::CreateNode::Request(MakeAttrs(300), NodeRef{1}),
       calls::SetText::Request(NodeRef{1}, std::string_view("text")),
       calls::SetForm::Request(NodeRef{1}, form),
-      calls::AddChild::Request(NodeRef{1}, NodeRef{2}),
-      calls::AddPart::Request(NodeRef{1}, NodeRef{2}),
-      calls::AddRef::Request(NodeRef{1}, NodeRef{2}, int64_t{3}, int64_t{-4}),
       calls::GetAttr::Request(NodeRef{1}, Attr::kMillion),
       calls::SetAttr::Request(NodeRef{1}, Attr::kTen, int64_t{300}),
       calls::GetKind::Request(NodeRef{1}),
@@ -596,8 +592,6 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
   expect_invalid(with_op(OpCode::kGetAttr, {1, 5}), "attr 5");
   expect_invalid(with_op(OpCode::kSetAttr, {1, 5, 0}), "attr 5");
   expect_invalid(with_op(OpCode::kGetAttrsMulti, {5, 1, 1}), "attr 5");
-  expect_invalid(with_op(OpCode::kCreateNode, {0, 0, 0, 0, 0, 4, 0}),
-                 "kind 4");
   expect_invalid(with_op(OpCode::kClosureMNAtt, {1, deep}), "deep");
   expect_invalid(with_op(OpCode::kClosureMNAttLinkSum, {1, deep}), "deep");
   expect_invalid(with_op(OpCode::kChildrenMulti, {many}), "many nodes");
@@ -631,9 +625,11 @@ TEST(ServerTest, MalformedBodiesAnswerInvalidArgument) {
 }
 
 TEST(ServerTest, RetiredBatchOpcodeAnswersInvalidArgument) {
-  // kBatch (30) was retired in wire v8; its number stays reserved.
-  // Whatever the body — empty, or an old batch of one Ping — the server
-  // answers InvalidArgument and keeps serving the connection.
+  // kBatch (30) was retired in wire v8, and the per-item writes
+  // kCreateNode (7), kAddChild (10), kAddPart (11) and kAddRef (12) in
+  // v11; their numbers stay reserved. Whatever the body — empty, or
+  // one the opcode took before it was retired — the server answers
+  // InvalidArgument and keeps serving the connection.
   auto srv = StartMemServer();
   ASSERT_NE(srv, nullptr);
   int fd = DialLoopback(srv->port());
@@ -647,12 +643,26 @@ TEST(ServerTest, RetiredBatchOpcodeAnswersInvalidArgument) {
     EXPECT_TRUE(ReadFrame(fd, &rx, &response));
     return response;
   };
+  auto old_request = [](server::OpCode op,
+                        std::initializer_list<uint64_t> varints) {
+    std::string payload(1, static_cast<char>(op));
+    for (uint64_t v : varints) util::PutVarint64(&payload, v);
+    return payload;
+  };
   std::string old_batch(1, static_cast<char>(server::OpCode::kBatch));
   util::PutVarint64(&old_batch, 1);
   util::PutLengthPrefixed(&old_batch, server::calls::Ping::Request());
+  using server::OpCode;
   for (const std::string& request :
-       {std::string(1, static_cast<char>(server::OpCode::kBatch)),
-        old_batch}) {
+       {old_request(OpCode::kBatch, {}), old_batch,
+        old_request(OpCode::kCreateNode, {}),
+        old_request(OpCode::kCreateNode, {2, 2, 20, 200, 2000, 0, 0}),
+        old_request(OpCode::kAddChild, {}),
+        old_request(OpCode::kAddChild, {1, 2}),
+        old_request(OpCode::kAddPart, {}),
+        old_request(OpCode::kAddPart, {1, 2}),
+        old_request(OpCode::kAddRef, {}),
+        old_request(OpCode::kAddRef, {1, 2, 6, 7})}) {
     const std::string response = roundtrip(request);
     ASSERT_FALSE(response.empty());
     EXPECT_EQ(response[0],
@@ -1098,12 +1108,12 @@ TEST(ServerTest, StatsOpcodeCountsScriptedSequence) {
   telemetry::Snapshot diff = after.DiffSince(before);
 
   EXPECT_EQ(diff.counter("server.op.begin.count"), 1u);
-  EXPECT_EQ(diff.counter("server.op.create_node.count"), 3u);
+  EXPECT_EQ(diff.counter("server.op.create_nodes_multi.count"), 3u);
   EXPECT_EQ(diff.counter("server.op.commit.count"), 1u);
   EXPECT_EQ(diff.counter("server.op.get_attr.count"), 6u);
   EXPECT_EQ(diff.counter("server.op.get_attr.errors"), 1u);
   EXPECT_EQ(diff.counter("server.op.lookup_unique.count"), 1u);
-  EXPECT_EQ(diff.counter("server.op.create_node.errors"), 0u);
+  EXPECT_EQ(diff.counter("server.op.create_nodes_multi.errors"), 0u);
   // The first kStats call's own bookkeeping lands after its snapshot
   // is taken, so exactly one stats request falls inside the bracket.
   EXPECT_EQ(diff.counter("server.op.stats.count"), 1u);

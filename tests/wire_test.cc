@@ -184,8 +184,9 @@ TEST(WireStatusTest, AllCodesSurviveTheWire) {
 
 TEST(WireOpCodeTest, NameAndReadOnlyClassArePinnedForEveryByte) {
   // Names spell the per-opcode metric names and the read-only class
-  // picks the dispatch lock, so both are recorded here byte by byte:
-  // a change to wherever they are declared must not move either.
+  // picks the dispatch lock, so both are recorded here byte by byte, with
+  // the bytes that have no call: a change to wherever they are declared
+  // must not move any of them.
   constexpr std::string_view kNames[] = {
       "unknown",        "hello",          "reset",
       "begin",          "commit",         "abort",
@@ -212,14 +213,21 @@ TEST(WireOpCodeTest, NameAndReadOnlyClassArePinnedForEveryByte) {
                                    24, 25, 26, 27, 28, 29, 31, 32, 33, 34,
                                    35, 36, 38, 39, 40, 41, 42, 43, 44, 45,
                                    48, 49, 51};
+  // Retired opcodes keep their names and have no call (class kNone).
+  constexpr uint8_t kRetired[] = {7, 10, 11, 12, 30};
   for (int byte = 0; byte < 256; ++byte) {
     const auto op = static_cast<OpCode>(byte);
-    const std::string_view name =
-        byte < static_cast<int>(std::size(kNames)) ? kNames[byte] : "unknown";
+    const bool in_table =
+        byte > 0 && byte < static_cast<int>(std::size(kNames));
+    const std::string_view name = in_table ? kNames[byte] : "unknown";
     EXPECT_EQ(OpCodeName(op), name) << "opcode byte " << byte;
     EXPECT_EQ(IsReadOnlyOp(op),
               std::find(std::begin(kReadOnly), std::end(kReadOnly), byte) !=
                   std::end(kReadOnly))
+        << "opcode byte " << byte;
+    const bool retired = std::find(std::begin(kRetired), std::end(kRetired),
+                                   byte) != std::end(kRetired);
+    EXPECT_EQ(ClassOf(op) == OpClass::kNone, retired || !in_table)
         << "opcode byte " << byte;
   }
 }
@@ -300,14 +308,16 @@ TEST(WireBatchTest, FrameCrcCoversBatchContents) {
 // --- Golden bytes ---------------------------------------------------------
 //
 // One request payload and its response payload per step, in hex (spaces
-// ignored). The steps build a four-node graph on a MemStore server, read
-// it back through every opcode, then drive the five replication opcodes
-// against a primary Coordinator. The constants were recorded from the
-// hand-written codecs that preceded the call table, the v8 steps (the
-// fused *_multi opcodes, the retired batch) when v8 added them, the
-// v9 step (children_attrs_multi) and version bytes when v9 did, and the
-// v10 load steps and version bytes when v10 did; changing one means the
-// wire changed, which needs a kWireVersion bump.
+// ignored). The steps build a four-node graph on a MemStore server with
+// one-entry fused writes, read it back through every opcode, then drive
+// the five replication opcodes against a primary Coordinator. The
+// constants were recorded from the hand-written codecs that preceded
+// the call table, the v8 steps (the fused *_multi opcodes, the retired
+// batch) when v8 added them, the v9 step (children_attrs_multi) and
+// version bytes when v9 did, the v10 load steps and version bytes when
+// v10 did, and the one-entry writes, the four retired per-item writes
+// and version bytes when v11 did; changing one means the wire changed,
+// which needs a kWireVersion bump.
 //
 // MemStore hands out refs 1..4 in creation order:
 //   1 --child--> 2 (text "hello"), 3 (form);  1 --part--> 4 --part--> 2;
@@ -324,23 +334,27 @@ struct GoldenStep {
 };
 
 constexpr GoldenStep kGolden[] = {
-    {"hello", "01 0a", "00 0a030000006d656d"},
+    {"hello", "01 0b", "00 0b030000006d656d"},
     {"reset_clean", "02", "00"},
     {"begin", "03", "00"},
-    {"create_node_1", "07 02 02 14 c801 d00f 00 00", "00 01"},
-    {"create_node_2", "07 04 04 28 9003 a01f 01 01", "00 02"},
-    {"create_node_3", "07 06 06 3c d804 f02e 02 01", "00 03"},
-    {"create_node_4", "07 08 08 50 a006 c03e 00 01", "00 04"},
+    {"create_nodes_multi_1",
+     "34 01 02 02 14 c801 d00f 00  01 00  01 00000000", "00 01 01"},
+    {"create_nodes_multi_2",
+     "34 01 04 04 28 9003 a01f 01  01 01  01 00000000", "00 01 02"},
+    {"create_nodes_multi_3",
+     "34 01 06 06 3c d804 f02e 02  01 01  01 00000000", "00 01 03"},
+    {"create_nodes_multi_4",
+     "34 01 08 08 50 a006 c03e 00  01 01  01 00000000", "00 01 04"},
     {"set_contents", "12 02 03000000 78797a", "00"},
     {"set_text", "08 02 05000000 68656c6c6f", "00"},
     {"set_form",
      "09 03 18000000 040000000200000001000000000000000800000000000000", "00"},
-    {"add_child_2", "0a 01 02", "00"},
-    {"add_child_3", "0a 01 03", "00"},
-    {"add_part_4", "0b 01 04", "00"},
-    {"add_part_2", "0b 04 02", "00"},
-    {"add_ref_2_3", "0c 02 03 06 07", "00"},
-    {"add_ref_3_4", "0c 03 04 00 02", "00"},
+    {"add_children_multi_2", "35 01 01 01 02", "00"},
+    {"add_children_multi_3", "35 01 01 01 03", "00"},
+    {"add_parts_multi_4", "36 01 01 01 04", "00"},
+    {"add_parts_multi_2", "36 01 04 01 02", "00"},
+    {"add_refs_multi_2_3", "37 01 02 01 03 01 06 01 07", "00"},
+    {"add_refs_multi_3_4", "37 01 03 01 04 01 00 01 02", "00"},
     {"set_attr", "0e 04 01 0e", "00"},
     {"commit", "04", "00"},
     {"get_attr", "0d 04 01", "00 0e"},
@@ -381,13 +395,29 @@ constexpr GoldenStep kGolden[] = {
     {"batch_retired", "1e 01 00000000",
      "03 1d000000 6e6f2063616c6c20666f72206f70636f64652033302028626174636829",
      false},
+    {"create_node_retired", "07 02 02 14 c801 d00f 00 00",
+     "03 22000000 "
+     "6e6f2063616c6c20666f72206f70636f6465203720286372656174655f6e6f646529",
+     false},
+    {"add_child_retired", "0a 01 02",
+     "03 21000000 "
+     "6e6f2063616c6c20666f72206f70636f646520313020286164645f6368696c6429",
+     false},
+    {"add_part_retired", "0b 01 04",
+     "03 20000000 "
+     "6e6f2063616c6c20666f72206f70636f646520313120286164645f7061727429",
+     false},
+    {"add_ref_retired", "0c 02 03 06 07",
+     "03 1f000000 "
+     "6e6f2063616c6c20666f72206f70636f646520313220286164645f72656629",
+     false},
     {"shard_info", "2a", "00 0001"},
     {"begin_again", "03", "00"},
     {"abort", "05",
      "09 390000006d656d206261636b656e6420686173206e6f207472616e73616374696f6"
      "e20726f6c6c6261636b2028696d6167652073656d616e7469637329"},
     {"close_reopen", "06", "00"},
-    {"repl_subscribe", "2b 0a 09 00", "00 01998080802002"},
+    {"repl_subscribe", "2b 0b 09 00", "00 01998080802002"},
     {"repl_segment", "2c 02 00 10",
      "00 001910000000110000006919f84d0500000000000000"},
     {"repl_status_ack", "2d 09 05", "00 01019980808020"},
@@ -553,7 +583,7 @@ TEST(WireGoldenClientTest, RemoteStoreSendsAndDecodesRecordedBytes) {
     if (fd < 0) return;
     std::string rx;
     for (const GoldenStep& step : kGolden) {
-      // The client skips kStats and the retired kBatch.
+      // The client skips kStats and the retired opcodes.
       if (step.response == nullptr || !step.client_sends) continue;
       std::string request;
       if (!ReadFrame(fd, &rx, &request)) break;
