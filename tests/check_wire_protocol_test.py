@@ -26,6 +26,7 @@ CHECKER = (
 GOOD_WIRE_H = """\
 #include <cstdint>
 
+/// The protocol version. v2 added batching.
 inline constexpr uint8_t kWireVersion = 2;
 
 enum class OpCode : uint8_t {
@@ -132,6 +133,8 @@ class CheckWireProtocolTest(unittest.TestCase):
         wire_h = GOOD_WIRE_H.replace(
             "kWireVersion = 2", "kWireVersion = 7"
         ).replace(
+            "v2 added batching.", "v2 batching; v3; v4; v5; v6; v7."
+        ).replace(
             "kBatch = 3,",
             "kBatch = 3,\n  // ---- v3: stats\n  // ---- v4: ping\n"
             "  // ---- v5: cluster\n  // ---- v6: replication\n"
@@ -153,6 +156,33 @@ class CheckWireProtocolTest(unittest.TestCase):
         )
         result = run_checker(wire_h, wire_cc, status_h)
         self.assertEqual(result.returncode, 0, result.stderr)
+
+    # ---- rule 2c: every revision named above kWireVersion ----
+
+    def test_bump_with_marker_and_prose_passes(self):
+        wire_h = GOOD_WIRE_H.replace(
+            "kWireVersion = 2", "kWireVersion = 3"
+        ).replace(
+            "v2 added batching.", "v2 added batching; v3 kNew."
+        ).replace(
+            "kBatch = 3,", "kBatch = 3,\n  // ---- v3: kNew\n  kNew = 4,"
+        )
+        result = run_checker(wire_h, GOOD_WIRE_CC)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("wire v3", result.stdout)
+
+    def test_bump_without_prose_rejected(self):
+        # The marker is there, the prose line is not; neither v30 nor
+        # the "v3" inside "rev3" names v3.
+        wire_h = GOOD_WIRE_H.replace(
+            "kWireVersion = 2", "kWireVersion = 3"
+        ).replace(
+            "v2 added batching.", "v2 added batching; v30 rev3."
+        ).replace(
+            "kBatch = 3,", "kBatch = 3,\n  // ---- v3: kNew\n  kNew = 4,"
+        )
+        result = run_checker(wire_h, GOOD_WIRE_CC)
+        self.assert_rejects(result, "does not name v3")
 
     # ---- rule 4: status code numbering ----
 

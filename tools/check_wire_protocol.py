@@ -15,6 +15,9 @@ static_asserts there. This lint keeps what the compiler cannot see:
      must not declare a negotiation floor (kMinWireVersion). From v7
      on, with status.h given, StatusCode must carry kVersionMismatch,
      the handshake's typed refusal.
+  2c. Revision prose: the comment directly above kWireVersion names
+     every revision vN for N from 2 to kWireVersion, so a bump cannot
+     ship without its line saying what changed.
 
 With a third argument (src/util/status.h) the same discipline is
 applied to StatusCode, which rides the wire in every response frame:
@@ -67,6 +70,19 @@ def parse_wire_version(header_text):
     if not match:
         fail(["wire.h: cannot find kWireVersion"])
     return int(match.group(1))
+
+
+def parse_version_doc(header_text):
+    """Returns the comment lines directly above the kWireVersion
+    declaration, joined; empty when there are none."""
+    lines = header_text.splitlines()
+    for index, line in enumerate(lines):
+        if re.search(r"inline\s+constexpr\s+uint8_t\s+kWireVersion\b", line):
+            start = index
+            while start > 0 and lines[start - 1].lstrip().startswith("//"):
+                start -= 1
+            return "\n".join(lines[start:index])
+    return ""
 
 
 def declares_min_wire_version(header_text):
@@ -198,6 +214,16 @@ def main():
                 f"wire.h: kWireVersion is {wire_version} but the enum "
                 f"has no `---- v{version}:` gating comment documenting "
                 f"that revision's opcodes"
+            )
+
+    # Rule 2c: the prose above kWireVersion names every revision.
+    named = {int(v) for v in re.findall(r"\bv(\d+)\b",
+                                        parse_version_doc(header_text))}
+    for version in range(2, wire_version + 1):
+        if version not in named:
+            errors.append(
+                f"wire.h: the comment above kWireVersion does not name "
+                f"v{version}; say what that revision changed"
             )
 
     # Rules 4–5: status code numbering and decode coverage.
