@@ -1,8 +1,9 @@
 // Substrate micro-benchmarks (google-benchmark): the primitive costs
 // underneath the paper tables — B+tree point ops, object store CRUD,
 // buffer-pool hit path, slotted-page ops, WAL appends, CRC32, bitmap
-// inversion — the oodb §5.2 load, and the warm 1-N closures on `mem`
-// and `oodb`. Useful for attributing where the macro numbers come from.
+// inversion — the oodb §5.2 load, the warm 1-N closures on `mem` and
+// `oodb`, and one loopback wire round trip. Useful for attributing where
+// the macro numbers come from.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/oodb_store.h"
+#include "hypermodel/backends/remote_store.h"
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
 #include "index/bptree.h"
@@ -356,6 +358,28 @@ BENCHMARK_CAPTURE(BM_Closure, op11_oodb, ClosureOp::k1NAttSum, true)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Closure, op13_oodb, ClosureOp::k1NPred, true)
     ->Unit(benchmark::kMicrosecond);
+
+// ---------- Wire round trip ----------
+
+// One kPing per iteration from a loopback `remote` client to an
+// in-process server over `mem`: the frame, socket and dispatch path of
+// every remote call with no backend work. Wall time, since the cost is
+// mostly waiting on the other thread.
+void BM_RemotePing(benchmark::State& state) {
+  auto store = hm::backends::RemoteStore::Loopback(
+      std::make_unique<hm::backends::MemStore>());
+  if (!store.ok()) {
+    state.SkipWithError("could not start the loopback server");
+    return;
+  }
+  for (auto _ : state) {
+    if (!(*store)->Ping().ok()) {
+      state.SkipWithError("ping failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_RemotePing)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 
