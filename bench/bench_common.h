@@ -140,12 +140,12 @@ util::Result<std::unique_ptr<HyperStore>> OpenBackend(
 util::Result<backends::RemoteMode> RemoteModeOf(const std::string& name,
                                                 backends::RemoteMode fallback);
 
-/// Empties `path` and returns it; the directory is removed again when
-/// the process exits through main's return or std::exit (CheckOk too).
-std::string ScratchDir(const std::string& path);
-
-/// ScratchDir("/tmp/hm_bench_<pid>").
-std::string ScratchDir();
+/// Makes a fresh, uniquely named directory under `root` (default:
+/// TMPDIR, else /tmp) and returns it. That directory is removed when
+/// the process exits through main's return or std::exit (CheckOk too);
+/// `root` and whatever else it holds are left alone, unless this call
+/// created `root`, which then goes too.
+std::string ScratchDir(const std::string& root = "");
 
 // --- The §6 protocol -------------------------------------------------
 

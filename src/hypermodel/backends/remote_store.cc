@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -141,7 +140,7 @@ util::Status RemoteStore::ConnectSocket() {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (options_.deadline_ms > 0) {
-    // Receives are bounded by poll() in ReadResponse; bound sends the
+    // Receives are bounded by RecvSome in ReadResponse; bound sends the
     // cheap way so a peer that stops draining its socket cannot park
     // us in send() forever either.
     timeval tv{};
@@ -299,6 +298,12 @@ util::Status RemoteStore::ReadResponse(util::Status* op_status,
   if (fd_ < 0) {
     return util::Status::IoError("remote: connection is closed");
   }
+  static telemetry::Counter* recv_spun =
+      telemetry::Registry::Global().GetCounter("remote.recv.spun");
+  static telemetry::Counter* recv_blocked =
+      telemetry::Registry::Global().GetCounter("remote.recv.blocked");
+  static telemetry::Counter* deadline_exceeded =
+      telemetry::Registry::Global().GetCounter("remote.deadline_exceeded");
   auto poison = [&](util::Status status) {
     ::close(fd_);
     fd_ = -1;
@@ -333,47 +338,28 @@ util::Status RemoteStore::ReadResponse(util::Status* op_status,
       return poison(util::Status::IoError(
           "remote: injected failure at failpoint remote/recv/error"));
     }
-    if (bounded) {
-      // The deadline covers the whole call, not each recv: poll for at
-      // most the time remaining, so a server trickling partial frames
-      // cannot stretch one call indefinitely. This is the fix for the
-      // half-open-socket hang — a dead server now costs deadline_ms,
-      // not forever.
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      int ready = 0;
-      if (remaining > 0) {
-        pollfd pfd{};
-        pfd.fd = fd_;
-        pfd.events = POLLIN;
-        ready = ::poll(&pfd, 1, static_cast<int>(remaining));
-        if (ready < 0) {
-          if (errno == EINTR) continue;
-          return poison(Errno("poll"));
-        }
-      }
-      if (ready == 0) {
-        static telemetry::Counter* deadline_exceeded =
-            telemetry::Registry::Global().GetCounter(
-                "remote.deadline_exceeded");
+    // The deadline covers the whole call, spin included, not each
+    // receive: a server trickling partial frames cannot stretch one call
+    // indefinitely, and a dead one costs deadline_ms, not forever.
+    server::Received got = server::RecvSome(
+        fd_, chunk, sizeof(chunk),
+        bounded ? std::optional(deadline) : std::nullopt);
+    (got.spun ? recv_spun : recv_blocked)->Add();
+    switch (got.outcome) {
+      case server::RecvOutcome::kData:
+        rx_.append(chunk, got.bytes);
+        break;
+      case server::RecvOutcome::kClosed:
+        return poison(
+            util::Status::IoError("remote: server closed the connection"));
+      case server::RecvOutcome::kTimedOut:
         deadline_exceeded->Add();
         return poison(util::Status::DeadlineExceeded(
             "remote: no response within " +
             std::to_string(options_.deadline_ms) + " ms"));
-      }
+      case server::RecvOutcome::kError:
+        return poison(Errno("recv"));
     }
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      return poison(
-          util::Status::IoError("remote: server closed the connection"));
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return poison(Errno("recv"));
-    }
-    rx_.append(chunk, static_cast<size_t>(n));
   }
 }
 

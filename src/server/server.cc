@@ -243,18 +243,6 @@ const Binding* BindingFor(uint8_t op) {
 
 }  // namespace
 
-bool WriteAll(int fd, std::string_view data) {
-  while (!data.empty()) {
-    ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<size_t>(n));
-  }
-  return true;
-}
-
 Server::Session::~Session() {
   if (fd >= 0) ::close(fd);
 }

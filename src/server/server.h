@@ -300,9 +300,6 @@ class Server {
   std::atomic<uint64_t> shed_{0};
 };
 
-/// Writes all of `data` to `fd`, retrying on short writes and EINTR.
-bool WriteAll(int fd, std::string_view data);
-
 }  // namespace hm::server
 
 #endif  // HM_SERVER_SERVER_H_

@@ -5,8 +5,6 @@
 // sessions, which keeps per-connection state (the receive buffer) free
 // of synchronization.
 
-#include <sys/socket.h>
-
 #include <memory>
 
 #include "server/server.h"
@@ -29,6 +27,10 @@ void Server::ServeSession(Session* session) {
       telemetry::Registry::Global().GetCounter("server.net.bytes_in");
   static telemetry::Counter* bytes_out =
       telemetry::Registry::Global().GetCounter("server.net.bytes_out");
+  static telemetry::Counter* recv_spun =
+      telemetry::Registry::Global().GetCounter("server.recv.spun");
+  static telemetry::Counter* recv_blocked =
+      telemetry::Registry::Global().GetCounter("server.recv.blocked");
   char chunk[64 * 1024];
   for (;;) {
     // Peel off every complete frame already buffered before reading
@@ -58,10 +60,12 @@ void Server::ServeSession(Session* session) {
       if (!WriteAll(session->fd, out)) return;
     }
     if (HM_FAILPOINT_FIRED("server/read/error")) return;
-    ssize_t n = ::recv(session->fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return;  // peer closed, error, or Stop() shut us down
-    bytes_in->Add(static_cast<uint64_t>(n));
-    session->buffer.append(chunk, static_cast<size_t>(n));
+    Received got = RecvSome(session->fd, chunk, sizeof(chunk));
+    (got.spun ? recv_spun : recv_blocked)->Add();
+    // Peer closed, error, or Stop() shut our read side down.
+    if (got.outcome != RecvOutcome::kData) return;
+    bytes_in->Add(got.bytes);
+    session->buffer.append(chunk, got.bytes);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "telemetry/metrics.h"
 
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 
@@ -11,8 +12,10 @@ uint64_t HistogramData::Quantile(double q) const {
   if (count == 0) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  // Rank of the q-quantile in 1..count (nearest-rank definition).
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count));
+  // Rank of the q-quantile in 1..count: the nearest-rank definition,
+  // ceil(q * count), so p99 of five samples is the fifth.
+  auto rank =
+      static_cast<uint64_t>(std::ceil(q * static_cast<double>(count)));
   if (rank < 1) rank = 1;
   if (rank > count) rank = count;
   uint64_t seen = 0;

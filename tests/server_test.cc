@@ -1035,6 +1035,49 @@ TEST(ServerTest, StopUnblocksConnectedIdleClient) {
       << status.ToString();
 }
 
+TEST(ServerTest, StopWithIdleSessionReturnsWithinDrainBound) {
+  // The worker serving an idle session is spinning or blocked in its
+  // receive; Stop's SHUT_RD must end that wait at once, well inside the
+  // drain bound, rather than the bound expiring and severing it.
+  server::ServerOptions options;
+  options.drain_ms = 2000;
+  auto srv = StartMemServer(options);
+  ASSERT_NE(srv, nullptr);
+  auto client = ConnectTo(*srv);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Ping().ok());
+  auto start = std::chrono::steady_clock::now();
+  srv->Stop();
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(elapsed.count(), options.drain_ms);
+  EXPECT_FALSE(client->Ping().ok());
+}
+
+TEST(ServerTest, LoopbackPingsEndWaitsInTheSpin) {
+  // A loopback round trip answers well inside kRecvSpinBudget, so the
+  // client's waits for replies and the worker's waits for the next
+  // request end in the spin rather than a sleep.
+  auto srv = StartMemServer();
+  ASSERT_NE(srv, nullptr);
+  auto client = ConnectTo(*srv);
+  ASSERT_NE(client, nullptr);
+  auto counter = [](const char* name) {
+    return telemetry::Registry::Global().GetCounter(name)->value();
+  };
+  const uint64_t client_spun = counter("remote.recv.spun");
+  const uint64_t client_blocked = counter("remote.recv.blocked");
+  const uint64_t server_spun = counter("server.recv.spun");
+  constexpr uint64_t kPings = 1000;
+  for (uint64_t i = 0; i < kPings; ++i) ASSERT_TRUE(client->Ping().ok());
+  EXPECT_GT(counter("remote.recv.spun"), client_spun);
+  EXPECT_GT(counter("server.recv.spun"), server_spun);
+  // Every reply takes at least one wait, and each wait counts once.
+  EXPECT_GE(counter("remote.recv.spun") - client_spun +
+                counter("remote.recv.blocked") - client_blocked,
+            kPings);
+}
+
 TEST(ServerTest, GarbageFrameDropsConnectionOnly) {
   auto srv = StartMemServer();
   ASSERT_NE(srv, nullptr);
@@ -1226,6 +1269,28 @@ TEST_F(FaultToleranceTest, SlowDispatchHitsCallDeadline) {
       std::chrono::steady_clock::now() - start);
   EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
   EXPECT_LT(elapsed.count(), 1300);
+}
+
+TEST_F(FaultToleranceTest, DispatchDelayPastTheSpinBlocksThenAnswers) {
+  RequireFailpoints();
+  if (IsSkipped()) return;
+  auto srv = StartMemServer();
+  ASSERT_NE(srv, nullptr);
+  auto client = ConnectTo(*srv);
+  ASSERT_NE(client, nullptr);
+  auto expected = client->StorageBytes();
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // A reply 20 ms away outlasts the spin budget many times over: the
+  // client gives up spinning, blocks, and still gets the right answer.
+  const uint64_t blocked_before = Counter("remote.recv.blocked");
+  ASSERT_TRUE(
+      util::Failpoint::Enable("server/dispatch/delay", "delay=20,times=1")
+          .ok());
+  auto delayed = client->StorageBytes();
+  ASSERT_TRUE(delayed.ok()) << delayed.status().ToString();
+  EXPECT_EQ(*delayed, *expected);
+  EXPECT_GT(Counter("remote.recv.blocked"), blocked_before);
 }
 
 TEST_F(FaultToleranceTest, ReadRetriesTransparentlyAfterTransportError) {

@@ -78,6 +78,19 @@ TEST(HistogramTest, QuantilesWithinAdvertisedError) {
   EXPECT_EQ(HistogramData{}.Quantile(0.5), 0u);  // empty histogram
 }
 
+TEST(HistogramTest, QuantileIsNearestRank) {
+  // Nearest rank is ceil(q * count): of five samples p50 is the 3rd and
+  // p99 the 5th, so one outlier lifts p99 above the mean.
+  Histogram h;
+  for (uint64_t v : {1, 2, 3, 4, 1000}) h.Record(v);
+  HistogramData data = h.Snapshot();
+  EXPECT_EQ(data.Quantile(0.50), 3u);
+  EXPECT_EQ(data.Quantile(0.99), BucketUpperBound(BucketIndex(1000)));
+  EXPECT_GT(static_cast<double>(data.Quantile(0.99)), data.Mean());
+  EXPECT_EQ(data.Quantile(0.0), 1u);  // rank 0 clamps to the 1st sample
+  EXPECT_EQ(data.Quantile(1.0), BucketUpperBound(BucketIndex(1000)));
+}
+
 TEST(HistogramTest, CrossThreadMergeIsDeterministic) {
   // Four threads hammer one histogram with disjoint deterministic
   // streams; whatever the interleaving, the final state must equal a

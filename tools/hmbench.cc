@@ -53,8 +53,9 @@ usage: hmbench [options]           run the benchmark
   --iters=N           runs per cold/warm phase (default 50)
   --cache-pages=N     workstation cache size in 8 KiB pages (default 2048)
   --seed=N            input-selection seed (default 7)
-  --dir=PATH          scratch directory, removed on exit (default
-                      /tmp/hmbench)
+  --dir=PATH          where to make the scratch directory, which is
+                      removed on exit; PATH itself is kept unless
+                      the run created it (default /tmp/hmbench)
   --remote=HOST:PORT  server address for the remote backend
                       (default: spawn an in-process loopback
                       server over a mem backend); the shard
@@ -136,8 +137,9 @@ on a clean report, 2 on violations.
                       a running fleet end to end
   --level=N           leaf level of the generated tree (default 4)
   --cache-pages=N     backend cache size
-  --dir=PATH          scratch directory, removed on exit
-                      (default /tmp/hmfsck)
+  --dir=PATH          where to make the scratch directory, which is
+                      removed on exit; PATH itself is kept unless
+                      the run created it (default /tmp/hmfsck)
   --remote=HOST:PORT  server for the remote backend (default:
                       in-process loopback over a mem backend)
   --shards=N          fleet size for a self-hosted shard backend
