@@ -1,8 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): the primitive costs
 // underneath the paper tables — B+tree point ops, object store CRUD,
 // buffer-pool hit path, slotted-page ops, WAL appends, CRC32, bitmap
-// inversion — the oodb §5.2 load, the warm 1-N closures on `mem` and
-// `oodb`, and one loopback wire round trip. Useful for attributing where
+// inversion — the oodb §5.2 load, the warm closures of ops 10, 11, 13,
+// 14, 15 and 18 on `mem` and `oodb`, and one loopback wire round trip. Useful for attributing where
 // the macro numbers come from.
 
 #include <benchmark/benchmark.h>
@@ -263,9 +263,9 @@ void BM_LoadOodb(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadOodb)->Unit(benchmark::kMillisecond);
 
-// ---------- 1-N closures ----------
+// ---------- Closures ----------
 
-enum class ClosureOp { k1N, k1NAttSum, k1NPred };
+enum class ClosureOp { k1N, k1NAttSum, k1NPred, kMN, kMNAtt, kMNAttLinkSum };
 
 /// A level-5 database (no text or form contents) per backend, built on
 /// first use and shared by every case on that backend.
@@ -301,7 +301,8 @@ ClosureFixture* Fixture(bool oodb) {
 }
 
 /// One closure from the i-th start node (mod the level size). Op 13's
-/// band is fixed: million in [500000, 509999].
+/// band is fixed: million in [500000, 509999]; ops 15 and 18 follow
+/// refTo to the paper's depth, 25.
 bool RunClosure(hm::HyperStore* store, ClosureOp op, hm::NodeRef start,
                 std::vector<hm::NodeRef>* out) {
   switch (op) {
@@ -311,12 +312,22 @@ bool RunClosure(hm::HyperStore* store, ClosureOp op, hm::NodeRef start,
       return hm::ops::Closure1NAttSum(store, start, nullptr).ok();
     case ClosureOp::k1NPred:
       return hm::ops::Closure1NPred(store, start, 500000, out).ok();
+    case ClosureOp::kMN:
+      return hm::ops::ClosureMN(store, start, out).ok();
+    case ClosureOp::kMNAtt:
+      return hm::ops::ClosureMNAtt(store, start, 25, out).ok();
+    case ClosureOp::kMNAttLinkSum: {
+      std::vector<hm::NodeDistance> reached;
+      return hm::ops::ClosureMNAttLinkSum(store, start, 25, &reached).ok();
+    }
   }
   return false;
 }
 
 // Warm: every start node runs once before timing. On oodb the
-// `objects_read` counter is the object store's reads per closure.
+// `objects_read` counter is the object store's reads per closure, and
+// `pool_fetches` its buffer-pool fetches (hits plus misses) per
+// closure.
 void BM_Closure(benchmark::State& state, ClosureOp op, bool oodb) {
   ClosureFixture* fixture = Fixture(oodb);
   if (fixture == nullptr) {
@@ -330,8 +341,14 @@ void BM_Closure(benchmark::State& state, ClosureOp op, bool oodb) {
       return;
     }
   }
+  auto fetches = [fixture] {
+    const hm::storage::BufferPoolStats pool =
+        fixture->oodb->object_store()->buffer_pool()->stats();
+    return pool.hits + pool.misses;
+  };
   const uint64_t reads_before =
       oodb ? fixture->oodb->object_store()->stats().objects_read : 0;
+  const uint64_t fetches_before = oodb ? fetches() : 0;
   size_t i = 0;
   for (auto _ : state) {
     const hm::NodeRef start = fixture->starts[i++ % fixture->starts.size()];
@@ -344,6 +361,9 @@ void BM_Closure(benchmark::State& state, ClosureOp op, bool oodb) {
             fixture->oodb->object_store()->stats().objects_read -
             reads_before),
         benchmark::Counter::kAvgIterations);
+    state.counters["pool_fetches"] = benchmark::Counter(
+        static_cast<double>(fetches() - fetches_before),
+        benchmark::Counter::kAvgIterations);
   }
 }
 BENCHMARK_CAPTURE(BM_Closure, op10_mem, ClosureOp::k1N, false)
@@ -352,11 +372,23 @@ BENCHMARK_CAPTURE(BM_Closure, op11_mem, ClosureOp::k1NAttSum, false)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Closure, op13_mem, ClosureOp::k1NPred, false)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op14_mem, ClosureOp::kMN, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op15_mem, ClosureOp::kMNAtt, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op18_mem, ClosureOp::kMNAttLinkSum, false)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Closure, op10_oodb, ClosureOp::k1N, true)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Closure, op11_oodb, ClosureOp::k1NAttSum, true)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Closure, op13_oodb, ClosureOp::k1NPred, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op14_oodb, ClosureOp::kMN, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op15_oodb, ClosureOp::kMNAtt, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Closure, op18_oodb, ClosureOp::kMNAttLinkSum, true)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------- Wire round trip ----------
