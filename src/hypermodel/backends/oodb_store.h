@@ -40,8 +40,9 @@ using OodbOptions = objstore::ObjectStoreOptions;
 /// re-encode the whole record.
 ///
 /// It takes the §5.2 load's set-at-a-time writes natively (see the
-/// FrontierFetch writes below); its set-at-a-time reads are the
-/// per-item loop.
+/// FrontierFetch writes below), and the closure engine's set-at-a-time
+/// reads too: a tier is one `ObjectStore::ViewMany`, which pins each
+/// directory and data page the tier touches once.
 class OodbStore : public HyperStore,
                   public PipelinedCommitCapable,
                   public FrontierFetch {
@@ -107,7 +108,11 @@ class OodbStore : public HyperStore,
 
   util::Result<uint64_t> StorageBytes() override;
 
-  // FrontierFetch: the per-item loop over this store.
+  // FrontierFetch: the reads, native. Each is one ViewMany over the
+  // tier, with every record parsed in place as the per-item reads parse
+  // it; output i is node i's although records are visited in page
+  // order, so the results equal the per-item loop's. SetAttrsMulti is
+  // the per-item loop (one SetAttr per node).
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
                              RefLists* out) override;
   util::Status PartsMulti(std::span<const NodeRef> nodes,

@@ -9,8 +9,8 @@ namespace {
 
 /// Stores may opt into whole-traversal execution (the `remote` backend
 /// runs the walk server-side); everything else runs the traversal
-/// engine in-process, fetching each frontier with one navigation call
-/// per node.
+/// engine in-process over FetchFor's choice of fetch: the store's own
+/// set-at-a-time reads (`oodb`), else one navigation call per node.
 TraversalCapable* AsTraversal(HyperStore* store) {
   return dynamic_cast<TraversalCapable*>(store);
 }
@@ -82,7 +82,7 @@ util::Result<uint64_t> SeqScan(HyperStore* store,
     HM_RETURN_IF_ERROR(trav->BulkGetAttr(nodes, Attr::kTen, &values));
   } else {
     HM_RETURN_IF_ERROR(
-        StoreFetch(store).GetAttrsMulti(nodes, Attr::kTen, &values));
+        FetchFor(store).get()->GetAttrsMulti(nodes, Attr::kTen, &values));
   }
   volatile int64_t sink = 0;
   for (int64_t ten : values) sink = ten;
@@ -95,8 +95,8 @@ util::Status Closure1N(HyperStore* store, NodeRef start,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1N(start, out);
   }
-  StoreFetch fetch(store);
-  return traversal::Closure1N(&fetch, start, out);
+  FetchFor fetch(store);
+  return traversal::Closure1N(fetch.get(), start, out);
 }
 
 util::Status ClosureMN(HyperStore* store, NodeRef start,
@@ -104,8 +104,8 @@ util::Status ClosureMN(HyperStore* store, NodeRef start,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosureMN(start, out);
   }
-  StoreFetch fetch(store);
-  return traversal::ClosureMN(&fetch, start, out);
+  FetchFor fetch(store);
+  return traversal::ClosureMN(fetch.get(), start, out);
 }
 
 util::Status ClosureMNAtt(HyperStore* store, NodeRef start, int depth,
@@ -113,8 +113,8 @@ util::Status ClosureMNAtt(HyperStore* store, NodeRef start, int depth,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosureMNAtt(start, depth, out);
   }
-  StoreFetch fetch(store);
-  return traversal::ClosureMNAtt(&fetch, start, depth, out);
+  FetchFor fetch(store);
+  return traversal::ClosureMNAtt(fetch.get(), start, depth, out);
 }
 
 util::Result<int64_t> Closure1NAttSum(HyperStore* store, NodeRef start,
@@ -122,16 +122,16 @@ util::Result<int64_t> Closure1NAttSum(HyperStore* store, NodeRef start,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1NAttSum(start, visited);
   }
-  StoreFetch fetch(store);
-  return traversal::Closure1NAttSum(&fetch, start, visited);
+  FetchFor fetch(store);
+  return traversal::Closure1NAttSum(fetch.get(), start, visited);
 }
 
 util::Result<uint64_t> Closure1NAttSet(HyperStore* store, NodeRef start) {
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1NAttSet(start);
   }
-  StoreFetch fetch(store);
-  return traversal::Closure1NAttSet(&fetch, start);
+  FetchFor fetch(store);
+  return traversal::Closure1NAttSet(fetch.get(), start);
 }
 
 util::Status Closure1NPred(HyperStore* store, NodeRef start, int64_t x,
@@ -139,8 +139,8 @@ util::Status Closure1NPred(HyperStore* store, NodeRef start, int64_t x,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosure1NPred(start, x, x + 9999, out);
   }
-  StoreFetch fetch(store);
-  return traversal::Closure1NPred(&fetch, start, x, x + 9999, out);
+  FetchFor fetch(store);
+  return traversal::Closure1NPred(fetch.get(), start, x, x + 9999, out);
 }
 
 util::Status ClosureMNAttLinkSum(HyperStore* store, NodeRef start, int depth,
@@ -148,8 +148,8 @@ util::Status ClosureMNAttLinkSum(HyperStore* store, NodeRef start, int depth,
   if (TraversalCapable* trav = AsTraversal(store)) {
     return trav->TravClosureMNAttLinkSum(start, depth, out);
   }
-  StoreFetch fetch(store);
-  return traversal::ClosureMNAttLinkSum(&fetch, start, depth, out);
+  FetchFor fetch(store);
+  return traversal::ClosureMNAttLinkSum(fetch.get(), start, depth, out);
 }
 
 util::Result<uint64_t> TextNodeEdit(HyperStore* store, NodeRef text_node,

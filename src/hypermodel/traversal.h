@@ -155,8 +155,7 @@ util::Status CheckPositional(std::string_view method, size_t n,
 
 /// FrontierFetch over any HyperStore: one store call per node or edge,
 /// in input order. The fetch of a store with no set-at-a-time surface
-/// of its own (FetchFor), of `ops::` on every in-process store, and of
-/// `oodb`'s own reads.
+/// of its own (FetchFor), and `oodb`'s SetAttrsMulti.
 class StoreFetch final : public FrontierFetch {
  public:
   explicit StoreFetch(HyperStore* store) : store_(store) {}
@@ -195,7 +194,8 @@ class StoreFetch final : public FrontierFetch {
 
 /// The fetch to run over a store: the store itself when it implements
 /// FrontierFetch (`oodb`, `remote`, `shard://`), else a StoreFetch over
-/// it. The generator and the server's call context choose it here.
+/// it. `ops::`, the generator and the server's call context choose it
+/// here.
 class FetchFor {
  public:
   explicit FetchFor(HyperStore* store)

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +23,7 @@
 #include "hypermodel/backends/rel_store.h"
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
+#include "hypermodel/traversal.h"
 #include "storage/commit_pipeline/segmented_wal.h"
 #include "telemetry/metrics.h"
 #include "util/coding.h"
@@ -482,6 +486,127 @@ TEST_F(BackendDirTest, OodbCountsOneObjectReadPerRecordVisited) {
             }),
             3 * db->node_count());
   ASSERT_TRUE(store->Commit().ok());
+}
+
+// ---------- OODB: native set-at-a-time reads ----------
+
+/// The five FrontierFetch reads of `batch` through `fetch`, each
+/// result (or its status code) in one comparable string.
+std::vector<std::string> FetchAll(FrontierFetch* fetch,
+                                  const std::vector<NodeRef>& batch) {
+  std::vector<std::string> results;
+  auto code = [](const util::Status& status) {
+    return std::string(util::StatusCodeName(status.code()));
+  };
+  auto lists = [](const RefLists& lists) {
+    std::ostringstream out;
+    for (size_t i = 0; i < lists.size(); ++i) {
+      out << "[";
+      for (NodeRef ref : lists[i]) out << ref << " ";
+      out << "]";
+    }
+    return out.str();
+  };
+  auto values = [](const std::vector<int64_t>& values) {
+    std::ostringstream out;
+    for (int64_t value : values) out << value << " ";
+    return out.str();
+  };
+  RefLists refs;
+  util::Status status = fetch->ChildrenMulti(batch, &refs);
+  results.push_back("children " + (status.ok() ? lists(refs) : code(status)));
+  status = fetch->PartsMulti(batch, &refs);
+  results.push_back("parts " + (status.ok() ? lists(refs) : code(status)));
+  EdgeLists edges;
+  status = fetch->RefsToMulti(batch, &edges);
+  std::ostringstream edge_text;
+  for (size_t i = 0; status.ok() && i < edges.size(); ++i) {
+    edge_text << "[";
+    for (const RefEdge& edge : edges[i]) {
+      edge_text << "(" << edge.node << "," << edge.offset_from << ","
+                << edge.offset_to << ")";
+    }
+    edge_text << "]";
+  }
+  results.push_back("refsTo " + (status.ok() ? edge_text.str() : code(status)));
+  for (Attr attr : {Attr::kUniqueId, Attr::kTen, Attr::kHundred,
+                    Attr::kThousand, Attr::kMillion}) {
+    std::vector<int64_t> column;
+    status = fetch->ChildrenAttrsMulti(batch, attr, &refs, &column);
+    results.push_back("childrenAttrs " +
+                      (status.ok() ? lists(refs) + values(column)
+                                   : code(status)));
+    status = fetch->GetAttrsMulti(batch, attr, &column);
+    results.push_back("attrs " + (status.ok() ? values(column) : code(status)));
+  }
+  return results;
+}
+
+// oodb answers the five reads itself, one ViewMany per call, which
+// visits records in page order. Output i must still be node i's, equal
+// to the per-item loop's, for every node, on either placement (random
+// placement puts a tier's records on pages out of input order), for a
+// batch with repeats and for a ref that is not a node.
+TEST_F(BackendDirTest, OodbNativeReadsEqualThePerItemLoop) {
+  for (objstore::PlacementPolicy placement :
+       {objstore::PlacementPolicy::kClustered,
+        objstore::PlacementPolicy::kRandom}) {
+    SCOPED_TRACE(static_cast<int>(placement));
+    OodbOptions options;
+    options.placement = placement;
+    auto store_or = OodbStore::Open(
+        options, dir_ + "/" + std::to_string(static_cast<int>(placement)));
+    ASSERT_TRUE(store_or.ok());
+    OodbStore* store = store_or->get();
+    GeneratorConfig config;
+    config.levels = 4;
+    auto db = Generator(config).Build(store, nullptr);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    StoreFetch per_item(store);
+
+    std::vector<std::vector<NodeRef>> batches;
+    batches.push_back(db->all_nodes);
+    batches.emplace_back(db->all_nodes.rbegin(), db->all_nodes.rend());
+    std::vector<NodeRef> repeats = db->all_nodes;
+    repeats.insert(repeats.end(), db->level(2).begin(), db->level(2).end());
+    repeats.push_back(db->root);
+    std::shuffle(repeats.begin(), repeats.end(), std::mt19937(7));
+    batches.push_back(repeats);
+    for (size_t l = 0; l < db->nodes_by_level.size(); ++l) {
+      batches.push_back(db->level(l));
+    }
+    for (size_t b = 0; b < batches.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      const std::vector<std::string> native = FetchAll(store, batches[b]);
+      EXPECT_EQ(native, FetchAll(&per_item, batches[b]));
+      for (const std::string& result : native) {
+        EXPECT_EQ(result.find("children NotFound"), std::string::npos);
+      }
+    }
+
+    // Not a node: the invalid ref, one past the last object, and each
+    // content object (a text, or a form's overflow chain).
+    const std::set<NodeRef> nodes(db->all_nodes.begin(),
+                                  db->all_nodes.end());
+    std::vector<NodeRef> strays = {kInvalidNode,
+                                   store->object_store()->next_oid()};
+    for (NodeRef oid = 1; oid < store->object_store()->next_oid(); ++oid) {
+      if (nodes.count(oid) == 0) strays.push_back(oid);
+    }
+    ASSERT_GT(strays.size(), 2u);
+    for (NodeRef stray : strays) {
+      SCOPED_TRACE("stray " + std::to_string(stray));
+      const std::vector<NodeRef> batch = {db->root, stray, db->level(1)[0]};
+      const std::vector<std::string> native = FetchAll(store, batch);
+      EXPECT_EQ(native, FetchAll(&per_item, batch));
+      const std::string expected =
+          stray == kInvalidNode || stray >= store->object_store()->next_oid()
+              ? "children NotFound"
+              : "children Corruption";
+      EXPECT_EQ(native[0], expected);
+    }
+    store_or->reset();
+  }
 }
 
 // ---------- OODB: WAL traffic per transaction ----------

@@ -774,6 +774,67 @@ TEST(OodbConcurrentReads, ReadersEvictingEachOtherSeeCorrectLists) {
   std::filesystem::remove_all(dir);
 }
 
+// The same eviction pressure on oodb's set-at-a-time read: each call
+// walks a batch of records page by page, holding one pin at a time,
+// and every list and value must land at its input position.
+TEST(OodbConcurrentReads, BatchedReadersEvictingEachOtherSeeCorrectLists) {
+  const std::string dir =
+      ::testing::TempDir() + "/hm_contract_oodb_evict_batched";
+  std::filesystem::remove_all(dir);
+  backends::OodbOptions options;
+  options.cache_pages = 10;
+  auto store = backends::OodbStore::Open(options, dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const auto children = BuildReaderTree(store->get(), 600);
+  const int64_t count = static_cast<int64_t>(children.size()) - 1;
+  std::vector<NodeRef> nodes{kInvalidNode};  // indexed by uniqueId
+  for (int64_t uid = 1; uid <= count; ++uid) {
+    auto node = (*store)->LookupUnique(uid);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    nodes.push_back(*node);
+  }
+  storage::BufferPool* pool = (*store)->object_store()->buffer_pool();
+  pool->ResetStats();
+  std::atomic<int> failures{0};
+  auto reader = [&](int seed) {
+    std::mt19937 rng(static_cast<unsigned>(seed));
+    std::uniform_int_distribution<int64_t> pick(1, count);
+    std::vector<int64_t> uids(24);
+    std::vector<NodeRef> batch(uids.size());
+    RefLists lists;
+    std::vector<int64_t> values;
+    for (int i = 0; i < 300; ++i) {
+      for (size_t k = 0; k < uids.size(); ++k) {
+        uids[k] = pick(rng);
+        batch[k] = nodes[static_cast<size_t>(uids[k])];
+      }
+      if (!(*store)
+               ->ChildrenAttrsMulti(batch, Attr::kHundred, &lists, &values)
+               .ok() ||
+          lists.size() != batch.size() || values.size() != batch.size()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (size_t k = 0; k < uids.size(); ++k) {
+        const auto& want = children[static_cast<size_t>(uids[k])];
+        if (values[k] != uids[k] % 100 + 1 ||
+            !std::equal(lists[k].begin(), lists[k].end(), want.begin(),
+                        want.end())) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) readers.emplace_back(reader, 11 + t);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(pool->stats().evictions, 0u);
+  store->reset();
+  std::filesystem::remove_all(dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, StoreContractTest,
                          ::testing::Range<size_t>(0, 6),
                          [](const ::testing::TestParamInfo<size_t>& info) {
