@@ -419,8 +419,20 @@ int main(int argc, char** argv) {
             << "speedup"
             << "\n";
 
-  const int scan_reps = 5;
-  const int closure_reps = 200;
+  // Each row repeats its op until it has timed at least kRowMinMs: a
+  // level-5 scan is ~1-2 ms of work, and a few reps of it spread the
+  // speed-up column far wider than the effects it is read for.
+  constexpr double kRowMinMs = 100;
+  constexpr int kRowMinReps = 5;
+  auto time_row = [&](const auto& rep, long* reps) {
+    hm::util::Timer timer;
+    *reps = 0;
+    while (*reps < kRowMinReps || timer.ElapsedMillis() < kRowMinMs) {
+      rep();
+      ++*reps;
+    }
+    return timer.ElapsedMillis();
+  };
   std::vector<SweepRow> rows;
   double scan_baseline = 0, closure_baseline = 0;
   for (int shards : shard_counts) {
@@ -440,35 +452,38 @@ int main(int argc, char** argv) {
 
     // /*09*/ seqScan: every node's ten attribute, per-sec = nodes/sec.
     {
-      hm::util::Timer timer;
-      uint64_t visited = 0;
-      for (int rep = 0; rep < scan_reps; ++rep) {
-        auto count = hm::ops::SeqScan(store, db.all_nodes);
-        CheckOk(count.status());
-        visited += *count;
-      }
-      double wall_ms = timer.ElapsedMillis();
+      long visited = 0;
+      long reps = 0;
+      double wall_ms = time_row(
+          [&] {
+            auto count = hm::ops::SeqScan(store, db.all_nodes);
+            CheckOk(count.status());
+            visited += static_cast<long>(*count);
+          },
+          &reps);
       double per_sec = static_cast<double>(visited) / (wall_ms / 1000.0);
       if (scan_baseline == 0) scan_baseline = per_sec;
-      rows.push_back({shards, "seq_scan", static_cast<long>(visited),
-                      wall_ms, per_sec, per_sec / scan_baseline});
+      rows.push_back(
+          {shards, "seq_scan", visited, wall_ms, per_sec,
+           per_sec / scan_baseline});
     }
     // /*10*/ closure1N from random level-3 starts, per-sec =
     // closures/sec.
     {
       hm::util::Rng rng(17);
       const auto& pool = db.level(closure_level);
-      hm::util::Timer timer;
-      for (int rep = 0; rep < closure_reps; ++rep) {
-        hm::NodeRef start = pool[static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
-        std::vector<hm::NodeRef> out;
-        CheckOk(hm::ops::Closure1N(store, start, &out));
-      }
-      double wall_ms = timer.ElapsedMillis();
-      double per_sec = closure_reps / (wall_ms / 1000.0);
+      long closures = 0;
+      double wall_ms = time_row(
+          [&] {
+            hm::NodeRef start = pool[static_cast<size_t>(rng.UniformInt(
+                0, static_cast<int64_t>(pool.size()) - 1))];
+            std::vector<hm::NodeRef> out;
+            CheckOk(hm::ops::Closure1N(store, start, &out));
+          },
+          &closures);
+      double per_sec = static_cast<double>(closures) / (wall_ms / 1000.0);
       if (closure_baseline == 0) closure_baseline = per_sec;
-      rows.push_back({shards, "closure_1n", closure_reps, wall_ms, per_sec,
+      rows.push_back({shards, "closure_1n", closures, wall_ms, per_sec,
                       per_sec / closure_baseline});
     }
     for (size_t i = rows.size() - 2; i < rows.size(); ++i) {
