@@ -37,12 +37,14 @@ using OodbOptions = objstore::ObjectStoreOptions;
 /// then one attribute, kind, parent, content OID or list is read. The
 /// list accessors overwrite the caller's vector, reusing its capacity.
 /// The fully decoded `NodeRecord` serves the write paths only, which
-/// re-encode the whole record.
+/// re-encode the whole record. A change to one record (an attribute,
+/// a content OID) is one `ObjectStore::Modify`, which reads the record
+/// once.
 ///
-/// It takes the §5.2 load's set-at-a-time writes natively (see the
-/// FrontierFetch writes below), and the closure engine's set-at-a-time
-/// reads too: a tier is one `ObjectStore::ViewMany`, which pins each
-/// directory and data page the tier touches once.
+/// Its whole FrontierFetch surface is native: the §5.2 load's
+/// set-at-a-time writes, SetAttrsMulti, and the closure engine's
+/// set-at-a-time reads, where a tier is one `ObjectStore::ViewMany`,
+/// which pins each directory and data page the tier touches once.
 class OodbStore : public HyperStore,
                   public PipelinedCommitCapable,
                   public FrontierFetch {
@@ -111,8 +113,7 @@ class OodbStore : public HyperStore,
   // FrontierFetch: the reads, native. Each is one ViewMany over the
   // tier, with every record parsed in place as the per-item reads parse
   // it; output i is node i's although records are visited in page
-  // order, so the results equal the per-item loop's. SetAttrsMulti is
-  // the per-item loop (one SetAttr per node).
+  // order, so the results equal the per-item loop's.
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
                              RefLists* out) override;
   util::Status PartsMulti(std::span<const NodeRef> nodes,
@@ -124,6 +125,10 @@ class OodbStore : public HyperStore,
                                   std::vector<int64_t>* values) override;
   util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::vector<int64_t>* values) override;
+  /// One ModifyNode per item, in input order, each followed by its
+  /// index update, so a node named twice ends as SetAttr twice leaves
+  /// it. uniqueId is refused before the first write. SetAttr is this
+  /// call with one item.
   util::Status SetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::span<const int64_t> values) override;
 
@@ -184,9 +189,17 @@ class OodbStore : public HyperStore,
   /// write paths only.
   struct NodeRecord;
 
-  /// Copies and fully decodes a record, for a write path to modify.
-  util::Result<NodeRecord> ReadNode(NodeRef node) const;
   util::Status WriteNode(NodeRef node, const NodeRecord& record);
+  /// Decodes node `node`'s record, runs `change(&record)` and writes
+  /// the record back, all inside one ObjectStore::Modify: one read.
+  /// If `change` fails, nothing is written. It must not call the store.
+  template <typename Change>
+  util::Status ModifyNode(NodeRef node, Change change);
+  /// SetText, SetForm and SetContents (no `want`): the kind rule, then
+  /// `bytes` replace the contents object's, or a new contents object
+  /// near the node holds them and its OID goes into the node's record.
+  util::Status WriteContents(NodeRef node, std::optional<NodeKind> want,
+                             std::string_view bytes);
   util::Status RequireActiveTxn();
   /// Creates one node record near `near` and indexes it; a non-empty
   /// `blob` (tagged contents) becomes its contents object.
@@ -198,6 +211,9 @@ class OodbStore : public HyperStore,
   template <typename Append>
   util::Status WriteEdges(std::span<const NodeRef> a,
                           std::span<const NodeRef> b, Append append);
+  /// Adds node `oid`'s entries to the three secondary indexes.
+  util::Status IndexNode(objstore::Oid oid, int64_t unique_id,
+                         int64_t hundred, int64_t million);
   /// Drops and re-derives all three secondary indexes from the
   /// objects; called after WAL replay.
   util::Status RebuildIndexes();
@@ -208,7 +224,6 @@ class OodbStore : public HyperStore,
   std::optional<index::BPlusTree> by_hundred_;
   std::optional<index::BPlusTree> by_million_;
   std::optional<objstore::Transaction> txn_;
-  StoreFetch per_item_{this};
 };
 
 }  // namespace hm::backends

@@ -86,10 +86,10 @@ using EdgeLists = FlatLists<RefEdge>;
 /// attribute column; each load step is one write of a whole level of
 /// nodes or a whole edge phase. Every method is positional — output i
 /// belongs to input i, and every input span holds one entry per item —
-/// and replaces its output. An in-process store runs a loop of the
-/// per-item calls (StoreFetch), the `remote` client sends fused
-/// requests, the `shard://` client one fused request per owning shard,
-/// all sent before any reply is read. The writes are not atomic: a
+/// and replaces its output. `oodb` answers every call natively, mem,
+/// rel and net run a loop of the per-item calls (StoreFetch), the
+/// `remote` client sends fused requests, the `shard://` client one
+/// fused request per owning shard, all sent before any reply is read. The writes are not atomic: a
 /// failure part-way leaves a prefix per shard written (a single store
 /// is one shard), and on a fleet possibly one half of a cross-shard
 /// edge (DESIGN.md §14).
@@ -154,8 +154,8 @@ util::Status CheckPositional(std::string_view method, size_t n,
                              std::initializer_list<size_t> sizes);
 
 /// FrontierFetch over any HyperStore: one store call per node or edge,
-/// in input order. The fetch of a store with no set-at-a-time surface
-/// of its own (FetchFor), and `oodb`'s SetAttrsMulti.
+/// in input order. It serves only the stores with no set-at-a-time
+/// surface of their own (mem, rel, net), through FetchFor.
 class StoreFetch final : public FrontierFetch {
  public:
   explicit StoreFetch(HyperStore* store) : store_(store) {}

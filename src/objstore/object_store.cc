@@ -966,25 +966,31 @@ util::Result<std::string> ObjectStore::Read(Oid oid) const {
   return out;
 }
 
-util::Status ObjectStore::Update(Transaction* txn, Oid oid,
-                                 std::string_view data) {
+util::Status ObjectStore::Modify(
+    Transaction* txn, Oid oid,
+    const std::function<util::Result<std::string>(std::string_view)>&
+        change) {
   util::MutexLock lock(write_mu_);
-  return UpdateLocked(txn, oid, data);
-}
-
-util::Status ObjectStore::UpdateLocked(Transaction* txn, Oid oid,
-                                       std::string_view data) {
   if (!txn->active_) {
     return util::Status::InvalidArgument("transaction not active");
   }
   HM_ASSIGN_OR_RETURN(std::string before, Read(oid));
+  HM_ASSIGN_OR_RETURN(std::string after, change(before));
   HM_RETURN_IF_ERROR(
-      LogAndApply(txn, EncodeLogical(kOpUpdate, oid, kInvalidOid, data,
+      LogAndApply(txn, EncodeLogical(kOpUpdate, oid, kInvalidOid, after,
                                      before)));
   txn->undo_.push_back(
       {Transaction::Undo::Kind::kUpdate, oid, std::move(before)});
   stats_.objects_updated.fetch_add(1, std::memory_order_relaxed);
   return util::Status::Ok();
+}
+
+util::Status ObjectStore::Update(Transaction* txn, Oid oid,
+                                 std::string_view data) {
+  return Modify(txn, oid,
+                [data](std::string_view) -> util::Result<std::string> {
+                  return std::string(data);
+                });
 }
 
 util::Status ObjectStore::Delete(Transaction* txn, Oid oid) {

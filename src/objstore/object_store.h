@@ -218,7 +218,19 @@ class ObjectStore {
   /// Reads a copy of an object's bytes (View plus a copy).
   util::Result<std::string> Read(Oid oid) const;
 
-  /// Replaces an object's bytes (may relocate the record).
+  /// The one read-modify-write of a record: under the write lock,
+  /// reads `oid`'s bytes once and passes them to `change`, which
+  /// returns the new bytes (the record may relocate) or an error. An
+  /// error is returned as is, with nothing logged and nothing queued
+  /// for undo. `change` runs under the write lock, so it must not call
+  /// back into the store. Counts one object read.
+  util::Status Modify(
+      Transaction* txn, Oid oid,
+      const std::function<util::Result<std::string>(std::string_view)>&
+          change);
+
+  /// Replaces an object's bytes: Modify with a `change` that ignores
+  /// the old ones.
   util::Status Update(Transaction* txn, Oid oid, std::string_view data);
 
   /// Deletes an object; its OID is never reused.
@@ -342,8 +354,6 @@ class ObjectStore {
 
   util::Result<Oid> CreateLocked(Transaction* txn, std::string_view data,
                                  Oid near) HM_REQUIRES(write_mu_);
-  util::Status UpdateLocked(Transaction* txn, Oid oid,
-                            std::string_view data) HM_REQUIRES(write_mu_);
   util::Status DeleteLocked(Transaction* txn, Oid oid)
       HM_REQUIRES(write_mu_);
 

@@ -478,13 +478,18 @@ TEST_F(BackendDirTest, OodbCountsOneObjectReadPerRecordVisited) {
             }),
             126u);
   EXPECT_EQ(kept.size(), 124u);
-  // Each node's children and hundred in one read, then two reads to
-  // rewrite it: the record and the update's pre-image.
+  // Each node's children and hundred in one read, then one more to
+  // rewrite it: the read inside its ObjectStore::Modify.
   ASSERT_TRUE(store->Begin().ok());
   EXPECT_EQ(reads_during([&] {
               ASSERT_TRUE(ops::Closure1NAttSet(store, db->root).ok());
             }),
-            3 * db->node_count());
+            2 * db->node_count());
+  // An attribute write reads its record once.
+  EXPECT_EQ(reads_during([&] {
+              ASSERT_TRUE(store->SetAttr(db->root, Attr::kTen, 5).ok());
+            }),
+            1u);
   ASSERT_TRUE(store->Commit().ok());
 }
 

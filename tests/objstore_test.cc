@@ -572,6 +572,58 @@ TEST_F(ObjectStoreTest, AbortRollsBackCreatesUpdatesDeletes) {
   }
 }
 
+TEST_F(ObjectStoreTest, FailingModifyLogsNothingAndKeepsTheRecord) {
+  auto store = Open();
+  Oid oid;
+  {
+    auto txn = store->Begin();
+    ASSERT_TRUE(txn.ok());
+    oid = *store->Create(&*txn, "before");
+    ASSERT_TRUE(store->Commit(&*txn).ok());
+  }
+  auto txn = store->Begin();
+  ASSERT_TRUE(txn.ok());
+  const uint64_t records = store->wal()->records_appended();
+  std::string seen;
+  auto refuse =
+      [&seen](std::string_view before) -> util::Result<std::string> {
+    seen.assign(before);
+    return util::Status::InvalidArgument("refused");
+  };
+  util::Status status = store->Modify(&*txn, oid, refuse);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(seen, "before");
+  EXPECT_EQ(store->wal()->records_appended(), records);
+  EXPECT_EQ(txn->write_count(), 0u);
+  EXPECT_EQ(store->stats().objects_updated, 0u);
+  EXPECT_EQ(*store->Read(oid), "before");
+  // Nothing was logged, so the commit appends no record either.
+  ASSERT_TRUE(store->Commit(&*txn).ok());
+  EXPECT_EQ(store->wal()->records_appended(), records);
+}
+
+TEST_F(ObjectStoreTest, AbortAfterModifyRestoresTheBeforeBytes) {
+  auto store = Open();
+  Oid oid;
+  {
+    auto txn = store->Begin();
+    ASSERT_TRUE(txn.ok());
+    oid = *store->Create(&*txn, "v1");
+    ASSERT_TRUE(store->Commit(&*txn).ok());
+  }
+  auto txn = store->Begin();
+  ASSERT_TRUE(txn.ok());
+  // Grows the record past a page, so it moves to an overflow chain.
+  auto grow = [](std::string_view before) -> util::Result<std::string> {
+    return std::string(before) + std::string(20000, 'x');
+  };
+  ASSERT_TRUE(store->Modify(&*txn, oid, grow).ok());
+  EXPECT_EQ(store->Read(oid)->size(), 20002u);
+  EXPECT_EQ(txn->write_count(), 1u);
+  ASSERT_TRUE(store->Abort(&*txn).ok());
+  EXPECT_EQ(*store->Read(oid), "v1");
+}
+
 TEST_F(ObjectStoreTest, PersistsAcrossCleanCloseReopen) {
   Oid oid;
   {

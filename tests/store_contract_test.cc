@@ -281,6 +281,46 @@ TEST_P(StoreContractTest, UniqueIdIsImmutable) {
   ASSERT_TRUE(store_->Commit().ok());
 }
 
+TEST_P(StoreContractTest, SetAttrsMultiAppliesItemsInInputOrder) {
+  ASSERT_TRUE(store_->Begin().ok());
+  const NodeRef a = Create(1);  // hundred 2
+  const NodeRef b = Create(2);  // hundred 3
+  ASSERT_TRUE(store_->Commit().ok());
+  FetchFor fetch(store_.get());
+  // `a` named twice ends as two SetAttrs leave it: with the later
+  // value, indexed under that value alone.
+  const std::vector<NodeRef> nodes{a, b, a};
+  const std::vector<int64_t> values{40, 50, 60};
+  ASSERT_TRUE(store_->Begin().ok());
+  ASSERT_TRUE(fetch.get()->SetAttrsMulti(nodes, Attr::kHundred, values).ok());
+  ASSERT_TRUE(store_->Commit().ok());
+  // uniqueId is refused and nothing is written.
+  ASSERT_TRUE(store_->Begin().ok());
+  EXPECT_FALSE(
+      fetch.get()->SetAttrsMulti(nodes, Attr::kUniqueId, values).ok());
+  ASSERT_TRUE(store_->Commit().ok());
+
+  EXPECT_EQ(*store_->GetAttr(a, Attr::kHundred), 60);
+  EXPECT_EQ(*store_->GetAttr(b, Attr::kHundred), 50);
+  EXPECT_EQ(*store_->GetAttr(a, Attr::kUniqueId), 1);
+  EXPECT_EQ(*store_->GetAttr(b, Attr::kUniqueId), 2);
+  EXPECT_EQ(*store_->LookupUnique(1), a);
+  EXPECT_EQ(*store_->LookupUnique(2), b);
+  auto range = [this](int64_t lo, int64_t hi) {
+    std::vector<NodeRef> out;
+    EXPECT_TRUE(store_->RangeHundred(lo, hi, &out).ok());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<NodeRef> both{a, b};
+  std::sort(both.begin(), both.end());
+  EXPECT_EQ(range(1, 100), both);
+  EXPECT_TRUE(range(1, 49).empty());
+  EXPECT_EQ(range(50, 50), std::vector<NodeRef>{b});
+  EXPECT_TRUE(range(51, 59).empty());
+  EXPECT_EQ(range(60, 60), std::vector<NodeRef>{a});
+}
+
 TEST_P(StoreContractTest, RangeLookupsReturnMatches) {
   ASSERT_TRUE(store_->Begin().ok());
   std::vector<NodeRef> nodes;
