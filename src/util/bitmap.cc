@@ -7,10 +7,20 @@
 
 namespace hm::util {
 
+namespace {
+
+/// Words in a row `width` bits wide, counted in 64 bits so a width near
+/// 2^32 does not wrap to zero.
+uint32_t WordsPerRow(uint32_t width) {
+  return static_cast<uint32_t>((uint64_t{width} + 63) / 64);
+}
+
+}  // namespace
+
 Bitmap::Bitmap(uint32_t width, uint32_t height)
     : width_(width),
       height_(height),
-      words_per_row_((width + 63) / 64),
+      words_per_row_(WordsPerRow(width)),
       bits_(static_cast<size_t>(words_per_row_) * height, 0) {}
 
 size_t Bitmap::WordIndex(uint32_t x, uint32_t y) const {
@@ -41,7 +51,8 @@ void Bitmap::Set(uint32_t x, uint32_t y, bool value) {
 
 Status Bitmap::InvertRect(uint32_t x, uint32_t y, uint32_t rect_width,
                           uint32_t rect_height) {
-  if (x + rect_width > width_ || y + rect_height > height_) {
+  if (uint64_t{x} + rect_width > width_ ||
+      uint64_t{y} + rect_height > height_) {
     return Status::OutOfRange("InvertRect rectangle exceeds bitmap bounds");
   }
   for (uint32_t row = y; row < y + rect_height; ++row) {
@@ -78,12 +89,14 @@ Result<Bitmap> Bitmap::Deserialize(std::string_view data) {
   if (!dec.GetFixed32(&width) || !dec.GetFixed32(&height)) {
     return Status::Corruption("bitmap header truncated");
   }
-  Bitmap bm(width, height);
-  for (uint64_t& word : bm.bits_) {
-    if (!dec.GetFixed64(&word)) {
-      return Status::Corruption("bitmap body truncated");
-    }
+  // The header is not trusted: the body must hold every word it
+  // implies before any is allocated (at most 2^58 words, no overflow).
+  const uint64_t words = uint64_t{WordsPerRow(width)} * height;
+  if ((data.size() - 8) / 8 < words) {
+    return Status::Corruption("bitmap body truncated");
   }
+  Bitmap bm(width, height);
+  for (uint64_t& word : bm.bits_) dec.GetFixed64(&word);
   return bm;
 }
 

@@ -1109,6 +1109,23 @@ TEST(ServerTest, GarbageFrameDropsConnectionOnly) {
   EXPECT_TRUE(client->Begin().ok());
 }
 
+TEST(ServerTest, FormContentsThatAreNoBitmapAnswerAnError) {
+  // Read as a bitmap header, the text claims rows no body holds; the
+  // server refuses it instead of trying to allocate them.
+  auto store = RemoteStore::Loopback(std::make_unique<MemStore>());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  RemoteStore* client = store->get();
+  ASSERT_TRUE(client->Begin().ok());
+  NodeAttrs attrs = MakeAttrs(3);
+  attrs.kind = NodeKind::kForm;
+  auto form = client->CreateNode(attrs, kInvalidNode);
+  ASSERT_TRUE(form.ok()) << form.status().ToString();
+  util::Status status = client->SetContents(*form, "not a bitmap");
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  ASSERT_TRUE(client->Commit().ok());
+  EXPECT_TRUE(client->Ping().ok());
+}
+
 TEST(ServerTest, LoopbackStoreOwnsItsServer) {
   auto store = RemoteStore::Loopback(std::make_unique<MemStore>());
   ASSERT_TRUE(store.ok()) << store.status().ToString();

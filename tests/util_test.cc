@@ -431,6 +431,35 @@ TEST(BitmapTest, DeserializeRejectsTruncated) {
       Bitmap::Deserialize(bytes.substr(0, bytes.size() - 1)).ok());
 }
 
+// A header is checked against the body before anything is allocated:
+// text read as a header claims ~2^57 bytes of rows.
+TEST(BitmapTest, DeserializeRefusesAHeaderTheBodyCannotHold) {
+  auto text = Bitmap::Deserialize("not a bitmap");
+  EXPECT_TRUE(text.status().IsCorruption()) << text.status().ToString();
+}
+
+// A width near 2^32 needs 2^26 words a row; counted in 32 bits it
+// wrapped to none, and the bitmap decoded with no storage at all.
+TEST(BitmapTest, DeserializeCountsRowWordsWithoutWrapping) {
+  auto wide = Bitmap::Deserialize(std::string(12, '\xFF'));
+  EXPECT_TRUE(wide.status().IsCorruption()) << wide.status().ToString();
+  // The same width with no rows claims no storage, and round-trips.
+  std::string empty;
+  PutFixed32(&empty, 0xFFFFFFFFu);
+  PutFixed32(&empty, 0);
+  auto round = Bitmap::Deserialize(empty);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round->width(), 0xFFFFFFFFu);
+  EXPECT_EQ(round->height(), 0u);
+  EXPECT_EQ(round->Serialize(), empty);
+}
+
+TEST(BitmapTest, InvertRectRefusesARectThatWrapsTheBounds) {
+  Bitmap bm(100, 100);
+  EXPECT_FALSE(bm.InvertRect(10, 0, 0xFFFFFFFFu, 1).ok());
+  EXPECT_FALSE(bm.InvertRect(0, 10, 1, 0xFFFFFFFFu).ok());
+}
+
 // Property sweep: inversion inverts exactly the rectangle, everywhere.
 class BitmapRectTest : public ::testing::TestWithParam<uint32_t> {};
 
