@@ -6,7 +6,9 @@
 //    database on a fresh K-shard loopback fleet and measure the two
 //    ops the cluster changes most — seqScan (/*09*/, pure fan-out
 //    bulk reads) and closure1N (/*10*/, pushdown vs scatter-gather).
-//    With --json=PATH the sweep is written as BENCH_shard JSON.
+//    Every fleet is built first, then timed in kSweepRounds rounds
+//    with the K order alternating; a row is its median round. With
+//    --json=PATH the sweep is written as BENCH_shard JSON.
 //
 //  - --verify-level=L: build level L twice — once on a single-node
 //    remote loopback server, once on a max(--shards)-way fleet — run
@@ -41,13 +43,20 @@ namespace {
 
 using hm::bench::CheckOk;
 
+/// Timed rounds of the sweep; odd, so a row's median is one round.
+constexpr int kSweepRounds = 7;
+
 struct SweepRow {
   int shards = 0;
   std::string op;
   long units = 0;  // nodes scanned / closures run
   double wall_ms = 0;
   double per_sec = 0;
-  double speedup = 0;  // vs the shards=1 row of the same op
+  // vs the first fleet's row of the same op: the ratio of the medians,
+  // and the range of the per-round ratios.
+  double speedup = 0;
+  double speedup_min = 0;
+  double speedup_max = 0;
 };
 
 int64_t Uid(hm::HyperStore* store, hm::NodeRef ref) {
@@ -412,94 +421,132 @@ int main(int argc, char** argv) {
   const int level = levels[0];
   std::cout << "### Cluster sweep (DESIGN.md §14): shard:// client over "
                "K-shard loopback fleets, level "
-            << level << "\n\n";
-  std::cout << std::left << std::setw(8) << "shards" << std::setw(14) << "op"
-            << std::right << std::setw(12) << "units" << std::setw(14)
-            << "wall-ms" << std::setw(14) << "per-sec" << std::setw(12)
-            << "speedup"
-            << "\n";
+            << level << ", median of " << kSweepRounds << " rounds\n\n";
+
+  // Every fleet is built once; each round then times every row, in
+  // ascending K on even rounds and descending on odd ones, so drift
+  // over the run reaches both ends of a speed-up alike.
+  struct Fleet {
+    int shards = 0;
+    std::unique_ptr<hm::HyperStore> store;
+    hm::TestDatabase db;
+    hm::util::Rng rng{17};  // closure starts
+  };
+  std::vector<Fleet> fleets(shard_counts.size());
+  for (size_t k = 0; k < fleets.size(); ++k) {
+    Fleet& fleet = fleets[k];
+    fleet.shards = shard_counts[k];
+    auto store = hm::backends::ShardedStore::Loopback(
+        static_cast<uint32_t>(fleet.shards), remote_mode);
+    CheckOk(store.status());
+    fleet.store = std::move(*store);
+    fleet.db = hm::bench::BuildDatabase(fleet.store.get(), level, nullptr);
+  }
+  const size_t closure_level =
+      std::min<size_t>(3, fleets[0].db.nodes_by_level.size() - 2);
 
   // Each row repeats its op until it has timed at least kRowMinMs: a
   // level-5 scan is ~1-2 ms of work, and a few reps of it spread the
   // speed-up column far wider than the effects it is read for.
   constexpr double kRowMinMs = 100;
   constexpr int kRowMinReps = 5;
-  auto time_row = [&](const auto& rep, long* reps) {
+  // One round's row of `op`: `rep(&units)` runs one repetition and
+  // adds what it visited.
+  auto time_row = [&](const char* op, int shards, const auto& rep) {
+    SweepRow row{shards, op};
+    long reps = 0;
     hm::util::Timer timer;
-    *reps = 0;
-    while (*reps < kRowMinReps || timer.ElapsedMillis() < kRowMinMs) {
-      rep();
-      ++*reps;
+    while (reps < kRowMinReps || timer.ElapsedMillis() < kRowMinMs) {
+      rep(&row.units);
+      ++reps;
     }
-    return timer.ElapsedMillis();
+    row.wall_ms = timer.ElapsedMillis();
+    row.per_sec = static_cast<double>(row.units) / (row.wall_ms / 1000.0);
+    return row;
+  };
+  // /*09*/ seqScan: every node's ten attribute, per-sec = nodes/sec.
+  auto seq_scan = [&](Fleet& fleet) {
+    return time_row("seq_scan", fleet.shards, [&](long* units) {
+      auto count = hm::ops::SeqScan(fleet.store.get(), fleet.db.all_nodes);
+      CheckOk(count.status());
+      *units += static_cast<long>(*count);
+    });
+  };
+  // /*10*/ closure1N from random level-3 starts, per-sec = closures/sec.
+  auto closure_1n = [&](Fleet& fleet) {
+    const auto& pool = fleet.db.level(closure_level);
+    return time_row("closure_1n", fleet.shards, [&](long* units) {
+      hm::NodeRef start = pool[static_cast<size_t>(fleet.rng.UniformInt(
+          0, static_cast<int64_t>(pool.size()) - 1))];
+      std::vector<hm::NodeRef> out;
+      CheckOk(hm::ops::Closure1N(fleet.store.get(), start, &out));
+      ++*units;
+    });
+  };
+
+  // Warm both paths untimed (server caches, proxy maps).
+  for (Fleet& fleet : fleets) {
+    std::vector<hm::NodeRef> out;
+    CheckOk(hm::ops::Closure1N(fleet.store.get(),
+                               fleet.db.level(closure_level)[0], &out));
+    CheckOk(hm::ops::SeqScan(fleet.store.get(), fleet.db.all_nodes).status());
+  }
+
+  // samples[2k] and samples[2k + 1]: fleet k's seq_scan and closure_1n
+  // rows, one per round.
+  std::vector<std::vector<SweepRow>> samples(2 * fleets.size());
+  for (int round = 0; round < kSweepRounds; ++round) {
+    for (size_t i = 0; i < fleets.size(); ++i) {
+      const size_t k = round % 2 == 0 ? i : fleets.size() - 1 - i;
+      samples[2 * k].push_back(seq_scan(fleets[k]));
+      samples[2 * k + 1].push_back(closure_1n(fleets[k]));
+    }
+  }
+
+  // Each row is its median round; the speed-up divides it by the
+  // first fleet's median, with the range of the per-round ratios.
+  auto median = [](std::vector<SweepRow> rounds) {
+    std::nth_element(rounds.begin(), rounds.begin() + rounds.size() / 2,
+                     rounds.end(), [](const SweepRow& a, const SweepRow& b) {
+                       return a.per_sec < b.per_sec;
+                     });
+    return rounds[rounds.size() / 2];
   };
   std::vector<SweepRow> rows;
-  double scan_baseline = 0, closure_baseline = 0;
-  for (int shards : shard_counts) {
-    auto fleet = hm::backends::ShardedStore::Loopback(
-        static_cast<uint32_t>(shards), remote_mode);
-    CheckOk(fleet.status());
-    hm::HyperStore* store = fleet->get();
-    hm::TestDatabase db = hm::bench::BuildDatabase(store, level, nullptr);
-    size_t closure_level = std::min<size_t>(3, db.nodes_by_level.size() - 2);
+  for (size_t r = 0; r < samples.size(); ++r) {
+    const std::vector<SweepRow>& base = samples[r % 2];
+    SweepRow row = median(samples[r]);
+    row.speedup = row.per_sec / median(base).per_sec;
+    row.speedup_min = row.speedup_max = samples[r][0].per_sec / base[0].per_sec;
+    for (int round = 1; round < kSweepRounds; ++round) {
+      const double ratio = samples[r][round].per_sec / base[round].per_sec;
+      row.speedup_min = std::min(row.speedup_min, ratio);
+      row.speedup_max = std::max(row.speedup_max, ratio);
+    }
+    rows.push_back(row);
+  }
 
-    // Warm both paths untimed (server caches, proxy maps).
-    {
-      std::vector<hm::NodeRef> out;
-      CheckOk(hm::ops::Closure1N(store, db.level(closure_level)[0], &out));
-      CheckOk(hm::ops::SeqScan(store, db.all_nodes).status());
-    }
-
-    // /*09*/ seqScan: every node's ten attribute, per-sec = nodes/sec.
-    {
-      long visited = 0;
-      long reps = 0;
-      double wall_ms = time_row(
-          [&] {
-            auto count = hm::ops::SeqScan(store, db.all_nodes);
-            CheckOk(count.status());
-            visited += static_cast<long>(*count);
-          },
-          &reps);
-      double per_sec = static_cast<double>(visited) / (wall_ms / 1000.0);
-      if (scan_baseline == 0) scan_baseline = per_sec;
-      rows.push_back(
-          {shards, "seq_scan", visited, wall_ms, per_sec,
-           per_sec / scan_baseline});
-    }
-    // /*10*/ closure1N from random level-3 starts, per-sec =
-    // closures/sec.
-    {
-      hm::util::Rng rng(17);
-      const auto& pool = db.level(closure_level);
-      long closures = 0;
-      double wall_ms = time_row(
-          [&] {
-            hm::NodeRef start = pool[static_cast<size_t>(rng.UniformInt(
-                0, static_cast<int64_t>(pool.size()) - 1))];
-            std::vector<hm::NodeRef> out;
-            CheckOk(hm::ops::Closure1N(store, start, &out));
-          },
-          &closures);
-      double per_sec = static_cast<double>(closures) / (wall_ms / 1000.0);
-      if (closure_baseline == 0) closure_baseline = per_sec;
-      rows.push_back({shards, "closure_1n", closures, wall_ms, per_sec,
-                      per_sec / closure_baseline});
-    }
-    for (size_t i = rows.size() - 2; i < rows.size(); ++i) {
-      const SweepRow& row = rows[i];
-      std::cout << std::left << std::setw(8) << row.shards << std::setw(14)
-                << row.op << std::right << std::setw(12) << row.units
-                << std::fixed << std::setprecision(1) << std::setw(14)
-                << row.wall_ms << std::setprecision(0) << std::setw(14)
-                << row.per_sec << std::setprecision(2) << std::setw(12)
-                << row.speedup << "\n";
-    }
+  std::cout << std::left << std::setw(8) << "shards" << std::setw(14) << "op"
+            << std::right << std::setw(12) << "units" << std::setw(14)
+            << "wall-ms" << std::setw(14) << "per-sec" << std::setw(12)
+            << "speedup" << std::setw(16) << "round range"
+            << "\n";
+  for (const SweepRow& row : rows) {
+    std::ostringstream range;
+    range << std::fixed << std::setprecision(2) << row.speedup_min << "-"
+          << row.speedup_max;
+    std::cout << std::left << std::setw(8) << row.shards << std::setw(14)
+              << row.op << std::right << std::setw(12) << row.units
+              << std::fixed << std::setprecision(1) << std::setw(14)
+              << row.wall_ms << std::setprecision(0) << std::setw(14)
+              << row.per_sec << std::setprecision(2) << std::setw(12)
+              << row.speedup << std::setw(16) << range.str() << "\n";
   }
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"shard\",\n  \"level\": " << level
+        << ",\n  \"rounds\": " << kSweepRounds
         << ",\n  \"host_cores\": " << std::thread::hardware_concurrency()
         << ",\n  \"results\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -508,7 +555,9 @@ int main(int argc, char** argv) {
           << "\", \"units\": " << row.units << ", \"wall_ms\": "
           << std::fixed << std::setprecision(1) << row.wall_ms
           << ", \"per_sec\": " << std::setprecision(0) << row.per_sec
-          << ", \"speedup\": " << std::setprecision(2) << row.speedup << "}"
+          << ", \"speedup\": " << std::setprecision(2) << row.speedup
+          << ", \"speedup_min\": " << row.speedup_min
+          << ", \"speedup_max\": " << row.speedup_max << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
