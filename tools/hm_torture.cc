@@ -76,6 +76,7 @@
 #include <vector>
 
 #include "analysis/fsck.h"
+#include "bench/bench_common.h"
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/backends/replicated_store.h"
@@ -156,23 +157,12 @@ uint64_t HashSeed(const std::string& seed) {
   return h;
 }
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: hm_torture [--rounds=N] [--seed=STR] [--dir=PATH]\n"
-               "                  [--levels=N] [--edits=N] [--keep]\n"
-               "       hm_torture --drill=kill-primary|kill-follower|"
-               "partition\n"
-               "                  --hmbench=PATH [--rounds=N] [--seed=STR]\n"
-               "                  [--dir=PATH] [--levels=N] [--edits=N]\n");
-}
+constexpr char kUsage[] =
+    "usage: hm_torture [--rounds=N] [--seed=STR] [--dir=PATH]\n"
+    "                  [--levels=N] [--edits=N] [--keep]\n"
+    "       hm_torture --drill=kill-primary|kill-follower|partition\n"
+    "                  --hmbench=PATH [--rounds=N] [--seed=STR]\n"
+    "                  [--dir=PATH] [--levels=N] [--edits=N]\n";
 
 /// Appends one line to the oracle log and fsyncs it. The oracle is the
 /// ground truth the parent judges recovery against, so a marker that
@@ -243,7 +233,9 @@ bool SpawnServe(const Args& args, const std::string& dir,
   ::close(fds[1]);
   std::string line;
   if (!ReadAnnounceLine(fds[0], &line) ||
-      line.rfind("127.0.0.1:", 0) != 0) {
+      line.rfind("127.0.0.1:", 0) != 0 ||
+      !hm::bench::ParseFlagValue(line.substr(line.rfind(':') + 1),
+                                 &out->port)) {
     ::close(fds[0]);
     ::kill(pid, SIGKILL);
     ::waitpid(pid, nullptr, 0);
@@ -252,8 +244,6 @@ bool SpawnServe(const Args& args, const std::string& dir,
   out->pid = pid;
   out->out_fd = fds[0];
   out->addr = line;
-  out->port = static_cast<uint16_t>(
-      std::atoi(line.substr(line.rfind(':') + 1).c_str()));
   out->dir = dir;
   return true;
 }
@@ -697,50 +687,24 @@ std::string VerifyRound(const std::string& dir, const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool drill_requested = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--drill=", 0) == 0) {
-      drill_requested = true;
-    }
-  }
+  Args args;
+  hm::bench::Flags("hm_torture", kUsage)
+      .Add("rounds", &args.rounds)
+      .Add("seed", &args.seed)
+      .Add("dir", &args.dir)
+      .Add("levels", &args.levels)
+      .Add("edits", &args.edits)
+      .Add("drill", &args.drill)
+      .Add("hmbench", &args.hmbench)
+      .Add("keep", &args.keep)
+      .Parse(argc, argv);
   // Replication drills fault real processes with signals, so they run
   // fine in builds without failpoint support.
-  if (!drill_requested && !hm::util::kFailpointsCompiled) {
+  if (args.drill.empty() && !hm::util::kFailpointsCompiled) {
     std::fprintf(stderr,
                  "hm_torture: failpoints are compiled out of this build; "
                  "configure with -DHM_FAILPOINTS=on\n");
     return 2;
-  }
-
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "rounds", &value)) {
-      args.rounds = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "seed", &value)) {
-      args.seed = value;
-    } else if (ParseFlag(arg, "dir", &value)) {
-      args.dir = value;
-    } else if (ParseFlag(arg, "levels", &value)) {
-      args.levels = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "edits", &value)) {
-      args.edits = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "drill", &value)) {
-      args.drill = value;
-    } else if (ParseFlag(arg, "hmbench", &value)) {
-      args.hmbench = value;
-    } else if (arg == "--keep") {
-      args.keep = true;
-    } else if (arg == "--help") {
-      Usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "hm_torture: unknown argument '%s'\n",
-                   arg.c_str());
-      Usage();
-      return 2;
-    }
   }
   if (args.rounds <= 0 || args.levels < 2 || args.edits <= 0) {
     std::fprintf(stderr, "hm_torture: rounds/levels/edits out of range\n");
