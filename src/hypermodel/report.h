@@ -23,9 +23,6 @@ struct CreationRow {
 /// backend, plus the creation-time table of §5.3.
 class Report {
  public:
-  void AddOpResults(const std::vector<OpResult>& results) {
-    op_results_.insert(op_results_.end(), results.begin(), results.end());
-  }
   void AddOpResult(const OpResult& result) { op_results_.push_back(result); }
   void AddCreation(CreationRow row) {
     creation_rows_.push_back(std::move(row));

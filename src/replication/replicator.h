@@ -128,12 +128,6 @@ class Replicator {
   /// Signals the thread and joins it. Idempotent.
   void Stop();
 
-  /// Signals the thread without joining — for callers that hold the
-  /// exclusive dispatch lock (fencing): the thread may be blocked on
-  /// that very lock, so joining would deadlock. Pair with a later
-  /// Stop() once the lock is released.
-  void SignalStop() { stop_.store(true, std::memory_order_relaxed); }
-
   /// Highest LSN through which every committed transaction has been
   /// applied to the local store. This is what the follower acks, and
   /// what promotion compares across followers.

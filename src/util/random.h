@@ -49,9 +49,6 @@ class Rng {
     return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
   }
 
-  /// True with probability `p`.
-  bool Bernoulli(double p) { return NextDouble() < p; }
-
   /// Re-seeds the generator.
   void Seed(uint64_t seed) { state_ = seed + 0x9E3779B97F4A7C15ULL; }
 
