@@ -1,8 +1,5 @@
 #include "objstore/object_store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -139,14 +136,6 @@ util::Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(
   {
     util::MutexLock lock(store->write_mu_);
     store->open_ = true;
-  }
-  // FuzzyCheckpoint() is public (callable without the background
-  // thread), so its dedicated data-sync fd always exists.
-  store->checkpoint_data_fd_ = ::open((dir + "/objects.db").c_str(), O_RDONLY);
-  if (store->checkpoint_data_fd_ < 0) {
-    return util::Status::IoError(
-        std::string("open objects.db for checkpoint sync: ") +
-        std::strerror(errno));
   }
   if (store->options_.checkpoint_interval_ms > 0) {
     ObjectStore* raw = store.get();
@@ -300,10 +289,6 @@ util::Status ObjectStore::Close() {
   // checkpoint.
   checkpointer_.Stop();
   HM_RETURN_IF_ERROR(group_commit_.Drain());
-  if (checkpoint_data_fd_ >= 0) {
-    ::close(checkpoint_data_fd_);
-    checkpoint_data_fd_ = -1;
-  }
   {
     util::MutexLock lock(write_mu_);
     open_ = false;
@@ -388,12 +373,9 @@ util::Status ObjectStore::FuzzyCheckpoint() {
   // Every page swept above carries only updates with LSN < start (the
   // sweep ran at quiesce, and later dirtying appends at LSN >= start),
   // so once the data file is durable the chain below start is dead.
-  // The fsync goes through a dedicated fd, off the write lock, so
-  // committers run concurrently with the expensive part.
-  if (::fdatasync(checkpoint_data_fd_) != 0) {
-    return util::Status::IoError(std::string("checkpoint fdatasync: ") +
-                                 std::strerror(errno));
-  }
+  // The sync runs off the write lock, so committers run concurrently
+  // with the expensive part.
+  HM_RETURN_IF_ERROR(data_file_.Sync());
   HM_RETURN_IF_ERROR(wal_.Checkpoint(start));
   util::MutexLock lock(write_mu_);
   last_checkpoint_records_ = wal_.records_appended();

@@ -454,12 +454,6 @@ class ObjectStore {
   /// Makes every commit durable; drained at close.
   storage::GroupCommitCoordinator group_commit_;
   storage::Checkpointer checkpointer_;
-  /// Dedicated fd onto objects.db for the fuzzy checkpointer's data
-  /// fsync, so it never touches FileManager state outside write_mu_.
-  /// Set once at open (pre-publication), closed after the checkpointer
-  /// thread has stopped — deliberately not HM_GUARDED_BY.
-  int checkpoint_data_fd_ = -1;
-
   /// next_oid_ and dir_pages_ are written only under write_mu_ but
   /// *read* by the lock-free latch-crawling reader paths (DirGet /
   /// Read / Exists) under the documented readers-vs-one-writer

@@ -1,25 +1,12 @@
 #include "replication/coordinator.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 #include "server/wire.h"
 #include "storage/commit_pipeline/segmented_wal.h"
+#include "storage/file.h"
 
 namespace hm::replication {
-
-namespace {
-
-std::string ErrnoMessage(const char* what, const std::string& path) {
-  return std::string(what) + " " + path + ": " + std::strerror(errno);
-}
-
-}  // namespace
 
 std::string_view RoleName(Role role) {
   switch (role) {
@@ -51,7 +38,7 @@ util::Result<std::unique_ptr<Coordinator>> Coordinator::Open(
   uint64_t epoch = 1;
   int fenced = 0;
   bool had_state = false;
-  FILE* f = std::fopen(coordinator->StatePath().c_str(), "r");
+  FILE* f = std::fopen((options.state_dir + "/" + kStateFileName).c_str(), "r");
   if (f != nullptr) {
     unsigned long long stored = 0;
     if (std::fscanf(f, "%llu %d", &stored, &fenced) == 2 && stored > 0) {
@@ -81,31 +68,10 @@ util::Result<std::unique_ptr<Coordinator>> Coordinator::Open(
 }
 
 util::Status Coordinator::PersistState(uint64_t epoch, bool fenced) {
-  const std::string path = StatePath();
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", tmp));
-  std::string text =
-      std::to_string(epoch) + " " + (fenced ? "1" : "0") + "\n";
-  util::Status status = util::Status::Ok();
-  if (::write(fd, text.data(), text.size()) !=
-      static_cast<ssize_t>(text.size())) {
-    status = util::Status::IoError(ErrnoMessage("write", tmp));
-  }
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = util::Status::IoError(ErrnoMessage("fsync", tmp));
-  }
-  ::close(fd);
-  if (!status.ok()) return status;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return util::Status::IoError(ErrnoMessage("rename", path));
-  }
-  int dfd = ::open(options_.state_dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return util::Status::Ok();
+  return storage::ReplaceFile(
+      options_.state_dir, kStateFileName,
+      std::to_string(epoch) + " " + (fenced ? "1" : "0") + "\n",
+      {nullptr, "repl/state/write/error", "repl/state/sync/error"});
 }
 
 util::Status Coordinator::ServePrimary(backends::OodbStore* store,

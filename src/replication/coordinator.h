@@ -109,9 +109,9 @@ class Coordinator : public server::ReplicationHandler {
  private:
   explicit Coordinator(const CoordinatorOptions& options);
 
-  std::string StatePath() const { return options_.state_dir + "/repl_epoch"; }
-  /// Durably writes "<epoch> <fenced>" (tmp + fsync + rename). Called
-  /// before any reply that makes the new epoch observable.
+  static constexpr char kStateFileName[] = "repl_epoch";
+  /// Durably writes "<epoch> <fenced>" through storage::ReplaceFile.
+  /// Called before any reply that makes the new epoch observable.
   util::Status PersistState(uint64_t epoch, bool fenced);
   uint64_t DurableLsn() const;
 

@@ -1,15 +1,11 @@
 #include "replication/replicator.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <string_view>
 
 #include "storage/commit_pipeline/segmented_wal.h"
 #include "storage/wal.h"
@@ -17,22 +13,6 @@
 namespace hm::replication {
 
 namespace {
-
-std::string ErrnoMessage(const char* what, const std::string& path) {
-  return std::string(what) + " " + path + ": " + std::strerror(errno);
-}
-
-util::Status WriteAll(int fd, std::string_view data, const std::string& path) {
-  while (!data.empty()) {
-    ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return util::Status::IoError(ErrnoMessage("write", path));
-    }
-    data.remove_prefix(static_cast<size_t>(n));
-  }
-  return util::Status::Ok();
-}
 
 /// Chunked sleep that bails early when `flag` flips.
 void SleepUnless(int ms, const std::atomic<bool>& a,
@@ -114,12 +94,9 @@ std::string Replicator::MirrorSegmentPath(uint64_t seq) const {
   return storage::SegmentedWal::SegmentPath(options_.mirror_dir + "/wal", seq);
 }
 
-std::string Replicator::ChainFilePath() const {
-  return options_.mirror_dir + "/chain";
-}
-
 uint64_t Replicator::ReadChainEpoch() const {
-  FILE* f = std::fopen(ChainFilePath().c_str(), "r");
+  FILE* f = std::fopen((options_.mirror_dir + "/" + kChainFileName).c_str(),
+                       "r");
   if (f == nullptr) return 0;
   unsigned long long epoch = 0;
   if (std::fscanf(f, "%llu", &epoch) != 1) epoch = 0;
@@ -128,21 +105,9 @@ uint64_t Replicator::ReadChainEpoch() const {
 }
 
 util::Status Replicator::WriteChainEpoch(uint64_t epoch) {
-  const std::string path = ChainFilePath();
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", tmp));
-  std::string text = std::to_string(epoch) + "\n";
-  util::Status status = WriteAll(fd, text, tmp);
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = util::Status::IoError(ErrnoMessage("fsync", tmp));
-  }
-  ::close(fd);
-  if (!status.ok()) return status;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return util::Status::IoError(ErrnoMessage("rename", path));
-  }
-  return util::Status::Ok();
+  return storage::ReplaceFile(
+      options_.mirror_dir, kChainFileName, std::to_string(epoch) + "\n",
+      {nullptr, "repl/chain/write/error", "repl/chain/sync/error"});
 }
 
 util::Status Replicator::Start() {
@@ -151,7 +116,8 @@ util::Status Replicator::Start() {
         "replication: follower id must be nonzero");
   }
   if (::mkdir(options_.mirror_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return util::Status::IoError(ErrnoMessage("mkdir", options_.mirror_dir));
+    return util::Status::IoError(
+        storage::ErrnoMessage("mkdir", options_.mirror_dir));
   }
   thread_ = std::thread([this] { ThreadMain(); });
   return util::Status::Ok();
@@ -217,10 +183,7 @@ void Replicator::ThreadMain() {
     // may promote us instead.
     SleepUnless(200, stop_, promoted_);
   }
-  if (mirror_fd_ >= 0) {
-    ::close(mirror_fd_);
-    mirror_fd_ = -1;
-  }
+  mirror_ = storage::File();
 }
 
 util::Status Replicator::ReplayMirror() {
@@ -258,30 +221,21 @@ util::Status Replicator::ReplayMirror() {
 
 util::Status Replicator::OpenMirrorSegment(uint64_t seq,
                                            bool truncate_to_cursor) {
-  if (mirror_fd_ >= 0) {
-    ::close(mirror_fd_);
-    mirror_fd_ = -1;
-  }
+  mirror_ = storage::File();
   const std::string path = MirrorSegmentPath(seq);
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-  if (truncate_to_cursor &&
-      ::ftruncate(fd, static_cast<off_t>(cursor_offset_)) != 0) {
-    ::close(fd);
-    return util::Status::IoError(ErrnoMessage("ftruncate", path));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return util::Status::IoError(ErrnoMessage("fstat", path));
-  }
-  if (static_cast<uint64_t>(st.st_size) != cursor_offset_) {
-    ::close(fd);
+  HM_ASSIGN_OR_RETURN(
+      storage::File file,
+      storage::File::Open(
+          path, storage::FileMode::kAppendCreate,
+          {nullptr, "repl/mirror/write/error", "repl/mirror/sync/error"}));
+  if (truncate_to_cursor) HM_RETURN_IF_ERROR(file.Truncate(cursor_offset_));
+  HM_ASSIGN_OR_RETURN(uint64_t size, file.Size());
+  if (size != cursor_offset_) {
     return util::Status::Corruption(
-        "replication mirror: " + path + " is " + std::to_string(st.st_size) +
+        "replication mirror: " + path + " is " + std::to_string(size) +
         " bytes, cursor expects " + std::to_string(cursor_offset_));
   }
-  mirror_fd_ = fd;
+  mirror_ = std::move(file);
   return util::Status::Ok();
 }
 
@@ -427,12 +381,8 @@ util::Status Replicator::PullFromPrimary() {
     if (!chunk.empty()) {
       // Mirror first, fsync, then apply: an acked LSN must already be
       // durable here, because the ack lets the primary prune it.
-      HM_RETURN_IF_ERROR(
-          WriteAll(mirror_fd_, chunk, MirrorSegmentPath(cursor_seq_)));
-      if (::fsync(mirror_fd_) != 0) {
-        return util::Status::IoError(
-            ErrnoMessage("fsync", MirrorSegmentPath(cursor_seq_)));
-      }
+      HM_RETURN_IF_ERROR(mirror_.Append(chunk));
+      HM_RETURN_IF_ERROR(mirror_.Sync());
       bytes_received_->Add(chunk.size());
       cursor_offset_ += chunk.size();
       decoder_.Feed(chunk);

@@ -12,6 +12,7 @@
 
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
+#include "storage/file.h"
 #include "storage/wal.h"
 #include "telemetry/metrics.h"
 #include "util/lock_rank.h"
@@ -184,7 +185,7 @@ class Replicator {
   util::Status ApplyBatches(std::vector<ReadyBatch>* batches);
   util::Status OpenMirrorSegment(uint64_t seq, bool truncate_to_cursor);
   std::string MirrorSegmentPath(uint64_t seq) const;
-  std::string ChainFilePath() const;
+  static constexpr char kChainFileName[] = "chain";
   /// Reads/writes the persisted chain epoch (0 = no file yet).
   uint64_t ReadChainEpoch() const;
   util::Status WriteChainEpoch(uint64_t epoch);
@@ -203,7 +204,7 @@ class Replicator {
   FrameDecoder decoder_;
   uint64_t cursor_seq_ = 0;     // segment being fetched (0 = none yet)
   uint64_t cursor_offset_ = 0;  // next byte offset within it
-  int mirror_fd_ = -1;          // open mirror file for cursor_seq_
+  storage::File mirror_;        // open mirror file for cursor_seq_
 
   /// In-flight transactions: txn id -> kUpdate payloads so far. Lives
   /// across segment boundaries (a transaction may span a rollover).

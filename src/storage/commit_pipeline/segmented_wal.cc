@@ -1,14 +1,11 @@
 #include "storage/commit_pipeline/segmented_wal.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <unordered_set>
 
@@ -24,19 +21,13 @@ namespace {
 /// one pread per 64 KiB, small enough that recovery memory stays flat.
 constexpr size_t kReadChunk = 64 * 1024;
 
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " '" + path + "': " + std::strerror(errno);
-}
-
-void SplitPath(const std::string& path, std::string* dir, std::string* name) {
+/// Returns the directory of `path` and stores its last component in
+/// `*name` when given.
+std::string SplitPath(const std::string& path, std::string* name = nullptr) {
   size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) {
-    *dir = ".";
-    *name = path;
-  } else {
-    *dir = slash == 0 ? "/" : path.substr(0, slash);
-    *name = path.substr(slash + 1);
-  }
+  if (name != nullptr) *name = path.substr(slash + 1);  // npos + 1 == 0
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
 }
 
 /// Parses the numeric suffix of `<name>.<digits>`; 0 on no match
@@ -74,24 +65,8 @@ SegmentedWal::~SegmentedWal() {
 void SegmentedWal::UpdateSegmentsGauge() const {
   static telemetry::Gauge* segments =
       telemetry::Registry::Global().GetGauge("storage.wal.segments");
-  segments->Set(static_cast<int64_t>(sealed_.size() + (fd_ >= 0 ? 1 : 0)));
-}
-
-util::Status SegmentedWal::SyncDir() {
-  std::string dir, name;
-  SplitPath(base_path_, &dir, &name);
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return util::Status::IoError(ErrnoMessage("open dir", dir));
-  int rc = ::fsync(dfd);
-  int saved = errno;
-  ::close(dfd);
-  // Some filesystems refuse directory fsync; that is their durability
-  // promise to keep, not a WAL error.
-  if (rc != 0 && saved != EINVAL && saved != ENOTSUP) {
-    errno = saved;
-    return util::Status::IoError(ErrnoMessage("fsync dir", dir));
-  }
-  return util::Status::Ok();
+  segments->Set(
+      static_cast<int64_t>(sealed_.size() + (IsOpenLocked() ? 1 : 0)));
 }
 
 util::Status SegmentedWal::Open(const std::string& base_path,
@@ -116,13 +91,11 @@ util::Status SegmentedWal::Open(const std::string& base_path,
   }
 
   if (seqs.empty()) {
-    std::string seg1 = SegmentPath(base_path_, 1);
-    int fd = ::open(seg1.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-    if (fd < 0) return util::Status::IoError(ErrnoMessage("open", seg1));
-    fd_ = fd;
+    HM_ASSIGN_OR_RETURN(file_, File::Open(SegmentPath(base_path_, 1),
+                                          FileMode::kAppendCreate));
     seq_ = 1;
     file_size_ = 0;
-    HM_RETURN_IF_ERROR(SyncDir());
+    HM_RETURN_IF_ERROR(SyncDir(SplitPath(base_path_)));
     UpdateSegmentsGauge();
     return util::Status::Ok();
   }
@@ -130,19 +103,16 @@ util::Status SegmentedWal::Open(const std::string& base_path,
   sealed_.clear();
   sealed_bytes_ = 0;
   for (size_t i = 0; i < seqs.size(); ++i) {
-    std::string path = SegmentPath(base_path_, seqs[i]);
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-      return util::Status::IoError(ErrnoMessage("stat", path));
-    }
-    uint64_t size = static_cast<uint64_t>(st.st_size);
-    if (i + 1 < seqs.size()) {
+    const bool last = i + 1 == seqs.size();
+    const FileMode mode = last ? FileMode::kAppendCreate : FileMode::kRead;
+    HM_ASSIGN_OR_RETURN(File file,
+                        File::Open(SegmentPath(base_path_, seqs[i]), mode));
+    HM_ASSIGN_OR_RETURN(uint64_t size, file.Size());
+    if (!last) {
       sealed_.emplace_back(seqs[i], size);
       sealed_bytes_ += size;
     } else {
-      int fd = ::open(path.c_str(), O_RDWR | O_APPEND);
-      if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-      fd_ = fd;
+      file_ = std::move(file);
       seq_ = seqs[i];
       file_size_ = size;
     }
@@ -153,8 +123,8 @@ util::Status SegmentedWal::Open(const std::string& base_path,
 
 util::Result<std::vector<uint64_t>> SegmentedWal::ListSegments(
     const std::string& base_path) {
-  std::string dir, name;
-  SplitPath(base_path, &dir, &name);
+  std::string name;
+  const std::string dir = SplitPath(base_path, &name);
   std::vector<uint64_t> seqs;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) {
@@ -180,8 +150,7 @@ util::Status SegmentedWal::Close() {
   util::MutexLock lock(mu_);
   if (!IsOpenLocked()) return util::Status::Ok();
   util::Status s = SyncLocked();
-  ::close(fd_);
-  fd_ = -1;
+  file_ = File();
   sealed_.clear();
   sealed_bytes_ = 0;
   return s;
@@ -217,25 +186,20 @@ util::Status SegmentedWal::RollLocked() {
   // Seal the old segment durably before the new one exists: a crash
   // between the two leaves a complete chain ending at the old tail.
   HM_RETURN_IF_ERROR(FlushBuffer());
-  if (::fdatasync(fd_) != 0) {
-    return util::Status::IoError(
-        ErrnoMessage("fdatasync", SegmentPath(base_path_, seq_)));
-  }
+  HM_RETURN_IF_ERROR(file_.Sync());
   HM_FAILPOINT("wal/rollover/error");
   uint64_t next_seq = seq_ + 1;
   std::string path = SegmentPath(base_path_, next_seq);
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_APPEND, 0644);
-  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-  util::Status dir_status = SyncDir();
+  HM_ASSIGN_OR_RETURN(File next,
+                      File::Open(path, FileMode::kCreateExclusiveAppend));
+  util::Status dir_status = SyncDir(SplitPath(base_path_));
   if (!dir_status.ok()) {
-    ::close(fd);
     ::unlink(path.c_str());
     return dir_status;
   }
   sealed_.emplace_back(seq_, file_size_);
   sealed_bytes_ += file_size_;
-  ::close(fd_);
-  fd_ = fd;
+  file_ = std::move(next);
   seq_ = next_seq;
   file_size_ = 0;
   static telemetry::Counter* rollovers =
@@ -262,10 +226,7 @@ util::Status SegmentedWal::SyncLocked() {
   HM_FAILPOINT("wal/sync/error");
   if (!sync_pending_) return util::Status::Ok();
   HM_RETURN_IF_ERROR(FlushBuffer());
-  if (::fdatasync(fd_) != 0) {
-    return util::Status::IoError(
-        ErrnoMessage("fdatasync", SegmentPath(base_path_, seq_)));
-  }
+  HM_RETURN_IF_ERROR(file_.Sync());
   sync_pending_ = false;
   ++syncs_;
   static telemetry::Counter* syncs =
@@ -283,30 +244,19 @@ util::Status SegmentedWal::FlushBuffer() {
 }
 
 util::Status SegmentedWal::WriteBuffer() {
-  std::string path = SegmentPath(base_path_, seq_);
   if (HM_FAILPOINT_FIRED("wal/append/short_write")) {
     // Torn tail: persist all but the final bytes of the buffered
     // frames, exactly the state a power cut mid-write() leaves on
     // disk. Recovery must detect the truncated last record and stop
     // there without losing anything before it.
     size_t keep = buffer_.size() - std::min<size_t>(buffer_.size(), 5);
-    size_t torn_off = 0;
-    while (torn_off < keep) {
-      ssize_t n = ::write(fd_, buffer_.data() + torn_off, keep - torn_off);
-      if (n < 0) return util::Status::IoError(ErrnoMessage("write", path));
-      torn_off += static_cast<size_t>(n);
-    }
+    HM_RETURN_IF_ERROR(file_.Append(std::string_view(buffer_).substr(0, keep)));
     file_size_ += keep;
     buffer_.clear();
     return util::Status::IoError(
         "injected torn tail at failpoint wal/append/short_write");
   }
-  size_t off = 0;
-  while (off < buffer_.size()) {
-    ssize_t n = ::write(fd_, buffer_.data() + off, buffer_.size() - off);
-    if (n < 0) return util::Status::IoError(ErrnoMessage("write", path));
-    off += static_cast<size_t>(n);
-  }
+  HM_RETURN_IF_ERROR(file_.Append(buffer_));
   file_size_ += buffer_.size();
   buffer_.clear();
   return util::Status::Ok();
@@ -361,15 +311,13 @@ util::Status SegmentedWal::ScanLocked(
     HM_RETURN_IF_ERROR(
         ScanSegment(SegmentPath(base_path_, seq), seq, false, visit).status());
   }
-  const std::string path = SegmentPath(base_path_, seq_);
-  HM_ASSIGN_OR_RETURN(uint64_t end, ScanSegment(path, seq_, true, visit));
+  HM_ASSIGN_OR_RETURN(uint64_t end, ScanSegment(SegmentPath(base_path_, seq_),
+                                                seq_, true, visit));
   if (end < file_size_) {
     // Drop the torn tail so subsequent O_APPEND writes land right
     // after the intact prefix. Without the truncate, new records
     // would sit beyond the garbage and never replay.
-    if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
-      return util::Status::IoError(ErrnoMessage("ftruncate", path));
-    }
+    HM_RETURN_IF_ERROR(file_.Truncate(end));
     file_size_ = end;
   }
   return util::Status::Ok();
@@ -378,33 +326,27 @@ util::Status SegmentedWal::ScanLocked(
 util::Result<uint64_t> SegmentedWal::ScanSegment(
     const std::string& path, uint64_t seq, bool last,
     const std::function<util::Status(const ScannedRecord&)>& visit) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return util::Status::IoError(ErrnoMessage("fstat", path));
-  }
-  uint64_t size = static_cast<uint64_t>(st.st_size);
+  HM_ASSIGN_OR_RETURN(File file, File::Open(path, FileMode::kRead));
+  HM_ASSIGN_OR_RETURN(uint64_t size, file.Size());
   // Frames decode from a window holding at most one read chunk beyond
   // the frame at window[pos], so a segment of any size scans in
   // O(largest record) memory.
   std::string window;
   size_t pos = 0;
   uint64_t offset = 0;  // file offset of window[pos], a frame boundary
-  util::Status status = util::Status::Ok();
-  while (status.ok() && offset < size) {
+  while (offset < size) {
     WalRecord rec;
     size_t frame_size = 0;
     util::Result<WalFrameStatus> decoded = DecodeWalFrame(
         std::string_view(window).substr(pos), &rec, &frame_size);
     if (!decoded.ok()) {
-      status = util::Status::Corruption(decoded.status().message() + " in '" +
-                                        path + "' at offset " +
-                                        std::to_string(offset));
+      return util::Status::Corruption(decoded.status().message() + " in '" +
+                                      path + "' at offset " +
+                                      std::to_string(offset));
     } else if (*decoded == WalFrameStatus::kRecord) {
-      status = visit({MakeLsn(seq, offset), MakeLsn(seq, offset + frame_size),
-                      rec.type, rec.txn_id, rec.payload});
+      HM_RETURN_IF_ERROR(visit({MakeLsn(seq, offset),
+                                MakeLsn(seq, offset + frame_size), rec.type,
+                                rec.txn_id, rec.payload}));
       pos += frame_size;
       offset += frame_size;
     } else if (*decoded == WalFrameStatus::kNeedMore &&
@@ -416,25 +358,23 @@ util::Result<uint64_t> SegmentedWal::ScanSegment(
       const size_t want = static_cast<size_t>(std::min<uint64_t>(
           std::max(frame_size, have + kReadChunk), size - offset));
       window.resize(want);
-      ssize_t n = ::pread(fd, window.data() + have, want - have,
-                          static_cast<off_t>(offset + have));
-      if (n < 0) status = util::Status::IoError(ErrnoMessage("pread", path));
-      window.resize(have + static_cast<size_t>(std::max<ssize_t>(n, 0)));
-      if (n == 0) size = offset + have;  // the file shrank: a torn end
+      HM_ASSIGN_OR_RETURN(size_t got, file.ReadAt(offset + have,
+                                                  window.data() + have,
+                                                  want - have));
+      window.resize(have + got);
+      if (have + got < want) size = offset + window.size();  // a torn end
     } else {
       // A torn frame: cut short by the end of the file or failing its
       // CRC. Only the chain's very last segment may end this way; a
       // torn frame earlier means a whole suffix of the log vanished.
       if (!last) {
-        status = util::Status::Corruption(
+        return util::Status::Corruption(
             "torn WAL frame in non-last segment '" + path + "' at offset " +
             std::to_string(offset));
       }
       break;
     }
   }
-  ::close(fd);
-  HM_RETURN_IF_ERROR(status);
   return offset;
 }
 
@@ -488,12 +428,11 @@ util::Status SegmentedWal::ReadSegment(uint64_t seq, uint64_t offset,
   util::MutexLock lock(mu_);
   if (!IsOpenLocked()) return util::Status::InvalidArgument("WAL not open");
   chunk->clear();
-  int fd = -1;
-  bool close_fd = false;
+  const File* file = &file_;
+  File sealed_file;
   if (seq == seq_) {
     *sealed = false;
     *flushed_size = file_size_;
-    fd = fd_;
   } else {
     auto it = std::find_if(sealed_.begin(), sealed_.end(),
                            [seq](const auto& entry) {
@@ -513,31 +452,17 @@ util::Status SegmentedWal::ReadSegment(uint64_t seq, uint64_t offset,
     }
     *sealed = true;
     *flushed_size = it->second;
-    std::string path = SegmentPath(base_path_, seq);
-    fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path));
-    close_fd = true;
+    HM_ASSIGN_OR_RETURN(sealed_file, File::Open(SegmentPath(base_path_, seq),
+                                                FileMode::kRead));
+    file = &sealed_file;
   }
   if (offset < *flushed_size && max_bytes > 0) {
-    uint64_t want = std::min(max_bytes, *flushed_size - offset);
-    chunk->resize(want);
-    size_t got = 0;
-    while (got < want) {
-      ssize_t n = ::pread(fd, chunk->data() + got, want - got,
-                          static_cast<off_t>(offset + got));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        util::Status err = util::Status::IoError(
-            ErrnoMessage("pread", SegmentPath(base_path_, seq)));
-        if (close_fd) ::close(fd);
-        return err;
-      }
-      if (n == 0) break;  // raced a concurrent size change; serve less
-      got += static_cast<size_t>(n);
-    }
+    chunk->resize(std::min(max_bytes, *flushed_size - offset));
+    // Fewer bytes only if the file raced a size change; serve less.
+    HM_ASSIGN_OR_RETURN(size_t got,
+                        file->ReadAt(offset, chunk->data(), chunk->size()));
     chunk->resize(got);
   }
-  if (close_fd) ::close(fd);
   return util::Status::Ok();
 }
 
@@ -554,7 +479,7 @@ util::Status SegmentedWal::PruneBelowLocked(uint64_t lsn) {
     removed = true;
   }
   if (removed) {
-    HM_RETURN_IF_ERROR(SyncDir());
+    HM_RETURN_IF_ERROR(SyncDir(SplitPath(base_path_)));
     UpdateSegmentsGauge();
   }
   return util::Status::Ok();

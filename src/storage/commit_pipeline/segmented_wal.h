@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "storage/file.h"
 #include "storage/wal.h"
 #include "util/lock_rank.h"
 #include "util/status.h"
@@ -188,8 +189,7 @@ class SegmentedWal {
   util::Status ScanLocked(
       const std::function<util::Status(const ScannedRecord&)>& visit)
       HM_REQUIRES(mu_);
-  util::Status SyncDir() HM_REQUIRES(mu_);
-  bool IsOpenLocked() const HM_REQUIRES(mu_) { return fd_ >= 0; }
+  bool IsOpenLocked() const HM_REQUIRES(mu_) { return file_.is_open(); }
   uint64_t CurrentSizeLocked() const HM_REQUIRES(mu_) {
     return file_size_ + buffer_.size();
   }
@@ -201,7 +201,7 @@ class SegmentedWal {
 
   SegmentedWalOptions options_ HM_GUARDED_BY(mu_);
   std::string base_path_ HM_GUARDED_BY(mu_);
-  int fd_ HM_GUARDED_BY(mu_) = -1;         // current (highest-seq) segment
+  File file_ HM_GUARDED_BY(mu_);           // current (highest-seq) segment
   uint64_t seq_ HM_GUARDED_BY(mu_) = 0;    // its sequence number
   uint64_t file_size_ HM_GUARDED_BY(mu_) = 0;  // its on-disk size
   /// Unflushed frames for the current segment.

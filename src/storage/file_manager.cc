@@ -1,20 +1,16 @@
 #include "storage/file_manager.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "util/failpoint.h"
 
 namespace hm::storage {
 
 namespace {
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " '" + path + "': " + std::strerror(errno);
-}
+
+constexpr FileSites kDataFileSites{"file/read/error", "file/write/error",
+                                   "file/sync/error"};
+
+uint64_t PageOffset(PageId id) { return static_cast<uint64_t>(id) * kPageSize; }
+
 }  // namespace
 
 // Best-effort: a failed close in a destructor has no caller to tell.
@@ -24,22 +20,14 @@ util::Status FileManager::Open(const std::string& path) {
   if (is_open()) {
     return util::Status::InvalidArgument("FileManager already open");
   }
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return util::Status::IoError(ErrnoMessage("open", path));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return util::Status::IoError(ErrnoMessage("fstat", path));
-  }
-  if (st.st_size % kPageSize != 0) {
-    ::close(fd);
+  HM_ASSIGN_OR_RETURN(
+      File file, File::Open(path, FileMode::kReadWriteCreate, kDataFileSites));
+  HM_ASSIGN_OR_RETURN(uint64_t size, file.Size());
+  if (size % kPageSize != 0) {
     return util::Status::Corruption("file size is not page-aligned: " + path);
   }
-  fd_ = fd;
-  path_ = path;
-  page_count_.store(static_cast<PageId>(st.st_size / kPageSize),
+  file_ = std::move(file);
+  page_count_.store(static_cast<PageId>(size / kPageSize),
                     std::memory_order_relaxed);
   return util::Status::Ok();
 }
@@ -47,8 +35,7 @@ util::Status FileManager::Open(const std::string& path) {
 util::Status FileManager::Close() {
   if (!is_open()) return util::Status::Ok();
   util::Status s = Sync();
-  ::close(fd_);
-  fd_ = -1;
+  file_ = File();
   page_count_.store(0, std::memory_order_relaxed);
   return s;
 }
@@ -68,16 +55,16 @@ util::Status FileManager::ReadPage(PageId id, Page* page) {
     return util::Status::OutOfRange("read past end of file, page " +
                                     std::to_string(id));
   }
-  HM_FAILPOINT("file/read/error");
-  ssize_t n = ::pread(fd_, page->raw(), kPageSize,
-                      static_cast<off_t>(id) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return util::Status::IoError(ErrnoMessage("pread", path_));
+  HM_ASSIGN_OR_RETURN(size_t got,
+                      file_.ReadAt(PageOffset(id), page->raw(), kPageSize));
+  if (got != kPageSize) {
+    return util::Status::IoError("short read of page " + std::to_string(id) +
+                                 " of " + file_.path());
   }
-  reads_.fetch_add(1, std::memory_order_relaxed);
   if (!page->ChecksumOk()) {
     return util::Status::Corruption("checksum mismatch on page " +
-                                    std::to_string(id) + " of " + path_);
+                                    std::to_string(id) + " of " +
+                                    file_.path());
   }
   return util::Status::Ok();
 }
@@ -88,25 +75,20 @@ util::Status FileManager::WritePage(PageId id, Page* page) {
     return util::Status::OutOfRange("write would leave a hole, page " +
                                     std::to_string(id));
   }
-  HM_FAILPOINT("file/write/error");
   page->UpdateChecksum();
   if (HM_FAILPOINT_FIRED("file/write/short")) {
     // Short write: half the page lands on disk, so the stored checksum
     // no longer matches and the next ReadPage must report Corruption.
-    (void)!::pwrite(fd_, page->raw(), kPageSize / 2,
-                    static_cast<off_t>(id) * kPageSize);
+    (void)file_.WriteAt(PageOffset(id),
+                        std::string_view(page->raw(), kPageSize / 2));
     if (id == page_count_.load(std::memory_order_relaxed)) {
       page_count_.fetch_add(1, std::memory_order_relaxed);
     }
     return util::Status::IoError(
         "injected short write at failpoint file/write/short");
   }
-  ssize_t n = ::pwrite(fd_, page->raw(), kPageSize,
-                       static_cast<off_t>(id) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return util::Status::IoError(ErrnoMessage("pwrite", path_));
-  }
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  HM_RETURN_IF_ERROR(
+      file_.WriteAt(PageOffset(id), std::string_view(page->raw(), kPageSize)));
   if (id == page_count_.load(std::memory_order_relaxed)) {
     page_count_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -115,26 +97,7 @@ util::Status FileManager::WritePage(PageId id, Page* page) {
 
 util::Status FileManager::Sync() {
   if (!is_open()) return util::Status::InvalidArgument("file not open");
-  HM_FAILPOINT("file/sync/error");
-  if (::fdatasync(fd_) != 0) {
-    return util::Status::IoError(ErrnoMessage("fdatasync", path_));
-  }
-  syncs_.fetch_add(1, std::memory_order_relaxed);
-  return util::Status::Ok();
-}
-
-IoStats FileManager::stats() const {
-  IoStats out;
-  out.reads = reads_.load(std::memory_order_relaxed);
-  out.writes = writes_.load(std::memory_order_relaxed);
-  out.syncs = syncs_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void FileManager::ResetStats() {
-  reads_.store(0, std::memory_order_relaxed);
-  writes_.store(0, std::memory_order_relaxed);
-  syncs_.store(0, std::memory_order_relaxed);
+  return file_.Sync();
 }
 
 }  // namespace hm::storage

@@ -5,25 +5,18 @@
 #include <cstdint>
 #include <string>
 
+#include "storage/file.h"
 #include "storage/page.h"
 #include "util/status.h"
 
 namespace hm::storage {
 
-/// Counters for physical I/O; exposed so the benchmark report can
-/// attribute cold-run cost to disk traffic. Returned by value from
-/// FileManager::stats() as a snapshot of relaxed atomics — concurrent
-/// readers of different buffer-pool shards evict and fault pages in
-/// parallel, so the counters must tolerate concurrent increments.
-struct IoStats {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t syncs = 0;
-};
-
-/// Owns one page-structured database file and performs positional
-/// page-granular I/O (pread/pwrite). Page allocation only ever extends
-/// the file; reuse of freed pages is the storage layers' concern.
+/// The page and checksum layer over one database file: positional,
+/// page-granular reads and writes through a storage::File, which also
+/// carries the file's failpoint sites (`file/read/error`,
+/// `file/write/error`, `file/sync/error`). Page allocation only ever
+/// extends the file; reuse of freed pages is the storage layers'
+/// concern. Sync() may run concurrently with page I/O.
 class FileManager {
  public:
   FileManager() = default;
@@ -39,7 +32,7 @@ class FileManager {
   /// Flushes and closes the file. Safe to call when not open.
   util::Status Close();
 
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return file_.is_open(); }
 
   /// Number of pages currently in the file.
   PageId page_count() const {
@@ -55,21 +48,14 @@ class FileManager {
   /// Writes `page` (checksumming it) at position `id`.
   util::Status WritePage(PageId id, Page* page);
 
-  /// fsync()s the file.
+  /// fdatasync()s the file.
   util::Status Sync();
 
-  IoStats stats() const;
-  void ResetStats();
-
  private:
-  int fd_ = -1;
-  std::string path_;
+  File file_;
   /// Grows only under the (externally serialized) allocation path, but
   /// is read from concurrent reader threads' bounds checks — atomic.
   std::atomic<PageId> page_count_{0};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> syncs_{0};
 };
 
 }  // namespace hm::storage

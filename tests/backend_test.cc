@@ -52,6 +52,20 @@ class BackendDirTest : public ::testing::Test {
     return attrs;
   }
 
+  /// Runs fsck over `store`, a database `config` generated.
+  static void ExpectFsckClean(HyperStore* store,
+                              const GeneratorConfig& config) {
+    analysis::FsckOptions fsck;
+    fsck.config = config;
+    auto report = analysis::RunFsck(store, fsck);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << [&] {
+      std::ostringstream os;
+      report->PrintTo(os);
+      return os.str();
+    }();
+  }
+
   std::string dir_;
 };
 
@@ -152,17 +166,6 @@ TEST_F(BackendDirTest, OodbFailedCommitAppendRollsBackAndEnds) {
   options.wal_segment_bytes = 4 * 1024;
   GeneratorConfig config;
   config.levels = 2;
-  auto fsck_clean = [&](HyperStore* store) {
-    analysis::FsckOptions fsck;
-    fsck.config = config;
-    auto report = analysis::RunFsck(store, fsck);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->ok()) << [&] {
-      std::ostringstream os;
-      report->PrintTo(os);
-      return os.str();
-    }();
-  };
   constexpr int64_t kDoomed = 1000;
   {
     auto store = OodbStore::Open(options, dir_);
@@ -200,12 +203,82 @@ TEST_F(BackendDirTest, OodbFailedCommitAppendRollsBackAndEnds) {
     const uint64_t skipped_before = skipped->value();
     ASSERT_TRUE(objects->FuzzyCheckpoint().ok());
     EXPECT_EQ(skipped->value(), skipped_before);
-    fsck_clean(store->get());
+    ExpectFsckClean(store->get(), config);
   }
   auto reopened = OodbStore::Open(options, dir_);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_TRUE((*reopened)->LookupUnique(kDoomed).status().IsNotFound());
-  fsck_clean(reopened->get());
+  ExpectFsckClean(reopened->get(), config);
+}
+
+// A fuzzy checkpoint may prune the log only below changes the data
+// file holds durably. When the data sync fails, the checkpoint reports
+// it and prunes nothing, the next one still runs, and reopen finds
+// every committed edit.
+TEST_F(BackendDirTest, OodbFuzzyCheckpointDataSyncFailurePrunesNothing) {
+  if (!util::kFailpointsCompiled) {
+    GTEST_SKIP() << "failpoints compiled out of this build";
+  }
+  OodbOptions options;
+  options.wal_segment_bytes = 4 * 1024;
+  GeneratorConfig config;
+  config.levels = 2;
+  struct Committed {
+    NodeRef node;
+    int64_t uid;
+    int64_t ten;
+  };
+  std::vector<Committed> committed;
+  {
+    auto store = OodbStore::Open(options, dir_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto db = Generator(config).Build(store->get(), nullptr);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (size_t i = 0; i < 200; ++i) {
+      ASSERT_TRUE((*store)->Begin().ok());
+      ASSERT_TRUE((*store)
+                      ->SetAttr(db->all_nodes[i % db->all_nodes.size()],
+                                Attr::kTen, 1 + static_cast<int64_t>(i % 10))
+                      .ok());
+      ASSERT_TRUE((*store)->Commit().ok());
+    }
+    for (NodeRef node : db->all_nodes) {
+      auto uid = (*store)->GetAttr(node, Attr::kUniqueId);
+      auto ten = (*store)->GetAttr(node, Attr::kTen);
+      ASSERT_TRUE(uid.ok() && ten.ok());
+      committed.push_back({node, *uid, *ten});
+    }
+
+    objstore::ObjectStore* objects = (*store)->object_store();
+    // Seal the tail first so the checkpoint's own roll adds no segment:
+    // any change in the count below would be a prune.
+    ASSERT_TRUE(objects->wal()->RollIfNonEmpty().ok());
+    const uint64_t oldest = objects->wal()->OldestSeq();
+    const uint64_t segments = objects->wal()->segment_count();
+    ASSERT_GT(segments, 1u);
+    ASSERT_TRUE(
+        util::Failpoint::Enable("file/sync/error", "error,times=1").ok());
+    util::Status failed = objects->FuzzyCheckpoint();
+    util::Failpoint::DisableAll();
+    EXPECT_EQ(failed.code(), util::StatusCode::kIoError) << failed.ToString();
+    EXPECT_EQ(objects->wal()->OldestSeq(), oldest);
+    EXPECT_EQ(objects->wal()->segment_count(), segments);
+
+    ASSERT_TRUE(objects->FuzzyCheckpoint().ok());
+    EXPECT_GT(objects->wal()->OldestSeq(), oldest);
+  }
+  auto reopened = OodbStore::Open(options, dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (const Committed& c : committed) {
+    auto found = (*reopened)->LookupUnique(c.uid);
+    ASSERT_TRUE(found.ok()) << "uid " << c.uid << ": "
+                            << found.status().ToString();
+    EXPECT_EQ(*found, c.node);
+    auto ten = (*reopened)->GetAttr(c.node, Attr::kTen);
+    ASSERT_TRUE(ten.ok()) << ten.status().ToString();
+    EXPECT_EQ(*ten, c.ten) << "uid " << c.uid;
+  }
+  ExpectFsckClean(reopened->get(), config);
 }
 
 // ---------- OODB: garbage collection (R10) ----------

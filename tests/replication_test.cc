@@ -34,6 +34,7 @@
 #include "storage/commit_pipeline/segmented_wal.h"
 #include "storage/wal.h"
 #include "telemetry/metrics.h"
+#include "util/failpoint.h"
 
 namespace hm::replication {
 namespace {
@@ -64,6 +65,11 @@ bool WaitFor(const std::function<bool()>& pred, int64_t timeout_ms = 15000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return pred();
+}
+
+std::string ReadWhole(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // --- FrameDecoder ----------------------------------------------------
@@ -500,6 +506,44 @@ TEST_F(OfflineReplayTest, ImpossibleMirrorTailFailsLoudly) {
   EXPECT_EQ(std::filesystem::file_size(mirror_segment_), bad.size());
 }
 
+// --- Coordinator state file -------------------------------------------
+
+// The role and epoch change only once `repl_epoch` holds them durably:
+// when its sync fails, the fence reports IoError and leaves memory and
+// disk as they were, so the same call can simply be repeated.
+TEST(CoordinatorStateTest, FailedStateSyncLeavesEpochAndRoleUnchanged) {
+  if (!util::kFailpointsCompiled) {
+    GTEST_SKIP() << "failpoints compiled out of this build";
+  }
+  const std::string dir = ::testing::TempDir() + "/hm_repl_state";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CoordinatorOptions options;
+  options.state_dir = dir;
+  auto coordinator = Coordinator::Open(options, /*as_replica=*/false);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  const std::string state = dir + "/repl_epoch";
+  ASSERT_EQ(ReadWhole(state), "1 0\n");
+
+  ASSERT_TRUE(
+      util::Failpoint::Enable("repl/state/sync/error", "error,times=1").ok());
+  auto failed = (*coordinator)->HandleFence(2);
+  util::Failpoint::DisableAll();
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kIoError)
+      << failed.status().ToString();
+  EXPECT_EQ((*coordinator)->epoch(), 1u);
+  EXPECT_EQ((*coordinator)->role(), Role::kPrimary);
+  EXPECT_EQ(ReadWhole(state), "1 0\n");
+  EXPECT_FALSE(std::filesystem::exists(state + ".tmp"));
+
+  auto fenced = (*coordinator)->HandleFence(2);
+  ASSERT_TRUE(fenced.ok()) << fenced.status().ToString();
+  EXPECT_EQ(*fenced, 2u);
+  EXPECT_EQ((*coordinator)->role(), Role::kFenced);
+  EXPECT_EQ(ReadWhole(state), "2 1\n");
+  std::filesystem::remove_all(dir);
+}
+
 // --- End-to-end fleets over loopback ---------------------------------
 
 /// One replicated node: an OodbStore-backed server plus its
@@ -690,6 +734,40 @@ TEST_F(ReplicationE2eTest, ReplicaReplaysAndRejectsWrites) {
   ASSERT_TRUE(rc->ReplReport(0, 0, &peer).ok());
   EXPECT_EQ(peer.role, static_cast<uint8_t>(Role::kReplica));
   EXPECT_EQ(peer.epoch, 1u);
+}
+
+// A follower records the chain's epoch in `chain` before it mirrors a
+// byte. While that write's sync fails, pulls fail and leave neither
+// `chain` nor its temp file; once it succeeds, `chain` holds the
+// primary's epoch and replication proceeds.
+TEST_F(ReplicationE2eTest, FailedChainSyncLeavesNoChainFile) {
+  if (!util::kFailpointsCompiled) {
+    GTEST_SKIP() << "failpoints compiled out of this build";
+  }
+  auto& primary = StartNode("primary", false, 0);
+  ASSERT_TRUE(util::Failpoint::Enable("repl/chain/sync/error", "error").ok());
+  StartNode("replica", true, primary.port());
+  ASSERT_TRUE(WaitFor([] {
+    return util::Failpoint::FireCount("repl/chain/sync/error") > 0;
+  }));
+  // Killing the node joins its pull thread, so no pull is mid-write.
+  nodes_.back().Kill();
+  util::Failpoint::DisableAll();
+  const std::string chain = root_ + "/replica/repl_mirror/chain";
+  EXPECT_FALSE(std::filesystem::exists(chain));
+  EXPECT_FALSE(std::filesystem::exists(chain + ".tmp"));
+
+  auto& replica = StartNode("replica", true, primary.port());
+  auto pc = Client(primary.port());
+  auto rc = Client(replica.port());
+  ASSERT_NE(pc, nullptr);
+  ASSERT_NE(rc, nullptr);
+  WriteNodes(pc.get(), 1, 5);
+  AwaitCatchUp(pc.get(), rc.get());
+  server::ReplPeer head;
+  ASSERT_TRUE(pc->ReplReport(0, 0, &head).ok());
+  EXPECT_EQ(ReadWhole(chain), std::to_string(head.epoch) + "\n");
+  EXPECT_FALSE(std::filesystem::exists(chain + ".tmp"));
 }
 
 TEST_F(ReplicationE2eTest, ReadOnlyCommitAfterCheckpointOrAbortIsAckedPromptly) {
@@ -906,6 +984,13 @@ TEST_F(ReplicationE2eTest, ReplicatedStoreRoutesCleanReadsToReplicas) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   WriteNodes(client->get(), 1, 10);
+  // The rounds below assert that the replica serves some read, so it
+  // must have caught up with the writes before they start.
+  {
+    auto pc = Client(primary.port());
+    auto rc = Client(r1.port());
+    AwaitCatchUp(pc.get(), rc.get());
+  }
 
   // Read-your-writes: a read issued right after the writes must see
   // them whether it lands on the replica (caught up past the
