@@ -1,7 +1,7 @@
 // bench_replication — the three numbers DESIGN.md §16 promises for
-// the replication layer, measured on a real in-process fleet (each
-// node an OodbStore-backed loopback server with its coordinator, the
-// same harness the replication tests use):
+// the replication layer, measured on a real in-process fleet. Each
+// node is a replication::Node, an OodbStore-backed loopback server with
+// its coordinator, wired as `hmbench serve` and the tests wire theirs:
 //
 //  1. read throughput, 1 primary vs primary + 2 replicas: R reader
 //     clients (each its own ReplicatedStore connection) run clean
@@ -53,6 +53,7 @@
 #include <functional>
 #include <iomanip>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,7 +65,7 @@
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
 #include "hypermodel/store.h"
-#include "replication/coordinator.h"
+#include "replication/node.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
 #include "util/random.h"
@@ -76,8 +77,8 @@ namespace {
 using backends::OodbStore;
 using backends::RemoteStore;
 using backends::ReplicatedStore;
-using replication::Coordinator;
 using replication::CoordinatorOptions;
+using replication::Node;
 using replication::ReplicatorOptions;
 
 struct Config {
@@ -131,86 +132,39 @@ bool WaitFor(const std::function<bool()>& pred, int64_t timeout_ms) {
   return pred();
 }
 
-// --- fleet harness (mirrors tests/replication_test.cc) ---------------
+// --- fleet harness ---------------------------------------------------
 
-struct ReplNode {
-  std::string dir;
-  std::unique_ptr<Coordinator> coordinator;
-  std::unique_ptr<server::Server> server;
-
-  uint16_t port() const { return server->port(); }
-
-  void Stop() {
-    if (coordinator != nullptr) coordinator->Shutdown();
-    if (server != nullptr) server->Stop();
-  }
-  void Kill() {
-    Stop();
-    server.reset();
-    coordinator.reset();
-  }
-};
-
-backends::OodbOptions StoreOptions() {
-  backends::OodbOptions options;
-  options.cache_pages = 1024;
-  options.wal_segment_bytes = 1 << 18;
-  options.checkpoint_interval_ms = 0;
-  return options;
-}
-
-ReplNode StartNode(const std::string& dir, bool as_replica,
-                   uint16_t primary_port) {
-  ReplNode node;
-  node.dir = dir;
+/// Starts a node in a fresh `dir`: a primary, or a replica of the
+/// primary on `primary_port`.
+std::unique_ptr<Node> StartNode(const std::string& dir, bool as_replica,
+                                uint16_t primary_port) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  auto store = OodbStore::Open(StoreOptions(), dir + "/oodb");
+  backends::OodbOptions options;
+  options.cache_pages = 1024;
+  options.wal_segment_bytes = 1 << 18;
+  auto store = OodbStore::Open(options, dir + "/oodb");
   if (!store.ok()) Die("oodb open: " + store.status().ToString());
-  auto* oodb = store->get();
-
-  CoordinatorOptions copts;
-  copts.state_dir = dir;
-  copts.semisync_timeout_ms = 2000;
-  auto coordinator = Coordinator::Open(copts, as_replica);
-  if (!coordinator.ok()) {
-    Die("coordinator open: " + coordinator.status().ToString());
-  }
-  node.coordinator = std::move(*coordinator);
-  if (!as_replica) {
-    CheckOk(node.coordinator->ServePrimary(oodb, true), "serve primary");
-  }
 
   server::ServerOptions sopts;
-  sopts.host = "127.0.0.1";
-  sopts.port = 0;
   // Each worker owns one connection for its lifetime; the primary
   // serves two replicator connections plus every bench client.
   sopts.workers = 16;
-  sopts.replication = node.coordinator.get();
-  auto srv = server::Server::Start(
-      sopts, std::unique_ptr<HyperStore>(std::move(*store)));
-  if (!srv.ok()) Die("server start: " + srv.status().ToString());
-  node.server = std::move(*srv);
-
+  CoordinatorOptions copts;
+  copts.state_dir = dir;
+  copts.semisync_timeout_ms = 2000;
+  std::optional<ReplicatorOptions> replica_of;
   if (as_replica) {
-    ReplicatorOptions ropts;
-    ropts.primary.host = "127.0.0.1";
-    ropts.primary.port = primary_port;
-    ropts.mirror_dir = dir + "/repl_mirror";
-    ropts.follower_id = node.port();
-    ropts.poll_ms = 2;
-    auto* raw_server = node.server.get();
-    CheckOk(node.coordinator->ServeReplica(
-                ropts, oodb,
-                [raw_server](const std::function<void()>& fn) {
-                  raw_server->WithExclusiveBackend(
-                      [&fn](HyperStore*) { fn(); });
-                }),
-            "serve replica");
+    replica_of.emplace();
+    replica_of->primary.host = "127.0.0.1";
+    replica_of->primary.port = primary_port;
+    replica_of->poll_ms = 2;
   }
-  return node;
+  auto node =
+      Node::Start(std::move(*store), sopts, copts, std::move(replica_of));
+  if (!node.ok()) Die("node start: " + node.status().ToString());
+  return std::move(*node);
 }
 
 std::unique_ptr<RemoteStore> DirectClient(uint16_t port) {
@@ -357,17 +311,17 @@ struct LagRow {
 };
 
 LagRow MeasureLag(const Config& config, const std::string& root) {
-  ReplNode primary = StartNode(root + "/lag_primary", false, 0);
-  ReplNode replica = StartNode(root + "/lag_replica", true, primary.port());
+  auto primary = StartNode(root + "/lag_primary", false, 0);
+  auto replica = StartNode(root + "/lag_replica", true, primary->port());
 
-  auto client = DirectClient(primary.port());
+  auto client = DirectClient(primary->port());
   // One target node; the measured loop is the bench_commit shape —
   // tiny SetAttr transactions, one (semi-sync) commit each.
   CheckOk(client->Begin(), "lag setup begin");
   auto node = client->CreateNode(MakeAttrs(1), kInvalidNode);
   CheckOk(node.status(), "lag setup create");
   CheckOk(client->Commit(), "lag setup commit");
-  AwaitCatchUp(primary.port(), {replica.port()});
+  AwaitCatchUp(primary->port(), {replica->port()});
 
   auto& reg = telemetry::Registry::Global();
   auto* lag_bytes = reg.GetGauge("replication.lag_bytes");
@@ -414,9 +368,6 @@ LagRow MeasureLag(const Config& config, const std::string& root) {
   row.lag_lsn_max = max_lsn;
   row.txns_applied = applied->value() - applied_before;
 
-  client.reset();
-  replica.Stop();
-  primary.Stop();
   return row;
 }
 
@@ -430,9 +381,9 @@ struct LadderRow {
 };
 
 std::vector<LadderRow> MeasureClosureLadder(const std::string& root) {
-  ReplNode primary = StartNode(root + "/ladder_primary", false, 0);
-  ReplNode replica = StartNode(root + "/ladder_replica", true, primary.port());
-  const std::vector<uint16_t> ports{primary.port(), replica.port()};
+  auto primary = StartNode(root + "/ladder_primary", false, 0);
+  auto replica = StartNode(root + "/ladder_replica", true, primary->port());
+  const std::vector<uint16_t> ports{primary->port(), replica->port()};
   NodeRef start = kInvalidNode;
   {
     auto loader = FleetClient(ports);
@@ -443,7 +394,7 @@ std::vector<LadderRow> MeasureClosureLadder(const std::string& root) {
     CheckOk(db.status(), "ladder build");
     start = db->root;
   }
-  AwaitCatchUp(primary.port(), {replica.port()});
+  AwaitCatchUp(primary->port(), {replica->port()});
 
   constexpr int kClosures = 20;
   std::vector<LadderRow> rows;
@@ -470,8 +421,6 @@ std::vector<LadderRow> MeasureClosureLadder(const std::string& root) {
                      kClosures;
     rows.push_back(row);
   }
-  replica.Stop();
-  primary.Stop();
   return rows;
 }
 
@@ -489,13 +438,11 @@ int Main(int argc, char** argv) {
   // Phase 1a: primary only. The single peer takes every read.
   std::vector<ReadRow> read_rows;
   {
-    ReplNode primary = StartNode(root + "/solo_primary", false, 0);
-    auto loader = FleetClient({primary.port()});
+    auto primary = StartNode(root + "/solo_primary", false, 0);
+    auto loader = FleetClient({primary->port()});
     Preload(loader.get(), config.nodes);
     read_rows.push_back(
-        MeasureReads(config, {primary.port()}, /*replicas=*/0));
-    loader.reset();
-    primary.Stop();
+        MeasureReads(config, {primary->port()}, /*replicas=*/0));
   }
 
   // Phase 1b + 2: primary + 2 replicas; then kill the primary under
@@ -503,19 +450,19 @@ int Main(int argc, char** argv) {
   double read_gap_ms = 0, write_failover_ms = 0;
   uint64_t epoch_after = 0;
   {
-    ReplNode primary = StartNode(root + "/primary", false, 0);
-    ReplNode r1 = StartNode(root + "/replica1", true, primary.port());
-    ReplNode r2 = StartNode(root + "/replica2", true, primary.port());
-    std::vector<uint16_t> ports{primary.port(), r1.port(), r2.port()};
+    auto primary = StartNode(root + "/primary", false, 0);
+    auto r1 = StartNode(root + "/replica1", true, primary->port());
+    auto r2 = StartNode(root + "/replica2", true, primary->port());
+    std::vector<uint16_t> ports{primary->port(), r1->port(), r2->port()};
 
     auto loader = FleetClient(ports);
     Preload(loader.get(), config.nodes);
-    AwaitCatchUp(primary.port(), {r1.port(), r2.port()});
+    AwaitCatchUp(primary->port(), {r1->port(), r2->port()});
     read_rows.push_back(MeasureReads(config, ports, /*replicas=*/2));
 
     // Phase 2: kill -> first clean read (availability gap) and kill ->
     // first committed write (promotion sweep, epoch bump, fencing).
-    primary.Kill();
+    primary.reset();
     util::Timer down;
     if (!WaitFor(
             [&] {
@@ -544,9 +491,6 @@ int Main(int argc, char** argv) {
     }
     write_failover_ms = down.ElapsedMillis();
     epoch_after = loader->known_epoch();
-    loader.reset();
-    r1.Stop();
-    r2.Stop();
   }
 
   // Phase 3: steady-state lag under the write load.

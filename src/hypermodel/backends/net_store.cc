@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "storage/overflow.h"
 #include "util/check.h"
 #include "util/coding.h"
 
@@ -41,10 +42,6 @@ constexpr size_t kOffBlobLen = 110;
 // Fixed link-record layout (one record, two rings).
 constexpr size_t kLinkRecordSize = 48;
 constexpr size_t kLinksPerPage = kPagePayloadSize / kLinkRecordSize;  // 170
-
-// Blob page payload: [next:4][len:4][bytes].
-constexpr size_t kBlobHeader = 8;
-constexpr size_t kBlobCapacity = kPagePayloadSize - kBlobHeader;
 
 }  // namespace
 
@@ -347,50 +344,6 @@ util::Status NetStore::ScanNodes(
   return util::Status::Ok();
 }
 
-util::Result<PageId> NetStore::WriteBlob(std::string_view data) {
-  // Chain built back to front. Old chains are not reclaimed — network
-  // databases of this era required an offline reorganization pass;
-  // documented as such.
-  PageId next = kInvalidPageId;
-  size_t total = data.size();
-  size_t pages = std::max<size_t>(1, (total + kBlobCapacity - 1) /
-                                         kBlobCapacity);
-  for (size_t i = pages; i-- > 0;) {
-    size_t begin = i * kBlobCapacity;
-    size_t len = std::min(kBlobCapacity, total - begin);
-    HM_ASSIGN_OR_RETURN(PageGuard guard, pool_->New(PageType::kOverflow));
-    char* p = guard.page()->payload();
-    util::EncodeFixed32(p, next);
-    util::EncodeFixed32(p + 4, static_cast<uint32_t>(len));
-    std::memcpy(p + kBlobHeader, data.data() + begin, len);
-    guard.MarkDirty();
-    next = guard.id();
-  }
-  return next;
-}
-
-util::Result<std::string> NetStore::ReadBlob(PageId head,
-                                             uint32_t length) const {
-  std::string out;
-  out.reserve(length);
-  PageId current = head;
-  while (current != kInvalidPageId) {
-    HM_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(current));
-    const char* p = guard.page()->payload();
-    PageId next = util::DecodeFixed32(p);
-    uint32_t len = util::DecodeFixed32(p + 4);
-    if (len > kBlobCapacity) {
-      return util::Status::Corruption("blob page length out of range");
-    }
-    out.append(p + kBlobHeader, len);
-    current = next;
-  }
-  if (out.size() != length) {
-    return util::Status::Corruption("blob length mismatch");
-  }
-  return out;
-}
-
 util::Result<NodeRef> NetStore::CreateNode(const NodeAttrs& attrs,
                                            NodeRef near) {
   (void)near;  // placement is arithmetic; no hints
@@ -416,7 +369,14 @@ util::Status NetStore::SetContents(NodeRef node, std::string_view data) {
   if (rec.kind == NodeKind::kInternal) {
     return util::Status::InvalidArgument("internal nodes carry no contents");
   }
-  HM_ASSIGN_OR_RETURN(PageId head, WriteBlob(data));
+  if (rec.kind == NodeKind::kForm) {
+    HM_RETURN_IF_ERROR(util::Bitmap::Deserialize(data).status());
+  }
+  // A contents blob is an overflow chain. Old chains are not reclaimed:
+  // network databases of this era required an offline reorganization
+  // pass; documented as such.
+  HM_ASSIGN_OR_RETURN(PageId head,
+                      storage::WriteOverflowChain(pool_.get(), data));
   rec.blob_head = head;
   rec.blob_len = static_cast<uint32_t>(data.size());
   return WriteNode(node, rec);
@@ -428,7 +388,14 @@ util::Result<std::string> NetStore::GetContents(NodeRef node) {
     return util::Status::InvalidArgument("internal nodes carry no contents");
   }
   if (rec.blob_head == kInvalidPageId) return std::string();
-  return ReadBlob(rec.blob_head, rec.blob_len);
+  std::string out;
+  out.reserve(rec.blob_len);
+  HM_RETURN_IF_ERROR(
+      storage::ReadOverflowChain(pool_.get(), rec.blob_head, &out));
+  if (out.size() != rec.blob_len) {
+    return util::Status::Corruption("blob length mismatch");
+  }
+  return out;
 }
 
 util::Status NetStore::SetText(NodeRef node, std::string_view text) {

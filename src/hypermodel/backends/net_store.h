@@ -112,11 +112,6 @@ class NetStore : public HyperStore {
   util::Result<NodeRef> AllocNode();
   util::Result<uint64_t> AllocLink();
 
-  /// Writes `data` as a blob chain; returns the head page id.
-  util::Result<storage::PageId> WriteBlob(std::string_view data);
-  util::Result<std::string> ReadBlob(storage::PageId head,
-                                     uint32_t length) const;
-
   /// Scans all live node records, invoking `fn(ref, record)`.
   util::Status ScanNodes(
       const std::function<bool(NodeRef, const NodeRecord&)>& fn) const;

@@ -541,6 +541,10 @@ util::Status OodbStore::WriteContents(NodeRef node,
                                       std::string_view bytes) {
   HM_RETURN_IF_ERROR(RequireActiveTxn());
   HM_ASSIGN_OR_RETURN(ContentRef ref, ReadContentRef(*store_, node, want));
+  if (ref.kind == NodeKind::kForm && !want.has_value()) {
+    // SetContents on a form node: the bytes must decode as a bitmap.
+    HM_RETURN_IF_ERROR(util::Bitmap::Deserialize(bytes).status());
+  }
   const std::string blob = ContentBlob(bytes);
   if (ref.content != objstore::kInvalidOid) {
     return store_->Update(&*txn_, ref.content, blob);

@@ -195,9 +195,11 @@ class OodbStore : public HyperStore,
   /// If `change` fails, nothing is written. It must not call the store.
   template <typename Change>
   util::Status ModifyNode(NodeRef node, Change change);
-  /// SetText, SetForm and SetContents (no `want`): the kind rule, then
-  /// `bytes` replace the contents object's, or a new contents object
-  /// near the node holds them and its OID goes into the node's record.
+  /// SetText, SetForm and SetContents (no `want`): the kind rule (and,
+  /// for SetContents on a form node, `bytes` must decode as a bitmap),
+  /// then `bytes` replace the contents object's, or a new contents
+  /// object near the node holds them and its OID goes into the node's
+  /// record.
   util::Status WriteContents(NodeRef node, std::optional<NodeKind> want,
                              std::string_view bytes);
   util::Status RequireActiveTxn();

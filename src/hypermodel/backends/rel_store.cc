@@ -329,6 +329,7 @@ util::Status RelStore::SetContents(NodeRef node, std::string_view data) {
       return util::Status::InvalidArgument(
           "internal nodes carry no contents");
     case NodeKind::kForm:
+      HM_RETURN_IF_ERROR(util::Bitmap::Deserialize(data).status());
       return ReplaceChunks(node, data);
     default:
       return UpsertTextRow(node, data);

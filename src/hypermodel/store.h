@@ -77,8 +77,9 @@ class HyperStore {
   /// Raw, kind-agnostic contents access. SetText/SetForm are the
   /// kind-checked views; these let dynamically added node types (R4 —
   /// e.g. the DrawNode extension) store serialized contents through
-  /// any backend without new storage code. Rejected only for plain
-  /// internal nodes, which carry no contents.
+  /// any backend without new storage code. Rejected for plain
+  /// internal nodes, which carry no contents, and (Corruption) for
+  /// form-node bytes that do not decode as a bitmap.
   virtual util::Status SetContents(NodeRef node, std::string_view data) = 0;
   virtual util::Result<std::string> GetContents(NodeRef node) = 0;
 

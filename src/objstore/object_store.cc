@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "storage/overflow.h"
 #include "storage/slotted_page.h"
 #include "telemetry/metrics.h"
 #include "util/check.h"
@@ -41,9 +42,6 @@ constexpr uint8_t kOpCreate = 1;
 constexpr uint8_t kOpUpdate = 2;
 constexpr uint8_t kOpDelete = 3;
 
-// Overflow page payload: [next:4][len:4][bytes...].
-constexpr size_t kOverflowHeader = 8;
-constexpr size_t kOverflowCapacity = kPagePayloadSize - kOverflowHeader;
 
 // Objects above this size go to an overflow chain instead of sharing a
 // slotted page; chosen so several text nodes still share one page.
@@ -576,69 +574,16 @@ util::Status ObjectStore::DirSet(Oid oid, DirEntry entry) {
 
 bool ObjectStore::Exists(Oid oid) const { return DirGet(oid).ok(); }
 
-util::Result<PageId> ObjectStore::WriteOverflow(std::string_view data) {
-  // Build the chain back-to-front so each page knows its successor.
-  size_t total = data.size();
-  size_t num_pages = std::max<size_t>(1, (total + kOverflowCapacity - 1) /
-                                             kOverflowCapacity);
-  PageId next = kInvalidPageId;
-  for (size_t i = num_pages; i-- > 0;) {
-    size_t begin = i * kOverflowCapacity;
-    size_t len = std::min(kOverflowCapacity, total - begin);
-    HM_ASSIGN_OR_RETURN(PageGuard guard, pool_->New(PageType::kOverflow));
-    char* p = guard.page()->payload();
-    util::EncodeFixed32(p, next);
-    util::EncodeFixed32(p + 4, static_cast<uint32_t>(len));
-    std::memcpy(p + kOverflowHeader, data.data() + begin, len);
-    guard.MarkDirty();
-    next = guard.id();
-  }
-  return next;
-}
-
-util::Status ObjectStore::WalkOverflow(
-    PageId head,
-    const std::function<util::Status(PageId, std::string_view)>& visit)
-    const {
-  // Each hop visits a distinct page of a well-formed chain, so a chain
-  // longer than the file loops.
-  const uint64_t max_hops = data_file_.page_count();
-  uint64_t hops = 0;
-  PageId current = head;
-  while (current != kInvalidPageId) {
-    if (++hops > max_hops) {
-      return util::Status::Corruption("overflow chain loops");
-    }
-    // Latch-crawl: one shared latch at a time down the chain.
-    HM_ASSIGN_OR_RETURN(PageGuard guard,
-                        pool_->Fetch(current, storage::PinMode::kRead));
-    if (guard.page()->type() != PageType::kOverflow) {
-      return util::Status::Corruption("overflow chain reaches page " +
-                                      std::to_string(current) +
-                                      " that is not an overflow page");
-    }
-    const char* p = guard.page()->payload();
-    PageId next = util::DecodeFixed32(p);
-    uint32_t len = util::DecodeFixed32(p + 4);
-    if (len > kOverflowCapacity) {
-      return util::Status::Corruption("overflow page length out of range");
-    }
-    HM_RETURN_IF_ERROR(
-        visit(current, std::string_view(p + kOverflowHeader, len)));
-    current = next;
-  }
-  return util::Status::Ok();
-}
-
 util::Status ObjectStore::FreeOverflow(PageId head) {
   // Walk the whole chain first, so a corrupt one is refused before any
   // page changes. Pages are not recycled (allocation is append-only);
   // just mark the chain pages free for diagnostics.
   std::vector<PageId> chain;
-  HM_RETURN_IF_ERROR(WalkOverflow(head, [&chain](PageId id, std::string_view) {
-    chain.push_back(id);
-    return util::Status::Ok();
-  }));
+  HM_RETURN_IF_ERROR(storage::WalkOverflowChain(
+      pool_.get(), head, [&chain](PageId id, std::string_view) {
+        chain.push_back(id);
+        return util::Status::Ok();
+      }));
   for (PageId id : chain) {
     HM_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(id));
     guard.page()->set_type(PageType::kFree);
@@ -647,17 +592,11 @@ util::Status ObjectStore::FreeOverflow(PageId head) {
   return util::Status::Ok();
 }
 
-util::Status ObjectStore::ReadOverflow(PageId head, std::string* out) const {
-  return WalkOverflow(head, [out](PageId, std::string_view bytes) {
-    out->append(bytes);
-    return util::Status::Ok();
-  });
-}
-
 util::Result<ObjectStore::DirEntry> ObjectStore::Place(std::string_view data,
                                                        Oid near) {
   if (data.size() > kOverflowThreshold) {
-    HM_ASSIGN_OR_RETURN(PageId head, WriteOverflow(data));
+    HM_ASSIGN_OR_RETURN(PageId head,
+                        storage::WriteOverflowChain(pool_.get(), data));
     return DirEntry{head, 0, kDirOverflow};
   }
   const uint32_t size = static_cast<uint32_t>(data.size());
@@ -867,7 +806,8 @@ util::Result<std::string_view> ObjectStore::PinRecord(
   HM_ASSIGN_OR_RETURN(DirEntry entry, DirGet(oid));
   stats_.objects_read.fetch_add(1, std::memory_order_relaxed);
   if (entry.flags == kDirOverflow) {
-    HM_RETURN_IF_ERROR(ReadOverflow(entry.page, overflow));
+    HM_RETURN_IF_ERROR(
+        storage::ReadOverflowChain(pool_.get(), entry.page, overflow));
     return std::string_view(*overflow);
   }
   HM_ASSIGN_OR_RETURN(*guard,
@@ -923,7 +863,8 @@ util::Status ObjectStore::ViewMany(
     if (visit.entry.flags == kDirOverflow) {
       guard.Release();
       overflow.clear();
-      HM_RETURN_IF_ERROR(ReadOverflow(visit.entry.page, &overflow));
+      HM_RETURN_IF_ERROR(storage::ReadOverflowChain(
+          pool_.get(), visit.entry.page, &overflow));
       HM_RETURN_IF_ERROR(fn(visit.index, overflow));
       continue;
     }

@@ -386,23 +386,10 @@ class ObjectStore {
       HM_NO_THREAD_SAFETY_ANALYSIS {
     return ApplyLogical(payload, /*recovering=*/true);
   }
-  /// Writes `data` as an overflow chain; returns the head page.
-  util::Result<storage::PageId> WriteOverflow(std::string_view data);
-  /// The one overflow-chain walk: calls `visit(page, bytes)` for each
-  /// page of the chain starting at `head`, in order, under a shared
-  /// latch. Corruption if a chain page is not an overflow page, holds
-  /// an out-of-range length, or the chain runs longer than the data
-  /// file (a loop).
-  util::Status WalkOverflow(
-      storage::PageId head,
-      const std::function<util::Status(storage::PageId, std::string_view)>&
-          visit) const;
-  /// Marks every page of the chain at `head` free, after WalkOverflow
-  /// has vetted the whole chain (a corrupt chain changes no page).
+  /// Marks every page of the overflow chain (storage/overflow.h) at
+  /// `head` free, after walking the whole chain (a corrupt chain
+  /// changes no page).
   util::Status FreeOverflow(storage::PageId head);
-  /// Appends the bytes of the overflow chain starting at `head` to
-  /// `*out` (WalkOverflow's checks apply).
-  util::Status ReadOverflow(storage::PageId head, std::string* out) const;
   /// The one record-reading walk behind View: directory page, then
   /// the data page (left pinned in `*guard`, the record viewed in
   /// place) or the overflow chain (assembled into `*overflow`).

@@ -201,6 +201,8 @@ class BufferPool {
   util::Status DropAll();
 
   size_t capacity() const { return capacity_; }
+  /// Pages in the file behind the pool.
+  PageId page_count() const { return file_->page_count(); }
   size_t shard_count() const { return shard_count_; }
 
   /// Aggregated snapshot of the per-shard counters.

@@ -28,19 +28,13 @@
 #include "telemetry/metrics.h"
 #include "util/coding.h"
 #include "util/failpoint.h"
+#include "test_dir.h"
 
 namespace hm::backends {
 namespace {
 
 class BackendDirTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_backend_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   NodeAttrs Attrs(int64_t uid, NodeKind kind = NodeKind::kInternal) {
     NodeAttrs attrs;
     attrs.unique_id = uid;
@@ -66,7 +60,9 @@ class BackendDirTest : public ::testing::Test {
     }();
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_backend"};
+  /// The store's directory; the store that opens it makes it.
+  const std::string dir_ = tmp_.path() + "/db";
 };
 
 // ---------- OODB: crash recovery rebuilds indexes ----------
@@ -752,9 +748,8 @@ class PlacementTest
     : public ::testing::TestWithParam<objstore::PlacementPolicy> {};
 
 TEST_P(PlacementTest, GeneratedDatabaseIsCorrectUnderAnyPlacement) {
-  std::string dir = ::testing::TempDir() + "/hm_placement_" +
-                    std::to_string(static_cast<int>(GetParam()));
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_placement");
+  const std::string dir = tmp.path() + "/db";
   OodbOptions options;
   options.placement = GetParam();
   auto store = OodbStore::Open(options, dir);
@@ -772,7 +767,6 @@ TEST_P(PlacementTest, GeneratedDatabaseIsCorrectUnderAnyPlacement) {
   auto sum = ops::Closure1NAttSum(store->get(), db->root, &visited);
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(visited, 156u);
-  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -995,6 +989,34 @@ TEST_F(BackendDirTest, NetWorksWithTinyCache) {
   ASSERT_TRUE(ops::Closure1N(store->get(), db->root, &closure).ok());
   EXPECT_EQ(closure.size(), db->node_count());
   EXPECT_GT((*store)->buffer_pool()->stats().evictions, 0u);
+}
+
+// Contents live in an overflow chain. A chain whose page points back at
+// itself reads as Corruption instead of growing the result without end.
+TEST_F(BackendDirTest, NetContentsChainThatLoopsIsCorruption) {
+  auto store = NetStore::Open({}, dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->Begin().ok());
+  auto text = (*store)->CreateNode(Attrs(1, NodeKind::kText), kInvalidNode);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ASSERT_TRUE((*store)->SetText(*text, "a one-page chain").ok());
+  ASSERT_TRUE((*store)->Commit().ok());
+  ASSERT_EQ(*(*store)->GetText(*text), "a one-page chain");
+
+  storage::BufferPool* pool = (*store)->buffer_pool();
+  int patched = 0;
+  for (storage::PageId id = 0; id < pool->page_count(); ++id) {
+    auto guard = pool->Fetch(id);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    if (guard->page()->type() != storage::PageType::kOverflow) continue;
+    util::EncodeFixed32(guard->page()->payload(), id);  // next: itself
+    guard->MarkDirty();
+    ++patched;
+  }
+  ASSERT_EQ(patched, 1);
+  auto looped = (*store)->GetText(*text);
+  EXPECT_EQ(looped.status().code(), util::StatusCode::kCorruption)
+      << looped.status().ToString();
 }
 
 }  // namespace

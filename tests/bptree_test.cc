@@ -11,6 +11,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace hm::index {
 namespace {
@@ -18,17 +19,12 @@ namespace {
 class BPlusTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_bptree_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     ASSERT_TRUE(fm_.Open(dir_ + "/index.db").ok());
     pool_ = std::make_unique<storage::BufferPool>(&fm_, 256);
   }
   void TearDown() override {
     pool_.reset();
     EXPECT_TRUE(fm_.Close().ok());
-    std::filesystem::remove_all(dir_);
   }
 
   BPlusTree Create() {
@@ -37,7 +33,8 @@ class BPlusTreeTest : public ::testing::Test {
     return *tree;
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_bptree"};
+  const std::string dir_ = tmp_.path();
   storage::FileManager fm_;
   std::unique_ptr<storage::BufferPool> pool_;
 };
@@ -232,10 +229,8 @@ TEST_F(BPlusTreeTest, DeleteHeavyWorkloadStaysConsistent) {
 class BPlusTreeChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BPlusTreeChurnTest, MatchesModel) {
-  std::string dir = ::testing::TempDir() + "/hm_bptree_churn_" +
-                    std::to_string(GetParam());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  test::TestDir tmp("hm_bptree_churn");
+  const std::string dir = tmp.path();
   storage::FileManager fm;
   ASSERT_TRUE(fm.Open(dir + "/index.db").ok());
   auto pool = std::make_unique<storage::BufferPool>(&fm, 256);
@@ -295,7 +290,6 @@ TEST_P(BPlusTreeChurnTest, MatchesModel) {
   EXPECT_EQ(it, model.end());
   pool.reset();
   EXPECT_TRUE(fm.Close().ok());
-  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeChurnTest,

@@ -19,6 +19,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "storage/page.h"
+#include "test_dir.h"
 
 namespace hm::storage {
 namespace {
@@ -26,15 +27,10 @@ namespace {
 class BufferPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_pool_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     ASSERT_TRUE(fm_.Open(dir_ + "/pool.db").ok());
   }
   void TearDown() override {
     EXPECT_TRUE(fm_.Close().ok());
-    std::filesystem::remove_all(dir_);
   }
 
   /// Creates `n` pages whose payloads are stamped with their page id,
@@ -62,7 +58,8 @@ class BufferPoolTest : public ::testing::Test {
     return true;
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_pool"};
+  const std::string dir_ = tmp_.path();
   FileManager fm_;
 };
 

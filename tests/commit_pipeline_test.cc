@@ -19,6 +19,7 @@
 #include "storage/commit_pipeline/group_commit.h"
 #include "telemetry/metrics.h"
 #include "util/failpoint.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -203,18 +204,12 @@ TEST(CheckpointerTest, FailuresAreRecordedNotFatal) {
 
 class CommitPipelineStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_pipeline_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
   void TearDown() override {
     unsetenv("HM_WAL_SEGMENT_BYTES");
-    std::filesystem::remove_all(dir_);
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_pipeline"};
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(CommitPipelineStoreTest, CommitAsyncSplitsLoggingFromDurability) {

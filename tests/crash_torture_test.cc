@@ -25,6 +25,7 @@
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/generator.h"
 #include "util/failpoint.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -50,14 +51,9 @@ class CrashTortureTest : public ::testing::Test {
     // countdown failpoint lands mid-rollover); the CI torture job's
     // HM_WAL_SEGMENT_BYTES must not override it. The forked child inherits the cleaned env.
     ::unsetenv("HM_WAL_SEGMENT_BYTES");
-    dir_ = ::testing::TempDir() + "/hm_crash_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
     util::Failpoint::DisableAll();
-    std::filesystem::remove_all(dir_);
   }
 
   /// Runs the build+edit workload in a forked child with `site`
@@ -176,7 +172,8 @@ class CrashTortureTest : public ::testing::Test {
     }
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_crash"};
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(CrashTortureTest, CrashAtWalSyncDuringEditsRecovers) {

@@ -11,6 +11,7 @@
 #include "hypermodel/driver.h"
 #include "hypermodel/generator.h"
 #include "hypermodel/report.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -138,8 +139,8 @@ TEST_F(DriverTest, SameSeedSameInputsAcrossDrivers) {
 }
 
 TEST_F(DriverTest, ColdRunSeesBufferPoolMisses) {
-  std::string dir = ::testing::TempDir() + "/hm_driver_cold";
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_driver_cold");
+  const std::string dir = tmp.path() + "/db";
   auto oodb = backends::OodbStore::Open({}, dir);
   ASSERT_TRUE(oodb.ok());
   GeneratorConfig gen_config;
@@ -157,7 +158,6 @@ TEST_F(DriverTest, ColdRunSeesBufferPoolMisses) {
   EXPECT_GT(result->cold_total_ms, 0.0);
   EXPECT_GT(result->warm_total_ms, 0.0);
   EXPECT_TRUE((*oodb)->object_store()->Close().ok());
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DriverTest, ReportTablesRender) {

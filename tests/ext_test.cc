@@ -16,6 +16,7 @@
 #include "hypermodel/ext/schema_evolution.h"
 #include "hypermodel/ext/version.h"
 #include "hypermodel/generator.h"
+#include "test_dir.h"
 
 namespace hm::ext {
 namespace {
@@ -277,8 +278,8 @@ TEST(SchemaEvolutionTest, DynamicAttributesWithDefaults) {
 }
 
 TEST(SchemaEvolutionTest, RegistryPersistsThroughStore) {
-  std::string dir = ::testing::TempDir() + "/hm_schema_persist";
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_schema_persist");
+  const std::string dir = tmp.path() + "/db";
   {
     auto store = backends::OodbStore::Open({}, dir);
     ASSERT_TRUE(store.ok());
@@ -299,7 +300,6 @@ TEST(SchemaEvolutionTest, RegistryPersistsThroughStore) {
     EXPECT_EQ(*reloaded.GetDynamicAttr(node, "priority"), 9);
     EXPECT_EQ(*reloaded.GetDynamicAttr(kInvalidNode + 99, "priority"), 3);
   }
-  std::filesystem::remove_all(dir);
 }
 
 // ---------- OCC (R8/R9) ----------

@@ -20,6 +20,7 @@
 
 #include "storage/commit_pipeline/segmented_wal.h"
 #include "telemetry/metrics.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -197,18 +198,12 @@ TEST_F(FailpointTest, FiresAreCountedInTelemetry) {
 
 class FailpointWalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_failpoint_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
   void TearDown() override {
     util::Failpoint::DisableAll();
-    std::filesystem::remove_all(dir_);
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_failpoint"};
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(FailpointWalTest, WalAppendErrorSurfacesAsStatus) {

@@ -13,20 +13,13 @@
 #include "storage/file_manager.h"
 #include "storage/commit_pipeline/segmented_wal.h"
 #include "storage/wal.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
 
 class FaultTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_fault_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   /// XORs one byte at `offset` of `path`.
   void FlipByte(const std::string& path, std::streamoff offset) {
     std::fstream file(path,
@@ -39,7 +32,8 @@ class FaultTest : public ::testing::Test {
     file.put(static_cast<char>(byte ^ 0x40));
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_fault"};
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(FaultTest, WalMidLogCorruptionReplaysIntactPrefix) {

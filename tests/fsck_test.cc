@@ -16,6 +16,7 @@
 #include "hypermodel/backends/remote_store.h"
 #include "hypermodel/generator.h"
 #include "hypermodel/store.h"
+#include "test_dir.h"
 
 namespace hm::analysis {
 namespace {
@@ -62,18 +63,16 @@ TEST(FsckCleanTest, MemLevelFour) {
 }
 
 TEST(FsckCleanTest, OodbGeneratedDatabase) {
-  std::string dir = ::testing::TempDir() + "/hm_fsck_oodb";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  test::TestDir tmp("hm_fsck_oodb");
+  const std::string dir = tmp.path();
   auto store = backends::OodbStore::Open(backends::OodbOptions{}, dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ExpectClean(store->get(), SmallConfig());
 }
 
 TEST(FsckCleanTest, RelGeneratedDatabase) {
-  std::string dir = ::testing::TempDir() + "/hm_fsck_rel";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  test::TestDir tmp("hm_fsck_rel");
+  const std::string dir = tmp.path();
   auto store = backends::RelStore::Open(backends::RelOptions{}, dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ExpectClean(store->get(), SmallConfig());

@@ -21,6 +21,7 @@
 #include "hypermodel/traversal.h"
 #include "objstore/object_store.h"
 #include "telemetry/metrics.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -555,8 +556,8 @@ class PhaseMeter : public CallLog, public FrontierFetch {
 // made two updates per edge (1560, 1560 and 1562) and wrote 340097,
 // 439313 and 477245 WAL bytes.
 TEST(GeneratorTest, OodbLoadWritesArePinned) {
-  const std::string dir = ::testing::TempDir() + "/hm_generator_writes";
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_generator_writes");
+  const std::string dir = tmp.path() + "/db";
   auto oodb = backends::OodbStore::Open(backends::OodbOptions{}, dir);
   ASSERT_TRUE(oodb.ok()) << oodb.status().ToString();
   PhaseMeter meter(oodb->get());
@@ -576,7 +577,6 @@ TEST(GeneratorTest, OodbLoadWritesArePinned) {
   EXPECT_EQ(parts.wal_bytes, 135263u);
   EXPECT_EQ(refs.wal_bytes, 229583u);
   oodb->reset();
-  std::filesystem::remove_all(dir);
 }
 
 /// Everything a node holds, with every ref written as its uniqueId:
@@ -669,8 +669,8 @@ void ExpectFsckClean(HyperStore* store, const GeneratorConfig& config) {
 // recovery from a copy of the live files (a crash image: the commits
 // are in the WAL, the data pages not all flushed).
 TEST(GeneratorTest, OodbLoadMatchesSerialBuild) {
-  const std::string root = ::testing::TempDir() + "/hm_generator_native";
-  std::filesystem::remove_all(root);
+  test::TestDir tmp("hm_generator_native");
+  const std::string root = tmp.path();
   GeneratorConfig config;
   config.levels = 4;
   config.seed = 42;
@@ -711,7 +711,6 @@ TEST(GeneratorTest, OodbLoadMatchesSerialBuild) {
   }
   native->reset();
   serial->reset();
-  std::filesystem::remove_all(root);
 }
 
 // A load write refused on its inputs writes nothing: the second naming
@@ -719,8 +718,8 @@ TEST(GeneratorTest, OodbLoadMatchesSerialBuild) {
 // sizes, and no open transaction. After Abort the store reads as
 // before.
 TEST(GeneratorTest, OodbLoadWriteRefusalsWriteNothing) {
-  const std::string dir = ::testing::TempDir() + "/hm_generator_refusals";
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_generator_refusals");
+  const std::string dir = tmp.path() + "/db";
   auto oodb = backends::OodbStore::Open(backends::OodbOptions{}, dir);
   ASSERT_TRUE(oodb.ok()) << oodb.status().ToString();
   backends::OodbStore* store = oodb->get();
@@ -799,7 +798,6 @@ TEST(GeneratorTest, OodbLoadWriteRefusalsWriteNothing) {
     EXPECT_TRUE(ImagesOf(store, 3) == before);
   }
   oodb->reset();
-  std::filesystem::remove_all(dir);
 }
 
 // A build that fails part-way aborts its open phase transaction and
@@ -808,7 +806,8 @@ TEST(GeneratorTest, OodbLoadWriteRefusalsWriteNothing) {
 // falls in each phase in turn (a level-3 build makes 156 creates, 125
 // contents writes, 155 children, 155 parts and 156 refs).
 TEST(GeneratorTest, FailedBuildAbortsItsOpenTransaction) {
-  const std::string dir = ::testing::TempDir() + "/hm_generator_abort";
+  test::TestDir tmp("hm_generator_abort");
+  const std::string dir = tmp.path() + "/db";
   for (uint64_t fail_write : {1, 100, 200, 300, 500, 700}) {
     SCOPED_TRACE("write " + std::to_string(fail_write));
     std::filesystem::remove_all(dir);
@@ -831,7 +830,6 @@ TEST(GeneratorTest, FailedBuildAbortsItsOpenTransaction) {
     EXPECT_TRUE((*oodb)->Begin().ok());
     EXPECT_TRUE((*oodb)->Abort().ok());
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(GeneratorTest, RejectsDegenerateConfig) {

@@ -11,6 +11,7 @@
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
 #include "util/coding.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -78,15 +79,8 @@ TEST(VarintTest, ZigZagRoundTrip) {
 
 class ImageTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/hm_image_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".img";
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  std::string path_;
+  test::TestDir tmp_{"hm_image"};
+  const std::string path_ = tmp_.path() + "/db.img";
 };
 
 TEST_F(ImageTest, SaveLoadRoundTripsFullDatabase) {

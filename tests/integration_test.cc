@@ -17,21 +17,15 @@
 #include "hypermodel/operations.h"
 #include "objstore/object_store.h"
 #include "util/text.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
 
 class IntegrationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_integration_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string dir_;
+  test::TestDir tmp_{"hm_integration"};
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(IntegrationTest, FullProtocolOnAllBackendsAgreesOnNodeCounts) {

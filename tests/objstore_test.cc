@@ -15,26 +15,21 @@
 #include "storage/slotted_page.h"
 #include "util/coding.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace hm::objstore {
 namespace {
 
 class ObjectStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_objstore_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::unique_ptr<ObjectStore> Open(ObjectStoreOptions options = {}) {
     auto store = ObjectStore::Open(options, dir_);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     return std::move(*store);
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_objstore"};
+  const std::string dir_ = tmp_.path() + "/db";
 };
 
 TEST_F(ObjectStoreTest, CreateReadRoundTrip) {

@@ -18,6 +18,7 @@
 #include "hypermodel/generator.h"
 #include "hypermodel/operations.h"
 #include "util/text.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -323,10 +324,6 @@ TEST_F(OpsFixture, FsckCleanAfterEditingOps) {
 class CrossBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_cross_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
 
     GeneratorConfig config;
     config.levels = 3;
@@ -355,7 +352,6 @@ class CrossBackendTest : public ::testing::Test {
     oodb_.reset();
     rel_.reset();
     net_.reset();
-    std::filesystem::remove_all(dir_);
   }
 
   std::vector<HyperStore*> Stores() {
@@ -380,7 +376,8 @@ class CrossBackendTest : public ::testing::Test {
     return ref.ValueOr(kInvalidNode);
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_cross"};
+  const std::string dir_ = tmp_.path();
   std::unique_ptr<backends::MemStore> mem_;
   std::unique_ptr<backends::OodbStore> oodb_;
   std::unique_ptr<backends::RelStore> rel_;

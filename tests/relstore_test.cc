@@ -11,6 +11,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace hm::relstore {
 namespace {
@@ -84,20 +85,16 @@ TEST(SchemaTest, ColumnIndexLookup) {
 class TableTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_relstore_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     ASSERT_TRUE(fm_.Open(dir_ + "/t.db").ok());
     pool_ = std::make_unique<storage::BufferPool>(&fm_, 128);
   }
   void TearDown() override {
     pool_.reset();
     EXPECT_TRUE(fm_.Close().ok());
-    std::filesystem::remove_all(dir_);
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_relstore"};
+  const std::string dir_ = tmp_.path();
   storage::FileManager fm_;
   std::unique_ptr<storage::BufferPool> pool_;
 };
@@ -242,10 +239,8 @@ TEST_F(TableTest, InsertWithoutCreateFails) {
 class TableChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TableChurnTest, MatchesModel) {
-  std::string dir =
-      ::testing::TempDir() + "/hm_table_churn_" + std::to_string(GetParam());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  test::TestDir tmp("hm_table_churn");
+  const std::string dir = tmp.path();
   storage::FileManager fm;
   ASSERT_TRUE(fm.Open(dir + "/t.db").ok());
   auto pool = std::make_unique<storage::BufferPool>(&fm, 128);
@@ -294,7 +289,6 @@ TEST_P(TableChurnTest, MatchesModel) {
   EXPECT_EQ(*table.RowCount(), model.size());
   pool.reset();
   EXPECT_TRUE(fm.Close().ok());
-  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableChurnTest, ::testing::Range(0ul, 6ul));

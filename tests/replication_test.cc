@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +30,7 @@
 #include "hypermodel/operations.h"
 #include "hypermodel/types.h"
 #include "replication/coordinator.h"
+#include "replication/node.h"
 #include "replication/replicator.h"
 #include "replication/wal_shipper.h"
 #include "server/server.h"
@@ -35,6 +38,7 @@
 #include "storage/wal.h"
 #include "telemetry/metrics.h"
 #include "util/failpoint.h"
+#include "test_dir.h"
 
 namespace hm::replication {
 namespace {
@@ -196,15 +200,10 @@ TEST(FrameDecoderTest, ResetForgetsPartialState) {
 class WalShipperTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_shipper_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     storage::SegmentedWalOptions options;
     options.segment_bytes = 2 * FrameBytes(100);  // two frames/segment
-    ASSERT_TRUE(wal_.Open(dir_ + "/wal.log", options).ok());
+    ASSERT_TRUE(wal_.Open(dir_.path() + "/wal.log", options).ok());
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   static uint64_t FrameBytes(size_t n) {
     return storage::kWalFrameHeaderSize + storage::kWalRecordPrefixSize + n;
@@ -218,7 +217,7 @@ class WalShipperTest : public ::testing::Test {
     ASSERT_TRUE(wal_.Sync().ok());
   }
 
-  std::string dir_;
+  test::TestDir dir_{"hm_shipper"};
   SegmentedWal wal_;
 };
 
@@ -342,11 +341,6 @@ class OfflineReplayTest : public ::testing::Test {
   static constexpr int64_t kMaxUid = 99;
 
   void SetUp() override {
-    root_ = ::testing::TempDir() + "/hm_offline_replay_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-
     auto live = OodbStore::Open({}, root_ + "/live");
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     HyperStore* store = live->get();
@@ -388,8 +382,6 @@ class OfflineReplayTest : public ::testing::Test {
     ASSERT_FALSE(log_.empty());
   }
 
-  void TearDown() override { std::filesystem::remove_all(root_); }
-
   /// Writes `bytes` as the follower's only mirror segment, under the
   /// live segment's sequence number, and starts its replicator.
   std::unique_ptr<Replicator> StartFollower(const std::string& bytes) {
@@ -419,7 +411,8 @@ class OfflineReplayTest : public ::testing::Test {
     return replicator->fatal_status();
   }
 
-  std::string root_;
+  test::TestDir root_dir_{"hm_offline_replay"};
+  const std::string root_ = root_dir_.path();
   std::string crash_segment_;
   std::string mirror_segment_;
   uint64_t seq_ = 0;
@@ -515,9 +508,8 @@ TEST(CoordinatorStateTest, FailedStateSyncLeavesEpochAndRoleUnchanged) {
   if (!util::kFailpointsCompiled) {
     GTEST_SKIP() << "failpoints compiled out of this build";
   }
-  const std::string dir = ::testing::TempDir() + "/hm_repl_state";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  test::TestDir tmp("hm_repl_state");
+  const std::string& dir = tmp.path();
   CoordinatorOptions options;
   options.state_dir = dir;
   auto coordinator = Coordinator::Open(options, /*as_replica=*/false);
@@ -541,51 +533,15 @@ TEST(CoordinatorStateTest, FailedStateSyncLeavesEpochAndRoleUnchanged) {
   EXPECT_EQ(*fenced, 2u);
   EXPECT_EQ((*coordinator)->role(), Role::kFenced);
   EXPECT_EQ(ReadWhole(state), "2 1\n");
-  std::filesystem::remove_all(dir);
 }
 
 // --- End-to-end fleets over loopback ---------------------------------
 
-/// One replicated node: an OodbStore-backed server plus its
-/// coordinator, on an ephemeral loopback port.
-struct ReplNode {
-  std::string dir;
-  std::unique_ptr<Coordinator> coordinator;
-  std::unique_ptr<server::Server> server;
-
-  uint16_t port() const { return server->port(); }
-
-  /// Shutdown order matters: the replicator thread uses the server's
-  /// exclusive hook, so it must stop before the server does.
-  void Stop() {
-    if (coordinator != nullptr) coordinator->Shutdown();
-    if (server != nullptr) server->Stop();
-  }
-  /// Simulates a crash for failover tests: tears the node down
-  /// (sockets close, clients see transport errors) while leaving its
-  /// durable state on disk for a later resurrection.
-  void Kill() {
-    Stop();
-    server.reset();
-    coordinator.reset();
-  }
-};
-
 class ReplicationE2eTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = ::testing::TempDir() + "/hm_repl_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-    // StartNode hands out references into nodes_; a push_back
-    // reallocation would invalidate every earlier one.
-    nodes_.reserve(8);
-  }
+  /// Replicas stop before the primary they pull from.
   void TearDown() override {
-    for (auto& node : nodes_) node.Stop();
-    nodes_.clear();
-    std::filesystem::remove_all(root_);
+    while (!nodes_.empty()) nodes_.pop_back();
   }
 
   /// Small segments so replication streams cross rollovers even in
@@ -594,65 +550,41 @@ class ReplicationE2eTest : public ::testing::Test {
     backends::OodbOptions options;
     options.cache_pages = 256;
     options.wal_segment_bytes = 1 << 16;
-    options.checkpoint_interval_ms = 0;
     return options;
   }
 
-  ReplNode& StartNode(const std::string& name, bool as_replica,
-                      uint16_t primary_port) {
-    ReplNode node;
-    node.dir = root_ + "/" + name;
-    std::filesystem::create_directories(node.dir);
+  /// Node `name`'s directory; it outlives the node, so a restart in it
+  /// resumes the node's state.
+  std::string Dir(const std::string& name) const {
+    return root_.path() + "/" + name;
+  }
 
-    auto store = OodbStore::Open(StoreOptions(), node.dir + "/oodb");
+  /// Starts node `name` in Dir(name): a primary, or a replica of the
+  /// primary on `primary_port`. Nodes stay up until the test ends or
+  /// resets their slot in nodes_ (a crash, for failover tests).
+  Node& StartNode(const std::string& name, bool as_replica,
+                  uint16_t primary_port) {
+    std::filesystem::create_directories(Dir(name));
+    auto store = OodbStore::Open(StoreOptions(), Dir(name) + "/oodb");
     EXPECT_TRUE(store.ok()) << store.status().ToString();
-    auto* oodb = store->get();
-
-    CoordinatorOptions copts;
-    copts.state_dir = node.dir;
-    copts.semisync_timeout_ms = 5000;
-    auto coordinator = Coordinator::Open(copts, as_replica);
-    EXPECT_TRUE(coordinator.ok()) << coordinator.status().ToString();
-    node.coordinator = std::move(*coordinator);
-
-    if (!as_replica && node.coordinator->role() == Role::kPrimary) {
-      // A fresh directory's chain replays from empty; a resurrected
-      // one's does too (its own WAL is complete).
-      EXPECT_TRUE(node.coordinator->ServePrimary(oodb, true).ok());
-    }
-
     server::ServerOptions sopts;
-    sopts.host = "127.0.0.1";
-    sopts.port = 0;
     // Each worker owns one connection for its lifetime; a primary
     // serves two long-lived replicator connections plus test clients.
     sopts.workers = 8;
-    sopts.replication = node.coordinator.get();
-    auto srv = server::Server::Start(
-        sopts, std::unique_ptr<HyperStore>(std::move(*store)));
-    EXPECT_TRUE(srv.ok()) << srv.status().ToString();
-    node.server = std::move(*srv);
-
+    CoordinatorOptions copts;
+    copts.state_dir = Dir(name);
+    std::optional<ReplicatorOptions> replica_of;
     if (as_replica) {
-      ReplicatorOptions ropts;
-      ropts.primary.host = "127.0.0.1";
-      ropts.primary.port = primary_port;
-      ropts.mirror_dir = node.dir + "/repl_mirror";
-      ropts.follower_id = node.port();
-      ropts.poll_ms = 5;
-      auto* raw_server = node.server.get();
-      EXPECT_TRUE(node.coordinator
-                      ->ServeReplica(ropts, oodb,
-                                     [raw_server](
-                                         const std::function<void()>& fn) {
-                                       raw_server->WithExclusiveBackend(
-                                           [&fn](HyperStore*) { fn(); });
-                                     })
-                      .ok());
+      replica_of.emplace();
+      replica_of->primary.host = "127.0.0.1";
+      replica_of->primary.port = primary_port;
+      replica_of->poll_ms = 5;
     }
-
-    nodes_.push_back(std::move(node));
-    return nodes_.back();
+    auto node =
+        Node::Start(std::move(*store), sopts, copts, std::move(replica_of));
+    EXPECT_TRUE(node.ok()) << node.status().ToString();
+    nodes_.push_back(std::move(*node));
+    return *nodes_.back();
   }
 
   static std::unique_ptr<RemoteStore> Client(uint16_t port) {
@@ -689,8 +621,8 @@ class ReplicationE2eTest : public ::testing::Test {
         << head.durable_lsn;
   }
 
-  std::string root_;
-  std::vector<ReplNode> nodes_;
+  test::TestDir root_{"hm_repl"};
+  std::vector<std::unique_ptr<Node>> nodes_;
 };
 
 TEST_F(ReplicationE2eTest, ReplicaReplaysAndRejectsWrites) {
@@ -751,9 +683,9 @@ TEST_F(ReplicationE2eTest, FailedChainSyncLeavesNoChainFile) {
     return util::Failpoint::FireCount("repl/chain/sync/error") > 0;
   }));
   // Killing the node joins its pull thread, so no pull is mid-write.
-  nodes_.back().Kill();
+  nodes_.back().reset();
   util::Failpoint::DisableAll();
-  const std::string chain = root_ + "/replica/repl_mirror/chain";
+  const std::string chain = Dir("replica") + "/repl_mirror/chain";
   EXPECT_FALSE(std::filesystem::exists(chain));
   EXPECT_FALSE(std::filesystem::exists(chain + ".tmp"));
 
@@ -826,7 +758,7 @@ TEST_F(ReplicationE2eTest, PromotionServesEveryAckedWriteAndFencesOldPrimary) {
     AwaitCatchUp(pc.get(), c2.get());
   }
   pc.reset();
-  nodes_[0].Kill();  // crash the primary; its directory survives
+  nodes_[0].reset();  // crash the primary; its directory survives
 
   // Client-driven failover: promote the most-replayed follower under
   // the next epoch.
@@ -872,24 +804,11 @@ TEST_F(ReplicationE2eTest, PromotionServesEveryAckedWriteAndFencesOldPrimary) {
   // Resurrect the old primary in its original directory: it comes
   // back thinking it is a primary at epoch 1; first contact from an
   // epoch-2 client fences it, and the fence persists.
-  auto store = OodbStore::Open(StoreOptions(), nodes_[0].dir + "/oodb");
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  CoordinatorOptions copts;
-  copts.state_dir = nodes_[0].dir;
-  auto coordinator = Coordinator::Open(copts, /*as_replica=*/false);
-  ASSERT_TRUE(coordinator.ok());
-  EXPECT_EQ((*coordinator)->role(), Role::kPrimary);  // still believes
-  EXPECT_EQ((*coordinator)->epoch(), 1u);
-  ASSERT_TRUE((*coordinator)->ServePrimary(store->get(), true).ok());
-  server::ServerOptions sopts;
-  sopts.host = "127.0.0.1";
-  sopts.port = 0;
-  sopts.replication = coordinator->get();
-  auto srv = server::Server::Start(
-      sopts, std::unique_ptr<HyperStore>(std::move(*store)));
-  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
-
-  auto zombie = Client((*srv)->port());
+  auto& resurrected = StartNode("primary", false, 0);
+  // It still believes it is the primary at epoch 1.
+  EXPECT_EQ(resurrected.coordinator()->role(), Role::kPrimary);
+  EXPECT_EQ(resurrected.coordinator()->epoch(), 1u);
+  auto zombie = Client(resurrected.port());
   uint64_t fenced_epoch = 0;
   ASSERT_TRUE(zombie->ReplFence(2, &fenced_epoch).ok());
   EXPECT_EQ(fenced_epoch, 2u);
@@ -897,13 +816,12 @@ TEST_F(ReplicationE2eTest, PromotionServesEveryAckedWriteAndFencesOldPrimary) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.IsFencedOff()) << rejected.ToString();
   zombie.reset();
-  (*coordinator)->Shutdown();
-  (*srv)->Stop();
-  srv->reset();
-  coordinator->reset();
+  nodes_.back().reset();
 
   // The fence survives a restart even when the node asks to be a
   // primary again: persisted state overrides the requested role.
+  CoordinatorOptions copts;
+  copts.state_dir = Dir("primary");
   auto reopened = Coordinator::Open(copts, /*as_replica=*/false);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->role(), Role::kFenced);
@@ -934,7 +852,7 @@ TEST_F(ReplicationE2eTest, ReplicatedStoreFailsOverAfterPrimaryCrash) {
     AwaitCatchUp(pc.get(), c1.get());
     AwaitCatchUp(pc.get(), c2.get());
   }
-  nodes_[0].Kill();
+  nodes_[0].reset();
 
   // The crash surfaces exactly once as kUnavailable (an in-flight
   // write's fate is unknown and must not be silently re-sent); the
@@ -1063,6 +981,73 @@ TEST_F(ReplicationE2eTest, ReplicatedStoreRunsClosuresAsOneCall) {
   ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
   ASSERT_TRUE((*client)->Commit().ok());
   EXPECT_EQ(*flipped, db->node_count());
+}
+
+
+// --- replication::Node ------------------------------------------------
+
+// A replica destroyed without Stop() while its pull thread is busy
+// stops that thread before its server goes: the fleet keeps committing
+// through the other replica, which catches up. Under the sanitizer jobs
+// a teardown in the wrong order shows as a race or a use after free.
+TEST_F(ReplicationE2eTest, ReplicaNodeDestroyedWhilePullingTearsDownCleanly) {
+  auto& primary = StartNode("primary", false, 0);
+  auto& r1 = StartNode("r1", true, primary.port());
+  StartNode("r2", true, primary.port());
+  telemetry::Counter* applied =
+      telemetry::Registry::Global().GetCounter("replication.txns_applied");
+  const uint64_t applied_before = applied->value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> written{0};
+  util::Status writer_status;
+  std::thread writer([&] {
+    auto client = Client(primary.port());
+    for (int64_t uid = 1; client != nullptr && !stop.load(); ++uid) {
+      writer_status = client->Begin();
+      if (!writer_status.ok()) return;
+      writer_status = client->CreateNode(MakeAttrs(uid), kInvalidNode).status();
+      if (!writer_status.ok()) return;
+      writer_status = client->Commit();
+      if (!writer_status.ok()) return;
+      written.store(uid);
+    }
+  });
+  EXPECT_TRUE(WaitFor([&] { return applied->value() >= applied_before + 20; }));
+  nodes_.back().reset();  // no Stop(): the destructor orders the teardown
+  const int64_t at_teardown = written.load();
+  EXPECT_TRUE(WaitFor([&] { return written.load() >= at_teardown + 10; }));
+  stop.store(true);
+  writer.join();
+  EXPECT_TRUE(writer_status.ok()) << writer_status.ToString();
+
+  auto pc = Client(primary.port());
+  auto rc = Client(r1.port());
+  ASSERT_NE(pc, nullptr);
+  ASSERT_NE(rc, nullptr);
+  AwaitCatchUp(pc.get(), rc.get());
+  EXPECT_TRUE(rc->LookupUnique(written.load()).ok());
+}
+
+// A replica applies its primary's WAL outside its own, so a fuzzy
+// checkpoint would move its recovery start past applies no local WAL
+// holds. Node refuses such a store before it writes any state.
+TEST_F(ReplicationE2eTest, ReplicaNodeRefusesBackgroundCheckpointer) {
+  backends::OodbOptions options = StoreOptions();
+  options.checkpoint_interval_ms = 50;
+  std::filesystem::create_directories(Dir("replica"));
+  auto store = OodbStore::Open(options, Dir("replica") + "/oodb");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  CoordinatorOptions copts;
+  copts.state_dir = Dir("replica");
+  ReplicatorOptions replica_of;
+  replica_of.primary.host = "127.0.0.1";
+  replica_of.primary.port = 1;
+  auto node = Node::Start(std::move(*store), {}, copts, replica_of);
+  EXPECT_EQ(node.status().code(), util::StatusCode::kInvalidArgument)
+      << node.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(Dir("replica") + "/repl_epoch"));
+  EXPECT_FALSE(std::filesystem::exists(Dir("replica") + "/repl_mirror"));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "util/failpoint.h"
+#include "test_dir.h"
 
 namespace hm::storage {
 namespace {
@@ -25,13 +26,8 @@ namespace {
 class SegmentedWalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_segwal_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     base_ = dir_ + "/wal.log";
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string Segment(uint64_t seq) const {
     return SegmentedWal::SegmentPath(base_, seq);
@@ -42,7 +38,8 @@ class SegmentedWalTest : public ::testing::Test {
     return kWalFrameHeaderSize + kWalRecordPrefixSize + n;
   }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_segwal"};
+  const std::string dir_ = tmp_.path();
   std::string base_;
 };
 

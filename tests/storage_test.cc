@@ -17,23 +17,17 @@
 #include "storage/wal.h"
 #include "util/failpoint.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace hm::storage {
 namespace {
 
 class TempDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_storage_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
-  std::string dir_;
+  test::TestDir tmp_{"hm_storage"};
+  const std::string dir_ = tmp_.path();
 };
 
 // ---------- Page ----------

@@ -33,8 +33,8 @@
 #include "hypermodel/operations.h"
 #include "hypermodel/store.h"
 #include "hypermodel/traversal.h"
-#include "replication/coordinator.h"
-#include "server/server.h"
+#include "replication/node.h"
+#include "test_dir.h"
 
 namespace hm {
 namespace {
@@ -183,18 +183,11 @@ constexpr Attr kBadAttr = static_cast<Attr>(5);
 class StoreContractTest : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_contract_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
     factory_ = Factories()[GetParam()];
-    store_ = factory_.make(dir_);
+    store_ = factory_.make(dir_.path());
     ASSERT_NE(store_, nullptr);
   }
-  void TearDown() override {
-    store_.reset();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { store_.reset(); }
 
   NodeAttrs Attrs(int64_t uid, NodeKind kind = NodeKind::kInternal) {
     NodeAttrs attrs;
@@ -214,7 +207,7 @@ class StoreContractTest : public ::testing::TestWithParam<size_t> {
     return ref.ok() ? *ref : kInvalidNode;
   }
 
-  std::string dir_;
+  test::TestDir dir_{"hm_contract"};
   BackendFactory factory_;
   std::unique_ptr<HyperStore> store_;
 };
@@ -799,8 +792,8 @@ TEST_P(StoreContractTest, ConcurrentReadersSeeConsistentData) {
 // wrong child list. Ten frames leave room for the readers' pins:
 // each holds at most one at a time.
 TEST(OodbConcurrentReads, ReadersEvictingEachOtherSeeCorrectLists) {
-  const std::string dir = ::testing::TempDir() + "/hm_contract_oodb_evict";
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_contract_oodb_evict");
+  const std::string dir = tmp.path() + "/oodb";
   backends::OodbOptions options;
   options.cache_pages = 10;
   auto store = backends::OodbStore::Open(options, dir);
@@ -810,17 +803,14 @@ TEST(OodbConcurrentReads, ReadersEvictingEachOtherSeeCorrectLists) {
   pool->ResetStats();
   EXPECT_EQ(ConcurrentReaderFailures(store->get(), 8, 1000, children), 0);
   EXPECT_GT(pool->stats().evictions, 0u);
-  store->reset();
-  std::filesystem::remove_all(dir);
 }
 
 // The same eviction pressure on oodb's set-at-a-time read: each call
 // walks a batch of records page by page, holding one pin at a time,
 // and every list and value must land at its input position.
 TEST(OodbConcurrentReads, BatchedReadersEvictingEachOtherSeeCorrectLists) {
-  const std::string dir =
-      ::testing::TempDir() + "/hm_contract_oodb_evict_batched";
-  std::filesystem::remove_all(dir);
+  test::TestDir tmp("hm_contract_oodb_evict_batched");
+  const std::string dir = tmp.path() + "/oodb";
   backends::OodbOptions options;
   options.cache_pages = 10;
   auto store = backends::OodbStore::Open(options, dir);
@@ -871,8 +861,6 @@ TEST(OodbConcurrentReads, BatchedReadersEvictingEachOtherSeeCorrectLists) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(pool->stats().evictions, 0u);
-  store->reset();
-  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreContractTest,
@@ -884,17 +872,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, StoreContractTest,
 // --- One output rule: every list output replaces what it held ---------
 
 /// A stack to check the output rule on, and what its store needs kept
-/// alive: the replicated client's primary server and coordinator.
+/// alive: the replicated client's primary node.
 struct OutputStack {
-  std::unique_ptr<replication::Coordinator> coordinator;
-  std::unique_ptr<server::Server> server;
+  std::unique_ptr<replication::Node> primary;
   std::unique_ptr<HyperStore> store;
-
-  ~OutputStack() {
-    store.reset();
-    if (coordinator != nullptr) coordinator->Shutdown();
-    if (server != nullptr) server->Stop();
-  }
 };
 
 struct OutputStackFactory {
@@ -926,20 +907,13 @@ void MakeReplicated(const std::string& dir, OutputStack* stack) {
   ASSERT_TRUE(oodb.ok()) << oodb.status().ToString();
   replication::CoordinatorOptions copts;
   copts.state_dir = dir + "/primary";
-  auto coordinator = replication::Coordinator::Open(copts, false);
-  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
-  stack->coordinator = std::move(*coordinator);
-  ASSERT_TRUE(stack->coordinator->ServePrimary(oodb->get(), true).ok());
-  server::ServerOptions sopts;
-  sopts.replication = stack->coordinator.get();
-  auto srv = server::Server::Start(
-      sopts, std::unique_ptr<HyperStore>(std::move(*oodb)));
-  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
-  stack->server = std::move(*srv);
+  auto node = replication::Node::Start(std::move(*oodb), {}, copts);
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  stack->primary = std::move(*node);
   backends::ReplicatedOptions options;
   backends::RemoteOptions peer;
   peer.host = "127.0.0.1";
-  peer.port = stack->server->port();
+  peer.port = stack->primary->port();
   options.peers.push_back(peer);
   auto client = backends::ReplicatedStore::Connect(options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -1041,19 +1015,12 @@ void ExpectListsReplaced(const std::string& what,
 class ListOutputTest : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_output_" +
-           OutputStacks()[GetParam()].name;
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    OutputStacks()[GetParam()].make(dir_, stack_.get());
+    OutputStacks()[GetParam()].make(dir_.path(), stack_.get());
     ASSERT_NE(stack_->store, nullptr);
   }
-  void TearDown() override {
-    stack_.reset();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { stack_.reset(); }
 
-  std::string dir_;
+  test::TestDir dir_{"hm_output"};
   std::unique_ptr<OutputStack> stack_ = std::make_unique<OutputStack>();
 };
 
@@ -1214,6 +1181,47 @@ TEST_P(ListOutputTest, EveryListOutputReplacesWhatItHeld) {
 
 INSTANTIATE_TEST_SUITE_P(
     Stacks, ListOutputTest,
+    ::testing::Range<size_t>(0, OutputStacks().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return OutputStacks()[info.param].name;
+    });
+
+// --- One rule for form contents ---------------------------------------
+
+using FormContentsTest = ListOutputTest;
+
+// A form node's contents are a serialized bitmap. SetContents decodes
+// the bytes before it writes, on every stack: bytes that are not a
+// bitmap get Corruption and leave the form as it was.
+TEST_P(FormContentsTest, BytesThatAreNotABitmapAreRefusedAndWriteNothing) {
+  HyperStore* store = stack_->store.get();
+  ASSERT_TRUE(store->Begin().ok());
+  NodeAttrs attrs;
+  attrs.unique_id = 1;
+  attrs.ten = attrs.hundred = attrs.thousand = attrs.million = 2;
+  attrs.kind = NodeKind::kForm;
+  auto form = store->CreateNode(attrs, kInvalidNode);
+  ASSERT_TRUE(form.ok()) << form.status().ToString();
+  util::Bitmap bitmap(64, 16);
+  ASSERT_TRUE(bitmap.InvertRect(3, 2, 20, 5).ok());
+  ASSERT_TRUE(store->SetForm(*form, bitmap).ok());
+  ASSERT_TRUE(store->Commit().ok());
+
+  ASSERT_TRUE(store->Begin().ok());
+  const util::Status refused = store->SetContents(*form, "not a bitmap");
+  EXPECT_EQ(refused.code(), util::StatusCode::kCorruption)
+      << refused.ToString();
+  auto during = store->GetForm(*form);
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(*during, bitmap);
+  ASSERT_TRUE(store->Commit().ok());
+  auto after = store->GetForm(*form);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, bitmap);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stacks, FormContentsTest,
     ::testing::Range<size_t>(0, OutputStacks().size()),
     [](const ::testing::TestParamInfo<size_t>& info) {
       return OutputStacks()[info.param].name;

@@ -33,6 +33,7 @@
 #include "util/coding.h"
 #include "util/enumerators.h"
 #include "util/status.h"
+#include "test_dir.h"
 
 namespace hm::server {
 namespace {
@@ -598,15 +599,8 @@ bool WriteFrame(int fd, std::string_view payload) {
 
 class WireGoldenTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/hm_wire_golden_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string dir_;
+  test::TestDir tmp_{"hm_wire_golden"};
+  const std::string dir_ = tmp_.path();
 };
 
 TEST_F(WireGoldenTest, ServerAnswersEveryOpcodeWithRecordedBytes) {

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <thread>
 
 #include "analysis/fsck.h"
@@ -25,7 +26,7 @@
 #include "cluster/shard_map.h"
 #include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
-#include "replication/coordinator.h"
+#include "replication/node.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
 
@@ -254,14 +255,7 @@ int ServeMain(int argc, char** argv) {
 
   auto backend = MakeServeBackend(args);
   CheckOk(backend.status());
-  // Replication needs the concrete store under the HyperStore surface:
-  // the shipper reads its WAL, the replicator applies into it. Safe:
-  // the backend is an unwrapped oodb (checked above).
-  auto* oodb = replicated
-                   ? static_cast<hm::backends::OodbStore*>(backend->get())
-                   : nullptr;
 
-  std::unique_ptr<hm::replication::Coordinator> coordinator;
   hm::server::ServerOptions options;
   options.host = args.host;
   options.port = args.port;
@@ -271,61 +265,57 @@ int ServeMain(int argc, char** argv) {
   options.drain_ms = args.drain_ms;
   options.shard_id = args.shard.id;
   options.shard_count = args.shard.count;
+  // A replicated server is a replication::Node; a plain one is the
+  // server alone, and can rebuild its backend on kReset.
+  std::unique_ptr<hm::replication::Node> node;
+  std::unique_ptr<hm::server::Server> standalone;
+  hm::server::Server* server = nullptr;
   if (replicated) {
     // Role/epoch state lives in args.dir itself — outside the wiped
     // per-backend subdirectory — so a restarted node keeps its fence.
     hm::replication::CoordinatorOptions copts;
     copts.state_dir = args.dir;
     copts.semisync_timeout_ms = static_cast<int64_t>(args.semisync_ms);
-    auto coord = hm::replication::Coordinator::Open(copts, is_replica);
-    CheckOk(coord.status());
-    coordinator = std::move(*coord);
-    options.replication = coordinator.get();
-    // No reset_factory: a reset would fork the shipped WAL chain under
-    // the followers. Reset stays an idempotent no-op while untouched.
+    std::optional<hm::replication::ReplicatorOptions> replica_of;
+    if (is_replica) {
+      auto primary_addr = hm::backends::ParseRemoteAddr(args.replica_of);
+      CheckOk(primary_addr.status());
+      replica_of.emplace().primary = *primary_addr;
+    }
+    // Replication needs the concrete store under the HyperStore surface:
+    // the shipper reads its WAL, the replicator applies into it. Safe:
+    // the backend is an unwrapped oodb (checked above).
+    auto started = hm::replication::Node::Start(
+        std::unique_ptr<hm::backends::OodbStore>(
+            static_cast<hm::backends::OodbStore*>(backend->release())),
+        options, copts, std::move(replica_of));
+    CheckOk(started.status());
+    node = std::move(*started);
+    server = node->server();
   } else {
     options.reset_factory = [args] { return MakeServeBackend(args); };
-  }
-  if (coordinator != nullptr && !is_replica) {
-    // Fresh data directory (wiped above), so the WAL chain is
-    // replayable from empty for any follower that subscribes.
-    CheckOk(coordinator->ServePrimary(oodb, /*chain_complete=*/true));
-  }
-  auto server = hm::server::Server::Start(options, std::move(*backend));
-  CheckOk(server.status());
-  if (coordinator != nullptr && is_replica) {
-    hm::replication::ReplicatorOptions ropts;
-    auto primary_addr = hm::backends::ParseRemoteAddr(args.replica_of);
-    CheckOk(primary_addr.status());
-    ropts.primary = *primary_addr;
-    ropts.mirror_dir = args.dir + "/repl_mirror";
-    std::error_code mirror_ec;
-    std::filesystem::create_directories(ropts.mirror_dir, mirror_ec);
-    ropts.follower_id = (*server)->port();
-    hm::server::Server* raw_server = server->get();
-    CheckOk(coordinator->ServeReplica(
-        ropts, oodb, [raw_server](const std::function<void()>& fn) {
-          raw_server->WithExclusiveBackend(
-              [&fn](hm::HyperStore*) { fn(); });
-        }));
+    auto started = hm::server::Server::Start(options, std::move(*backend));
+    CheckOk(started.status());
+    standalone = std::move(*started);
+    server = standalone.get();
   }
 
   // The resolved address goes first, alone and flushed, so a launcher
   // reading our stdout learns an ephemeral port without parsing the
   // human banner (the cluster subcommand depends on this line).
-  std::cout << (*server)->host() << ":" << (*server)->port() << "\n"
+  std::cout << server->host() << ":" << server->port() << "\n"
             << std::flush;
   std::cout << "hmbench serve: " << args.backend << " backend on "
-            << (*server)->host() << ":" << (*server)->port() << " ("
+            << server->host() << ":" << server->port() << " ("
             << args.workers << " workers); read-parallel dispatch "
-            << ((*server)->read_parallel() ? "on" : "off");
+            << (server->read_parallel() ? "on" : "off");
   if (args.shard.count > 1) {
     std::cout << "; shard " << args.shard.id << "/" << args.shard.count;
   }
-  if (coordinator != nullptr) {
+  if (node != nullptr) {
     std::cout << "; replication "
-              << hm::replication::RoleName(coordinator->role()) << " epoch "
-              << coordinator->epoch();
+              << hm::replication::RoleName(node->coordinator()->role())
+              << " epoch " << node->coordinator()->epoch();
     if (is_replica) std::cout << " of " << args.replica_of;
   }
   std::cout << "; Ctrl-C to stop\n" << std::flush;
@@ -335,20 +325,22 @@ int ServeMain(int argc, char** argv) {
   while (g_stop_requested == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
-  // The replicator (if any) must stop before the server: its exclusive
-  // hook dispatches through it.
-  if (coordinator != nullptr) coordinator->Shutdown();
   // Stop() drains: the listener closes first, in-flight requests get
-  // up to --drain-ms to finish with their responses delivered.
-  (*server)->Stop();
-  std::cout << "hmbench serve: stopped after "
-            << (*server)->requests_served() << " requests over "
-            << (*server)->connections_accepted() << " connections ("
-            << (*server)->connections_rejected() << " rejected, "
-            << (*server)->requests_shed() << " shed)\n";
+  // up to --drain-ms to finish with their responses delivered. A node
+  // stops its replicator (if any) first.
+  if (node != nullptr) {
+    node->Stop();
+  } else {
+    server->Stop();
+  }
+  std::cout << "hmbench serve: stopped after " << server->requests_served()
+            << " requests over " << server->connections_accepted()
+            << " connections (" << server->connections_rejected()
+            << " rejected, " << server->requests_shed() << " shed)\n";
   // Destroying the server destroys the backend, whose teardown
   // checkpoints the WAL — persistent state is durable before exit.
-  server->reset();
+  node.reset();
+  standalone.reset();
   hm::telemetry::Registry::Global().TakeSnapshot().PrintTo(std::cout);
   std::cout << std::flush;
   return 0;
