@@ -145,7 +145,7 @@ class Checker {
             std::string("leaf ") + std::to_string(index) + " should be " +
                 std::string(NodeKindName(expected)) + ", found " +
                 std::string(NodeKindName(*kind)));
-      } else if (options_.check_contents && config.generate_contents) {
+      } else if (config.generate_contents) {
         CheckContents(ref, uid, path, expected);
       }
     }

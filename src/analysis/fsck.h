@@ -68,9 +68,6 @@ struct FsckOptions {
   /// Shape the database was generated with; all expectations (level
   /// sizes, fan-out, parts cardinality, form spacing) derive from it.
   GeneratorConfig config;
-  /// Verify text/bitmap contents (skipped automatically when
-  /// config.generate_contents is false).
-  bool check_contents = true;
   /// Verify the Figure 1 attribute intervals. Disable after running
   /// editing operations (/*16*/ rewrites `hundred`).
   bool check_attr_ranges = true;

@@ -96,9 +96,7 @@ util::Status MemStore::SetForm(NodeRef node, const util::Bitmap& form) {
 }
 
 util::Status MemStore::AddChild(NodeRef parent, NodeRef child) {
-  if (parent == child) {
-    return util::Status::InvalidArgument("a node cannot be its own child");
-  }
+  HM_RETURN_IF_ERROR(CheckNotOwnChild(parent, child));
   HM_ASSIGN_OR_RETURN(MemNode * p, Find(parent));
   HM_ASSIGN_OR_RETURN(MemNode * c, Find(child));
   if (c->parent != kInvalidNode) {
@@ -138,7 +136,7 @@ util::Status MemStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
   HM_ASSIGN_OR_RETURN(MemNode * n, Find(node));
   switch (attr) {
     case Attr::kUniqueId:
-      return util::Status::InvalidArgument("uniqueId is immutable");
+      return CheckWritableAttr(attr);
     case Attr::kTen:
       n->attrs.ten = value;
       return util::Status::Ok();

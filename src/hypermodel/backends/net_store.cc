@@ -1,5 +1,6 @@
 #include "hypermodel/backends/net_store.h"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "storage/overflow.h"
@@ -433,9 +434,7 @@ util::Result<util::Bitmap> NetStore::GetForm(NodeRef node) {
 }
 
 util::Status NetStore::AddChild(NodeRef parent, NodeRef child) {
-  if (parent == child) {
-    return util::Status::InvalidArgument("a node cannot be its own child");
-  }
+  HM_RETURN_IF_ERROR(CheckNotOwnChild(parent, child));
   HM_ASSIGN_OR_RETURN(NodeRecord parent_rec, ReadNode(parent));
   HM_ASSIGN_OR_RETURN(NodeRecord child_rec, ReadNode(child));
   if (child_rec.parent != 0) {
@@ -525,7 +524,7 @@ util::Status NetStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
   switch (attr) {
     case Attr::kUniqueId:
-      return util::Status::InvalidArgument("uniqueId is immutable");
+      return CheckWritableAttr(attr);
     case Attr::kTen:
       rec.ten = value;
       break;
@@ -592,6 +591,9 @@ util::Result<NodeRef> NetStore::Parent(NodeRef node) {
   return rec.parent;
 }
 
+// AddPart and AddRef link each edge at the head of both rings, so a
+// ring walk meets the newest edge first; the reads reverse it into
+// insertion order, the order every other store returns.
 util::Status NetStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
   out->clear();
   HM_ASSIGN_OR_RETURN(NodeRecord rec, ReadNode(node));
@@ -601,6 +603,7 @@ util::Status NetStore::Parts(NodeRef node, std::vector<NodeRef>* out) {
     out->push_back(link.member);
     current = link.owner_next;
   }
+  std::reverse(out->begin(), out->end());
   return util::Status::Ok();
 }
 
@@ -613,6 +616,7 @@ util::Status NetStore::PartOf(NodeRef node, std::vector<NodeRef>* out) {
     out->push_back(link.owner);
     current = link.member_next;
   }
+  std::reverse(out->begin(), out->end());
   return util::Status::Ok();
 }
 
@@ -625,6 +629,7 @@ util::Status NetStore::RefsTo(NodeRef node, std::vector<RefEdge>* out) {
     out->push_back(RefEdge{link.member, link.offset_from, link.offset_to});
     current = link.owner_next;
   }
+  std::reverse(out->begin(), out->end());
   return util::Status::Ok();
 }
 
@@ -637,6 +642,7 @@ util::Status NetStore::RefsFrom(NodeRef node, std::vector<RefEdge>* out) {
     out->push_back(RefEdge{link.owner, link.offset_from, link.offset_to});
     current = link.member_next;
   }
+  std::reverse(out->begin(), out->end());
   return util::Status::Ok();
 }
 

@@ -757,9 +757,7 @@ util::Status OodbStore::SetAttrsMulti(std::span<const NodeRef> nodes,
   HM_RETURN_IF_ERROR(
       CheckPositional("SetAttrsMulti", nodes.size(), {values.size()}));
   HM_RETURN_IF_ERROR(RequireActiveTxn());
-  if (attr == Attr::kUniqueId) {
-    return util::Status::InvalidArgument("uniqueId is immutable");
-  }
+  HM_RETURN_IF_ERROR(CheckWritableAttr(attr));
   // The range index on `attr`, if it has one: its (value, oid) key
   // moves once the record holds the new value.
   BPlusTree* index = attr == Attr::kHundred   ? &*by_hundred_
@@ -851,10 +849,7 @@ util::Status OodbStore::AddChildrenMulti(std::span<const NodeRef> parents,
   return WriteEdges(
       parents, children,
       [&](size_t i, NodeRecord& parent, NodeRecord& child) -> util::Status {
-        if (parents[i] == children[i]) {
-          return util::Status::InvalidArgument(
-              "a node cannot be its own child");
-        }
+        HM_RETURN_IF_ERROR(CheckNotOwnChild(parents[i], children[i]));
         if (child.parent != objstore::kInvalidOid) {
           return util::Status::InvalidArgument("node already has a parent");
         }

@@ -354,9 +354,7 @@ util::Result<std::string> RelStore::GetContents(NodeRef node) {
 }
 
 util::Status RelStore::AddChild(NodeRef parent, NodeRef child) {
-  if (parent == child) {
-    return util::Status::InvalidArgument("a node cannot be its own child");
-  }
+  HM_RETURN_IF_ERROR(CheckNotOwnChild(parent, child));
   if (idx_children_child_->Get(Key128{child, 0}).ok()) {
     return util::Status::InvalidArgument("node already has a parent");
   }
@@ -419,7 +417,7 @@ util::Status RelStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
   HM_ASSIGN_OR_RETURN(Tuple row, node_table_->Read(rid));
   switch (attr) {
     case Attr::kUniqueId:
-      return util::Status::InvalidArgument("uniqueId is immutable");
+      return CheckWritableAttr(attr);
     case Attr::kTen:
       row.value(1) = value;
       break;

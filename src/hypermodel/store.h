@@ -126,6 +126,19 @@ class HyperStore {
   virtual util::Result<uint64_t> StorageBytes() = 0;
 };
 
+/// The two write rules every store checks, stated once so the status
+/// and message agree on every stack. InvalidArgument when `child` is
+/// `parent` itself: the 1-N hierarchy is a tree.
+inline util::Status CheckNotOwnChild(NodeRef parent, NodeRef child) {
+  if (parent != child) return util::Status::Ok();
+  return util::Status::InvalidArgument("a node cannot be its own child");
+}
+/// InvalidArgument for uniqueId, which names its node for life.
+inline util::Status CheckWritableAttr(Attr attr) {
+  if (attr != Attr::kUniqueId) return util::Status::Ok();
+  return util::Status::InvalidArgument("uniqueId is immutable");
+}
+
 /// Optional backend capability: split commit into a cheap logging phase
 /// and a (possibly group-amortised) durability wait. Discovered via
 /// dynamic_cast, like the other *Capable interfaces. Backends whose

@@ -14,6 +14,9 @@ namespace hm::replication {
 
 namespace {
 
+/// Max bytes per kReplSegment fetch.
+constexpr uint64_t kFetchBytes = 1ull << 20;
+
 /// Chunked sleep that bails early when `flag` flips.
 void SleepUnless(int ms, const std::atomic<bool>& a,
                  const std::atomic<bool>& b) {
@@ -376,7 +379,7 @@ util::Status Replicator::PullFromPrimary() {
     bool sealed = false;
     uint64_t flushed = 0;
     HM_RETURN_IF_ERROR(primary->ReplFetch(cursor_seq_, cursor_offset_,
-                                          options_.fetch_bytes, &chunk,
+                                          kFetchBytes, &chunk,
                                           &sealed, &flushed));
     if (!chunk.empty()) {
       // Mirror first, fsync, then apply: an acked LSN must already be

@@ -82,8 +82,6 @@ struct ReplicatorOptions {
   uint64_t follower_id = 0;
   /// Poll interval when caught up with the primary.
   int poll_ms = 20;
-  /// Max bytes per kReplSegment fetch.
-  uint64_t fetch_bytes = 1ull << 20;
 };
 
 /// Follower-side replication engine (DESIGN.md §16). One background

@@ -38,8 +38,6 @@ struct ServerOptions {
   /// When full, new connections are closed immediately (backpressure
   /// at the door rather than unbounded memory growth).
   size_t queue_capacity = 64;
-  /// Per-frame payload ceiling; oversized frames drop the connection.
-  uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Rebuilds the served database in place when a client sends
   /// kReset (the benchmark harness does, so repeated runs against a
   /// long-lived server start from an empty store). Unset => kReset is

@@ -38,9 +38,7 @@ void Server::ServeSession(Session* session) {
     for (;;) {
       std::string_view payload;
       size_t frame_len = 0;
-      FrameResult result = DecodeFrame(session->buffer, &payload,
-                                       &frame_len,
-                                       options_.max_frame_bytes);
+      FrameResult result = DecodeFrame(session->buffer, &payload, &frame_len);
       if (result == FrameResult::kIncomplete) break;
       if (result != FrameResult::kOk) return;  // framing lost: hang up
       std::string response;

@@ -12,10 +12,9 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/compare.h"
 #include "cluster/shard_local_store.h"
 #include "cluster/shard_map.h"
 #include "hypermodel/backends/mem_store.h"
@@ -559,9 +558,10 @@ TEST(ShardedStoreTest, ConnectRejectsMiswiredFleet) {
 TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
   // The §5.2 database at level 3, built identically (same Generator
   // seed) on a single-node remote server and a 4-shard fleet: the
-  // §6.5/§6.6 closures and index scans must agree node for node once
-  // refs are translated to uniqueIds. The full twenty-op version of
-  // this comparison is bench_shard --verify-level.
+  // §6.5/§6.6 closures from the root and an index scan must agree node
+  // for node once refs are translated to uniqueIds, and so must all
+  // twenty ops on CompareOps' inputs (bench_shard --verify-level runs
+  // the same comparison at level 6).
   auto single = backends::RemoteStore::Loopback(
       std::make_unique<backends::MemStore>());
   ASSERT_TRUE(single.ok()) << single.status().ToString();
@@ -570,7 +570,6 @@ TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
 
   GeneratorConfig config;
   config.levels = 3;
-  config.generate_contents = false;
   Generator generator(config);
   auto db_single = generator.Build(single->get(), nullptr);
   ASSERT_TRUE(db_single.ok()) << db_single.status().ToString();
@@ -579,15 +578,8 @@ TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
   ASSERT_EQ(db_single->node_count(), db_fleet->node_count());
 
   auto uids = [](HyperStore* store, const std::vector<NodeRef>& refs) {
-    std::vector<int64_t> out;
-    for (NodeRef ref : refs) {
-      auto uid = store->GetAttr(ref, Attr::kUniqueId);
-      EXPECT_TRUE(uid.ok()) << uid.status().ToString();
-      out.push_back(uid.ok() ? *uid : -1);
-    }
-    return out;
+    return analysis::Uids(store, refs).ValueOr({});
   };
-
   {
     // closure1N from the root spans all four shards.
     std::vector<NodeRef> a, b;
@@ -620,16 +612,20 @@ TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
     std::sort(ub.begin(), ub.end());
     EXPECT_EQ(ua, ub);
   }
+  const analysis::CompareReport report = analysis::CompareOps(
+      single->get(), *db_single, fleet->get(), *db_fleet, 3);
+  EXPECT_EQ(report.records.size(), 3 * 24u);
+  EXPECT_EQ(report.Failed(), std::vector<std::string>{});
 }
 
 TEST(ShardedStoreTest, EveryModeMatchesInProcessClosures) {
   // One engine for every client: a 2-shard fleet in each RemoteMode
   // (per-call fetches, fused fetches, pushdown with scatter-gather
   // fallback) must reproduce the in-process closures node for node,
-  // uid-translated, including the pruning and mutating kernels.
+  // uid-translated, including the pruning and mutating kernels, and
+  // agree with the in-process store on all twenty ops.
   GeneratorConfig config;
   config.levels = 3;
-  config.generate_contents = false;
   backends::MemStore local;
   auto db_local = Generator(config).Build(&local, nullptr);
   ASSERT_TRUE(db_local.ok()) << db_local.status().ToString();
@@ -640,13 +636,6 @@ TEST(ShardedStoreTest, EveryModeMatchesInProcessClosures) {
   ASSERT_FALSE(top.empty());
   const int64_t band = *local.GetAttr(top[0], Attr::kMillion);
 
-  auto uids = [](HyperStore* store, const std::vector<NodeRef>& refs) {
-    std::vector<int64_t> out;
-    for (NodeRef ref : refs) {
-      out.push_back(*store->GetAttr(ref, Attr::kUniqueId));
-    }
-    return out;
-  };
   struct Closures {
     std::vector<int64_t> c1n, pred, mn, mnatt, link_uids;
     std::vector<int64_t> link_dist;
@@ -656,16 +645,19 @@ TEST(ShardedStoreTest, EveryModeMatchesInProcessClosures) {
     int64_t sum_after_flip = 0;
   };
   auto run = [&](HyperStore* store, NodeRef root) {
+    auto uids = [store](const std::vector<NodeRef>& refs) {
+      return analysis::Uids(store, refs).ValueOr({});
+    };
     Closures c;
     std::vector<NodeRef> refs;
     EXPECT_TRUE(ops::Closure1N(store, root, &refs).ok());
-    c.c1n = uids(store, refs);
+    c.c1n = uids(refs);
     EXPECT_TRUE(ops::Closure1NPred(store, root, band, &refs).ok());
-    c.pred = uids(store, refs);
+    c.pred = uids(refs);
     EXPECT_TRUE(ops::ClosureMN(store, root, &refs).ok());
-    c.mn = uids(store, refs);
+    c.mn = uids(refs);
     EXPECT_TRUE(ops::ClosureMNAtt(store, root, 25, &refs).ok());
-    c.mnatt = uids(store, refs);
+    c.mnatt = uids(refs);
     std::vector<NodeDistance> dists;
     EXPECT_TRUE(ops::ClosureMNAttLinkSum(store, root, 25, &dists).ok());
     for (const NodeDistance& d : dists) {
@@ -704,71 +696,13 @@ TEST(ShardedStoreTest, EveryModeMatchesInProcessClosures) {
     EXPECT_EQ(got.visited, expected.visited);
     EXPECT_EQ(got.flipped, expected.flipped);
     EXPECT_EQ(got.sum_after_flip, expected.sum_after_flip);
+    // Both sides hold the flipped hundreds; the comparison's edits run
+    // there and back, so `local` is the same for the next mode.
+    const analysis::CompareReport report =
+        analysis::CompareOps(&local, *db_local, fleet->get(), *db, 3);
+    EXPECT_EQ(report.records.size(), 3 * 24u);
+    EXPECT_EQ(report.Failed(), std::vector<std::string>{});
   }
-}
-
-/// Everything observable about one node, refs translated to uniqueIds.
-struct NodeImage {
-  std::vector<int64_t> attrs;  // the five attributes, then the kind
-  std::string contents;
-  std::vector<int64_t> children, parts, part_of;
-  std::vector<std::tuple<int64_t, int64_t, int64_t>> refs_to, refs_from;
-
-  bool operator==(const NodeImage&) const = default;
-};
-
-/// The image of every node of `db`, in creation order.
-std::vector<NodeImage> ImageOf(HyperStore* store, const TestDatabase& db) {
-  std::unordered_map<NodeRef, int64_t> uid;
-  for (NodeRef node : db.all_nodes) {
-    uid[node] = store->GetAttr(node, Attr::kUniqueId).ValueOr(-1);
-  }
-  auto uids = [&](const std::vector<NodeRef>& refs) {
-    std::vector<int64_t> out;
-    for (NodeRef ref : refs) out.push_back(uid.at(ref));
-    return out;
-  };
-  auto edges = [&](const std::vector<RefEdge>& list) {
-    std::vector<std::tuple<int64_t, int64_t, int64_t>> out;
-    for (const RefEdge& e : list) {
-      out.emplace_back(uid.at(e.node), e.offset_from, e.offset_to);
-    }
-    return out;
-  };
-  std::vector<NodeImage> images;
-  for (NodeRef node : db.all_nodes) {
-    NodeImage image;
-    for (Attr attr : {Attr::kUniqueId, Attr::kTen, Attr::kHundred,
-                      Attr::kThousand, Attr::kMillion}) {
-      image.attrs.push_back(store->GetAttr(node, attr).ValueOr(-1));
-    }
-    const NodeKind kind = store->GetKind(node).ValueOr(NodeKind::kDraw);
-    image.attrs.push_back(static_cast<int64_t>(kind));
-    if (kind == NodeKind::kText) {
-      image.contents = store->GetText(node).ValueOr("?");
-    } else if (kind == NodeKind::kForm) {
-      auto form = store->GetForm(node);
-      image.contents = form.ok() ? form->Serialize() : "?";
-    }
-    // Each list read into a fresh vector: the remote clients append.
-    auto refs = [&](auto read) {
-      std::vector<NodeRef> out;
-      EXPECT_TRUE((store->*read)(node, &out).ok());
-      return uids(out);
-    };
-    auto ref_edges = [&](auto read) {
-      std::vector<RefEdge> out;
-      EXPECT_TRUE((store->*read)(node, &out).ok());
-      return edges(out);
-    };
-    image.children = refs(&HyperStore::Children);
-    image.parts = refs(&HyperStore::Parts);
-    image.part_of = refs(&HyperStore::PartOf);
-    image.refs_to = ref_edges(&HyperStore::RefsTo);
-    image.refs_from = ref_edges(&HyperStore::RefsFrom);
-    images.push_back(std::move(image));
-  }
-  return images;
 }
 
 TEST(ShardedStoreTest, PerItemWritesCostOneRequestPerEndpointShard) {
@@ -898,7 +832,8 @@ TEST(ShardedStoreTest, SetAtATimeLoadMatchesSerialBuildInEveryMode) {
   backends::MemStore local;
   auto db_local = Generator(config).Build(&local, nullptr);
   ASSERT_TRUE(db_local.ok()) << db_local.status().ToString();
-  const std::vector<NodeImage> expected = ImageOf(&local, *db_local);
+  const auto expected = analysis::ImageOf(&local, *db_local);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   const uint64_t nodes = db_local->node_count();
   const uint64_t edges = (nodes - 1) + 5 * db_local->internal_nodes.size() +
                          nodes;  // children, parts, refs
@@ -942,19 +877,10 @@ TEST(ShardedStoreTest, SetAtATimeLoadMatchesSerialBuildInEveryMode) {
         EXPECT_LE(roundtrips, 19u * shards);
       }
 
-      const std::vector<NodeImage> got = ImageOf(fleet->get(), *db);
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE("node " + std::to_string(i));
-        EXPECT_EQ(got[i].attrs, expected[i].attrs);
-        EXPECT_EQ(got[i].contents, expected[i].contents);
-        EXPECT_EQ(got[i].children, expected[i].children);
-        EXPECT_EQ(got[i].parts, expected[i].parts);
-        EXPECT_EQ(got[i].part_of, expected[i].part_of);
-        EXPECT_EQ(got[i].refs_to, expected[i].refs_to);
-        EXPECT_EQ(got[i].refs_from, expected[i].refs_from);
-        if (got[i] != expected[i]) break;
-      }
+      const auto got = analysis::ImageOf(fleet->get(), *db);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(analysis::DifferingUids(*expected, *got),
+                std::vector<int64_t>{});
     }
   }
 }

@@ -11,9 +11,9 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
+#include "analysis/compare.h"
 #include "analysis/fsck.h"
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/oodb_store.h"
@@ -359,16 +359,14 @@ TEST(GeneratorTest, DeterministicForSeed) {
   backends::MemStore a, b;
   TestDatabase db_a = BuildMem(&a, config);
   TestDatabase db_b = BuildMem(&b, config);
-  ASSERT_EQ(db_a.node_count(), db_b.node_count());
-  for (NodeRef node : db_a.all_nodes) {
-    EXPECT_EQ(*a.GetAttr(node, Attr::kMillion),
-              *b.GetAttr(node, Attr::kMillion));
-    std::vector<RefEdge> ea, eb;
-    ASSERT_TRUE(a.RefsTo(node, &ea).ok());
-    ASSERT_TRUE(b.RefsTo(node, &eb).ok());
-    ASSERT_EQ(ea.size(), eb.size());
-    EXPECT_EQ(ea[0].node, eb[0].node);
-  }
+  ASSERT_EQ(db_a.all_nodes, db_b.all_nodes);
+  // Every node whole: attributes, kind, contents and all five lists.
+  const auto images_a = analysis::ImageOf(&a, db_a);
+  const auto images_b = analysis::ImageOf(&b, db_b);
+  ASSERT_TRUE(images_a.ok()) << images_a.status().ToString();
+  ASSERT_TRUE(images_b.ok()) << images_b.status().ToString();
+  EXPECT_EQ(analysis::DifferingUids(*images_a, *images_b),
+            std::vector<int64_t>{});
 }
 
 TEST(GeneratorTest, DifferentSeedsDiffer) {
@@ -579,71 +577,17 @@ TEST(GeneratorTest, OodbLoadWritesArePinned) {
   oodb->reset();
 }
 
-/// Everything a node holds, with every ref written as its uniqueId:
-/// comparable across two stores that built the same database.
-struct NodeImage {
-  std::vector<int64_t> attrs;
-  NodeKind kind = NodeKind::kInternal;
-  std::string contents;
-  int64_t parent = 0;
-  std::vector<int64_t> children, parts, part_of;
-  std::vector<std::tuple<int64_t, int64_t, int64_t>> refs_to, refs_from;
-
-  bool operator==(const NodeImage&) const = default;
-};
-
-NodeImage ImageOf(HyperStore* store, NodeRef node) {
-  auto uid = [store](NodeRef ref) -> int64_t {
-    if (ref == kInvalidNode) return 0;
-    auto got = store->GetAttr(ref, Attr::kUniqueId);
-    EXPECT_TRUE(got.ok()) << got.status().ToString();
-    return got.ok() ? *got : -1;
-  };
-  auto uids = [&](const std::vector<NodeRef>& refs) {
-    std::vector<int64_t> out;
-    for (NodeRef ref : refs) out.push_back(uid(ref));
-    return out;
-  };
-  auto edges = [&](const std::vector<RefEdge>& list) {
-    std::vector<std::tuple<int64_t, int64_t, int64_t>> out;
-    for (const RefEdge& e : list) {
-      out.emplace_back(uid(e.node), e.offset_from, e.offset_to);
-    }
-    return out;
-  };
-  NodeImage image;
-  for (Attr attr : {Attr::kUniqueId, Attr::kTen, Attr::kHundred,
-                    Attr::kThousand, Attr::kMillion}) {
-    image.attrs.push_back(*store->GetAttr(node, attr));
-  }
-  image.kind = *store->GetKind(node);
-  if (image.kind != NodeKind::kInternal) {
-    image.contents = *store->GetContents(node);
-  }
-  image.parent = uid(*store->Parent(node));
-  std::vector<NodeRef> refs;
-  std::vector<RefEdge> list;
-  EXPECT_TRUE(store->Children(node, &refs).ok());
-  image.children = uids(refs);
-  EXPECT_TRUE(store->Parts(node, &refs).ok());
-  image.parts = uids(refs);
-  EXPECT_TRUE(store->PartOf(node, &refs).ok());
-  image.part_of = uids(refs);
-  EXPECT_TRUE(store->RefsTo(node, &list).ok());
-  image.refs_to = edges(list);
-  EXPECT_TRUE(store->RefsFrom(node, &list).ok());
-  image.refs_from = edges(list);
-  return image;
-}
+using analysis::NodeImage;
 
 /// The images of uniqueIds 1..count, looked up by uniqueId.
 std::vector<NodeImage> ImagesOf(HyperStore* store, int64_t count) {
   std::vector<NodeImage> images;
   for (int64_t uid = 1; uid <= count; ++uid) {
     auto node = store->LookupUnique(uid);
-    EXPECT_TRUE(node.ok()) << "uid " << uid << ": "
-                           << node.status().ToString();
-    if (node.ok()) images.push_back(ImageOf(store, *node));
+    auto image = node.ok() ? analysis::ImageOf(store, *node) : node.status();
+    EXPECT_TRUE(image.ok()) << "uid " << uid << ": "
+                            << image.status().ToString();
+    if (image.ok()) images.push_back(std::move(*image));
   }
   return images;
 }

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <set>
 
+#include "analysis/compare.h"
 #include "analysis/fsck.h"
 #include "hypermodel/backends/mem_store.h"
 #include "hypermodel/backends/net_store.h"
@@ -358,18 +359,6 @@ class CrossBackendTest : public ::testing::Test {
     return {mem_.get(), oodb_.get(), rel_.get(), net_.get()};
   }
 
-  // Maps refs to uniqueIds so results are comparable across backends.
-  std::vector<int64_t> Uids(HyperStore* store,
-                            const std::vector<NodeRef>& refs) {
-    std::vector<int64_t> uids;
-    for (NodeRef ref : refs) {
-      auto uid = store->GetAttr(ref, Attr::kUniqueId);
-      EXPECT_TRUE(uid.ok());
-      uids.push_back(uid.ValueOr(-1));
-    }
-    return uids;
-  }
-
   NodeRef ByUid(HyperStore* store, int64_t uid) {
     auto ref = store->LookupUnique(uid);
     EXPECT_TRUE(ref.ok());
@@ -403,13 +392,13 @@ TEST_F(CrossBackendTest, RangeLookupsAgreeAsSets) {
     {
       std::vector<NodeRef> out;
       ASSERT_TRUE(ops::RangeLookupHundred(mem_.get(), x, &out).ok());
-      expected = Uids(mem_.get(), out);
+      expected = analysis::Uids(mem_.get(), out).ValueOr({});
       std::sort(expected.begin(), expected.end());
     }
     for (HyperStore* store : Stores()) {
       std::vector<NodeRef> out;
       ASSERT_TRUE(ops::RangeLookupHundred(store, x, &out).ok());
-      std::vector<int64_t> uids = Uids(store, out);
+      std::vector<int64_t> uids = analysis::Uids(store, out).ValueOr({});
       std::sort(uids.begin(), uids.end());
       EXPECT_EQ(uids, expected) << store->name() << " x=" << x;
     }
@@ -419,30 +408,31 @@ TEST_F(CrossBackendTest, RangeLookupsAgreeAsSets) {
 TEST_F(CrossBackendTest, TraversalsAgree) {
   for (int64_t uid : {1, 2, 10, 40}) {
     std::vector<int64_t> expected_children =
-        Uids(mem_.get(), [&] {
+        analysis::Uids(mem_.get(), [&] {
           std::vector<NodeRef> out;
           EXPECT_TRUE(
               ops::GroupLookup1N(mem_.get(), ByUid(mem_.get(), uid), &out)
                   .ok());
           return out;
-        }());
+        }()).ValueOr({});
     for (HyperStore* store : Stores()) {
       std::vector<NodeRef> out;
       ASSERT_TRUE(
           ops::GroupLookup1N(store, ByUid(store, uid), &out).ok());
-      EXPECT_EQ(Uids(store, out), expected_children)
+      EXPECT_EQ(analysis::Uids(store, out).ValueOr({}), expected_children)
           << store->name() << " children of uid " << uid
           << " (order matters: 1-N is ordered)";
 
       std::vector<NodeRef> parts;
       ASSERT_TRUE(ops::GroupLookupMN(store, ByUid(store, uid), &parts).ok());
-      std::vector<int64_t> part_uids = Uids(store, parts);
+      std::vector<int64_t> part_uids = analysis::Uids(store, parts).ValueOr({});
       std::sort(part_uids.begin(), part_uids.end());
       std::vector<NodeRef> mem_parts;
       ASSERT_TRUE(
           ops::GroupLookupMN(mem_.get(), ByUid(mem_.get(), uid), &mem_parts)
               .ok());
-      std::vector<int64_t> expected_parts = Uids(mem_.get(), mem_parts);
+      std::vector<int64_t> expected_parts =
+          analysis::Uids(mem_.get(), mem_parts).ValueOr({});
       std::sort(expected_parts.begin(), expected_parts.end());
       EXPECT_EQ(part_uids, expected_parts) << store->name();
     }
@@ -455,11 +445,13 @@ TEST_F(CrossBackendTest, Closure1NAgreesInOrder) {
     std::vector<NodeRef> mem_out;
     ASSERT_TRUE(
         ops::Closure1N(mem_.get(), ByUid(mem_.get(), uid), &mem_out).ok());
-    std::vector<int64_t> expected = Uids(mem_.get(), mem_out);
+    std::vector<int64_t> expected =
+        analysis::Uids(mem_.get(), mem_out).ValueOr({});
     for (HyperStore* store : Stores()) {
       std::vector<NodeRef> out;
       ASSERT_TRUE(ops::Closure1N(store, ByUid(store, uid), &out).ok());
-      EXPECT_EQ(Uids(store, out), expected) << store->name();
+      EXPECT_EQ(analysis::Uids(store, out).ValueOr({}), expected)
+          << store->name();
     }
   }
 }
@@ -495,6 +487,27 @@ TEST_F(CrossBackendTest, WeightedClosureAgrees) {
         EXPECT_EQ(out[i].distance, mem_out[i].distance) << store->name();
       }
     }
+  }
+}
+
+// All twenty ops, each persistent backend against the mem oracle, on
+// CompareOps' inputs inside the fixture's open transaction (the cases
+// above compare eight of the ops on hand-picked inputs). The edits run
+// there and back, so afterwards every node still reads as on mem.
+TEST_F(CrossBackendTest, AllTwentyOpsAgreeWithMem) {
+  for (HyperStore* store : Stores()) {
+    if (store == mem_.get()) continue;
+    SCOPED_TRACE(store->name());
+    const analysis::CompareReport report = analysis::CompareOps(
+        mem_.get(), dbs_[mem_.get()], store, dbs_[store], 3);
+    EXPECT_EQ(report.records.size(), 3 * 24u);
+    EXPECT_EQ(report.Failed(), std::vector<std::string>{});
+
+    const auto expected = analysis::ImageOf(mem_.get(), dbs_[mem_.get()]);
+    const auto got = analysis::ImageOf(store, dbs_[store]);
+    ASSERT_TRUE(expected.ok() && got.ok());
+    EXPECT_EQ(analysis::DifferingUids(*expected, *got),
+              std::vector<int64_t>{});
   }
 }
 
